@@ -407,9 +407,16 @@ def make_false_instance(protocol_id: str, rng: random.Random, field: PrimeField,
             "det shifted by a polynomial vanishing on S-prefix",
         )
     if protocol_id == "system_solve":
+        # A v = delta b stays true when v[i] moves along a zero column of A,
+        # so draw again until A has a nonzero column i to perturb along
         pub = generate_true_instance("system_solve", rng, field, mmax=3, dmax=2)
+        while pub["A"].is_zero():
+            pub = generate_true_instance("system_solve", rng, field, mmax=3, dmax=2)
+        a = pub["A"]
         v = list(pub["v"])
         i = rng.randrange(len(v))
+        while all(row[i].is_zero() for row in a.rows):
+            i = rng.randrange(len(v))
         v[i] = v[i] + Poly(field, [0, 1 + rng.randrange(p - 1)])
         pub = dict(pub, v=v)
         d = max(

@@ -92,6 +92,28 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0 in prime field")
         return pow(a, self.p - 2, self.p)
 
+    def inv_many(self, values: list) -> list:
+        """Inverses of nonzero reduced elements with one exponentiation.
+
+        Montgomery's trick: invert the product of all values once, then peel
+        the individual inverses off the prefix products, three
+        multiplications per element.
+        """
+        if not values:
+            return []
+        p = self.p
+        prefix = []
+        acc = 1
+        for a in values:
+            prefix.append(acc)
+            acc = acc * a % p
+        acc = self.inv(acc)  # raises ZeroDivisionError if any value is 0
+        out = [0] * len(values)
+        for i in range(len(values) - 1, -1, -1):
+            out[i] = acc * prefix[i] % p
+            acc = acc * values[i] % p
+        return out
+
     def div(self, a: int, b: int) -> int:
         return a * self.inv(b) % self.p
 

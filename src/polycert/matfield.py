@@ -121,6 +121,7 @@ class PluqFactorization:
     perm_cols: list
     lower: FieldMat  # m x r, unit diagonal
     upper: FieldMat  # r x n, nonzero diagonal
+    inv_pivots: list  # inv_pivots[i] = 1 / upper[i][i], kept from elimination
 
     def col_rank_profile(self) -> tuple:
         return tuple(sorted(self.perm_cols[: self.rank]))
@@ -190,6 +191,7 @@ def pluq(mat: FieldMat) -> PluqFactorization:
     a = mat.copy_rows()
     perm_rows = list(range(m))
     perm_cols = list(range(n))
+    inv_pivots = []
     r = 0
     for col in range(n):
         if r >= m:
@@ -206,6 +208,7 @@ def pluq(mat: FieldMat) -> PluqFactorization:
             perm_rows[pos], perm_rows[r] = perm_rows[r], perm_rows[pos]
         piv = a[r][col]
         inv_piv = field.inv(piv)
+        inv_pivots.append(inv_piv)
         for i in range(r + 1, m):
             c = a[i][col]
             if c:
@@ -232,6 +235,7 @@ def pluq(mat: FieldMat) -> PluqFactorization:
         field, m, n, r, perm_rows, perm_cols,
         FieldMat(field, lower, ncols=r, normalize=False),
         FieldMat(field, upper, ncols=n, normalize=False),
+        inv_pivots,
     )
 
 
@@ -249,8 +253,7 @@ def solve_right(mat: FieldMat, b: list):
     """Any w with A w = b, or None if the system is inconsistent."""
     if len(b) != mat.m:
         raise ValueError("dimension mismatch in solve_right")
-    field = mat.field
-    p = field.p
+    p = mat.field.p
     f = pluq(mat)
     r = f.rank
     # forward substitution: L c = P^{-1} b  (unit lower, all m rows)
@@ -272,7 +275,7 @@ def solve_right(mat: FieldMat, b: list):
         for j in range(i + 1, r):
             acc -= f.upper.rows[i][j] * w_perm[j]
         acc %= p
-        w_perm[i] = acc * field.inv(f.upper.rows[i][i]) % p
+        w_perm[i] = acc * f.inv_pivots[i] % p
     w = [0] * mat.n
     for j in range(mat.n):
         w[f.perm_cols[j]] = w_perm[j]
@@ -289,8 +292,7 @@ def solve_with_det(mat: FieldMat, b: list):
         raise ValueError("solve_with_det needs a square matrix")
     if len(b) != mat.m:
         raise ValueError("dimension mismatch in solve_with_det")
-    field = mat.field
-    p = field.p
+    p = mat.field.p
     f = pluq(mat)
     if f.rank < mat.n:
         return None
@@ -313,7 +315,7 @@ def solve_with_det(mat: FieldMat, b: list):
         for j in range(i + 1, n):
             acc -= f.upper.rows[i][j] * w_perm[j]
         acc %= p
-        w_perm[i] = acc * field.inv(f.upper.rows[i][i]) % p
+        w_perm[i] = acc * f.inv_pivots[i] % p
     w = [0] * n
     for j in range(n):
         w[f.perm_cols[j]] = w_perm[j]
@@ -322,8 +324,7 @@ def solve_with_det(mat: FieldMat, b: list):
 
 def right_nullvector(mat: FieldMat):
     """A nonzero w with A w = 0, or None iff A has full column rank."""
-    field = mat.field
-    p = field.p
+    p = mat.field.p
     f = pluq(mat)
     r = f.rank
     if r >= mat.n:
@@ -335,7 +336,7 @@ def right_nullvector(mat: FieldMat):
         for j in range(i + 1, r):
             acc -= f.upper.rows[i][j] * x[j]
         acc %= p
-        x[i] = acc * field.inv(f.upper.rows[i][i]) % p
+        x[i] = acc * f.inv_pivots[i] % p
     w = [0] * mat.n
     for j in range(r):
         w[f.perm_cols[j]] = x[j]

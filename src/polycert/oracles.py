@@ -16,7 +16,7 @@ from __future__ import annotations
 from . import matfield
 from .matfield import pluq
 from .polymat import PolyMat, check_hermite_shape
-from .upoly import NEG_INF, Poly, RatFunc, RatVec, interpolate, xgcd
+from .upoly import NEG_INF, Poly, RatFunc, RatVec, interpolate_many, xgcd
 
 
 class _Outcome:
@@ -182,12 +182,8 @@ def _solve_square_left_evaluation(b: PolyMat, y: list, npoints: int) -> RatVec:
             for i in range(m):
                 numers[i].append(w[i] * det_a % p)
         alpha += 1
-    det_poly = interpolate(field, zip(xs, det_vals))
-    entries = []
-    for i in range(m):
-        num = interpolate(field, zip(xs, numers[i]))
-        entries.append(RatFunc(num, det_poly))
-    return RatVec(entries)
+    det_poly, *nums = interpolate_many(field, xs, [det_vals] + numers)
+    return RatVec([RatFunc(num, det_poly) for num in nums])
 
 
 def _solve_square_left_fraction(b: PolyMat, y: list) -> RatVec:

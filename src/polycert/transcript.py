@@ -209,11 +209,17 @@ def _tag(name: str) -> bytes:
 
 
 def _u64(v: int) -> bytes:
-    return int(v).to_bytes(8, "little")
+    try:
+        return int(v).to_bytes(8, "little")
+    except OverflowError as exc:
+        raise TranscriptError(f"{v} is not an unsigned 64-bit value") from exc
 
 
 def _i64(v: int) -> bytes:
-    return int(v).to_bytes(8, "little", signed=True)
+    try:
+        return int(v).to_bytes(8, "little", signed=True)
+    except OverflowError as exc:
+        raise TranscriptError(f"{v} is not a signed 64-bit value") from exc
 
 
 def encode_payload(payload) -> bytes:
@@ -504,7 +510,7 @@ class Transcript:
                 p=int(pr["p"]),
                 sigma=int(pr["sigma"]),
                 mode=pr["mode"],
-                strict=bool(pr["strict"]),
+                strict=_json_bool(pr["strict"]),
                 seed=pr.get("seed"),
             )
             t = cls(doc["protocol"], params, {
@@ -516,7 +522,9 @@ class Transcript:
                 t.append(Message(m["sender"], m["label"], payload_from_json(m["payload"])))
             if doc.get("verdict") is not None:
                 v = doc["verdict"]
-                t.verdict = Verdict(bool(v["accepted"]), Reason(v["reason"]), v.get("detail", ""))
+                t.verdict = Verdict(
+                    _json_bool(v["accepted"]), Reason(v["reason"]), v.get("detail", "")
+                )
             t.meta = dict(doc.get("meta", {}))
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, TranscriptError):
@@ -589,6 +597,21 @@ def payload_to_json(payload) -> dict:
     raise TypeError(f"unknown payload {payload!r}")
 
 
+def _json_bool(v) -> bool:
+    """A JSON true/false; any other value (the string "false", 0) is malformed."""
+    if not isinstance(v, bool):
+        raise TranscriptError(f"expected a JSON boolean, got {v!r}")
+    return v
+
+
+def _matrix_dims(doc: dict) -> tuple:
+    """(m, n) of a matrix payload: non-negative, with m*n entries."""
+    m, n = int(doc["m"]), int(doc["n"])
+    if m < 0 or n < 0 or len(doc["entries"]) != m * n:
+        raise TranscriptError(f"{len(doc['entries'])} entries for a {m} x {n} matrix")
+    return m, n
+
+
 def payload_from_json(doc: dict):
     kind = doc.get("kind")
     if kind not in _KIND_REV:
@@ -604,23 +627,22 @@ def payload_from_json(doc: dict):
     if kind == "poly_vector":
         return PolyVectorPayload(tuple(tuple(int(c) for c in f) for f in doc["polys"]))
     if kind == "poly_matrix":
+        m, n = _matrix_dims(doc)
         return PolyMatrixPayload(
-            int(doc["m"]),
-            int(doc["n"]),
-            tuple(tuple(int(c) for c in f) for f in doc["entries"]),
+            m, n, tuple(tuple(int(c) for c in f) for f in doc["entries"])
         )
     if kind == "field_matrix":
-        return FieldMatrixPayload(
-            int(doc["m"]), int(doc["n"]), tuple(int(c) for c in doc["entries"])
-        )
+        m, n = _matrix_dims(doc)
+        return FieldMatrixPayload(m, n, tuple(int(c) for c in doc["entries"]))
     if kind == "toeplitz_spec":
-        return ToeplitzSpecPayload(
-            int(doc["rho"]), int(doc["m"]), tuple(int(v) for v in doc["values"])
-        )
+        rho, m = int(doc["rho"]), int(doc["m"])
+        if rho < 0 or m < 0:
+            raise TranscriptError(f"negative Toeplitz dimension ({rho}, {m})")
+        return ToeplitzSpecPayload(rho, m, tuple(int(v) for v in doc["values"]))
     if kind == "rank_claim":
         return RankClaimPayload(int(doc["value"]))
     if kind == "bool":
-        return BoolPayload(bool(doc["value"]))
+        return BoolPayload(_json_bool(doc["value"]))
     if kind == "shift":
         return ShiftPayload(tuple(int(v) for v in doc["values"]))
     raise TranscriptError(f"unknown payload kind {kind!r}")

@@ -9,9 +9,17 @@ Multiplication is schoolbook for short operands, Karatsuba above degree 32,
 and a limb-split numpy convolution for long operands when the modulus fits
 in 31 bits (the default 2**31 - 1 does).  All three paths are cross-checked
 against schoolbook in the test suite.
+
+Interpolation is batched: :func:`interpolate_many` fits one polynomial per
+ordinate list over a shared set of abscissae, inverting all divided-difference
+denominators with one exponentiation (Montgomery's trick) and expanding each
+Newton form by Horner on a coefficient list.  :func:`interpolate` is its
+single-column case.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
@@ -350,31 +358,48 @@ def poly_lcm(f: Poly, g: Poly) -> Poly:
 def interpolate(field: PrimeField, points) -> Poly:
     """Unique polynomial of degree < len(points) through the given points.
 
-    Newton divided differences; x-coordinates must be pairwise distinct.
+    x-coordinates must be pairwise distinct; see :func:`interpolate_many`.
     """
     points = list(points)
-    if not points:
-        return Poly.zero(field)
-    xs = [x % field.p for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate abscissa in interpolation points")
+    return interpolate_many(field, [x for x, _ in points], [[y for _, y in points]])[0]
+
+
+def interpolate_many(field: PrimeField, xs, columns) -> list:
+    """One polynomial of degree < len(xs) per ordinate list, all over xs.
+
+    Newton divided differences.  Every denominator ``xs[i] - xs[i-j]`` is
+    shared by all columns, so they are inverted once, together, with a single
+    exponentiation (:meth:`PrimeField.inv_many`); each column then costs
+    multiplications only, and its Newton form is expanded by Horner,
+    ``r <- r*(x - xs[j]) + c_j``, on a plain coefficient list.
+    """
     p = field.p
-    # Newton coefficients by divided differences.
-    coef = [y % p for _, y in points]
-    n = len(points)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            num = (coef[i] - coef[i - 1]) % p
-            den = (xs[i] - xs[i - j]) % p
-            coef[i] = num * pow(den, p - 2, p) % p
-    # Expand the Newton form.
-    result = Poly.zero(field)
-    basis = Poly.one(field)
-    for j in range(n):
-        result = result + basis.scale(coef[j])
-        if j < n - 1:
-            basis = basis * Poly(field, [(-xs[j]) % p, 1])
-    return result
+    xs = [x % p for x in xs]
+    n = len(xs)
+    if len(set(xs)) != n:
+        raise ValueError("duplicate abscissa in interpolation points")
+    columns = [[y % p for y in col] for col in columns]
+    if any(len(col) != n for col in columns):
+        raise ValueError("ordinate list length differs from the abscissae")
+    if n == 0:
+        return [Poly.zero(field) for _ in columns]
+    # inv_rows[j-1][i-j] = 1 / (xs[i] - xs[i-j]) for 1 <= j <= i < n
+    invs = iter(field.inv_many(
+        [(xs[i] - xs[i - j]) % p for j in range(1, n) for i in range(j, n)]
+    ))
+    inv_rows = [list(islice(invs, n - j)) for j in range(1, n)]
+    out = []
+    for c in columns:
+        for j, row in enumerate(inv_rows, 1):
+            c[j:] = [(a - b) * w % p for a, b, w in zip(c[j:], c[j - 1:], row)]
+        r = [c[-1]]
+        for j in range(n - 2, -1, -1):
+            a = xs[j]
+            r = [(c[j] - a * r[0]) % p] + [
+                (u - a * v) % p for u, v in zip(r, r[1:])
+            ] + [r[-1]]
+        out.append(Poly(field, _trim(r), normalize=False))
+    return out
 
 
 class RatFunc:

@@ -67,6 +67,18 @@ def test_false_instances_are_verified_false():
         assert bound > 0, pid
 
 
+def test_false_system_solve_instances_are_false():
+    """A v != delta b for every seed: the perturbed entry of v must meet a
+    nonzero column of A, or the statement stays true."""
+    check = random.Random(34)
+    for seed in range(400):
+        pub, _, _, _ = make_false_instance("system_solve", random.Random(seed), F, sigma=32)
+        x = check.randrange(F.p)
+        lhs = pub["A"].eval_at(x).matvec([f(x) for f in pub["v"]])
+        delta = pub["delta"](x)
+        assert lhs != [delta * g(x) % F.p for g in pub["b"]], seed
+
+
 def test_completeness_quick_all_protocols():
     for pid in PROTOCOL_IDS:
         rep = run_completeness_experiment(pid, trials=5, seed=11, mmax=5, dmax=3)

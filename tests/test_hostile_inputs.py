@@ -17,9 +17,12 @@ from polycert.transcript import (
     Message,
     PolyPayload,
     ProtocolParams,
+    RankClaimPayload,
     Reason,
+    ShiftPayload,
     Transcript,
     TranscriptError,
+    encode_payload,
     payload_from_json,
 )
 from polycert.upoly import Poly
@@ -198,3 +201,76 @@ def test_protocol_confusion_relabel_rejected():
     transcript.protocol_id = "nonsingularity"
     res = verify_transcript(transcript)
     assert not res.accepted
+
+
+def _rank_certificate() -> dict:
+    """A saved, accepted `rank` certificate as a JSON document."""
+    x = Poly.x(F)
+    a = PolyMat(F, [[x, Poly.one(F)], [x, Poly.one(F)]])
+    verdict, transcript = run_protocol("rank", {"A": a, "rho": 1}, PARAMS)
+    assert verdict.accepted
+    return transcript.to_json_dict()
+
+
+def test_string_bool_marker_rejected():
+    """"false" is not a JSON boolean; it must not decode to True."""
+    doc = _rank_certificate()
+    marker = next(m for m in doc["messages"] if m["label"] == "begin:rank_lb")
+    marker["payload"]["value"] = "false"
+    with pytest.raises(TranscriptError):
+        Transcript.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("section, key", [("params", "strict"), ("verdict", "accepted")])
+def test_non_boolean_flags_rejected(section, key):
+    doc = _rank_certificate()
+    del doc["digest"]  # the loader itself must refuse, not the digest check
+    doc[section][key] = "false"
+    with pytest.raises(TranscriptError):
+        Transcript.from_json_dict(doc)
+    doc[section][key] = 1
+    with pytest.raises(TranscriptError):
+        Transcript.from_json_dict(doc)
+
+
+def test_negative_rank_claim_rejected_by_loader():
+    doc = _rank_certificate()
+    doc["public"]["rho"]["value"] = -1  # digest kept: checked while loading
+    with pytest.raises(TranscriptError):
+        Transcript.from_json_dict(doc)
+    doc["public"]["rho"]["value"] = 2**64
+    with pytest.raises(TranscriptError):
+        Transcript.from_json_dict(doc)
+
+
+def test_out_of_range_word_is_transcript_error():
+    with pytest.raises(TranscriptError):
+        encode_payload(RankClaimPayload(-1))
+    with pytest.raises(TranscriptError):
+        encode_payload(ShiftPayload((2**63,)))
+
+
+@pytest.mark.parametrize("lie", ["m+1", "n-1", "m<0"])
+def test_matrix_dimension_lies_rejected_by_loader(lie):
+    doc = _rank_certificate()
+    a = doc["public"]["A"]
+    if lie == "m+1":
+        a["m"] += 1
+    elif lie == "n-1":
+        a["n"] -= 1
+    else:
+        a["m"], a["n"] = -a["m"], -a["n"]  # product still matches len(entries)
+    del doc["digest"]
+    with pytest.raises(TranscriptError):
+        Transcript.from_json_dict(doc)
+
+
+def test_field_matrix_and_toeplitz_dimension_lies_rejected():
+    with pytest.raises(TranscriptError):
+        payload_from_json({"kind": "field_matrix", "m": 2, "n": 2, "entries": ["1"] * 3})
+    with pytest.raises(TranscriptError):
+        payload_from_json({"kind": "field_matrix", "m": -1, "n": -1, "entries": ["1"]})
+    with pytest.raises(TranscriptError):
+        payload_from_json({"kind": "toeplitz_spec", "rho": -1, "m": 2, "values": []})
+    ok = payload_from_json({"kind": "field_matrix", "m": 0, "n": 3, "entries": []})
+    assert (ok.m, ok.n, ok.entries) == (0, 3, ())

@@ -201,6 +201,22 @@ def test_det_against_minor_oracle():
         assert (f.det() != 0) == (rank_by_minors(a) == n)
 
 
+def test_pluq_keeps_pivot_inverses():
+    rng = random.Random(19)
+    for field in (F7, F101):
+        for _ in range(100):
+            m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+            k = rng.randrange(min(m, n) + 1)  # rank <= k, often below min(m, n)
+            if k:
+                a = rand_mat(rng, field, m, k).matmul(rand_mat(rng, field, k, n))
+            else:
+                a = FieldMat.zero(field, m, n)
+            f = pluq(a)
+            assert len(f.inv_pivots) == f.rank
+            for i in range(f.rank):
+                assert f.inv_pivots[i] * f.upper.rows[i][i] % field.p == 1
+
+
 def test_sparse_representative():
     rng = random.Random(17)
     # rho >= n returns v itself

@@ -14,6 +14,7 @@ from polycert.upoly import (
     _mul_numpy,
     _mul_schoolbook,
     interpolate,
+    interpolate_many,
     poly_gcd,
     poly_lcm,
     xgcd,
@@ -138,6 +139,50 @@ def test_interpolate_roundtrip():
         f = rand_poly(rng, F7, rng.randrange(-1, 6))
         pts = [(a, f(a)) for a in range(7)]
         assert interpolate(F7, pts) == f
+
+
+@st.composite
+def _abscissae_and_columns(draw, p):
+    n = draw(st.integers(0, min(p, 64)))
+    xs = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n, unique=True))
+    column = st.one_of(
+        st.just([0] * n),
+        st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+    )
+    return xs, draw(st.lists(column, max_size=4))
+
+
+@pytest.mark.parametrize("field", [F7, FBIG], ids=["F7", "F2^31-1"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_interpolate_many_matches_per_column(field, data):
+    xs, columns = data.draw(_abscissae_and_columns(field.p))
+    got = interpolate_many(field, xs, columns)
+    assert len(got) == len(columns)
+    for f, ys in zip(got, columns):
+        assert f == interpolate(field, zip(xs, ys))
+        assert f.deg == NEG_INF or f.deg < len(xs)
+        assert [f(x) for x in xs] == ys
+        if not any(ys):
+            assert f.is_zero()
+
+
+def test_interpolate_many_duplicate_abscissa():
+    with pytest.raises(ValueError):
+        interpolate_many(F7, [1, 8], [[2, 3]])  # 8 = 1 mod 7
+    with pytest.raises(ValueError):
+        interpolate_many(FBIG, [0, 5, 0], [[1, 2, 3], [4, 5, 6]])
+    assert interpolate_many(F7, [], [[], []]) == [Poly.zero(F7)] * 2
+
+
+def test_inv_many_matches_inv():
+    rng = random.Random(6)
+    for field in (F7, FBIG):
+        vals = [rng.randrange(1, field.p) for _ in range(50)]
+        assert field.inv_many(vals) == [field.inv(v) for v in vals]
+    assert F7.inv_many([]) == []
+    with pytest.raises(ZeroDivisionError):
+        F7.inv_many([3, 0, 2])
 
 
 @given(
