@@ -6,6 +6,11 @@ as bare ints (rather than wrapping each one in an object) is what makes the
 elimination kernels in :mod:`polycert.matfield` and :mod:`polycert.upoly`
 fast enough for the experiment suites.
 
+The batched kernels (:mod:`polycert.polymat`, :mod:`polycert.matfield`,
+:mod:`polycert.upoly`) hold many elements in one numpy array of
+:attr:`PrimeField.dtype`, and invert a whole array with one exponentiation
+(:meth:`PrimeField.inv_array`).
+
 Random challenges are always drawn from the sample set
 ``S = {0, 1, ..., sigma-1}`` embedded in the field, never from all of F_p,
 so that soundness experiments can shrink ``sigma`` independently of ``p``.
@@ -14,6 +19,8 @@ so that soundness experiments can shrink ``sigma`` independently of ``p``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 DEFAULT_MODULUS = 2**31 - 1  # Mersenne prime; products fit comfortably in 128 bits
 
@@ -81,9 +88,6 @@ class PrimeField:
         c = a - b
         return c + self.p if c < 0 else c
 
-    def neg(self, a: int) -> int:
-        return self.p - a if a else 0
-
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
 
@@ -97,7 +101,8 @@ class PrimeField:
 
         Montgomery's trick: invert the product of all values once, then peel
         the individual inverses off the prefix products, three
-        multiplications per element.
+        multiplications per element.  :meth:`inv_array` is the same trick
+        on a numpy array, for batches large enough to repay numpy's cost.
         """
         if not values:
             return []
@@ -113,6 +118,45 @@ class PrimeField:
             out[i] = acc * prefix[i] % p
             acc = acc * values[i] % p
         return out
+
+    @property
+    def dtype(self):
+        """numpy dtype of exact element arrays.
+
+        ``int64`` for p < 2**31, where a product of two reduced elements is
+        below 2**62 and a reduced element plus such a product cannot
+        overflow; Python ints (``object``) above, so the same array code
+        stays exact for every supported modulus.
+        """
+        return np.int64 if self.p < 2**31 else object
+
+    def inv_array(self, values) -> np.ndarray:
+        """Inverses of a 1-D array of nonzero reduced elements, one exponentiation.
+
+        Montgomery's trick over a product tree: multiply neighbours pairwise
+        up to the root, invert the root once, and hand each child its
+        parent's inverse times its sibling on the way down.  Every level is
+        one vectorised product, so k elements cost about 3k multiplications
+        in log2(k) numpy steps.
+        """
+        p = self.p
+        a = np.asarray(values, dtype=self.dtype)
+        if a.size == 0:
+            return a.copy()
+        levels = []
+        while a.size > 1:
+            if a.size % 2:
+                a = np.append(a, np.ones(1, a.dtype))
+            levels.append(a)
+            a = a[0::2] * a[1::2] % p
+        inv = np.array([self.inv(int(a[0]))], a.dtype)  # ZeroDivisionError on a 0
+        for level in reversed(levels):
+            inv = inv[: level.size // 2]
+            up = np.empty_like(level)
+            up[0::2] = inv * level[1::2] % p
+            up[1::2] = inv * level[0::2] % p
+            inv = up
+        return inv[: len(values)]
 
     def div(self, a: int, b: int) -> int:
         return a * self.inv(b) % self.p

@@ -170,19 +170,6 @@ def planted_nonmember_rational(rng, field, m, n, dmax):
             return a, v
 
 
-def planted_nonmember(rng, field, m, n, dmax):
-    """(A, v) with v outside even the F(x)-row space (rank-deficient reach)."""
-    while True:
-        a = planted_rank(rng, field, m, n, min(m, n) - 1 if min(m, n) > 1 else 1, dmax)
-        r = rank_and_profile(a)[0]
-        if r >= n:
-            continue
-        v = rand_poly_row(rng, field, n, dmax)
-        stacked = a.stack(PolyMat(field, [v], ncols=n))
-        if rank_and_profile(stacked)[0] == r + 1:
-            return a, v
-
-
 def planted_saturated(rng, field, m, n, dmax):
     """Full-row-rank saturated m x n (m <= n): a saturation basis of a random matrix."""
     if m > n:

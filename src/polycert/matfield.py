@@ -1,15 +1,30 @@
 """Exact linear algebra over the base field.
 
 One elimination kernel (PLUQ with topmost-row, leftmost-column pivoting)
-backs rank, column rank profile, nullspace, system solving and determinant,
-so there is a single correctness surface.  Both protocol parties use these
-routines: the Prover to find witnesses, the Verifier only for the evaluated
-checks it is allowed to do anyway.
+backs rank, column rank profile, nullspace, system solving and determinant
+of a single matrix, so there is a single correctness surface.  Both protocol
+parties use these routines: the Prover to find witnesses, the Verifier only
+for the evaluated checks it is allowed to do anyway.
+
+The Prover also asks one question of A(alpha) at many points alpha.  For
+that, the batched kernels :func:`solve_many`, :func:`rank_profile_many` and
+:func:`vecmat_many` take a ``(k, m, n)`` numpy array, one matrix per point
+(as :meth:`PolyMat.eval_many` returns it), and eliminate all k matrices
+together: each step is one vectorised operation over the whole batch.  The
+eliminations are division-free, so a batch costs at most one exponentiation:
+the solve inverts all its diagonal entries and pivot products at the end
+with :meth:`PrimeField.inv_array` (Montgomery's trick over a product tree),
+and the rank needs no inverse at all.  Arrays have
+:attr:`PrimeField.dtype`, so the arithmetic is exact for every supported
+modulus.  A batch has a fixed numpy cost, so callers keep the per-point
+routines for a handful of points (``upoly.BATCH_CUTOFF``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .ff import PrimeField
 
@@ -125,9 +140,6 @@ class PluqFactorization:
 
     def col_rank_profile(self) -> tuple:
         return tuple(sorted(self.perm_cols[: self.rank]))
-
-    def row_rank_profile(self) -> tuple:
-        return tuple(sorted(self.perm_rows[: self.rank]))
 
     def det(self) -> int:
         if self.m != self.n:
@@ -378,3 +390,106 @@ def sparse_representative(mat: FieldMat, v: list, rho: int):
 
 def hamming_weight(v: list) -> int:
     return sum(1 for c in v if c)
+
+
+# -- batched elimination over many evaluation points ---------------------------
+
+
+def solve_many(field: PrimeField, aug):
+    """Batched Gauss-Jordan on k augmented square systems ``[A_i | b_i]``.
+
+    ``aug`` is a ``(k, n, n+1)`` array.  Returns ``(ok, det, w)``: ``ok[i]``
+    says A_i is nonsingular, ``det[i]`` is det(A_i) (0 when singular), and
+    where ``ok[i]`` holds, ``w[i]`` is the unique solution of A_i w = b_i.
+
+    Division-free: column j takes each matrix's first nonzero entry at or
+    below the diagonal as its pivot and clears the column from every other
+    row by ``row_i <- piv * row_i - a_ij * row_j``, scaling the pivot row by
+    piv too.  That leaves a diagonal system D w = c with
+    det(D) = det(A) * (prod_j piv_j)**n, so a single batched inversion
+    (:meth:`PrimeField.inv_array`, one exponentiation) of the diagonal
+    entries and of the pivot products yields every w and det(A).  A
+    singular matrix runs on with garbage that ``ok`` masks.
+    """
+    p = field.p
+    a = np.array(aug, dtype=field.dtype)
+    k, n = a.shape[0], a.shape[1]
+    batch = np.arange(k)
+    ok = np.ones(k, dtype=bool)
+    negate = np.zeros(k, dtype=bool)
+    piv_prod = np.ones(k, dtype=a.dtype)
+    for j in range(n):
+        nz = a[:, j:, j] != 0
+        ok &= nz.any(axis=1)
+        piv = j + nz.argmax(axis=1)
+        swap = piv != j
+        if swap.any():
+            top = a[batch, j].copy()
+            a[batch, j] = a[batch, piv]
+            a[batch, piv] = top
+            negate ^= swap
+        pivots = np.where(ok, a[:, j, j], 1)[:, None, None]
+        piv_prod = piv_prod * pivots[:, 0, 0] % p
+        f = a[:, :, j, None].copy()
+        f[:, j] = 0
+        a = (pivots * a - f * a[:, j, None, :]) % p
+    diag = np.where(ok[:, None], np.diagonal(a[:, :, :n], axis1=1, axis2=2), 1)
+    inv = field.inv_array(np.concatenate([diag.ravel(), piv_prod]))
+    inv_diag, inv_prod = inv[:k * n].reshape(k, n), inv[k * n:]
+    w = a[:, :, n] * inv_diag % p
+    det = np.ones(k, dtype=a.dtype)
+    for i in range(n):
+        det = det * diag[:, i] % p * inv_prod % p
+    det = np.where(ok, np.where(negate, (p - det) % p, det), 0)
+    return ok, det, w
+
+
+def rank_profile_many(field: PrimeField, mats):
+    """Rank and column rank profile of each matrix of a ``(k, m, n)`` array.
+
+    Division-free elimination without row swaps: a mask keeps the rows not
+    yet used as pivots.  In column j each matrix takes its first free row
+    with a nonzero entry as the pivot, clears column j from its other rows
+    by ``row_i <- piv * row_i - a_ij * row_piv`` (a nonzero scaling, so the
+    free rows keep their span) and retires the pivot row; a column that
+    finds no pivot is not in the profile.  Returns ``(rank, profile)``: a
+    ``(k,)`` array of ranks and a ``(k, n)`` boolean mask of the pivot
+    columns, which is the greedy leftmost (lexicographically smallest)
+    independent column set.
+    """
+    p = field.p
+    a = np.array(mats, dtype=field.dtype)
+    k, m, n = a.shape
+    batch = np.arange(k)
+    free = np.ones((k, m), dtype=bool)
+    profile = np.zeros((k, n), dtype=bool)
+    for j in range(n):
+        nz = (a[:, :, j] != 0) & free
+        has = nz.any(axis=1)
+        if not has.any():
+            continue
+        profile[:, j] = has
+        piv = nz.argmax(axis=1)
+        pivots = np.where(has, a[batch, piv, j], 1)[:, None, None]
+        f = np.where(nz, a[:, :, j], 0)[:, :, None]
+        f[batch, piv] = 0
+        prow = a[batch, piv, None, j + 1:]
+        a[:, :, j + 1:] = (pivots * a[:, :, j + 1:] - f * prow) % p
+        free[batch[has], piv[has]] = False
+        if not free.any():
+            break
+    return profile.sum(axis=1), profile
+
+
+def vecmat_many(field: PrimeField, w, mats):
+    """``w_i @ A_i`` for a ``(k, m)`` array of vectors and ``(k, m, n)`` matrices.
+
+    Reduced after every row, so an ``int64`` accumulator never exceeds
+    p + (p-1)**2.
+    """
+    p = field.p
+    k, m, n = mats.shape
+    acc = np.zeros((k, n), dtype=field.dtype)
+    for i in range(m):
+        acc = (acc + w[:, i, None] * mats[:, i, :]) % p
+    return acc

@@ -1,9 +1,21 @@
 """Module-aware computations on polynomial matrices: the Prover's toolbox.
 
-Rank and column rank profile over F[x] (fraction-free Bareiss), exact
-determinants, rational system solving with full row rank, Hermite and
-shifted Popov forms with unimodular transformation tracking, kernel and
-saturation bases, and a deterministic row-space membership oracle.
+Rank and column rank profile over F[x], exact determinants (fraction-free
+Bareiss), rational system solving with full row rank, Hermite and shifted
+Popov forms with unimodular transformation tracking, kernel and saturation
+bases, and a deterministic row-space membership oracle.
+
+Rank, profile and rational solving reduce to linear algebra at evaluation
+points, exactly: enough distinct points always include one where no
+relevant minor vanishes.  With :data:`upoly.BATCH_CUTOFF` points or more,
+they run on the batched kernel: :meth:`PolyMat.eval_many` evaluates every
+point in one Horner pass, :mod:`matfield`'s batched eliminations
+(:func:`~polycert.matfield.solve_many`,
+:func:`~polycert.matfield.rank_profile_many`) handle all points together,
+and :func:`upoly.interpolate_many` interpolates every column at once.  Fewer
+points take the per-point scalar path, which is cheaper than numpy's fixed
+cost there; fields with fewer elements than points fall back to exact
+elimination over F[x].
 
 None of this is available to Verifier code: a Verifier that called these
 routines would be recomputing the certified object, which defeats the whole
@@ -13,10 +25,12 @@ module.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import matfield
 from .matfield import pluq
 from .polymat import PolyMat, check_hermite_shape
-from .upoly import NEG_INF, Poly, RatFunc, RatVec, interpolate_many, xgcd
+from .upoly import BATCH_CUTOFF, NEG_INF, Poly, RatFunc, RatVec, interpolate_many, xgcd
 
 
 class _Outcome:
@@ -39,9 +53,37 @@ NO_SOLUTION = _Outcome("NO_SOLUTION")
 def rank_and_profile(mat: PolyMat):
     """Rank over F(x) and the lexicographically smallest independent column set.
 
-    Fraction-free (Bareiss) elimination: every intermediate entry is a minor
-    of the input, and each update divides exactly by the previous pivot.
+    From :data:`~polycert.upoly.BATCH_CUTOFF` points on, by evaluation at
+    min(m, n) * deg + 1 distinct points: the rank is the largest rank of any
+    A(alpha), and the profile the smallest column rank profile among the
+    points that reach it.  Both are exact, because the nonzero r x r minor
+    on the true profile columns has at most r * deg roots, and no evaluation
+    can exceed the true rank or jump earlier than the true profile.  Fewer
+    points, or a field with fewer elements than points, take fraction-free
+    (Bareiss) elimination over F[x], which is cheaper than per-point
+    elimination on small matrices.
     """
+    if mat.deg == NEG_INF:
+        return 0, ()
+    npoints = min(mat.m, mat.n) * int(mat.deg) + 1
+    if npoints < BATCH_CUTOFF or mat.field.p < npoints:
+        return _rank_and_profile_bareiss(mat)
+    return _rank_and_profile_evaluation(mat, npoints)
+
+
+def _rank_and_profile_evaluation(mat: PolyMat, npoints: int):
+    """The rank and profile of A from A(0), ..., A(npoints-1) in one batch;
+    exact for npoints > min(m, n) * deg."""
+    ranks, masks = matfield.rank_profile_many(mat.field, mat.eval_many(range(npoints)))
+    r = int(ranks.max())
+    profiles = np.unique(masks[ranks == r], axis=0)
+    return r, min(tuple(np.flatnonzero(row).tolist()) for row in profiles)
+
+
+def _rank_and_profile_bareiss(mat: PolyMat):
+    """Fraction-free (Bareiss) elimination: every intermediate entry is a
+    minor of the input, and each update divides exactly by the previous
+    pivot."""
     m, n = mat.m, mat.n
     work = [list(row) for row in mat.rows]
     prev = Poly.one(mat.field)
@@ -162,28 +204,46 @@ def _solve_square_left(b: PolyMat, y: list) -> RatVec:
 
 
 def _solve_square_left_evaluation(b: PolyMat, y: list, npoints: int) -> RatVec:
+    """Cramer by evaluation: det(B) and det(B) * u at npoints nonsingular
+    points, interpolated.  Each numerator has degree < npoints, so any
+    nonsingular points give the same polynomials."""
     field = b.field
     p = field.p
     m = b.m
-    xs = []
-    det_vals = []
-    numers = [[] for _ in range(m)]
+    if npoints < BATCH_CUTOFF:
+        xs = []
+        det_vals = []
+        numers = [[] for _ in range(m)]
+        alpha = 0
+        bt_rows = b.transpose()
+        while len(xs) < npoints:
+            if alpha >= p:
+                raise ArithmeticError("ran out of evaluation points")
+            mt = bt_rows.eval_at(alpha)
+            sol = matfield.solve_with_det(mt, [f(alpha) for f in y])
+            if sol is not None:
+                w, det_a = sol
+                xs.append(alpha)
+                det_vals.append(det_a)
+                for i in range(m):
+                    numers[i].append(w[i] * det_a % p)
+            alpha += 1
+        det_poly, *nums = interpolate_many(field, xs, [det_vals] + numers)
+        return RatVec.from_common_den(det_poly, nums)
+    # u B = y is B^T u^T = y^T: evaluate the augmented [B^T | y^T] at once
+    aug = PolyMat(field, [row + [f] for row, f in zip(b.transpose().rows, y)], ncols=m + 1)
+    xs, cols = [], []
     alpha = 0
-    bt_rows = b.transpose()
     while len(xs) < npoints:
         if alpha >= p:
             raise ArithmeticError("ran out of evaluation points")
-        mt = bt_rows.eval_at(alpha)
-        sol = matfield.solve_with_det(mt, [f(alpha) for f in y])
-        if sol is not None:
-            w, det_a = sol
-            xs.append(alpha)
-            det_vals.append(det_a)
-            for i in range(m):
-                numers[i].append(w[i] * det_a % p)
-        alpha += 1
-    det_poly, *nums = interpolate_many(field, xs, [det_vals] + numers)
-    return RatVec([RatFunc(num, det_poly) for num in nums])
+        pts = np.arange(alpha, min(alpha + npoints - len(xs), p))
+        ok, det, w = matfield.solve_many(field, aug.eval_many(pts))
+        xs.extend(pts[ok].tolist())
+        cols.append(np.concatenate([det[ok, None], w[ok] * det[ok, None] % p], axis=1))
+        alpha += len(pts)
+    det_poly, *nums = interpolate_many(field, xs, np.concatenate(cols).T.tolist())
+    return RatVec.from_common_den(det_poly, nums)
 
 
 def _solve_square_left_fraction(b: PolyMat, y: list) -> RatVec:
@@ -241,7 +301,7 @@ def _left_residual_is_zero(mat: PolyMat, v: list, cleared: list, common: Poly) -
         if d != NEG_INF:
             bound = max(bound, int(d))
     npoints = bound + 1
-    if p >= npoints:
+    if npoints <= p and npoints < BATCH_CUTOFF:
         for alpha in range(npoints):
             wa = [f(alpha) for f in cleared]
             lhs = mat.eval_at(alpha).vecmat(wa)
@@ -250,6 +310,13 @@ def _left_residual_is_zero(mat: PolyMat, v: list, cleared: list, common: Poly) -
             if lhs != rhs:
                 return False
         return True
+    if npoints <= p:
+        pts = range(npoints)
+        vecs = PolyMat(field, [[*cleared, common, *v]]).eval_many(pts)[:, 0, :]
+        m = mat.m
+        lhs = matfield.vecmat_many(field, vecs[:, :m], mat.eval_many(pts))
+        rhs = vecs[:, m, None] * vecs[:, m + 1:] % p
+        return bool((lhs == rhs).all())
     z = Poly.zero(field)
     for j in range(mat.n):
         acc = z

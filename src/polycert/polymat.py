@@ -11,11 +11,20 @@ Matrices with claimed products like C.A (C a Toeplitz operator) are
 represented as lazy views that only ever evaluate C.A(alpha) = C @ A(alpha),
 so the Verifier never pays for a polynomial matrix product it did not
 receive.
+
+:meth:`PolyMat.eval_many` is the evaluation part of the Prover's batched
+kernel: it evaluates a matrix at k points in one vectorised Horner pass over
+its ``(deg+1, m, n)`` coefficient tensor, giving the ``(k, m, n)`` array that
+the batched eliminations in :mod:`polycert.matfield` take.  The oracles use
+it from ``upoly.BATCH_CUTOFF`` points on; :meth:`PolyMat.eval_at` stays the
+single-point path for both parties.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .ff import PrimeField
 from .matfield import FieldMat
@@ -29,7 +38,7 @@ class PolyMat:
     lazily and everything downstream assumes entries never change.
     """
 
-    __slots__ = ("field", "m", "n", "rows", "_deg")
+    __slots__ = ("field", "m", "n", "rows", "_deg", "_coeffs")
 
     def __init__(self, field: PrimeField, rows, ncols: int | None = None):
         rows = [list(r) for r in rows]
@@ -41,6 +50,7 @@ class PolyMat:
                 raise ValueError("ragged rows in matrix")
         self.rows = rows
         self._deg = None
+        self._coeffs = None
 
     # -- constructors ----------------------------------------------------
 
@@ -67,11 +77,6 @@ class PolyMat:
         f = mat.field
         return cls(f, [[Poly.constant(f, c) for c in row] for row in mat.rows],
                    ncols=mat.n)
-
-    @classmethod
-    def row_vector(cls, entries) -> "PolyMat":
-        entries = list(entries)
-        return cls(entries[0].field, [entries])
 
     # -- structure -------------------------------------------------------
 
@@ -116,6 +121,28 @@ class PolyMat:
             self.field, [[e(alpha) for e in row] for row in self.rows],
             ncols=self.n, normalize=False,
         )
+
+    def eval_many(self, alphas) -> np.ndarray:
+        """A(alpha) for every alpha: a (k, m, n) array from one Horner pass.
+
+        Each Horner step is a single vectorised multiply-add over all k
+        points and the whole ``(deg+1, m, n)`` coefficient tensor (built on
+        the first call and kept); the result has ``field.dtype`` and agrees
+        entrywise with :meth:`eval_at`.
+        """
+        p = self.field.p
+        if self._coeffs is None:
+            d = 0 if self.deg == NEG_INF else int(self.deg)
+            pad = [[e.coeffs + [0] * (d + 1 - len(e.coeffs)) for e in row]
+                   for row in self.rows]
+            t = np.array(pad, dtype=self.field.dtype).reshape(self.m, self.n, d + 1)
+            self._coeffs = np.ascontiguousarray(np.moveaxis(t, 2, 0))
+        t = self._coeffs
+        x = np.asarray(alphas, dtype=self.field.dtype).reshape(-1, 1, 1) % p
+        acc = np.repeat(t[-1][None], x.shape[0], axis=0)
+        for c in t[-2::-1]:
+            acc = (acc * x + c) % p
+        return acc
 
     def transpose(self) -> "PolyMat":
         cols = [[row[j] for row in self.rows] for j in range(self.n)]
@@ -189,20 +216,12 @@ class PolyMat:
         return out
 
 
-def poly_row_eval(row: list, alpha: int) -> list:
-    return [f(alpha) for f in row]
-
-
 def poly_row_deg(row: list):
     d = NEG_INF
     for f in row:
         if f.deg != NEG_INF and (d == NEG_INF or f.deg > d):
             d = f.deg
     return d
-
-
-def scale_poly_row(d: Poly, row: list) -> list:
-    return [d * f for f in row]
 
 
 # -- normal form shape checks (cheap, deterministic, O(l n) degree reads) ---

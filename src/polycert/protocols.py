@@ -147,7 +147,8 @@ class Session:
         self._sub_stack: list[str] = []
         self.rsm_strict_slack: int | None = None
         self.source = ChallengeSource(self.params, transcript.domain_tag())
-        self.source.absorb(transcript.hash_prefix())
+        if self.source.hashes:
+            self.source.absorb(transcript.hash_prefix())
 
     # -- failure -----------------------------------------------------------
 
@@ -176,7 +177,13 @@ class Session:
 
     def _append(self, message: Message):
         self.transcript.append(message)
-        self.source.absorb(message.encode())
+        self._absorb(message)
+
+    def _absorb(self, message: Message):
+        """Feed a sent or replayed message to the hash chain, encoding it
+        only when the challenges depend on it."""
+        if self.source.hashes:
+            self.source.absorb(self.transcript.message_bytes(message))
 
     def _next_recorded(self, sender: str, label: str) -> Message:
         if self._cursor >= len(self.transcript.messages):
@@ -192,16 +199,16 @@ class Session:
 
     def _prover_payload(self, label: str, kind, produce):
         if self.replay:
-            payload = self._next_recorded("P", label).payload
+            msg = self._next_recorded("P", label)
         else:
-            payload = produce()
-        if not isinstance(payload, kind):
+            msg = Message("P", label, produce())
+        if not isinstance(msg.payload, kind):
             self.fail(Reason.MALFORMED_MESSAGE, f"{label}: wrong payload type")
-        if not self.replay:
-            self._append(Message("P", label, payload))
+        if self.replay:
+            self._absorb(msg)
         else:
-            self.source.absorb(Message("P", label, payload).encode())
-        return payload
+            self._append(msg)
+        return msg.payload
 
     def _check_elems(self, label: str, values):
         p = self.field.p
@@ -283,10 +290,10 @@ class Session:
 
     def _emit_challenge(self, label: str, payload):
         if self.replay:
-            recorded = self._next_recorded("V", label).payload
-            if recorded != payload:
+            recorded = self._next_recorded("V", label)
+            if recorded.payload != payload:
                 self.fail(Reason.MALFORMED_MESSAGE, f"{label}: challenge mismatch")
-            self.source.absorb(Message("V", label, payload).encode())
+            self._absorb(recorded)
         else:
             self._append(Message("V", label, payload))
 
@@ -323,10 +330,10 @@ class Session:
     def _marker(self, label: str):
         payload = BoolPayload(True)
         if self.replay:
-            recorded = self._next_recorded("V", label).payload
-            if recorded != payload:
+            recorded = self._next_recorded("V", label)
+            if recorded.payload != payload:
                 self.fail(Reason.MALFORMED_MESSAGE, f"{label}: bad marker")
-            self.source.absorb(Message("V", label, payload).encode())
+            self._absorb(recorded)
         else:
             self._append(Message("V", label, payload))
 

@@ -129,7 +129,7 @@ class HonestProver:
         if u is LOW_RANK or u is NO_SOLUTION or not u.is_polynomial():
             sol = None
         else:
-            sol = [e.num for e in u.entries]
+            sol = u.numer_row()
         self._frrsm_cache[key] = (sol, view, vec)
         return sol
 

@@ -19,11 +19,12 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from dataclasses import dataclass
 from enum import Enum
 
 from .ff import PrimeField
-from .polymat import PolyMat, ToeplitzOp
+from .polymat import PolyMat
 from .matfield import FieldMat
 from .upoly import Poly
 
@@ -190,14 +191,6 @@ def fieldmat_to_payload(mat: FieldMat) -> FieldMatrixPayload:
 def payload_to_fieldmat(field: PrimeField, p: FieldMatrixPayload) -> FieldMat:
     rows = [list(p.entries[i * p.n : (i + 1) * p.n]) for i in range(p.m)]
     return FieldMat(field, rows, ncols=p.n, normalize=False)
-
-
-def toeplitz_to_payload(t: ToeplitzOp) -> ToeplitzSpecPayload:
-    return ToeplitzSpecPayload(t.rho, t.m, tuple(t.values))
-
-
-def payload_to_toeplitz(field: PrimeField, p: ToeplitzSpecPayload) -> ToeplitzOp:
-    return ToeplitzOp(field, p.rho, p.m, list(p.values))
 
 
 # -- canonical byte encoding ----------------------------------------------------
@@ -378,6 +371,12 @@ class ChallengeSource:
             self._words = []
             self._limit = (2**64 // self.sigma) * self.sigma
 
+    @property
+    def hashes(self) -> bool:
+        """Do absorbed bytes shape later draws?  Only in Fiat-Shamir mode;
+        interactive draws ignore them, so callers can skip encoding."""
+        return self.mode == MODE_FIAT_SHAMIR
+
     def absorb(self, data: bytes):
         if self.mode == MODE_FIAT_SHAMIR:
             self._hasher.update(data)
@@ -417,11 +416,24 @@ class Transcript:
         self.messages: list[Message] = []
         self.verdict: Verdict | None = None
         self.meta: dict = {}
+        self._encoded: dict = {}  # id(message) -> (message, message.encode())
 
     # -- construction -----------------------------------------------------
 
     def append(self, message: Message):
         self.messages.append(message)
+
+    def message_bytes(self, message: Message) -> bytes:
+        """``message.encode()``, computed once per message object.
+
+        The digest and the hash chain (live or replayed) both need every
+        message's bytes.  Messages are immutable, so the bytes stay valid;
+        the entry keeps the message alive, so no other object can take its id.
+        """
+        hit = self._encoded.get(id(message))
+        if hit is None:
+            hit = self._encoded[id(message)] = (message, message.encode())
+        return hit[1]
 
     # -- accounting --------------------------------------------------------
 
@@ -454,7 +466,7 @@ class Transcript:
             _u64(0 if self.params.seed is None else self.params.seed),
             _u64(len(self.messages)),
         ]
-        out.extend(m.encode() for m in self.messages)
+        out.extend(self.message_bytes(m) for m in self.messages)
         if self.verdict is None:
             out.append(_tag("no_verdict"))
         else:
@@ -506,27 +518,30 @@ class Transcript:
             if doc["format"] != FORMAT_NAME:
                 raise TranscriptError(f"unknown format {doc.get('format')!r}")
             pr = doc["params"]
+            seed = pr.get("seed")
             params = ProtocolParams(
-                p=int(pr["p"]),
-                sigma=int(pr["sigma"]),
+                p=_json_elem(pr["p"]),
+                sigma=_json_int(pr["sigma"]),
                 mode=pr["mode"],
                 strict=_json_bool(pr["strict"]),
-                seed=pr.get("seed"),
+                seed=None if seed is None else _json_int(seed),
             )
-            t = cls(doc["protocol"], params, {
-                k: payload_from_json(v) for k, v in doc["public"].items()
+            t = cls(_json_str(doc["protocol"]), params, {
+                _json_str(k): payload_from_json(v) for k, v in doc["public"].items()
             })
-            for m in doc["messages"]:
+            for m in _json_list(doc["messages"]):
                 if m["sender"] not in ("P", "V"):
                     raise TranscriptError(f"bad sender {m['sender']!r}")
-                t.append(Message(m["sender"], m["label"], payload_from_json(m["payload"])))
+                t.append(Message(m["sender"], _json_str(m["label"]),
+                                 payload_from_json(m["payload"])))
             if doc.get("verdict") is not None:
                 v = doc["verdict"]
                 t.verdict = Verdict(
-                    _json_bool(v["accepted"]), Reason(v["reason"]), v.get("detail", "")
+                    _json_bool(v["accepted"]), Reason(v["reason"]),
+                    _json_str(v.get("detail", "")),
                 )
             t.meta = dict(doc.get("meta", {}))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             if isinstance(exc, TranscriptError):
                 raise
             raise TranscriptError(f"malformed transcript: {exc}") from exc
@@ -597,6 +612,12 @@ def payload_to_json(payload) -> dict:
     raise TypeError(f"unknown payload {payload!r}")
 
 
+# Canonical JSON: each value has exactly one accepted spelling, the one
+# payload_to_json writes, so no other document maps onto a valid certificate.
+
+_DECIMALS = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
+
+
 def _json_bool(v) -> bool:
     """A JSON true/false; any other value (the string "false", 0) is malformed."""
     if not isinstance(v, bool):
@@ -604,10 +625,55 @@ def _json_bool(v) -> bool:
     return v
 
 
+def _json_int(v) -> int:
+    """A JSON integer; a bool, float or numeric string is malformed."""
+    if type(v) is not int:
+        raise TranscriptError(f"expected a JSON integer, got {v!r}")
+    return v
+
+
+def _json_uint(v) -> int:
+    """A non-negative JSON integer: a dimension, rank or index."""
+    if _json_int(v) < 0:
+        raise TranscriptError(f"expected a non-negative integer, got {v!r}")
+    return v
+
+
+def _json_list(v) -> list:
+    if not isinstance(v, list):
+        raise TranscriptError(f"expected a JSON array, got {v!r}")
+    return v
+
+
+def _json_str(v) -> str:
+    """A label, name or detail: an ASCII JSON string, as the byte encoding needs."""
+    if not isinstance(v, str) or not v.isascii():
+        raise TranscriptError(f"expected an ASCII JSON string, got {v!r}")
+    return v
+
+
+def _elems(v) -> tuple:
+    """Field elements: ASCII decimal strings with no sign, whitespace,
+    separator or leading zero.  One regular-expression match checks a whole
+    list; ``int`` then refuses an element that itself held the comma."""
+    v = _json_list(v)
+    try:
+        if v and not _DECIMALS.fullmatch(",".join(v)):
+            raise ValueError("not canonical")
+        return tuple(map(int, v))
+    except (TypeError, ValueError) as exc:
+        raise TranscriptError(f"field elements must be decimal strings: {exc}") from exc
+
+
+def _json_elem(v) -> int:
+    """One field element (or the modulus), see :func:`_elems`."""
+    return _elems([v])[0]
+
+
 def _matrix_dims(doc: dict) -> tuple:
     """(m, n) of a matrix payload: non-negative, with m*n entries."""
-    m, n = int(doc["m"]), int(doc["n"])
-    if m < 0 or n < 0 or len(doc["entries"]) != m * n:
+    m, n = _json_uint(doc["m"]), _json_uint(doc["n"])
+    if len(_json_list(doc["entries"])) != m * n:
         raise TranscriptError(f"{len(doc['entries'])} entries for a {m} x {n} matrix")
     return m, n
 
@@ -617,32 +683,28 @@ def payload_from_json(doc: dict):
     if kind not in _KIND_REV:
         raise TranscriptError(f"unknown payload kind {kind!r}")
     if kind == "field_scalar":
-        return FieldScalar(int(doc["value"]))
+        return FieldScalar(_json_elem(doc["value"]))
     if kind == "field_vector":
-        return FieldVector(tuple(int(v) for v in doc["values"]))
+        return FieldVector(_elems(doc["values"]))
     if kind == "index_set":
-        return IndexSetPayload(tuple(int(v) for v in doc["values"]))
+        return IndexSetPayload(tuple(_json_uint(v) for v in _json_list(doc["values"])))
     if kind == "poly":
-        return PolyPayload(tuple(int(c) for c in doc["coeffs"]))
+        return PolyPayload(_elems(doc["coeffs"]))
     if kind == "poly_vector":
-        return PolyVectorPayload(tuple(tuple(int(c) for c in f) for f in doc["polys"]))
+        return PolyVectorPayload(tuple(_elems(f) for f in _json_list(doc["polys"])))
     if kind == "poly_matrix":
         m, n = _matrix_dims(doc)
-        return PolyMatrixPayload(
-            m, n, tuple(tuple(int(c) for c in f) for f in doc["entries"])
-        )
+        return PolyMatrixPayload(m, n, tuple(_elems(f) for f in doc["entries"]))
     if kind == "field_matrix":
         m, n = _matrix_dims(doc)
-        return FieldMatrixPayload(m, n, tuple(int(c) for c in doc["entries"]))
+        return FieldMatrixPayload(m, n, _elems(doc["entries"]))
     if kind == "toeplitz_spec":
-        rho, m = int(doc["rho"]), int(doc["m"])
-        if rho < 0 or m < 0:
-            raise TranscriptError(f"negative Toeplitz dimension ({rho}, {m})")
-        return ToeplitzSpecPayload(rho, m, tuple(int(v) for v in doc["values"]))
+        rho, m = _json_uint(doc["rho"]), _json_uint(doc["m"])
+        return ToeplitzSpecPayload(rho, m, _elems(doc["values"]))
     if kind == "rank_claim":
-        return RankClaimPayload(int(doc["value"]))
+        return RankClaimPayload(_json_uint(doc["value"]))
     if kind == "bool":
         return BoolPayload(_json_bool(doc["value"]))
     if kind == "shift":
-        return ShiftPayload(tuple(int(v) for v in doc["values"]))
+        return ShiftPayload(tuple(_json_int(v) for v in _json_list(doc["values"])))
     raise TranscriptError(f"unknown payload kind {kind!r}")

@@ -11,10 +11,17 @@ in 31 bits (the default 2**31 - 1 does).  All three paths are cross-checked
 against schoolbook in the test suite.
 
 Interpolation is batched: :func:`interpolate_many` fits one polynomial per
-ordinate list over a shared set of abscissae, inverting all divided-difference
-denominators with one exponentiation (Montgomery's trick) and expanding each
-Newton form by Horner on a coefficient list.  :func:`interpolate` is its
+ordinate list over a shared set of abscissae.  It inverts all
+divided-difference denominators with one exponentiation (Montgomery's trick)
+and expands each Newton form by Horner.  From :data:`BATCH_CUTOFF` points on
+it runs every column at once in one numpy array; below, per column on plain
+lists, which is cheaper than numpy's fixed cost.  :func:`interpolate` is its
 single-column case.
+
+:data:`BATCH_CUTOFF` is the one routing constant of the Prover's batched
+evaluation kernel (:meth:`PolyMat.eval_many`, the batched eliminations in
+:mod:`polycert.matfield` and the numpy path here): below it the oracles keep
+their per-point scalar paths.
 """
 
 from __future__ import annotations
@@ -29,6 +36,11 @@ NEG_INF = float("-inf")
 
 _KARATSUBA_CUTOFF = 33  # lengths >= cutoff, i.e. degree > 32
 _NUMPY_CUTOFF = 48
+# evaluation points from which the Prover uses the batched kernel: a numpy
+# batch has a fixed cost of some hundred microseconds, which per-point loops
+# over 2 x 2 to 4 x 4 matrices only repay from about 7 to 13 points
+# (measured crossovers in CHANGES.md)
+BATCH_CUTOFF = 12
 
 
 def deg_add(a, b):
@@ -263,11 +275,6 @@ class Poly:
             return Poly.zero(self.field)
         return Poly(self.field, _trim([c * a % p for a in self.coeffs]), normalize=False)
 
-    def times_x(self, k: int) -> "Poly":
-        if not self.coeffs:
-            return self
-        return Poly(self.field, [0] * k + self.coeffs, normalize=False)
-
     def monic(self) -> "Poly":
         if not self.coeffs:
             return self
@@ -369,9 +376,10 @@ def interpolate_many(field: PrimeField, xs, columns) -> list:
 
     Newton divided differences.  Every denominator ``xs[i] - xs[i-j]`` is
     shared by all columns, so they are inverted once, together, with a single
-    exponentiation (:meth:`PrimeField.inv_many`); each column then costs
-    multiplications only, and its Newton form is expanded by Horner,
-    ``r <- r*(x - xs[j]) + c_j``, on a plain coefficient list.
+    exponentiation; each column then costs multiplications only, and its
+    Newton form is expanded by Horner, ``r <- r*(x - xs[j]) + c_j``.  From
+    :data:`BATCH_CUTOFF` points the columns are the rows of one numpy array
+    and each step runs over all of them at once.
     """
     p = field.p
     xs = [x % p for x in xs]
@@ -383,6 +391,8 @@ def interpolate_many(field: PrimeField, xs, columns) -> list:
         raise ValueError("ordinate list length differs from the abscissae")
     if n == 0:
         return [Poly.zero(field) for _ in columns]
+    if n >= BATCH_CUTOFF:
+        return _interpolate_array(field, xs, columns)
     # inv_rows[j-1][i-j] = 1 / (xs[i] - xs[i-j]) for 1 <= j <= i < n
     invs = iter(field.inv_many(
         [(xs[i] - xs[i - j]) % p for j in range(1, n) for i in range(j, n)]
@@ -400,6 +410,30 @@ def interpolate_many(field: PrimeField, xs, columns) -> list:
             ] + [r[-1]]
         out.append(Poly(field, _trim(r), normalize=False))
     return out
+
+
+def _interpolate_array(field: PrimeField, xs: list, columns: list) -> list:
+    """:func:`interpolate_many` with the columns as rows of one array."""
+    p = field.p
+    n = len(xs)
+    x = np.array(xs, dtype=field.dtype)
+    diffs = [(x[j:] - x[:-j]) % p for j in range(1, n)]
+    invs = field.inv_array(np.concatenate(diffs) if diffs else diffs)
+    c = np.array(columns, dtype=field.dtype).reshape(len(columns), n)
+    pos = 0
+    for j in range(1, n):
+        c[:, j:] = (c[:, j:] - c[:, j - 1:-1]) * invs[pos:pos + n - j] % p
+        pos += n - j
+    # r holds the Horner accumulator in its first n-1-j columns
+    r = np.zeros_like(c)
+    r[:, 0] = c[:, -1]
+    for j in range(n - 2, -1, -1):
+        size = n - 1 - j
+        prev = r[:, :size].copy()
+        r[:, 1:size + 1] = prev
+        r[:, 0] = c[:, j]
+        r[:, :size] = (r[:, :size] - xs[j] * prev) % p
+    return [Poly(field, _trim(row), normalize=False) for row in r.tolist()]
 
 
 class RatFunc:
@@ -486,17 +520,23 @@ class RatFunc:
 
 
 class RatVec:
-    """Row vector of reduced rational functions with a cached common denominator."""
+    """Row vector of rational functions.
 
-    __slots__ = ("field", "entries", "_common_den")
+    Held as reduced entries, or as the common-denominator form
+    ``numer_row / common_den`` (``common_den`` monic, with no factor shared
+    by every numerator); each is derived from the other when first read.
+    """
+
+    __slots__ = ("field", "_entries", "_common_den", "_numer_row")
 
     def __init__(self, entries):
         entries = list(entries)
         if not entries:
             raise ValueError("empty rational vector")
         self.field = entries[0].num.field
-        self.entries = entries
+        self._entries = entries
         self._common_den = None
+        self._numer_row = None
 
     @classmethod
     def normalize(cls, field, raw_pairs) -> "RatVec":
@@ -508,8 +548,49 @@ class RatVec:
             entries.append(RatFunc(num, den))
         return cls(entries)
 
+    @classmethod
+    def from_common_den(cls, den: Poly, numers) -> "RatVec":
+        """The vector ``numers / den`` for a nonzero den, in lowest terms.
+
+        One gcd chain g = gcd(den, n_1, ..., n_m), stopped as soon as it
+        reaches 1, reduces the whole vector: the common denominator is
+        den/g made monic and the numerators are the n_i/g scaled by the same
+        constant, which is exactly the lcm of the reduced entries'
+        denominators and the matching numerator row.
+        """
+        numers = list(numers)
+        if not numers:
+            raise ValueError("empty rational vector")
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator in rational vector")
+        g = den
+        for f in numers:
+            g = poly_gcd(g, f)
+            if g.is_one():
+                break
+        if not g.is_one():
+            den = den.divexact(g)
+            numers = [f.divexact(g) for f in numers]
+        c = den.field.inv(den.lc())
+        if c != 1:
+            den = den.scale(c)
+            numers = [f.scale(c) for f in numers]
+        out = cls.__new__(cls)
+        out.field = den.field
+        out._entries = None
+        out._common_den = den
+        out._numer_row = numers
+        return out
+
+    @property
+    def entries(self) -> list:
+        """The reduced entries (built from the common form when first read)."""
+        if self._entries is None:
+            self._entries = [RatFunc(f, self._common_den) for f in self._numer_row]
+        return self._entries
+
     def __len__(self):
-        return len(self.entries)
+        return len(self._entries if self._entries is not None else self._numer_row)
 
     def __getitem__(self, i):
         return self.entries[i]
@@ -525,7 +606,7 @@ class RatVec:
         """lcm of the entry denominators: the denominator of the vector."""
         if self._common_den is None:
             d = Poly.one(self.field)
-            for e in self.entries:
+            for e in self._entries:
                 d = poly_lcm(d, e.den)
             self._common_den = d
         return self._common_den
@@ -535,8 +616,10 @@ class RatVec:
 
     def numer_row(self) -> list:
         """common_den * entries, a polynomial row vector."""
-        d = self.common_den
-        return [e.num * d.divexact(e.den) for e in self.entries]
+        if self._numer_row is None:
+            d = self.common_den
+            self._numer_row = [e.num * d.divexact(e.den) for e in self._entries]
+        return list(self._numer_row)
 
     def eval(self, alpha: int) -> list:
         return [e.eval(alpha) for e in self.entries]

@@ -274,3 +274,81 @@ def test_field_matrix_and_toeplitz_dimension_lies_rejected():
         payload_from_json({"kind": "toeplitz_spec", "rho": -1, "m": 2, "values": []})
     ok = payload_from_json({"kind": "field_matrix", "m": 0, "n": 3, "entries": []})
     assert (ok.m, ok.n, ok.entries) == (0, 3, ())
+
+
+def _loads(doc) -> bool:
+    try:
+        Transcript.from_json_dict(doc)
+    except TranscriptError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("value", [True, "1", 1.9, 1.0, None, [1]])
+def test_non_integer_rank_claim_rejected(value):
+    """A rank written as anything but a JSON integer is not the certificate."""
+    doc = _rank_certificate()
+    doc["public"]["rho"]["value"] = value
+    assert not _loads(doc)  # digest kept: the loader refuses before checking it
+    del doc["digest"]
+    assert not _loads(doc)
+
+
+@pytest.mark.parametrize("field_path, value", [
+    (("public", "A", "m"), "2"),
+    (("public", "A", "n"), True),
+    (("public", "A", "m"), 2.0),
+    (("params", "sigma"), "65536"),
+    (("params", "sigma"), True),
+    (("params", "p"), 2**31 - 1),
+    (("params", "p"), "02147483647"),
+    (("params", "seed"), False),
+])
+def test_non_canonical_integer_fields_rejected(field_path, value):
+    doc = _rank_certificate()
+    del doc["digest"]
+    assert _loads(doc)
+    *parents, key = field_path
+    target = doc
+    for k in parents:
+        target = target[k]
+    target[key] = value
+    assert not _loads(doc)
+
+
+@pytest.mark.parametrize("elem", ["+1", "-1", "01", " 1", "1 ", "1_0", "١", "-0", "", 1, None,
+                                  True, 1.0])
+def test_non_canonical_field_elements_rejected(elem):
+    """Field elements are decimal strings with exactly one spelling."""
+    doc = _rank_certificate()
+    del doc["digest"]
+    doc["public"]["A"]["entries"][0][0] = elem
+    assert not _loads(doc)
+    with pytest.raises(TranscriptError):
+        payload_from_json({"kind": "field_scalar", "value": elem})
+    with pytest.raises(TranscriptError):
+        payload_from_json({"kind": "field_vector", "values": ["3", elem]})
+
+
+def test_non_canonical_lists_rejected():
+    with pytest.raises(TranscriptError):
+        payload_from_json({"kind": "field_vector", "values": "123"})
+    with pytest.raises(TranscriptError):
+        payload_from_json({"kind": "poly", "coeffs": {"1": "2"}})
+    with pytest.raises(TranscriptError):
+        payload_from_json({"kind": "index_set", "values": ["0", "1"]})
+    with pytest.raises(TranscriptError):
+        payload_from_json({"kind": "shift", "values": [0, False]})
+    with pytest.raises(TranscriptError):
+        payload_from_json({"kind": "toeplitz_spec", "rho": "1", "m": 1, "values": ["1"]})
+    assert payload_from_json({"kind": "shift", "values": [-3, 0, 2]}) == ShiftPayload((-3, 0, 2))
+
+
+def test_non_string_labels_and_non_object_sections_rejected():
+    doc = _rank_certificate()
+    del doc["digest"]
+    doc["messages"][0]["label"] = 7
+    assert not _loads(doc)
+    doc = _rank_certificate()
+    doc["public"] = [doc["public"]["A"]]
+    assert not _loads(doc)

@@ -1,0 +1,292 @@
+"""The Prover's batched evaluation kernel against the per-point routines.
+
+Batched evaluation (PolyMat.eval_many), batched elimination (matfield's
+solve_many, rank_profile_many, vecmat_many), batched inversion
+(PrimeField.inv_array) and the numpy path of interpolate_many must agree
+with the scalar code they replace, over a small field, an int64 field and a
+field that needs Python-int (object) arrays.
+"""
+
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from polycert import oracles, upoly
+from polycert.ff import PrimeField
+from polycert.matfield import (
+    FieldMat,
+    det_field,
+    pluq,
+    rank_profile_many,
+    solve_many,
+    solve_right,
+    vecmat_many,
+)
+from polycert.oracles import (
+    LOW_RANK,
+    NO_SOLUTION,
+    _rank_and_profile_bareiss,
+    _rank_and_profile_evaluation,
+    _solve_square_left_evaluation,
+    _solve_square_left_fraction,
+    rank_and_profile,
+    rational_solve_left,
+)
+from polycert.polymat import PolyMat
+from polycert.upoly import BATCH_CUTOFF, Poly, interpolate_many
+
+F97 = PrimeField(97)
+F31 = PrimeField(2**31 - 1)
+F61 = PrimeField(2**61 - 1)
+FIELDS = [F97, F31, F61]
+IDS = ["F97", "F2^31-1", "F2^61-1"]
+
+
+@contextmanager
+def batch_cutoff(value):
+    """Route every evaluation path to one side of the point-count cutoff."""
+    with mock.patch.object(upoly, "BATCH_CUTOFF", value), \
+            mock.patch.object(oracles, "BATCH_CUTOFF", value):
+        yield
+
+
+def test_dtype_follows_modulus():
+    assert F97.dtype is np.int64 and F31.dtype is np.int64
+    assert F61.dtype is object
+
+
+# -- strategies -----------------------------------------------------------------
+
+
+def _poly(draw, field, deg):
+    return Poly(field, draw(st.lists(st.integers(0, field.p - 1),
+                                     min_size=deg + 1, max_size=deg + 1)))
+
+
+@st.composite
+def polymats(draw, field, max_dim=4, max_deg=4):
+    """Random, zero, zero-column and planted-rank matrices, any shape."""
+    m = draw(st.integers(1, max_dim))
+    n = draw(st.integers(1, max_dim))
+    d = draw(st.integers(0, max_deg))
+    kind = draw(st.sampled_from(["random", "zero", "zero_col", "planted"]))
+    if kind == "zero":
+        return PolyMat.zero(field, m, n)
+    if kind == "planted":
+        r = draw(st.integers(0, min(m, n)))
+        left = PolyMat(field, [[_poly(draw, field, d // 2) for _ in range(r)]
+                               for _ in range(m)], ncols=r)
+        right = PolyMat(field, [[_poly(draw, field, d - d // 2) for _ in range(n)]
+                                for _ in range(r)], ncols=n)
+        return left.mul(right)
+    rows = [[_poly(draw, field, d) for _ in range(n)] for _ in range(m)]
+    if kind == "zero_col":
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = Poly.zero(field)
+    return PolyMat(field, rows, ncols=n)
+
+
+# -- batched inversion and evaluation ----------------------------------------------
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_inv_array_matches_inv(field, data):
+    vals = data.draw(st.lists(st.integers(1, field.p - 1), max_size=40))
+    got = field.inv_array(vals)
+    assert got.dtype == field.dtype
+    assert [int(x) for x in got] == [field.inv(v) for v in vals]
+    if vals:
+        with pytest.raises(ZeroDivisionError):
+            field.inv_array(vals[:1] + [0] + vals[1:])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_eval_many_matches_eval_at(field, data):
+    mat = data.draw(polymats(field))
+    alphas = data.draw(st.lists(st.integers(0, field.p - 1), min_size=1, max_size=20))
+    got = mat.eval_many(alphas)
+    assert got.shape == (len(alphas), mat.m, mat.n) and got.dtype == field.dtype
+    for alpha, ev in zip(alphas, got):
+        assert ev.tolist() == mat.eval_at(alpha).rows
+
+
+# -- batched elimination -------------------------------------------------------------
+
+
+@st.composite
+def field_mats(draw, field, m, n):
+    """Random matrices, with repeated rows and zero columns to make singular ones."""
+    rows = [draw(st.lists(st.integers(0, field.p - 1), min_size=n, max_size=n))
+            for _ in range(m)]
+    kind = draw(st.sampled_from(["random", "repeat_row", "zero_col", "small"]))
+    if kind == "repeat_row" and m > 1:
+        rows[-1] = list(rows[0])
+    elif kind == "zero_col" and n:
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = 0
+    elif kind == "small":
+        rows = [[x % 2 for x in row] for row in rows]
+    return rows
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_solve_many_matches_solve_right_and_det(field, data):
+    n = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, 8))
+    systems = [data.draw(field_mats(field, n, n + 1)) for _ in range(k)]
+    ok, det, w = solve_many(field, np.array(systems, dtype=field.dtype))
+    for rows, ok_i, det_i, w_i in zip(systems, ok, det, w):
+        a = FieldMat(field, [r[:n] for r in rows])
+        b = [r[n] for r in rows]
+        d = det_field(a)
+        assert int(det_i) == d
+        assert bool(ok_i) == (d != 0)
+        if d:
+            assert [int(x) for x in w_i] == solve_right(a, b)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_rank_profile_many_matches_pluq(field, data):
+    m = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(1, 5))
+    mats = [data.draw(field_mats(field, m, n)) for _ in range(data.draw(st.integers(1, 6)))]
+    ranks, masks = rank_profile_many(field, np.array(mats, dtype=field.dtype))
+    for rows, r, mask in zip(mats, ranks, masks):
+        f = pluq(FieldMat(field, rows))
+        assert int(r) == f.rank
+        assert tuple(np.flatnonzero(mask).tolist()) == f.col_rank_profile()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_vecmat_many_matches_vecmat(field, data):
+    m = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, 5))
+    mats = [data.draw(field_mats(field, m, n)) for _ in range(k)]
+    vecs = [data.draw(st.lists(st.integers(0, field.p - 1), min_size=m, max_size=m))
+            for _ in range(k)]
+    got = vecmat_many(field, np.array(vecs, dtype=field.dtype),
+                      np.array(mats, dtype=field.dtype))
+    for rows, v, out in zip(mats, vecs, got):
+        assert out.tolist() == FieldMat(field, rows).vecmat(v)
+
+
+# -- rank and profile over F(x) ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_evaluation_rank_matches_bareiss(field, data):
+    mat = data.draw(polymats(field, max_dim=5))
+    want = _rank_and_profile_bareiss(mat)
+    deg = 0 if mat.is_zero() else int(mat.deg)
+    npoints = min(mat.m, mat.n) * deg + 1
+    # the fewest exact points, and enough to take the batched route
+    assert _rank_and_profile_evaluation(mat, npoints) == want
+    assert _rank_and_profile_evaluation(mat, max(npoints, BATCH_CUTOFF)) == want
+    assert rank_and_profile(mat) == want
+
+
+def test_rank_routes_by_point_count():
+    # 2 x 3 of degree 8: 17 points, above the cutoff; F_7 has too few points
+    rng = np.random.default_rng(3)
+    for field in (F97, PrimeField(7)):
+        rows = [[Poly(field, [int(c) for c in rng.integers(0, field.p, 9)])
+                 for _ in range(3)] for _ in range(2)]
+        rows[1] = [f * 3 for f in rows[0]]  # rank 1
+        mat = PolyMat(field, rows, ncols=3)
+        assert rank_and_profile(mat) == _rank_and_profile_bareiss(mat) == (1, (0,))
+
+
+# -- rational solving ---------------------------------------------------------------------------
+
+
+@st.composite
+def square_systems(draw, field):
+    """(B, y) with B nonsingular over F(x)."""
+    m = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 3))
+    b = PolyMat(field, [[_poly(draw, field, d) for _ in range(m)] for _ in range(m)],
+                ncols=m)
+    assume(_rank_and_profile_bareiss(b)[0] == m)
+    y = [_poly(draw, field, draw(st.integers(-1, 3))) if draw(st.booleans())
+         else Poly.zero(field) for _ in range(m)]
+    return b, y
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_square_solve_same_on_both_sides_of_cutoff(field, data):
+    b, y = data.draw(square_systems(field))
+    deg_b = 0 if b.is_zero() else int(b.deg)
+    deg_y = max((int(f.deg) for f in y if not f.is_zero()), default=0)
+    npoints = b.m * deg_b + deg_y + 1
+    want = _solve_square_left_fraction(b, y)
+    for k in (npoints, max(npoints, BATCH_CUTOFF), npoints + BATCH_CUTOFF):
+        got = _solve_square_left_evaluation(b, y, k)
+        assert got.common_den == want.common_den
+        assert got.numer_row() == want.numer_row()
+        assert got == want
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_rational_solve_left_same_on_both_sides_of_cutoff(field, data):
+    mat = data.draw(polymats(field, max_dim=4, max_deg=3))
+    kind = data.draw(st.sampled_from(["member", "random"]))
+    if kind == "member":
+        u = [_poly(data.draw, field, data.draw(st.integers(0, 2))) for _ in range(mat.m)]
+        v = [sum((u[i] * mat.rows[i][j] for i in range(mat.m)), Poly.zero(field))
+             for j in range(mat.n)]
+    else:
+        v = [_poly(data.draw, field, data.draw(st.integers(-1, 3))) for _ in range(mat.n)]
+    with batch_cutoff(10**9):
+        scalar = rational_solve_left(mat, v)
+    with batch_cutoff(1):
+        batched = rational_solve_left(mat, v)
+    if scalar is LOW_RANK or scalar is NO_SOLUTION:
+        assert batched is scalar
+        return
+    assert batched.common_den == scalar.common_den
+    assert batched.numer_row() == scalar.numer_row()
+    assert batched.entries == scalar.entries
+
+
+# -- interpolation -------------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_interpolate_many_array_path_matches_list_path(field, data):
+    n = data.draw(st.integers(0, 30))
+    xs = data.draw(st.lists(st.integers(0, min(field.p, 10**6) - 1), min_size=n,
+                            max_size=n, unique=True))
+    columns = data.draw(st.lists(
+        st.lists(st.integers(0, field.p - 1), min_size=n, max_size=n), max_size=5))
+    with batch_cutoff(10**9):
+        lists = interpolate_many(field, xs, columns)
+    with batch_cutoff(1):
+        arrays = interpolate_many(field, xs, columns)
+    assert arrays == lists
+    for f, ys in zip(arrays, columns):
+        assert [f(x) for x in xs] == ys

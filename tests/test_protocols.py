@@ -516,3 +516,37 @@ def test_fs_prover_determinism_for_las_vegas_protocols():
     _, c1 = run_protocol("coprime", {"f": fs}, prm, prover_seed=9)
     _, c2 = run_protocol("coprime", {"f": fs}, prm, prover_seed=9)
     assert c1.digest() == c2.digest()
+
+
+@pytest.mark.parametrize("mode", [MODE_FIAT_SHAMIR, MODE_INTERACTIVE])
+def test_each_message_encoded_at_most_once(mode, monkeypatch):
+    """Encoding feeds only the hash chain and the digest: interactive runs
+    encode nothing, and a saved certificate is encoded once per message
+    whether it is proved and saved or loaded and re-verified."""
+    from polycert.instances import planted_member
+    from polycert.transcript import Message
+
+    calls = []
+    original = Message.encode
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Message, "encode", counted)
+    rng = random.Random(31)
+    a, v, _ = planted_member(rng, F, 3, 4, 2)
+    params = ProtocolParams(p=F.p, sigma=BIG_SIGMA, mode=mode, strict=False, seed=5)
+    verdict, transcript = run_protocol("rsm", {"A": a, "v": v}, params, prover_seed=2)
+    assert verdict.accepted
+    n = len(transcript.messages)
+    assert len(calls) == (n if mode == MODE_FIAT_SHAMIR else 0)
+    doc = transcript.to_json_dict()
+    assert len(calls) == n
+    calls.clear()
+    loaded = Transcript.from_json_dict(doc)
+    assert len(calls) == n
+    assert verify_transcript(loaded).accepted
+    assert len(calls) == n
+    assert loaded.digest() == doc["digest"]
+    assert len(calls) == n
