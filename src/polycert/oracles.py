@@ -1,21 +1,28 @@
 """Module-aware computations on polynomial matrices: the Prover's toolbox.
 
-Rank and column rank profile over F[x], exact determinants (fraction-free
-Bareiss), rational system solving with full row rank, Hermite and shifted
-Popov forms with unimodular transformation tracking, kernel and saturation
-bases, and a deterministic row-space membership oracle.
+Rank and column rank profile over F[x], exact determinants, rational system
+solving with full row rank, Hermite and shifted Popov forms with unimodular
+transformation tracking, kernel and saturation bases, and a deterministic
+row-space membership oracle.
 
-Rank, profile and rational solving reduce to linear algebra at evaluation
-points, exactly: enough distinct points always include one where no
-relevant minor vanishes.  With :data:`upoly.BATCH_CUTOFF` points or more,
-they run on the batched kernel: :meth:`PolyMat.eval_many` evaluates every
-point in one Horner pass, :mod:`matfield`'s batched eliminations
+Rank, profile, determinant and rational solving reduce to linear algebra at
+evaluation points, exactly: enough distinct points always include one where
+no relevant minor vanishes.  With :data:`upoly.BATCH_CUTOFF` points or
+more, they run on the batched kernel: :meth:`PolyMat.eval_many` evaluates
+every point in one Horner pass, :mod:`matfield`'s batched eliminations
 (:func:`~polycert.matfield.solve_many`,
 :func:`~polycert.matfield.rank_profile_many`) handle all points together,
 and :func:`upoly.interpolate_many` interpolates every column at once.  Fewer
-points take the per-point scalar path, which is cheaper than numpy's fixed
-cost there; fields with fewer elements than points fall back to exact
-elimination over F[x].
+points take the per-point scalar path (fraction-free Bareiss elimination for
+rank and determinant), which is cheaper than numpy's fixed cost there;
+fields with fewer elements than points fall back to exact elimination over
+F[x].
+
+The saturation basis starts from the Popov form of A, which is already the
+answer when it is left prime (coprime maximal minors), as random wide
+matrices almost always are; only otherwise does it take the
+kernel-of-a-kernel route, whose intermediate degrees are many times those
+of A.
 
 None of this is available to Verifier code: a Verifier that called these
 routines would be recomputing the certified object, which defeats the whole
@@ -30,7 +37,8 @@ import numpy as np
 from . import matfield
 from .matfield import pluq
 from .polymat import PolyMat, check_hermite_shape
-from .upoly import BATCH_CUTOFF, NEG_INF, Poly, RatFunc, RatVec, interpolate_many, xgcd
+from .upoly import (BATCH_CUTOFF, NEG_INF, Poly, RatFunc, RatVec, interpolate_many,
+                    poly_gcd, xgcd)
 
 
 class _Outcome:
@@ -116,12 +124,40 @@ def _rank_and_profile_bareiss(mat: PolyMat):
 
 
 def det_bareiss(mat: PolyMat) -> Poly:
-    """Exact determinant of a square polynomial matrix via Bareiss."""
+    """Exact determinant of a square polynomial matrix.
+
+    det(A) has degree at most n * deg, so it is fixed by its values at
+    n * deg + 1 distinct points.  From :data:`~polycert.upoly.BATCH_CUTOFF`
+    such points on (and when the field has that many elements) it runs on
+    the batched kernel: one :meth:`PolyMat.eval_many`, one
+    :func:`~polycert.matfield.solve_many` giving det(A(alpha)) at every
+    point, and one interpolation.  Smaller cases take fraction-free
+    (Bareiss) elimination over F[x].
+    """
     if mat.m != mat.n:
         raise ValueError("determinant of a non-square matrix")
     n = mat.n
     if n == 0:
         return Poly.one(mat.field)
+    npoints = n * max(0, mat.deg) + 1
+    if npoints >= BATCH_CUTOFF and mat.field.p >= npoints:
+        return _det_evaluation(mat, npoints)
+    return _det_bareiss(mat)
+
+
+def _det_evaluation(mat: PolyMat, npoints: int) -> Poly:
+    """det(A) interpolated from det(A(0)), ..., det(A(npoints-1)); exact for
+    npoints > n * deg."""
+    field = mat.field
+    vals = mat.eval_many(range(npoints))
+    aug = np.concatenate([vals, np.zeros(vals.shape[:2] + (1,), dtype=vals.dtype)], axis=2)
+    _, det, _ = matfield.solve_many(field, aug)
+    return interpolate_many(field, range(npoints), [det.tolist()])[0]
+
+
+def _det_bareiss(mat: PolyMat) -> Poly:
+    """Fraction-free (Bareiss) elimination for the determinant."""
+    n = mat.n
     work = [list(row) for row in mat.rows]
     prev = Poly.one(mat.field)
     sign = 1
@@ -206,10 +242,18 @@ def _solve_square_left(b: PolyMat, y: list) -> RatVec:
 def _solve_square_left_evaluation(b: PolyMat, y: list, npoints: int) -> RatVec:
     """Cramer by evaluation: det(B) and det(B) * u at npoints nonsingular
     points, interpolated.  Each numerator has degree < npoints, so any
-    nonsingular points give the same polynomials."""
+    nonsingular points give the same polynomials.
+
+    A nonsingular B is singular at no more than m * deg(B) points (the roots
+    of det B), so the first npoints + m * deg(B) candidates always hold
+    npoints nonsingular ones; a B that leaves fewer is singular, and the
+    search stops there with ArithmeticError.
+    """
     field = b.field
     p = field.p
     m = b.m
+    deg_b = 0 if b.deg == NEG_INF else int(b.deg)
+    limit = min(p, npoints + m * deg_b)
     if npoints < BATCH_CUTOFF:
         xs = []
         det_vals = []
@@ -217,8 +261,8 @@ def _solve_square_left_evaluation(b: PolyMat, y: list, npoints: int) -> RatVec:
         alpha = 0
         bt_rows = b.transpose()
         while len(xs) < npoints:
-            if alpha >= p:
-                raise ArithmeticError("ran out of evaluation points")
+            if alpha >= limit:
+                raise ArithmeticError("singular matrix: too few nonsingular points")
             mt = bt_rows.eval_at(alpha)
             sol = matfield.solve_with_det(mt, [f(alpha) for f in y])
             if sol is not None:
@@ -235,9 +279,9 @@ def _solve_square_left_evaluation(b: PolyMat, y: list, npoints: int) -> RatVec:
     xs, cols = [], []
     alpha = 0
     while len(xs) < npoints:
-        if alpha >= p:
-            raise ArithmeticError("ran out of evaluation points")
-        pts = np.arange(alpha, min(alpha + npoints - len(xs), p))
+        if alpha >= limit:
+            raise ArithmeticError("singular matrix: too few nonsingular points")
+        pts = np.arange(alpha, min(alpha + npoints - len(xs), limit))
         ok, det, w = matfield.solve_many(field, aug.eval_many(pts))
         xs.extend(pts[ok].tolist())
         cols.append(np.concatenate([det[ok, None], w[ok] * det[ok, None] % p], axis=1))
@@ -518,11 +562,42 @@ def kernel_basis_right(mat: PolyMat) -> PolyMat:
 
 
 def saturation_basis(mat: PolyMat) -> PolyMat:
-    """A row basis of Sat(A) = F[x]^(1 x n) intersect rowspace_F(x)(A).
+    """The zero-shift Popov basis of Sat(A) = F[x]^(1 x n) intersect rowspace_F(x)(A).
 
-    Computed as a left kernel basis of a right kernel basis of A, then
-    normalized to zero-shift Popov form so the output is canonical.
+    First P = popov_form(A), a row basis of A of full row rank r.  If P is
+    left prime (its r x r minors are coprime), P's row space is already
+    saturated and, the zero-shift Popov form of a module being unique, P is
+    the answer.  r = n needs no test: Sat(A) is then all of F[x]^(1 x n).
+    Otherwise two polynomials that every common divisor of the minors
+    divides are tested for coprimality: the minor on P's pivot columns,
+    nonsingular by the Popov shape, and det(P V) for the n x r Vandermonde
+    matrix V on the nodes 1, ..., n, which by Cauchy-Binet is a combination
+    of all the minors, with nonzero coefficients when n < p (so a factor
+    that the pivot minor shares with some other minors cannot spoil it).  Random wide
+    matrices almost always pass.  The test is sufficient, never wrong, only
+    conservative: when it fails, :func:`_saturation_basis_kernels` takes
+    the long way.
     """
+    field = mat.field
+    n = mat.n
+    pm = popov_form(mat, [0] * n)
+    r = pm.m
+    if r == n:
+        return PolyMat.identity(field, n)
+    pivots = [_pivot_of(row, [0] * n)[0] for row in pm.rows]
+    minor = det_bareiss(pm.submatrix(range(r), pivots))
+    if minor.is_constant():
+        return pm
+    vandermonde = PolyMat(field, [[Poly.constant(field, pow(j + 1, i, field.p))
+                                   for i in range(r)] for j in range(n)], ncols=r)
+    if poly_gcd(minor, det_bareiss(pm.mul(vandermonde))).is_one():
+        return pm
+    return _saturation_basis_kernels(mat)
+
+
+def _saturation_basis_kernels(mat: PolyMat) -> PolyMat:
+    """Sat(A) as a left kernel basis of a right kernel basis of A, in
+    zero-shift Popov form so the output is canonical."""
     k = kernel_basis_right(mat)
     if k.n == 0:
         return PolyMat.identity(mat.field, mat.n)

@@ -17,7 +17,9 @@ kernel: it evaluates a matrix at k points in one vectorised Horner pass over
 its ``(deg+1, m, n)`` coefficient tensor, giving the ``(k, m, n)`` array that
 the batched eliminations in :mod:`polycert.matfield` take.  The oracles use
 it from ``upoly.BATCH_CUTOFF`` points on; :meth:`PolyMat.eval_at` stays the
-single-point path for both parties.
+single-point path for both parties.  The same tensor
+(:meth:`PolyMat.coeff_tensor`) gives the Prover's Toeplitz compression
+:meth:`ToeplitzOp.apply_poly_mat` in one array product.
 """
 
 from __future__ import annotations
@@ -131,18 +133,23 @@ class PolyMat:
         entrywise with :meth:`eval_at`.
         """
         p = self.field.p
+        t = self.coeff_tensor()
+        x = np.asarray(alphas, dtype=self.field.dtype).reshape(-1, 1, 1) % p
+        acc = np.repeat(t[-1][None], x.shape[0], axis=0)
+        for c in t[-2::-1]:
+            acc = (acc * x + c) % p
+        return acc
+
+    def coeff_tensor(self) -> np.ndarray:
+        """The ``(deg+1, m, n)`` array of coefficients, ``t[d]`` holding the
+        coefficients of x^d; built on the first call and kept."""
         if self._coeffs is None:
             d = 0 if self.deg == NEG_INF else int(self.deg)
             pad = [[e.coeffs + [0] * (d + 1 - len(e.coeffs)) for e in row]
                    for row in self.rows]
             t = np.array(pad, dtype=self.field.dtype).reshape(self.m, self.n, d + 1)
             self._coeffs = np.ascontiguousarray(np.moveaxis(t, 2, 0))
-        t = self._coeffs
-        x = np.asarray(alphas, dtype=self.field.dtype).reshape(-1, 1, 1) % p
-        acc = np.repeat(t[-1][None], x.shape[0], axis=0)
-        for c in t[-2::-1]:
-            acc = (acc * x + c) % p
-        return acc
+        return self._coeffs
 
     def transpose(self) -> "PolyMat":
         cols = [[row[j] for row in self.rows] for j in range(self.n)]
@@ -338,8 +345,10 @@ def hermite_shift(n: int, t: int) -> list:
 class ToeplitzOp:
     """rho x m Toeplitz matrix described by rho + m - 1 field elements.
 
-    C[i][j] = values[i - j + m - 1]; the operator is applied to evaluated
-    matrices or vectors without ever forming a polynomial product.
+    C[i][j] = values[i - j + m - 1]; the Verifier applies the operator to
+    evaluated matrices or vectors without ever forming a polynomial product.
+    The Prover's explicit C.A (:meth:`apply_poly_mat`) is one mod-p product
+    over A's coefficient tensor.
     """
 
     __slots__ = ("field", "rho", "m", "values")
@@ -390,22 +399,24 @@ class ToeplitzOp:
         ]
 
     def apply_poly_mat(self, mat: PolyMat) -> PolyMat:
-        """C @ A as an explicit polynomial matrix (Prover-side only)."""
+        """C @ A as an explicit polynomial matrix (Prover-side only).
+
+        One mod-p product of C with A's coefficient tensor
+        (:meth:`PolyMat.coeff_tensor`), coefficient by coefficient; reduced
+        after every row of A, so an ``int64`` accumulator never exceeds
+        p + (p-1)**2, and exact in ``field.dtype`` for every modulus.
+        """
         if mat.m != self.m:
             raise ValueError("dimension mismatch in Toeplitz application")
-        z = Poly.zero(self.field)
-        out = []
-        for i in range(self.rho):
-            row = []
-            for j in range(mat.n):
-                acc = z
-                for k in range(self.m):
-                    c = self.entry(i, k)
-                    if c:
-                        acc = acc + mat.rows[k][j].scale(c)
-                row.append(acc)
-            out.append(row)
-        return PolyMat(self.field, out, ncols=mat.n)
+        field = self.field
+        p = field.p
+        c = np.array(self.materialize().rows, dtype=field.dtype).reshape(self.rho, self.m)
+        t = mat.coeff_tensor()
+        acc = np.zeros((t.shape[0], self.rho, mat.n), dtype=field.dtype)
+        for k in range(self.m):
+            acc = (acc + c[None, :, k, None] * t[:, None, k, :]) % p
+        out = np.moveaxis(acc, 0, 2).tolist()
+        return PolyMat(field, [[Poly(field, e) for e in row] for row in out], ncols=mat.n)
 
 
 # -- lazy matrix/vector views used by the Verifier ---------------------------

@@ -678,11 +678,6 @@ def _rsm(sess: Session, a: PolyMat, v: list):
     rho = sess.prover_rank_claim("rank_claim", lambda: sess.prover.rsm_rank(a))
     if rho > min(m, n):
         sess.fail(Reason.RANK_CHECK_FAILED, "rank claim exceeds the dimensions")
-    if rho == 0:
-        # the row space of a rank-0 matrix is {0}
-        if any(f.coeffs for f in v):
-            sess.fail(Reason.EVALUATION_CHECK_FAILED, "nonzero vector, zero rank claim")
-        return
     d = max(wdeg(a.deg), wdeg(max((f.deg for f in v), default=NEG_INF)))
     if sess.rsm_strict_slack is not None:
         bound = 8 * rho * d + 2 * d + 2 + sess.rsm_strict_slack
@@ -692,6 +687,11 @@ def _rsm(sess: Session, a: PolyMat, v: list):
                 Reason.PARAMS_INVALID,
                 f"strict mode needs sigma >= {bound}, got {sess.sigma}",
             )
+    if rho == 0:
+        # the row space of a rank-0 matrix is {0}
+        if any(f.coeffs for f in v):
+            sess.fail(Reason.EVALUATION_CHECK_FAILED, "nonzero vector, zero rank claim")
+        return
     if sess.sigma <= rho:
         sess.fail(Reason.PARAMS_INVALID, "sample set must exceed the rank claim")
     t = rsm_rounds(sess.sigma, rho, a.deg)

@@ -1,0 +1,238 @@
+"""The certify Prover's oracles against their reference definitions.
+
+``saturation_basis`` (popov_form with the left-prime shortcut) against the
+kernel-of-kernel route, ``ToeplitzOp.apply_poly_mat`` (one product over the
+coefficient tensor) against its entrywise definition, and ``det_bareiss``
+on both sides of the point-count cutoff against fraction-free elimination;
+then the square solver's stop on a singular matrix and the agreement of the
+advertised #S bounds with the ones the runners record.
+"""
+
+import random
+import signal
+from contextlib import contextmanager
+from unittest import mock
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from polycert import PROTOCOL_IDS, oracles
+from polycert.experiments import generate_true_instance, strict_sigma
+from polycert.ff import PrimeField
+from polycert.instances import rand_polymat, rand_singular
+from polycert.oracles import (
+    _det_bareiss,
+    _det_evaluation,
+    _saturation_basis_kernels,
+    _solve_square_left,
+    det_bareiss,
+    saturation_basis,
+)
+from polycert.polymat import PolyMat, ToeplitzOp
+from polycert.protocols import run_protocol
+from polycert.transcript import MODE_FIAT_SHAMIR, ProtocolParams, Reason
+from polycert.upoly import BATCH_CUTOFF, Poly
+from test_kernel import FIELDS, IDS, _poly, batch_cutoff, polymats
+
+F97 = PrimeField(97)
+F31 = PrimeField(2**31 - 1)
+
+
+@contextmanager
+def time_budget(seconds):
+    """Raise TimeoutError in the body once ``seconds`` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds} s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# -- saturation basis ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_saturation_basis_matches_kernel_route(field, data):
+    # random, zero, zero-column and rank-deficient matrices, wide, square and tall
+    mat = data.draw(polymats(field, max_dim=5, max_deg=3))
+    assert saturation_basis(mat) == _saturation_basis_kernels(mat)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_saturation_basis_falls_back_on_planted_non_saturated(field, data):
+    # every maximal minor of G B has det(G) as a factor, so no pair is coprime
+    r = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(r + 1, 5))
+    g = PolyMat(field, [[_poly(data.draw, field, 1) for _ in range(r)] for _ in range(r)],
+                ncols=r)
+    b = PolyMat(field, [[_poly(data.draw, field, data.draw(st.integers(0, 2)))
+                         for _ in range(n)] for _ in range(r)], ncols=n)
+    assume(_det_bareiss(g).deg >= 1)
+    assume(oracles.rank_and_profile(b)[0] == r)
+    a = g.mul(b)
+    with mock.patch.object(oracles, "_saturation_basis_kernels",
+                           wraps=_saturation_basis_kernels) as kernels:
+        got = saturation_basis(a)
+    assert kernels.call_count == 1
+    assert got == _saturation_basis_kernels(a)
+    assert got == saturation_basis(b)
+
+
+def test_saturation_basis_takes_the_shortcut_on_left_prime_input():
+    rng = random.Random(5)
+    wide = rand_polymat(rng, F31, 5, 7, 3)
+    # a column with one nonzero entry: every minor through it shares that
+    # entry's factor, yet the matrix is left prime
+    rows = [list(row) for row in rand_polymat(rng, F31, 4, 6, 2).rows]
+    for row in rows:
+        row[5] = Poly.zero(F31)
+    rows[0][5] = Poly(F31, [3, 1, 1])
+    sparse = PolyMat(F31, rows, ncols=6)
+    for a in (wide, sparse):
+        with mock.patch.object(oracles, "_saturation_basis_kernels",
+                               wraps=_saturation_basis_kernels) as kernels:
+            got = saturation_basis(a)
+        assert kernels.call_count == 0
+        assert got == oracles.popov_form(a) == _saturation_basis_kernels(a)
+
+
+# -- Toeplitz compression -------------------------------------------------------------------
+
+
+def _apply_entrywise(top, mat):
+    z = Poly.zero(top.field)
+    return PolyMat(top.field, [
+        [sum((mat.rows[k][j].scale(top.entry(i, k)) for k in range(top.m)), z)
+         for j in range(mat.n)]
+        for i in range(top.rho)
+    ], ncols=mat.n)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_apply_poly_mat_matches_entrywise(field, data):
+    mat = data.draw(polymats(field, max_dim=5, max_deg=4))
+    rho = data.draw(st.integers(0, 5))
+    values = data.draw(st.lists(st.integers(0, field.p - 1),
+                                min_size=rho + mat.m - 1, max_size=rho + mat.m - 1))
+    top = ToeplitzOp(field, rho, mat.m, values if rho else [])
+    got = top.apply_poly_mat(mat)
+    assert (got.m, got.n) == (rho, mat.n)
+    assert got == _apply_entrywise(top, mat)
+
+
+def test_apply_poly_mat_of_zero_and_large_entries():
+    f61 = FIELDS[-1]
+    for field in (F97, F31, f61):
+        # four products of (p-1)**2 would overflow an unreduced int64 sum
+        top = ToeplitzOp(field, 3, 4, [field.p - 1] * 6)
+        assert top.apply_poly_mat(PolyMat.zero(field, 4, 3)) == PolyMat.zero(field, 3, 3)
+        big = PolyMat(field, [[Poly(field, [field.p - 1] * 5)] * 3] * 4, ncols=3)
+        assert top.apply_poly_mat(big) == _apply_entrywise(top, big)
+
+
+# -- determinant --------------------------------------------------------------------------------
+
+
+@st.composite
+def square_polymats(draw, field, max_dim=5, max_deg=4):
+    """Random, singular (repeated row), zero-column and zero square matrices."""
+    n = draw(st.integers(1, max_dim))
+    d = draw(st.integers(0, max_deg))
+    kind = draw(st.sampled_from(["random", "repeat_row", "zero_col", "zero"]))
+    if kind == "zero":
+        return PolyMat.zero(field, n, n)
+    rows = [[_poly(draw, field, d) for _ in range(n)] for _ in range(n)]
+    if kind == "repeat_row" and n > 1:
+        rows[-1] = [f * 3 for f in rows[0]]
+    elif kind == "zero_col":
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = Poly.zero(field)
+    return PolyMat(field, rows, ncols=n)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_det_same_on_both_sides_of_cutoff(field, data):
+    mat = data.draw(square_polymats(field))
+    want = _det_bareiss(mat)
+    npoints = mat.n * max(0, mat.deg) + 1
+    assert _det_evaluation(mat, npoints) == want
+    assert det_bareiss(mat) == want
+    with batch_cutoff(1):
+        assert det_bareiss(mat) == want
+    with batch_cutoff(10**9):
+        assert det_bareiss(mat) == want
+
+
+def test_det_routes_by_point_count():
+    # 4 x 4 of degree 4: 17 points, above the cutoff; F_7 and F_13 have too few
+    rng = random.Random(8)
+    for field in (PrimeField(7), PrimeField(13), F97, F31):
+        rows = [list(row) for row in rand_polymat(rng, field, 4, 4, 3).rows]
+        rows[0][0] = Poly(field, [1, 0, 0, 0, 1])
+        mat = PolyMat(field, rows, ncols=4)
+        sing = PolyMat(field, rows[:3] + [[f * 2 for f in rows[0]]], ncols=4)
+        assert mat.deg == sing.deg == 4 and 4 * 4 + 1 >= BATCH_CUTOFF
+        with mock.patch.object(oracles, "_det_evaluation", wraps=_det_evaluation) as ev:
+            assert det_bareiss(mat) == _det_bareiss(mat)
+            assert det_bareiss(sing) == _det_bareiss(sing) == Poly.zero(field)
+        assert ev.call_count == (2 if field.p >= 17 else 0)
+
+
+# -- square solving on a singular matrix ----------------------------------------------------
+
+
+def test_square_solve_stops_on_singular_matrix():
+    row = [Poly(F31, [1, 2]), Poly(F31, [3, 1])]
+    b = PolyMat(F31, [row, [f * 5 for f in row]], ncols=2)
+    y = [Poly.one(F31), Poly.x(F31)]
+    # 2 x 2 of degree 1: 3 points, the per-point path
+    with time_budget(5), pytest.raises(ArithmeticError):
+        _solve_square_left(b, y)
+    # 8 x 8 of degree 4: at least 33 points, the batched path
+    b8 = rand_singular(random.Random(4), F31, 8, 4)
+    assert 8 * 4 + 1 >= BATCH_CUTOFF
+    y8 = [Poly(F31, [i + 1, 7]) for i in range(8)]
+    with time_budget(5), pytest.raises(ArithmeticError):
+        _solve_square_left(b8, y8)
+
+
+# -- advertised #S bounds -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pid", PROTOCOL_IDS)
+def test_strict_sigma_matches_recorded_bound(pid):
+    for field in (F31, F97):
+        params = ProtocolParams(p=field.p, sigma=field.p, mode=MODE_FIAT_SHAMIR,
+                                strict=False)
+        for seed in range(4):
+            pub = generate_true_instance(pid, random.Random(seed), field, mmax=5, dmax=3)
+            _, t = run_protocol(pid, pub, params)
+            assert strict_sigma(pid, pub) == t.meta["sigma_lower_bound"], (field.p, seed)
+
+
+@pytest.mark.parametrize("pid", ["rsm", "rs_subset", "rs_equality"])
+def test_rank_zero_row_space_bound_is_recorded_and_enforced(pid):
+    zero = PolyMat.zero(F97, 2, 3)
+    pub = {"A": zero, "v": [Poly.zero(F97)] * 3} if pid == "rsm" else {"A": zero, "B": zero}
+    bound = strict_sigma(pid, pub)
+    ok, t = run_protocol(pid, pub, ProtocolParams(p=97, sigma=bound, mode=MODE_FIAT_SHAMIR,
+                                                  strict=True))
+    assert ok.accepted and t.meta["sigma_lower_bound"] == bound
+    low, _ = run_protocol(pid, pub, ProtocolParams(p=97, sigma=bound - 1,
+                                                   mode=MODE_FIAT_SHAMIR, strict=True))
+    assert not low.accepted and low.reason is Reason.PARAMS_INVALID
