@@ -13,20 +13,20 @@ import sys
 
 import click
 
+from .experiments import (
+    SOUNDNESS_PROTOCOLS,
+    AssemblyError,
+    assemble_public_inputs,
+    run_completeness_experiment,
+    run_soundness_experiment,
+)
 from .ff import DEFAULT_MODULUS, PrimeField
 from .instances import (
     planted_member,
     planted_rank,
     rand_polymat,
 )
-from .oracles import (
-    det_bareiss,
-    hermite_form,
-    kernel_basis_left,
-    popov_form,
-    rank_and_profile,
-    saturation_basis,
-)
+from .oracles import hermite_form
 from .protocols import ProverGaveUp, run_protocol, verify_transcript, PROTOCOL_IDS
 from .transcript import (
     MODE_FIAT_SHAMIR,
@@ -145,60 +145,11 @@ def gen(kind, m, n, d, r, modulus, seed, out):
     click.echo(f"wrote {kind} instance to {out}")
 
 
-def _publics_for(protocol, field, objects, prover_seed):
-    """Assemble protocol public inputs, computing certified objects on demand.
-
-    Computing the result is the Prover's job, so filling in e.g. the Hermite
-    form with the oracle here is exactly the prove-side workflow.
-    """
-    need = lambda name: objects.get(name)
-    a = need("A")
-    if a is None:
-        raise click.UsageError("instance has no matrix A")
-    if protocol in ("singularity", "nonsingularity", "saturated",
-                    "unimod_completable"):
-        return {"A": a}
-    if protocol in ("rank_lb", "rank_ub", "rank"):
-        return {"A": a, "rho": rank_and_profile(a)[0]}
-    if protocol == "determinant":
-        return {"A": a, "delta": det_bareiss(a)}
-    if protocol == "matmul":
-        b = need("B")
-        if b is None or b.m != a.n:
-            raise click.UsageError("matmul needs B with matching dimensions")
-        return {"A": a, "B": b, "C": a.mul(b)}
-    if protocol in ("frrsm", "rsm"):
-        v = need("v")
-        if v is None:
-            raise click.UsageError(f"{protocol} needs a planted-membership instance")
-        return {"A": a, "v": v}
-    if protocol in ("rs_subset", "rs_equality"):
-        b = need("B")
-        if b is None or b.n != a.n:
-            raise click.UsageError(f"{protocol} needs B with the same column count")
-        if protocol == "rs_subset":
-            # guarantee a true statement: the stack [B; A] contains both row spaces
-            return {"A": b, "B": b.stack(a) if a.n == b.n else b}
-        return {"A": a.stack(b), "B": b.stack(a)}
-    if protocol == "row_basis":
-        h, _ = hermite_form(a)
-        return {"A": a, "B": h}
-    if protocol == "hermite":
-        h = need("H")
-        if h is None:
-            h, _ = hermite_form(a)
-        return {"A": a, "H": h}
-    if protocol == "spopov":
-        shift = [0] * a.n
-        return {"A": a, "shift": shift, "P": popov_form(a, shift)}
-    if protocol == "sat_basis":
-        return {"A": a, "B": saturation_basis(a)}
-    if protocol == "kernel_basis":
-        return {"A": a, "B": kernel_basis_left(a)}
-    raise click.UsageError(
-        f"protocol {protocol} cannot be assembled from this instance; "
-        f"supported: see README"
-    )
+def _publics_for(protocol, objects):
+    try:
+        return assemble_public_inputs(protocol, objects)
+    except AssemblyError as exc:
+        raise click.UsageError(f"{protocol}: {exc}")
 
 
 def _common_params(field, sigma, strict, mode, seed):
@@ -220,7 +171,7 @@ def _common_params(field, sigma, strict, mode, seed):
 def prove(protocol, instance, sigma, strict, prover_seed, out):
     """Produce a Fiat-Shamir transcript for a statement about an instance."""
     field, _, objects = _load_instance(instance)
-    pub = _publics_for(protocol, field, objects, prover_seed)
+    pub = _publics_for(protocol, objects)
     params = _common_params(field, sigma, strict, MODE_FIAT_SHAMIR, None)
     try:
         verdict, transcript = run_protocol(protocol, pub, params,
@@ -272,7 +223,7 @@ def verify(transcript_file):
 def run(protocol, instance, mode, sigma, seed, strict, prover_seed, out):
     """Run both parties in process and print the verdict and communication."""
     field, _, objects = _load_instance(instance)
-    pub = _publics_for(protocol, field, objects, prover_seed)
+    pub = _publics_for(protocol, objects)
     seed = seed if seed is not None else _env_int("POLYCERT_SEED", 0)
     params = _common_params(field, sigma, strict, mode, seed)
     try:
@@ -308,12 +259,6 @@ def run(protocol, instance, mode, sigma, seed, strict, prover_seed, out):
 @click.option("--out-dir", type=click.Path(file_okay=False), default=None)
 def experiment(suite, protocol, trials, sigma, seed, modulus, out_dir):
     """Run completeness / soundness experiment suites and report pass/fail."""
-    from .experiments import (
-        SOUNDNESS_PROTOCOLS,
-        run_completeness_experiment,
-        run_soundness_experiment,
-    )
-
     p = modulus if modulus is not None else _env_int("POLYCERT_MODULUS", DEFAULT_MODULUS)
     reports = []
     failed = False

@@ -1,4 +1,8 @@
-"""Completeness and soundness experiment harnesses.
+"""The Prover and test side of every protocol, and the experiment harnesses.
+
+PROVER_SPECS holds each protocol's instance generators, cheat and CLI
+assembly; protocols.PROTOCOLS, which must not see the oracles used here,
+holds its Verifier side.
 
 Completeness: for each protocol, run honest provers on seeded random true
 instances with the sample set sized exactly at the advertised lower bound
@@ -19,240 +23,462 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import adversary, instances
 from .ff import PrimeField
 from .matfield import det_field
-from .oracles import det_bareiss, rank_and_profile
+from .oracles import (
+    det_bareiss,
+    hermite_form,
+    kernel_basis_left,
+    popov_form,
+    rank_and_profile,
+    saturation_basis,
+)
 from .polymat import PolyMat
-from .protocols import ProtocolParams, run_protocol, wdeg
+from .protocols import (ProtocolParams, ProverGaveUp, protocol_spec, row_wdeg,
+                        run_protocol, wdeg)
 from .provers import HonestProver
 from .transcript import MODE_INTERACTIVE
-from .upoly import NEG_INF, Poly
-
-
-# -- advertised #S lower bounds, computed from ground-truth instance data -------
+from .upoly import Poly
 
 
 def strict_sigma(protocol_id: str, pub: dict) -> int:
-    """The advertised lower bound on #S for completeness and 1/2-soundness."""
-    if protocol_id == "singularity":
-        a = pub["A"]
-        return 2 * a.n * wdeg(a.deg)
-    if protocol_id == "nonsingularity":
-        a = pub["A"]
-        return a.n * wdeg(a.deg) + 1
-    if protocol_id == "rank_lb":
-        a = pub["A"]
-        return pub["rho"] * wdeg(a.deg) + 1
-    if protocol_id in ("rank_ub", "rank"):
-        a = pub["A"]
-        r = max(rank_and_profile(a)[0], pub["rho"])
-        return 2 * r * wdeg(a.deg) + 2
-    if protocol_id == "determinant":
-        a = pub["A"]
-        return 2 * a.n * wdeg(a.deg) + 2
-    if protocol_id == "field_det":
-        return 2
-    if protocol_id == "system_solve":
-        d = max(
-            wdeg(pub["A"].deg),
-            _row_wdeg(pub["b"]),
-            _row_wdeg(pub["v"]),
-            wdeg(pub["delta"].deg),
-        )
-        return 4 * d
-    if protocol_id == "matmul":
-        d = max(wdeg(pub["A"].deg), wdeg(pub["B"].deg), wdeg(pub["C"].deg))
-        return 4 * d + 2
-    if protocol_id == "inverse":
-        d = max(wdeg(pub["A"].deg), wdeg(pub["B"].deg))
-        return 4 * d + 2
-    if protocol_id == "frrsm":
-        a = pub["A"]
-        d = max(wdeg(a.deg), _row_wdeg(pub["v"]))
-        return 6 * a.m * d + 2 * d + 2
-    if protocol_id == "coprime":
-        return 2 * max(wdeg(f.deg) for f in pub["f"])
-    if protocol_id == "rsm":
-        a = pub["A"]
-        d = max(wdeg(a.deg), _row_wdeg(pub["v"]))
-        r = rank_and_profile(a)[0]
-        return 8 * r * d + 2 * d + 2
-    if protocol_id in ("rs_subset", "rs_equality"):
-        a, b = pub["A"], pub["B"]
-        d = max(wdeg(a.deg), wdeg(b.deg))
-        r = max(rank_and_profile(a)[0], rank_and_profile(b)[0])
-        return 8 * r * d + 2 * d + 4
-    if protocol_id == "row_basis":
-        a, b = pub["A"], pub["B"]
-        d = max(wdeg(a.deg), wdeg(b.deg))
-        r = max(rank_and_profile(a)[0], rank_and_profile(b)[0], b.m)
-        return 8 * r * d + 2 * d + 6
-    if protocol_id == "hermite":
-        a, h = pub["A"], pub["H"]
-        d = max(wdeg(a.deg), wdeg(h.deg))
-        r = max(rank_and_profile(a)[0], h.m)
-        return 8 * r * d + 2 * d + 4
-    if protocol_id == "spopov":
-        a, pm = pub["A"], pub["P"]
-        d = max(wdeg(a.deg), wdeg(pm.deg))
-        r = max(rank_and_profile(a)[0], pm.m)
-        return 8 * r * d + 2 * d + 4
-    if protocol_id == "saturated":
-        a = pub["A"]
-        return 8 * min(a.m, a.n) * wdeg(a.deg) + 4
-    if protocol_id == "sat_basis":
-        a, b = pub["A"], pub["B"]
-        d = max(wdeg(a.deg), wdeg(b.deg))
-        return 8 * a.n * d + 2 * d + 4
-    if protocol_id == "unimod_completable":
-        a = pub["A"]
-        return 8 * a.m * wdeg(a.deg) + 4
-    if protocol_id == "kernel_basis":
-        a, b = pub["A"], pub["B"]
-        d = max(wdeg(a.deg), wdeg(b.deg))
-        return 8 * a.m * d + 4
-    raise ValueError(f"unknown protocol {protocol_id!r}")
+    """The advertised lower bound on #S for completeness and 1/2-soundness:
+    the protocol spec's formula, at the honest rank claim where it takes one."""
+    spec = protocol_spec(protocol_id)
+    if spec.claimed_rank_of is None:
+        return spec.bound(pub)
+    return spec.bound(pub, rank_and_profile(pub[spec.claimed_rank_of])[0])
 
 
-def _row_wdeg(row) -> int:
-    return wdeg(max((f.deg for f in row), default=NEG_INF))
+def _combine(field, q, a) -> list:
+    """The row vector q A."""
+    return list(PolyMat(field, [q], ncols=a.m).mul(a).rows[0])
 
 
-# -- true-instance generators ------------------------------------------------------
+# -- true-instance generators ----------------------------------------------------------
+# Each takes the seeded rng and field, the size caps mmax and dmax, and the sizes
+# generate_true_instance draws first (m, n, d, and sq for square matrices); it
+# may draw more, and must keep its draw order so that seeded instances stay put.
+
+
+def _true_singularity(rng, field, d, sq, **_):
+    return {"A": instances.rand_singular(rng, field, sq, max(1, d))}
+
+
+def _true_nonsingularity(rng, field, d, sq, **_):
+    return {"A": instances.rand_nonsingular(rng, field, sq, d)}
+
+
+def _true_rank_lb(rng, field, m, n, d, **_):
+    a = instances.rand_polymat(rng, field, m, n, d)
+    return {"A": a, "rho": rng.randint(0, rank_and_profile(a)[0])}
+
+
+def _true_rank_ub(rng, field, m, n, d, **_):
+    a = instances.rand_polymat(rng, field, m, n, d)
+    return {"A": a, "rho": rng.randint(rank_and_profile(a)[0], min(m, n))}
+
+
+def _true_rank(rng, field, m, n, d, **_):
+    a = instances.rand_polymat(rng, field, m, n, d)
+    return {"A": a, "rho": rank_and_profile(a)[0]}
+
+
+def _true_determinant(rng, field, d, sq, **_):
+    if rng.random() < 0.8:
+        a = instances.rand_polymat(rng, field, sq, sq, d)
+    else:
+        a = instances.rand_singular(rng, field, sq, max(1, d))
+    return {"A": a, "delta": det_bareiss(a)}
+
+
+def _true_field_det(rng, field, sq, **_):
+    b = instances.rand_field_mat(rng, field, sq, sq)
+    return {"B": b, "beta": det_field(b)}
+
+
+def _true_system_solve(rng, field, m, n, d, **_):
+    a = instances.rand_polymat(rng, field, m, n, d)
+    v0 = instances.rand_poly_row(rng, field, n, d)
+    delta = instances.rand_poly(rng, field, d, nonzero=True)
+    b = _combine(field, v0, a.transpose())  # A v0 as a row
+    return {"A": a, "b": b, "v": [delta * f for f in v0], "delta": delta}
+
+
+def _true_matmul(rng, field, mmax, m, n, d, **_):
+    k = rng.randrange(1, mmax + 1)
+    a = instances.rand_polymat(rng, field, m, k, d)
+    b = instances.rand_polymat(rng, field, k, n, d)
+    return {"A": a, "B": b, "C": a.mul(b)}
+
+
+def _true_inverse(rng, field, sq, **_):
+    u, uinv = instances.rand_unimodular_with_inverse(rng, field, sq, dmax=1)
+    return {"A": u, "B": uinv}
+
+
+def _true_frrsm(rng, field, mmax, d, **_):
+    mm = rng.randrange(1, mmax + 1)
+    nn = rng.randrange(mm, mmax + 1)
+    while True:
+        a = instances.rand_polymat(rng, field, mm, nn, d)
+        if rank_and_profile(a)[0] == mm:
+            break
+    q = [instances.rand_poly(rng, field, 2) for _ in range(mm)]
+    return {"A": a, "v": _combine(field, q, a)}
+
+
+def _true_coprime(rng, field, d, **_):
+    t = rng.randrange(1, 5)
+    return {"f": instances.rand_coprime_family(rng, field, t, max(1, d))}
+
+
+def _true_rsm(rng, field, mmax, n, d, **_):
+    base_m = rng.randrange(1, max(2, mmax - 1))
+    a = instances.rand_polymat(rng, field, base_m, n, d)
+    for _ in range(rng.randrange(0, 3)):
+        q = [instances.rand_poly(rng, field, 1) for _ in range(a.m)]
+        a = a.stack(PolyMat(field, [_combine(field, q, a)], ncols=n))
+    q = [instances.rand_poly(rng, field, 2) for _ in range(a.m)]
+    return {"A": a, "v": _combine(field, q, a)}
+
+
+def _true_rs_subset(rng, field, mmax, m, n, d, **_):
+    lm = rng.randrange(1, mmax + 1)
+    b = instances.rand_polymat(rng, field, lm, n, d)
+    t = instances.rand_polymat(rng, field, m, lm, 1)
+    return {"A": t.mul(b), "B": b}
+
+
+def _true_rs_equality(rng, field, m, n, d, **_):
+    b = instances.rand_polymat(rng, field, m, n, d)
+    if rng.random() < 0.5:
+        u = instances.rand_unimodular(rng, field, m, dmax=1)
+        return {"A": u.mul(b), "B": b}
+    t = instances.rand_polymat(rng, field, rng.randrange(1, 3), m, 1)
+    return {"A": b.stack(t.mul(b)), "B": b}
+
+
+def _true_row_basis(rng, field, mmax, dmax, m, n, d, **_):
+    a = instances.rand_polymat(rng, field, m, n, d)
+    h = hermite_form(a)[0]
+    if h.m == 0:
+        return generate_true_instance("row_basis", rng, field, mmax, dmax)
+    return {"A": a, "B": h}
+
+
+def _true_hermite(rng, field, m, n, d, **_):
+    a, h = instances.planted_hermite_instance(rng, field, m, n, d)
+    return {"A": a, "H": h}
+
+
+def _true_spopov(rng, field, m, n, d, **_):
+    a, shift, pm = instances.planted_popov_instance(rng, field, m, n, d)
+    return {"A": a, "shift": shift, "P": pm}
+
+
+def _true_saturated(rng, field, mmax, d, **_):
+    if rng.random() < 0.5:
+        mm = rng.randrange(1, mmax + 1)
+        nn = rng.randrange(mm, mmax + 1)
+        return {"A": instances.planted_saturated(rng, field, mm, nn, d)}
+    nn = rng.randrange(1, max(2, mmax // 2))
+    mm = rng.randrange(nn + 1, nn + 3)
+    return {"A": instances.planted_full_col_rank_saturated(rng, field, mm, nn, 1)}
+
+
+def _true_sat_basis(rng, field, m, n, d, **_):
+    a, b = instances.planted_sat_basis_instance(rng, field, m, n, d)
+    return {"A": a, "B": b}
+
+
+def _true_unimod_completable(rng, field, mmax, **_):
+    nn = rng.randrange(2, mmax + 1)
+    mm = rng.randrange(1, nn)
+    return {"A": instances.planted_unimodular_completable(rng, field, mm, nn, 1)}
+
+
+def _true_kernel_basis(rng, field, mmax, d, **_):
+    mm = rng.randrange(1, mmax + 1)
+    nn = rng.randrange(1, mmax + 1)
+    a, b = instances.planted_kernel_instance(rng, field, mm, nn, d)
+    return {"A": a, "B": b}
+
+
+# -- false instances and their cheats ----------------------------------------------------
+# Each takes (rng, field, sigma) and returns (public inputs, prover, theoretical
+# acceptance bound c/#S, description).
+
+
+def _false_singularity(rng, field, sigma):
+    a = instances.rand_nonsingular(rng, field, 3, 2)
+    bound = a.n * wdeg(a.deg) / sigma
+    return {"A": a}, HonestProver(seed=1), bound, "nonsingular 3x3 deg 2"
+
+
+def _false_nonsingularity(rng, field, sigma):
+    a = instances.rand_singular(rng, field, 3, 2)
+    cheat = adversary.CheatNonSingularity(a, seed=1)
+    return {"A": a}, cheat, 1.0 / sigma, "singular 3x3 deg 2"
+
+
+def _false_rank_lb(rng, field, sigma):
+    a = instances.planted_rank(rng, field, 4, 4, 2, 2)
+    cheat = adversary.CheatRankLowerBound(a, 3, seed=1)
+    return {"A": a, "rho": 3}, cheat, 1.0 / sigma, "rank-2 4x4, claimed 3"
+
+
+def _false_rank_ub(rng, field, sigma):
+    a = instances.planted_rank(rng, field, 4, 4, 3, 2)
+    bound = (rank_and_profile(a)[0] * wdeg(a.deg) + 1) / sigma
+    cheat = adversary.CheatRankUpperBound(a, 2, seed=1)
+    return {"A": a, "rho": 2}, cheat, bound, "rank-3 4x4, claimed 2"
+
+
+def _false_determinant(rng, field, sigma):
+    p = field.p
+    a = instances.rand_nonsingular(rng, field, 3, 2)
+    n, d = a.n, wdeg(a.deg)
+    true_det = det_bareiss(a)
+    offset = Poly.one(field)
+    for i in range(min(n * d, sigma)):
+        offset = offset * Poly(field, [(p - i) % p, 1])
+    delta = true_det + offset
+    assert delta != true_det
+    return ({"A": a, "delta": delta}, HonestProver(seed=1), (n * d + 1) / sigma,
+            "det shifted by a polynomial vanishing on S-prefix")
+
+
+def _false_system_solve(rng, field, sigma):
+    # A v = delta b stays true when v[i] moves along a zero column of A,
+    # so draw again until A has a nonzero column i to perturb along
+    pub = generate_true_instance("system_solve", rng, field, mmax=3, dmax=2)
+    while pub["A"].is_zero():
+        pub = generate_true_instance("system_solve", rng, field, mmax=3, dmax=2)
+    a = pub["A"]
+    v = list(pub["v"])
+    i = rng.randrange(len(v))
+    while all(row[i].is_zero() for row in a.rows):
+        i = rng.randrange(len(v))
+    v[i] = v[i] + Poly(field, [0, 1 + rng.randrange(field.p - 1)])
+    pub = dict(pub, v=v)
+    d = max(
+        wdeg(pub["A"].deg), row_wdeg(pub["b"]), row_wdeg(pub["v"]),
+        wdeg(pub["delta"].deg),
+    )
+    return pub, HonestProver(seed=1), 2 * d / sigma, "perturbed solution entry"
+
+
+def _false_matmul(rng, field, sigma):
+    p = field.p
+    a = instances.rand_polymat(rng, field, 3, 3, 2)
+    b = instances.rand_polymat(rng, field, 3, 3, 2)
+    c = a.mul(b)
+    rows = [list(r) for r in c.rows]
+    rows[rng.randrange(3)][rng.randrange(3)] += Poly(
+        field, [rng.randrange(1, p), rng.randrange(1, p)]
+    )
+    cbad = PolyMat(field, rows, ncols=3)
+    assert not cbad.sub(c).is_zero()
+    bound = (wdeg(a.deg) + wdeg(b.deg) + 1) / sigma
+    return ({"A": a, "B": b, "C": cbad}, HonestProver(seed=1), bound,
+            "one product entry perturbed")
+
+
+def _false_field_det(rng, field, sigma):
+    p = field.p
+    b = instances.rand_field_mat(rng, field, 4, 4)
+    beta = (det_field(b) + 1 + rng.randrange(p - 1)) % p
+    if beta == det_field(b):
+        beta = (beta + 1) % p
+    cheat = adversary.CheatFieldDeterminant(b, beta, seed=1)
+    return {"B": b, "beta": beta}, cheat, 1.0 / sigma, "wrong field determinant"
+
+
+def _false_frrsm(rng, field, sigma):
+    a, v = instances.planted_nonmember_rational(rng, field, 3, 4, 2)
+    bound = (3 * a.m * wdeg(a.deg) + row_wdeg(v) + 1) / sigma
+    cheat = adversary.CheatFullRankMembership(a, v, sigma=sigma, seed=1)
+    return {"A": a, "v": v}, cheat, bound, "rational non-polynomial solution"
+
+
+def _false_coprime(rng, field, sigma):
+    x = Poly.x(field)
+    fs = [x, x * x, x * x * x]
+    bound = (2 * row_wdeg(fs) - 1) / sigma
+    cheat = adversary.CheatCoprime(fs, sigma, seed=1)
+    return {"f": fs}, cheat, bound, "(x, x^2, x^3): gcd x"
+
+
+def _false_rsm(rng, field, sigma):
+    a, v = instances.planted_nonmember_rational(rng, field, 2, 3, 1)
+    q = [instances.rand_poly(rng, field, 1) for _ in range(a.m)]
+    a = a.stack(PolyMat(field, [_combine(field, q, a)], ncols=a.n))
+    r = rank_and_profile(a)[0]
+    bound = (4 * r * wdeg(a.deg) + row_wdeg(v) + 1) / sigma
+    cheat = adversary.CheatRowSpaceMembership(a, v, sigma, seed=1)
+    return {"A": a, "v": v}, cheat, bound, "rank-deficient, rational-only membership"
+
+
+# -- public inputs from an instance file, for the CLI ------------------------------------
+
+
+class AssemblyError(ValueError):
+    """An instance file lacks what a protocol's public inputs are built from."""
+
+
+def _a(objects) -> PolyMat:
+    a = objects.get("A")
+    if not isinstance(a, PolyMat):
+        raise AssemblyError("instance has no matrix A")
+    return a
+
+
+def _a_with(name, certify):
+    """Assemble the file's A and the object certify(A) the Prover computes."""
+    def assemble(objects):
+        a = _a(objects)
+        return {"A": a, name: certify(a)}
+    return assemble
+
+
+def _assemble_a(objects):
+    return {"A": _a(objects)}
+
+
+def _square_det(a):
+    if a.m != a.n:
+        raise AssemblyError("needs a square matrix A")
+    return det_bareiss(a)
+
+
+def _assemble_matmul(objects):
+    a, b = _a(objects), objects.get("B")
+    if not isinstance(b, PolyMat) or b.m != a.n:
+        raise AssemblyError("needs B with as many rows as A has columns")
+    return {"A": a, "B": b, "C": a.mul(b)}
+
+
+def _assemble_membership(objects):
+    a, v = _a(objects), objects.get("v")
+    if not isinstance(v, list):
+        raise AssemblyError("needs the vector v of a planted-membership instance")
+    return {"A": a, "v": v}
+
+
+def _a_and_b(objects):
+    a, b = _a(objects), objects.get("B")
+    if not isinstance(b, PolyMat) or b.n != a.n:
+        raise AssemblyError("needs B with as many columns as A")
+    return a, b
+
+
+def _assemble_rs_subset(objects):
+    # the stack [B; A] contains both row spaces, so the statement is true
+    a, b = _a_and_b(objects)
+    return {"A": b, "B": b.stack(a)}
+
+
+def _assemble_rs_equality(objects):
+    a, b = _a_and_b(objects)
+    return {"A": a.stack(b), "B": b.stack(a)}
+
+
+def _assemble_hermite(objects):
+    a, h = _a(objects), objects.get("H")
+    return {"A": a, "H": h if isinstance(h, PolyMat) else hermite_form(a)[0]}
+
+
+def _assemble_spopov(objects):
+    a = _a(objects)
+    shift = [0] * a.n
+    return {"A": a, "shift": shift, "P": popov_form(a, shift)}
+
+
+# -- the table ---------------------------------------------------------------------------
+
+
+class ProverSpec(NamedTuple):
+    """The Prover and test side of one protocol; protocols.PROTOCOLS holds
+    its Verifier side.  None marks a protocol without a false instance, or
+    one the CLI cannot build from an instance file."""
+
+    true_instance: Callable           # the generators above
+    false_instance: Callable | None   # see "false instances and their cheats"
+    assemble: Callable | None         # instance-file objects -> public inputs
+
+
+_assemble_rank = _a_with("rho", lambda a: rank_and_profile(a)[0])
+
+PROVER_SPECS = {
+    "singularity": ProverSpec(_true_singularity, _false_singularity, _assemble_a),
+    "nonsingularity": ProverSpec(_true_nonsingularity, _false_nonsingularity,
+                                 _assemble_a),
+    "rank_lb": ProverSpec(_true_rank_lb, _false_rank_lb, _assemble_rank),
+    "rank_ub": ProverSpec(_true_rank_ub, _false_rank_ub, _assemble_rank),
+    "rank": ProverSpec(_true_rank, None, _assemble_rank),
+    "determinant": ProverSpec(_true_determinant, _false_determinant,
+                              _a_with("delta", _square_det)),
+    "field_det": ProverSpec(_true_field_det, _false_field_det, None),
+    "system_solve": ProverSpec(_true_system_solve, _false_system_solve, None),
+    "matmul": ProverSpec(_true_matmul, _false_matmul, _assemble_matmul),
+    "inverse": ProverSpec(_true_inverse, None, None),
+    "frrsm": ProverSpec(_true_frrsm, _false_frrsm, _assemble_membership),
+    "coprime": ProverSpec(_true_coprime, _false_coprime, None),
+    "rsm": ProverSpec(_true_rsm, _false_rsm, _assemble_membership),
+    "rs_subset": ProverSpec(_true_rs_subset, None, _assemble_rs_subset),
+    "rs_equality": ProverSpec(_true_rs_equality, None, _assemble_rs_equality),
+    "row_basis": ProverSpec(_true_row_basis, None,
+                            _a_with("B", lambda a: hermite_form(a)[0])),
+    "hermite": ProverSpec(_true_hermite, None, _assemble_hermite),
+    "spopov": ProverSpec(_true_spopov, None, _assemble_spopov),
+    "saturated": ProverSpec(_true_saturated, None, _assemble_a),
+    "sat_basis": ProverSpec(_true_sat_basis, None, _a_with("B", saturation_basis)),
+    "unimod_completable": ProverSpec(_true_unimod_completable, None, _assemble_a),
+    "kernel_basis": ProverSpec(_true_kernel_basis, None, _a_with("B", kernel_basis_left)),
+}
+
+
+def _prover_spec(protocol_id: str) -> ProverSpec:
+    spec = PROVER_SPECS.get(protocol_id)
+    if spec is None:
+        raise ValueError(f"unknown protocol {protocol_id!r}")
+    return spec
 
 
 def generate_true_instance(protocol_id: str, rng: random.Random, field: PrimeField,
                            mmax: int = 8, dmax: int = 4) -> dict:
     """A seeded random true instance for the protocol, oracle-verified."""
+    make = _prover_spec(protocol_id).true_instance
     m = rng.randrange(1, mmax + 1)
     n = rng.randrange(1, mmax + 1)
     d = rng.randrange(0, dmax + 1)
     sq = max(2, rng.randrange(2, mmax + 1))
-    if protocol_id == "singularity":
-        return {"A": instances.rand_singular(rng, field, sq, max(1, d))}
-    if protocol_id == "nonsingularity":
-        return {"A": instances.rand_nonsingular(rng, field, sq, d)}
-    if protocol_id == "rank_lb":
-        a = instances.rand_polymat(rng, field, m, n, d)
-        r = rank_and_profile(a)[0]
-        return {"A": a, "rho": rng.randint(0, r)}
-    if protocol_id == "rank_ub":
-        a = instances.rand_polymat(rng, field, m, n, d)
-        r = rank_and_profile(a)[0]
-        return {"A": a, "rho": rng.randint(r, min(m, n))}
-    if protocol_id == "rank":
-        a = instances.rand_polymat(rng, field, m, n, d)
-        return {"A": a, "rho": rank_and_profile(a)[0]}
-    if protocol_id == "determinant":
-        a = (
-            instances.rand_polymat(rng, field, sq, sq, d)
-            if rng.random() < 0.8
-            else instances.rand_singular(rng, field, sq, max(1, d))
-        )
-        return {"A": a, "delta": det_bareiss(a)}
-    if protocol_id == "field_det":
-        b = instances.rand_field_mat(rng, field, sq, sq)
-        return {"B": b, "beta": det_field(b)}
-    if protocol_id == "system_solve":
-        a = instances.rand_polymat(rng, field, m, n, d)
-        v0 = instances.rand_poly_row(rng, field, n, d)
-        delta = instances.rand_poly(rng, field, d, nonzero=True)
-        v = [delta * f for f in v0]
-        b = [
-            sum((a.rows[i][j] * v0[j] for j in range(n)), Poly.zero(field))
-            for i in range(m)
-        ]
-        return {"A": a, "b": b, "v": v, "delta": delta}
-    if protocol_id == "matmul":
-        k = rng.randrange(1, mmax + 1)
-        a = instances.rand_polymat(rng, field, m, k, d)
-        b = instances.rand_polymat(rng, field, k, n, d)
-        return {"A": a, "B": b, "C": a.mul(b)}
-    if protocol_id == "inverse":
-        u, uinv = instances.rand_unimodular_with_inverse(rng, field, sq, dmax=1)
-        return {"A": u, "B": uinv}
-    if protocol_id == "frrsm":
-        mm = rng.randrange(1, mmax + 1)
-        nn = rng.randrange(mm, mmax + 1)
-        while True:
-            a = instances.rand_polymat(rng, field, mm, nn, d)
-            if rank_and_profile(a)[0] == mm:
-                break
-        q = [instances.rand_poly(rng, field, 2) for _ in range(mm)]
-        v = [
-            sum((q[i] * a.rows[i][j] for i in range(mm)), Poly.zero(field))
-            for j in range(nn)
-        ]
-        return {"A": a, "v": v}
-    if protocol_id == "coprime":
-        t = rng.randrange(1, 5)
-        return {"f": instances.rand_coprime_family(rng, field, t, max(1, d))}
-    if protocol_id == "rsm":
-        base_m = rng.randrange(1, max(2, mmax - 1))
-        a = instances.rand_polymat(rng, field, base_m, n, d)
-        extra = rng.randrange(0, 3)
-        for _ in range(extra):
-            q = [instances.rand_poly(rng, field, 1) for _ in range(a.m)]
-            row = [
-                sum((q[i] * a.rows[i][j] for i in range(a.m)), Poly.zero(field))
-                for j in range(n)
-            ]
-            a = a.stack(PolyMat(field, [row], ncols=n))
-        q = [instances.rand_poly(rng, field, 2) for _ in range(a.m)]
-        v = [
-            sum((q[i] * a.rows[i][j] for i in range(a.m)), Poly.zero(field))
-            for j in range(n)
-        ]
-        return {"A": a, "v": v}
-    if protocol_id == "rs_subset":
-        lm = rng.randrange(1, mmax + 1)
-        b = instances.rand_polymat(rng, field, lm, n, d)
-        t = instances.rand_polymat(rng, field, m, lm, 1)
-        return {"A": t.mul(b), "B": b}
-    if protocol_id == "rs_equality":
-        b = instances.rand_polymat(rng, field, m, n, d)
-        if rng.random() < 0.5:
-            u = instances.rand_unimodular(rng, field, m, dmax=1)
-            return {"A": u.mul(b), "B": b}
-        t = instances.rand_polymat(rng, field, rng.randrange(1, 3), m, 1)
-        return {"A": b.stack(t.mul(b)), "B": b}
-    if protocol_id == "row_basis":
-        from .oracles import hermite_form
+    return make(rng=rng, field=field, mmax=mmax, dmax=dmax, m=m, n=n, d=d, sq=sq)
 
-        a = instances.rand_polymat(rng, field, m, n, d)
-        h, _ = hermite_form(a)
-        if h.m == 0:
-            return generate_true_instance(protocol_id, rng, field, mmax, dmax)
-        return {"A": a, "B": h}
-    if protocol_id == "hermite":
-        a, h = instances.planted_hermite_instance(rng, field, m, n, d)
-        return {"A": a, "H": h}
-    if protocol_id == "spopov":
-        a, shift, pm = instances.planted_popov_instance(rng, field, m, n, d)
-        return {"A": a, "shift": shift, "P": pm}
-    if protocol_id == "saturated":
-        if rng.random() < 0.5:
-            mm = rng.randrange(1, mmax + 1)
-            nn = rng.randrange(mm, mmax + 1)
-            return {"A": instances.planted_saturated(rng, field, mm, nn, d)}
-        nn = rng.randrange(1, max(2, mmax // 2))
-        mm = rng.randrange(nn + 1, nn + 3)
-        return {"A": instances.planted_full_col_rank_saturated(rng, field, mm, nn, 1)}
-    if protocol_id == "sat_basis":
-        a, b = instances.planted_sat_basis_instance(rng, field, m, n, d)
-        return {"A": a, "B": b}
-    if protocol_id == "unimod_completable":
-        nn = rng.randrange(2, mmax + 1)
-        mm = rng.randrange(1, nn)
-        return {"A": instances.planted_unimodular_completable(rng, field, mm, nn, 1)}
-    if protocol_id == "kernel_basis":
-        mm = rng.randrange(1, mmax + 1)
-        nn = rng.randrange(1, mmax + 1)
-        a, b = instances.planted_kernel_instance(rng, field, mm, nn, d)
-        return {"A": a, "B": b}
-    raise ValueError(f"unknown protocol {protocol_id!r}")
+
+def make_false_instance(protocol_id: str, rng: random.Random, field: PrimeField,
+                        sigma: int):
+    """(public, prover, theoretical bound, description) for a false statement."""
+    make = _prover_spec(protocol_id).false_instance
+    if make is None:
+        raise ValueError(f"no soundness experiment for {protocol_id!r}")
+    return make(rng, field, sigma)
+
+
+def assemble_public_inputs(protocol_id: str, objects: dict) -> dict:
+    """Public inputs from an instance file's objects, the certified object
+    computed by the Prover's oracle; AssemblyError when the file does not fit."""
+    assemble = _prover_spec(protocol_id).assemble
+    if assemble is None:
+        supported = ", ".join(pid for pid, s in PROVER_SPECS.items() if s.assemble)
+        raise AssemblyError(
+            f"cannot be assembled from an instance file; supported: {supported}"
+        )
+    return assemble(objects)
 
 
 @dataclass
@@ -302,13 +528,9 @@ def run_completeness_experiment(
             verdict, _ = run_protocol(
                 protocol_id, pub, params, prover_seed=rng.randrange(2**62)
             )
-        except Exception as exc:  # ProverGaveUp or a genuine bug
-            from .protocols import ProverGaveUp
-
-            if isinstance(exc, ProverGaveUp):
-                gave_up += 1
-                continue
-            raise
+        except ProverGaveUp:
+            gave_up += 1
+            continue
         if not verdict.accepted:
             rejections += 1
     return CompletenessReport(protocol_id, trials, rejections, gave_up)
@@ -354,141 +576,6 @@ class SoundnessReport:
             "tolerance": self.tolerance,
             "passed": self.passed,
         }
-
-
-def make_false_instance(protocol_id: str, rng: random.Random, field: PrimeField,
-                        sigma: int):
-    """(public, prover, theoretical bound, description) for a false statement."""
-    p = field.p
-    if protocol_id == "singularity":
-        a = instances.rand_nonsingular(rng, field, 3, 2)
-        bound = a.n * wdeg(a.deg) / sigma
-        return {"A": a}, HonestProver(seed=1), bound, "nonsingular 3x3 deg 2"
-    if protocol_id == "nonsingularity":
-        a = instances.rand_singular(rng, field, 3, 2)
-        return (
-            {"A": a},
-            adversary.CheatNonSingularity(a, seed=1),
-            1.0 / sigma,
-            "singular 3x3 deg 2",
-        )
-    if protocol_id == "rank_lb":
-        a = instances.planted_rank(rng, field, 4, 4, 2, 2)
-        pub = {"A": a, "rho": 3}
-        return (
-            pub,
-            adversary.CheatRankLowerBound(a, 3, seed=1),
-            1.0 / sigma,
-            "rank-2 4x4, claimed 3",
-        )
-    if protocol_id == "rank_ub":
-        a = instances.planted_rank(rng, field, 4, 4, 3, 2)
-        r = rank_and_profile(a)[0]
-        pub = {"A": a, "rho": 2}
-        return (
-            pub,
-            adversary.CheatRankUpperBound(a, 2, seed=1),
-            (r * wdeg(a.deg) + 1) / sigma,
-            "rank-3 4x4, claimed 2",
-        )
-    if protocol_id == "determinant":
-        a = instances.rand_nonsingular(rng, field, 3, 2)
-        n, d = a.n, wdeg(a.deg)
-        true_det = det_bareiss(a)
-        offset = Poly.one(field)
-        for i in range(min(n * d, sigma)):
-            offset = offset * Poly(field, [(p - i) % p, 1])
-        delta = true_det + offset
-        assert delta != true_det
-        return (
-            {"A": a, "delta": delta},
-            HonestProver(seed=1),
-            (n * d + 1) / sigma,
-            "det shifted by a polynomial vanishing on S-prefix",
-        )
-    if protocol_id == "system_solve":
-        # A v = delta b stays true when v[i] moves along a zero column of A,
-        # so draw again until A has a nonzero column i to perturb along
-        pub = generate_true_instance("system_solve", rng, field, mmax=3, dmax=2)
-        while pub["A"].is_zero():
-            pub = generate_true_instance("system_solve", rng, field, mmax=3, dmax=2)
-        a = pub["A"]
-        v = list(pub["v"])
-        i = rng.randrange(len(v))
-        while all(row[i].is_zero() for row in a.rows):
-            i = rng.randrange(len(v))
-        v[i] = v[i] + Poly(field, [0, 1 + rng.randrange(p - 1)])
-        pub = dict(pub, v=v)
-        d = max(
-            wdeg(pub["A"].deg), _row_wdeg(pub["b"]), _row_wdeg(pub["v"]),
-            wdeg(pub["delta"].deg),
-        )
-        return pub, HonestProver(seed=1), 2 * d / sigma, "perturbed solution entry"
-    if protocol_id == "matmul":
-        a = instances.rand_polymat(rng, field, 3, 3, 2)
-        b = instances.rand_polymat(rng, field, 3, 3, 2)
-        c = a.mul(b)
-        rows = [list(r) for r in c.rows]
-        rows[rng.randrange(3)][rng.randrange(3)] += Poly(
-            field, [rng.randrange(1, p), rng.randrange(1, p)]
-        )
-        cbad = PolyMat(field, rows, ncols=3)
-        assert not cbad.sub(a.mul(b)).is_zero()
-        bound = (wdeg(a.deg) + wdeg(b.deg) + 1) / sigma
-        return (
-            {"A": a, "B": b, "C": cbad},
-            HonestProver(seed=1),
-            bound,
-            "one product entry perturbed",
-        )
-    if protocol_id == "field_det":
-        b = instances.rand_field_mat(rng, field, 4, 4)
-        beta = (det_field(b) + 1 + rng.randrange(p - 1)) % p
-        if beta == det_field(b):
-            beta = (beta + 1) % p
-        return (
-            {"B": b, "beta": beta},
-            adversary.CheatFieldDeterminant(b, beta, seed=1),
-            1.0 / sigma,
-            "wrong field determinant",
-        )
-    if protocol_id == "frrsm":
-        a, v = instances.planted_nonmember_rational(rng, field, 3, 4, 2)
-        d = max(wdeg(a.deg), _row_wdeg(v))
-        bound = (3 * a.m * wdeg(a.deg) + _row_wdeg(v) + 1) / sigma
-        return (
-            {"A": a, "v": v},
-            adversary.CheatFullRankMembership(a, v, sigma=sigma, seed=1),
-            bound,
-            "rational non-polynomial solution",
-        )
-    if protocol_id == "coprime":
-        x = Poly.x(field)
-        fs = [x, x * x, x * x * x]
-        d = max(wdeg(f.deg) for f in fs)
-        return (
-            {"f": fs},
-            adversary.CheatCoprime(fs, sigma, seed=1),
-            (2 * d - 1) / sigma,
-            "(x, x^2, x^3): gcd x",
-        )
-    if protocol_id == "rsm":
-        a, v = instances.planted_nonmember_rational(rng, field, 2, 3, 1)
-        q = [instances.rand_poly(rng, field, 1) for _ in range(a.m)]
-        row = [
-            sum((q[i] * a.rows[i][j] for i in range(a.m)), Poly.zero(field))
-            for j in range(a.n)
-        ]
-        a = a.stack(PolyMat(field, [row], ncols=a.n))
-        r = rank_and_profile(a)[0]
-        bound = (4 * r * wdeg(a.deg) + _row_wdeg(v) + 1) / sigma
-        return (
-            {"A": a, "v": v},
-            adversary.CheatRowSpaceMembership(a, v, sigma, seed=1),
-            bound,
-            "rank-deficient, rational-only membership",
-        )
-    raise ValueError(f"no soundness experiment for {protocol_id!r}")
 
 
 def run_soundness_experiment(

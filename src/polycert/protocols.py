@@ -12,13 +12,17 @@ must not import :mod:`polycert.oracles`, and products like C.A exist only
 as evaluation views.  Everything the Verifier does is evaluation, matrix-
 vector work over the base field, degree bookkeeping, and shape checks.
 
-Strict mode enforces the advertised #S lower bound of the protocol actually
-being run (the top-level one); bounds of nested sub-protocols are not
-enforced separately, since the top-level bound is the one that guarantees
-completeness and 1/2-soundness for the composite.
+Each protocol is registered once, by the ``@protocol`` decorator on its
+runner: its id, its public-input schema and its advertised #S lower bound
+form one :class:`ProtocolSpec` in :data:`PROTOCOLS`.  Strict mode enforces
+the bound of the protocol actually being run (the top-level one); bounds of
+nested sub-protocols are not enforced separately, since the top-level bound
+is the one that guarantees completeness and 1/2-soundness for the composite.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 from .ff import PrimeField
 from .matfield import FieldMat, hamming_weight, is_permutation, perm_sign
@@ -64,31 +68,6 @@ from .transcript import (
     polyvec_to_payload,
 )
 from .upoly import NEG_INF, Poly, deg_add, deg_le, deg_scale
-
-PROTOCOL_IDS = (
-    "singularity",
-    "nonsingularity",
-    "rank_lb",
-    "rank_ub",
-    "rank",
-    "determinant",
-    "field_det",
-    "system_solve",
-    "matmul",
-    "inverse",
-    "frrsm",
-    "coprime",
-    "rsm",
-    "rs_subset",
-    "rs_equality",
-    "row_basis",
-    "hermite",
-    "spopov",
-    "saturated",
-    "sat_basis",
-    "unimod_completable",
-    "kernel_basis",
-)
 
 
 class ProtocolReject(Exception):
@@ -136,7 +115,10 @@ def rsm_rounds(sigma: int, rho: int, deg_a) -> int:
 class Session:
     """Single protocol run: message recording/replay plus challenge derivation."""
 
-    def __init__(self, transcript: Transcript, prover=None, replay: bool = False):
+    def __init__(self, spec: "ProtocolSpec", pub: dict, transcript: Transcript,
+                 prover=None, replay: bool = False):
+        self.spec = spec
+        self.pub = pub
         self.transcript = transcript
         self.params = transcript.params
         self.field: PrimeField = transcript.params.field()
@@ -145,7 +127,6 @@ class Session:
         self.replay = replay
         self._cursor = 0
         self._sub_stack: list[str] = []
-        self.rsm_strict_slack: int | None = None
         self.source = ChallengeSource(self.params, transcript.domain_tag())
         if self.source.hashes:
             self.source.absorb(transcript.hash_prefix())
@@ -163,15 +144,20 @@ class Session:
 
     # -- strict-mode bound -----------------------------------------------------
 
-    def declare_bound(self, bound: int):
-        """Record the advertised #S lower bound; enforce it at top level in strict mode."""
-        if not self._sub_stack:
-            self.transcript.meta.setdefault("sigma_lower_bound", bound)
-            if self.params.strict and self.sigma < bound:
-                self.fail(
-                    Reason.PARAMS_INVALID,
-                    f"strict mode needs sigma >= {bound}, got {self.sigma}",
-                )
+    def declare_bound(self, rank_claim: int | None = None):
+        """Record the run's advertised #S lower bound, the top-level spec's
+        formula, and enforce it in strict mode.  A spec whose bound takes the
+        Prover's rank claim is declared once the claim arrives."""
+        if rank_claim is None:
+            bound = self.spec.bound(self.pub)
+        else:
+            bound = self.spec.bound(self.pub, rank_claim)
+        self.transcript.meta.setdefault("sigma_lower_bound", bound)
+        if self.params.strict and self.sigma < bound:
+            self.fail(
+                Reason.PARAMS_INVALID,
+                f"strict mode needs sigma >= {bound}, got {self.sigma}",
+            )
 
     # -- message plumbing ----------------------------------------------------
 
@@ -342,7 +328,81 @@ class Session:
             self.fail(Reason.MALFORMED_MESSAGE, "trailing messages in transcript")
 
 
+# -- the registry -------------------------------------------------------------------
+
+
+class PayloadKind(NamedTuple):
+    """How one kind of public input travels in a transcript."""
+
+    cls: type                 # the payload class the transcript must hold
+    to_payload: Callable      # domain object -> payload
+    from_payload: Callable    # (field, payload) -> domain object
+    noun: str                 # what a wrong payload was expected to be
+
+
+_PM = PayloadKind(PolyMatrixPayload, polymat_to_payload, payload_to_polymat,
+                  "a polynomial matrix")
+_PV = PayloadKind(PolyVectorPayload, polyvec_to_payload, payload_to_polyvec,
+                  "a polynomial vector")
+_PO = PayloadKind(PolyPayload, poly_to_payload, payload_to_poly, "a polynomial")
+_FM = PayloadKind(FieldMatrixPayload, fieldmat_to_payload, payload_to_fieldmat,
+                  "a field matrix")
+_FS = PayloadKind(FieldScalar, FieldScalar, lambda field, pl: pl.value, "a scalar")
+_RC = PayloadKind(RankClaimPayload, RankClaimPayload, lambda field, pl: pl.value,
+                  "a rank claim")
+_SH = PayloadKind(ShiftPayload, lambda shift: ShiftPayload(tuple(shift)),
+                  lambda field, pl: list(pl.values), "a shift")
+
+
+class ProtocolSpec(NamedTuple):
+    """Everything the Verifier side knows about one protocol.
+
+    ``bound`` gives the advertised #S lower bound from the public inputs.  In
+    the rsm family the bound grows with the rank the Prover claims mid-run for
+    the public matrix ``claimed_rank_of``; there it is ``bound(pub, claim)``.
+    """
+
+    runner: Callable          # (Session, public inputs); raises ProtocolReject
+    schema: dict              # public input name -> PayloadKind, in encoding order
+    bound: Callable
+    claimed_rank_of: str | None = None
+
+
+PROTOCOLS: dict[str, ProtocolSpec] = {}
+
+
+def protocol(protocol_id: str, schema: dict, bound: Callable,
+             claimed_rank_of: str | None = None):
+    """Register the decorated runner as the Verifier of protocol_id."""
+    def register(runner):
+        PROTOCOLS[protocol_id] = ProtocolSpec(runner, schema, bound, claimed_rank_of)
+        return runner
+    return register
+
+
+def protocol_spec(protocol_id: str) -> ProtocolSpec:
+    spec = PROTOCOLS.get(protocol_id)
+    if spec is None:
+        raise ValueError(f"unknown protocol {protocol_id!r}")
+    return spec
+
+
 # -- small shared helpers -----------------------------------------------------------
+
+
+def row_wdeg(row) -> int:
+    """wdeg of the largest degree in a row of polynomials."""
+    return wdeg(max((f.deg for f in row), default=NEG_INF))
+
+
+def _vdeg(pub) -> int:
+    """wdeg of the largest degree in the public matrix A and vector v."""
+    return max(wdeg(pub["A"].deg), row_wdeg(pub["v"]))
+
+
+def _mdeg(pub, *names) -> int:
+    """wdeg of the largest degree among the named public matrices."""
+    return max(wdeg(pub[name].deg) for name in names)
 
 
 def _dot(field, a, b) -> int:
@@ -355,12 +415,13 @@ def _dot(field, a, b) -> int:
 # rather than crashes.
 
 
+@protocol("singularity", {"A": _PM}, lambda pub: 2 * pub["A"].n * _mdeg(pub, "A"))
 def run_singularity(sess: Session, pub):
     a: PolyMat = pub["A"]
     if a.m != a.n or a.m == 0:
         sess.fail(Reason.PARAMS_INVALID, "matrix must be square and nonempty")
     n = a.n
-    sess.declare_bound(2 * n * wdeg(a.deg))
+    sess.declare_bound()
     alpha = sess.challenge_scalar("alpha")
     v = sess.prover_vector(
         "kernel_vector", n, lambda: sess.prover.singularity_kernel_vector(a, alpha)
@@ -390,11 +451,12 @@ def _nonsingularity(sess: Session, view: MatView):
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "A(alpha) w != b")
 
 
+@protocol("nonsingularity", {"A": _PM}, lambda pub: pub["A"].n * _mdeg(pub, "A") + 1)
 def run_nonsingularity(sess: Session, pub):
     a: PolyMat = pub["A"]
     if a.m != a.n or a.m == 0:
         sess.fail(Reason.PARAMS_INVALID, "matrix must be square and nonempty")
-    sess.declare_bound(a.n * wdeg(a.deg) + 1)
+    sess.declare_bound()
     _nonsingularity(sess, PolyMatView(a))
 
 
@@ -418,11 +480,11 @@ def _rank_lb(sess: Session, view: MatView, rho: int):
         _nonsingularity(sess, sub)
 
 
+@protocol("rank_lb", {"A": _PM, "rho": _RC},
+          lambda pub: max(0, pub["rho"]) * _mdeg(pub, "A") + 1)
 def run_rank_lb(sess: Session, pub):
-    a: PolyMat = pub["A"]
-    rho: int = pub["rho"]
-    sess.declare_bound(max(0, rho) * wdeg(a.deg) + 1)
-    _rank_lb(sess, PolyMatView(a), rho)
+    sess.declare_bound()
+    _rank_lb(sess, PolyMatView(pub["A"]), pub["rho"])
 
 
 def _rank_ub(sess: Session, a: PolyMat, rho: int):
@@ -442,17 +504,19 @@ def _rank_ub(sess: Session, a: PolyMat, rho: int):
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "A(alpha) gamma != A(alpha) v")
 
 
+@protocol("rank_ub", {"A": _PM, "rho": _RC},
+          lambda pub: 2 * max(0, pub["rho"]) * _mdeg(pub, "A") + 2)
 def run_rank_ub(sess: Session, pub):
-    a: PolyMat = pub["A"]
-    rho: int = pub["rho"]
-    sess.declare_bound(2 * max(0, rho) * wdeg(a.deg) + 2)
-    _rank_ub(sess, a, rho)
+    sess.declare_bound()
+    _rank_ub(sess, pub["A"], pub["rho"])
 
 
+@protocol("rank", {"A": _PM, "rho": _RC},
+          lambda pub: 2 * max(0, pub["rho"]) * _mdeg(pub, "A") + 2)
 def run_rank(sess: Session, pub):
     a: PolyMat = pub["A"]
     rho: int = pub["rho"]
-    sess.declare_bound(2 * max(0, rho) * wdeg(a.deg) + 2)
+    sess.declare_bound()
     with sess.subprotocol("rank_lb"):
         _rank_lb(sess, PolyMatView(a), rho)
     with sess.subprotocol("rank_ub"):
@@ -517,20 +581,15 @@ def _field_det(sess: Session, b: FieldMat, beta: int):
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "Freivalds check failed")
 
 
-def run_field_det(sess: Session, pub):
-    sess.declare_bound(2)
-    _field_det(sess, pub["B"], pub["beta"])
-
-
+@protocol("determinant", {"A": _PM, "delta": _PO},
+          lambda pub: 2 * pub["A"].n * _mdeg(pub, "A") + 2)
 def run_determinant(sess: Session, pub):
     a: PolyMat = pub["A"]
     delta: Poly = pub["delta"]
     if a.m != a.n or a.m == 0:
         sess.fail(Reason.PARAMS_INVALID, "matrix must be square and nonempty")
-    n = a.n
-    d = wdeg(a.deg)
-    sess.declare_bound(2 * n * d + 2)
-    if not deg_le(delta.deg, n * d):
+    sess.declare_bound()
+    if not deg_le(delta.deg, a.n * wdeg(a.deg)):
         sess.fail(Reason.DEGREE_CHECK_FAILED, "claimed determinant degree too high")
     alpha = sess.challenge_scalar("alpha")
     beta = delta(alpha)
@@ -538,6 +597,15 @@ def run_determinant(sess: Session, pub):
         _field_det(sess, a.eval_at(alpha), beta)
 
 
+@protocol("field_det", {"B": _FM, "beta": _FS}, lambda pub: 2)
+def run_field_det(sess: Session, pub):
+    sess.declare_bound()
+    _field_det(sess, pub["B"], pub["beta"])
+
+
+@protocol("system_solve", {"A": _PM, "b": _PV, "v": _PV, "delta": _PO},
+          lambda pub: 4 * max(_mdeg(pub, "A"), row_wdeg(pub["b"]), row_wdeg(pub["v"]),
+                              wdeg(pub["delta"].deg)))
 def run_system_solve(sess: Session, pub):
     a: PolyMat = pub["A"]
     b: list = pub["b"]
@@ -545,13 +613,7 @@ def run_system_solve(sess: Session, pub):
     delta: Poly = pub["delta"]
     if len(b) != a.m or len(v) != a.n:
         sess.fail(Reason.PARAMS_INVALID, "dimension mismatch")
-    d = max(
-        wdeg(a.deg),
-        wdeg(max((f.deg for f in b), default=NEG_INF)),
-        wdeg(max((f.deg for f in v), default=NEG_INF)),
-        wdeg(delta.deg),
-    )
-    sess.declare_bound(4 * d)
+    sess.declare_bound()
     alpha = sess.challenge_scalar("alpha")
     p = sess.field.p
     lhs = a.eval_at(alpha).matvec([f(alpha) for f in v])
@@ -575,19 +637,19 @@ def _matmul(sess: Session, a: PolyMat, b: PolyMat, c: PolyMat):
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "A(a)(B(a)v) != C(a)v")
 
 
+@protocol("matmul", {"A": _PM, "B": _PM, "C": _PM},
+          lambda pub: 4 * _mdeg(pub, "A", "B", "C") + 2)
 def run_matmul(sess: Session, pub):
-    a, b, c = pub["A"], pub["B"], pub["C"]
-    d = max(wdeg(a.deg), wdeg(b.deg), wdeg(c.deg))
-    sess.declare_bound(4 * d + 2)
-    _matmul(sess, a, b, c)
+    sess.declare_bound()
+    _matmul(sess, pub["A"], pub["B"], pub["C"])
 
 
+@protocol("inverse", {"A": _PM, "B": _PM}, lambda pub: 4 * _mdeg(pub, "A", "B") + 2)
 def run_inverse(sess: Session, pub):
     a, b = pub["A"], pub["B"]
     if a.m != a.n or b.m != b.n or a.n != b.m:
         sess.fail(Reason.PARAMS_INVALID, "inverse needs square matrices")
-    d = max(wdeg(a.deg), wdeg(b.deg))
-    sess.declare_bound(4 * d + 2)
+    sess.declare_bound()
     _matmul(sess, a, b, PolyMat.identity(sess.field, a.n))
 
 
@@ -617,13 +679,14 @@ def _frrsm(sess: Session, view: MatView, vec: VecView, hint=None):
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "w c != g(alpha)")
 
 
+@protocol("frrsm", {"A": _PM, "v": _PV},
+          lambda pub: (6 * pub["A"].m + 2) * _vdeg(pub) + 2)
 def run_frrsm(sess: Session, pub):
     a: PolyMat = pub["A"]
     v: list = pub["v"]
     if len(v) != a.n:
         sess.fail(Reason.PARAMS_INVALID, "dimension mismatch")
-    d = max(wdeg(a.deg), wdeg(max((f.deg for f in v), default=NEG_INF)))
-    sess.declare_bound(6 * a.m * d + 2 * d + 2)
+    sess.declare_bound()
     _frrsm(sess, PolyMatView(a), PolyVecView(v))
 
 
@@ -664,10 +727,11 @@ def _coprime(sess: Session, fs: list):
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "Bezout identity fails")
 
 
+@protocol("coprime", {"f": _PV}, lambda pub: 2 * row_wdeg(pub["f"]))
 def run_coprime(sess: Session, pub):
     fs: list = pub["f"]
     if fs:
-        sess.declare_bound(2 * max(wdeg(f.deg) for f in fs))
+        sess.declare_bound()
     _coprime(sess, fs)
 
 
@@ -678,15 +742,8 @@ def _rsm(sess: Session, a: PolyMat, v: list):
     rho = sess.prover_rank_claim("rank_claim", lambda: sess.prover.rsm_rank(a))
     if rho > min(m, n):
         sess.fail(Reason.RANK_CHECK_FAILED, "rank claim exceeds the dimensions")
-    d = max(wdeg(a.deg), wdeg(max((f.deg for f in v), default=NEG_INF)))
-    if sess.rsm_strict_slack is not None:
-        bound = 8 * rho * d + 2 * d + 2 + sess.rsm_strict_slack
-        sess.transcript.meta.setdefault("sigma_lower_bound", bound)
-        if sess.params.strict and sess.sigma < bound:
-            sess.fail(
-                Reason.PARAMS_INVALID,
-                f"strict mode needs sigma >= {bound}, got {sess.sigma}",
-            )
+    if sess.spec.claimed_rank_of is not None:  # run under rsm, rs_subset or rs_equality
+        sess.declare_bound(rho)
     if rho == 0:
         # the row space of a rank-0 matrix is {0}
         if any(f.coeffs for f in v):
@@ -736,8 +793,9 @@ def _rsm(sess: Session, a: PolyMat, v: list):
             )
 
 
+@protocol("rsm", {"A": _PM, "v": _PV},
+          lambda pub, rho: (8 * rho + 2) * _vdeg(pub) + 2, claimed_rank_of="A")
 def run_rsm(sess: Session, pub):
-    sess.rsm_strict_slack = 0
     _rsm(sess, pub["A"], pub["v"])
 
 
@@ -750,8 +808,9 @@ def _rs_subset(sess: Session, a: PolyMat, b: PolyMat):
         _rsm(sess, b, v)
 
 
+@protocol("rs_subset", {"A": _PM, "B": _PM},
+          lambda pub, rho: (8 * rho + 2) * _mdeg(pub, "A", "B") + 4, claimed_rank_of="B")
 def run_rs_subset(sess: Session, pub):
-    sess.rsm_strict_slack = 2
     _rs_subset(sess, pub["A"], pub["B"])
 
 
@@ -762,30 +821,33 @@ def _rs_equality(sess: Session, a: PolyMat, b: PolyMat):
         _rs_subset(sess, b, a)
 
 
+@protocol("rs_equality", {"A": _PM, "B": _PM},
+          lambda pub, rho: (8 * rho + 2) * _mdeg(pub, "A", "B") + 4, claimed_rank_of="B")
 def run_rs_equality(sess: Session, pub):
-    sess.rsm_strict_slack = 2
     _rs_equality(sess, pub["A"], pub["B"])
 
 
+@protocol("row_basis", {"A": _PM, "B": _PM},
+          lambda pub: (8 * pub["B"].m + 2) * _mdeg(pub, "A", "B") + 6)
 def run_row_basis(sess: Session, pub):
     a, b = pub["A"], pub["B"]
     if a.n != b.n:
         sess.fail(Reason.PARAMS_INVALID, "column dimensions differ")
-    d = max(wdeg(a.deg), wdeg(b.deg))
-    sess.declare_bound(8 * b.m * d + 2 * d + 6)
+    sess.declare_bound()
     with sess.subprotocol("rank_lb"):
         _rank_lb(sess, PolyMatView(b), b.m)
     with sess.subprotocol("rs_equality"):
         _rs_equality(sess, b, a)
 
 
+@protocol("hermite", {"A": _PM, "H": _PM},
+          lambda pub: (8 * pub["H"].m + 2) * _mdeg(pub, "A", "H") + 4)
 def run_hermite(sess: Session, pub):
     a: PolyMat = pub["A"]
     h: PolyMat = pub["H"]
     if a.n != h.n:
         sess.fail(Reason.PARAMS_INVALID, "column dimensions differ")
-    d = max(wdeg(a.deg), wdeg(h.deg))
-    sess.declare_bound(8 * h.m * d + 2 * d + 4)
+    sess.declare_bound()
     if h.m > a.m:
         sess.fail(Reason.SHAPE_CHECK_FAILED, "more rows than the input matrix")
     ok, _ = check_hermite_shape(h)
@@ -795,14 +857,15 @@ def run_hermite(sess: Session, pub):
         _rs_equality(sess, a, h)
 
 
+@protocol("spopov", {"A": _PM, "shift": _SH, "P": _PM},
+          lambda pub: (8 * pub["P"].m + 2) * _mdeg(pub, "A", "P") + 4)
 def run_spopov(sess: Session, pub):
     a: PolyMat = pub["A"]
     shift: list = pub["shift"]
     pm: PolyMat = pub["P"]
     if a.n != pm.n or len(shift) != a.n:
         sess.fail(Reason.PARAMS_INVALID, "column dimensions differ")
-    d = max(wdeg(a.deg), wdeg(pm.deg))
-    sess.declare_bound(8 * pm.m * d + 2 * d + 4)
+    sess.declare_bound()
     if pm.m > a.m:
         sess.fail(Reason.SHAPE_CHECK_FAILED, "more rows than the input matrix")
     ok, _ = check_popov_shape(pm, shift)
@@ -825,20 +888,21 @@ def _saturated(sess: Session, b: PolyMat):
             _rs_subset(sess, ident, b)
 
 
+@protocol("saturated", {"A": _PM},
+          lambda pub: 8 * min(pub["A"].m, pub["A"].n) * _mdeg(pub, "A") + 4)
 def run_saturated(sess: Session, pub):
-    a: PolyMat = pub["A"]
-    nu = min(a.m, a.n)
-    sess.declare_bound(8 * nu * wdeg(a.deg) + 4)
-    _saturated(sess, a)
+    sess.declare_bound()
+    _saturated(sess, pub["A"])
 
 
+@protocol("sat_basis", {"A": _PM, "B": _PM},
+          lambda pub: (8 * pub["A"].n + 2) * _mdeg(pub, "A", "B") + 4)
 def run_sat_basis(sess: Session, pub):
     a: PolyMat = pub["A"]
     b: PolyMat = pub["B"]
     if a.n != b.n:
         sess.fail(Reason.PARAMS_INVALID, "column dimensions differ")
-    d = max(wdeg(a.deg), wdeg(b.deg))
-    sess.declare_bound(8 * a.n * d + 2 * d + 4)
+    sess.declare_bound()
     if b.m > min(a.m, a.n):
         sess.fail(Reason.SHAPE_CHECK_FAILED, "basis has too many rows")
     with sess.subprotocol("rank_lb"):
@@ -849,9 +913,11 @@ def run_sat_basis(sess: Session, pub):
         _saturated(sess, b)
 
 
+@protocol("unimod_completable", {"A": _PM},
+          lambda pub: 8 * pub["A"].m * _mdeg(pub, "A") + 4)
 def run_unimod_completable(sess: Session, pub):
     a: PolyMat = pub["A"]
-    sess.declare_bound(8 * a.m * wdeg(a.deg) + 4)
+    sess.declare_bound()
     if not a.m < a.n:
         sess.fail(Reason.SHAPE_CHECK_FAILED, "matrix must be wide")
     with sess.subprotocol("rank_lb"):
@@ -860,13 +926,14 @@ def run_unimod_completable(sess: Session, pub):
         _saturated(sess, a)
 
 
+@protocol("kernel_basis", {"A": _PM, "B": _PM},
+          lambda pub: 8 * pub["A"].m * _mdeg(pub, "A", "B") + 4)
 def run_kernel_basis(sess: Session, pub):
     a: PolyMat = pub["A"]
     b: PolyMat = pub["B"]
     if b.n != a.m:
         sess.fail(Reason.PARAMS_INVALID, "kernel basis has wrong column count")
-    d = max(wdeg(a.deg), wdeg(b.deg))
-    sess.declare_bound(8 * a.m * d + 4)
+    sess.declare_bound()
     if b.m > a.m:
         sess.fail(Reason.SHAPE_CHECK_FAILED, "kernel basis has too many rows")
     with sess.subprotocol("rank_lb"):
@@ -879,134 +946,33 @@ def run_kernel_basis(sess: Session, pub):
         _saturated(sess, b)
 
 
-_RUNNERS = {
-    "singularity": run_singularity,
-    "nonsingularity": run_nonsingularity,
-    "rank_lb": run_rank_lb,
-    "rank_ub": run_rank_ub,
-    "rank": run_rank,
-    "determinant": run_determinant,
-    "field_det": run_field_det,
-    "system_solve": run_system_solve,
-    "matmul": run_matmul,
-    "inverse": run_inverse,
-    "frrsm": run_frrsm,
-    "coprime": run_coprime,
-    "rsm": run_rsm,
-    "rs_subset": run_rs_subset,
-    "rs_equality": run_rs_equality,
-    "row_basis": run_row_basis,
-    "hermite": run_hermite,
-    "spopov": run_spopov,
-    "saturated": run_saturated,
-    "sat_basis": run_sat_basis,
-    "unimod_completable": run_unimod_completable,
-    "kernel_basis": run_kernel_basis,
-}
+PROTOCOL_IDS = tuple(PROTOCOLS)  # in registration order
 
 
 # -- public input encoding/decoding per protocol ---------------------------------
 
 
-_PM, _PV, _PO, _FM, _FS, _RC, _SH = (
-    "poly_matrix",
-    "poly_vector",
-    "poly",
-    "field_matrix",
-    "field_scalar",
-    "rank_claim",
-    "shift",
-)
-
-PUBLIC_SCHEMA = {
-    "singularity": {"A": _PM},
-    "nonsingularity": {"A": _PM},
-    "rank_lb": {"A": _PM, "rho": _RC},
-    "rank_ub": {"A": _PM, "rho": _RC},
-    "rank": {"A": _PM, "rho": _RC},
-    "determinant": {"A": _PM, "delta": _PO},
-    "field_det": {"B": _FM, "beta": _FS},
-    "system_solve": {"A": _PM, "b": _PV, "v": _PV, "delta": _PO},
-    "matmul": {"A": _PM, "B": _PM, "C": _PM},
-    "inverse": {"A": _PM, "B": _PM},
-    "frrsm": {"A": _PM, "v": _PV},
-    "coprime": {"f": _PV},
-    "rsm": {"A": _PM, "v": _PV},
-    "rs_subset": {"A": _PM, "B": _PM},
-    "rs_equality": {"A": _PM, "B": _PM},
-    "row_basis": {"A": _PM, "B": _PM},
-    "hermite": {"A": _PM, "H": _PM},
-    "spopov": {"A": _PM, "shift": _SH, "P": _PM},
-    "saturated": {"A": _PM},
-    "sat_basis": {"A": _PM, "B": _PM},
-    "unimod_completable": {"A": _PM},
-    "kernel_basis": {"A": _PM, "B": _PM},
-}
-
-
 def encode_public_inputs(protocol_id: str, pub: dict) -> dict:
-    schema = PUBLIC_SCHEMA[protocol_id]
+    schema = PROTOCOLS[protocol_id].schema
     if set(pub) != set(schema):
         raise ValueError(
             f"{protocol_id} needs public inputs {sorted(schema)}, got {sorted(pub)}"
         )
-    out = {}
-    for name, kind in schema.items():
-        val = pub[name]
-        if kind == _PM:
-            out[name] = polymat_to_payload(val)
-        elif kind == _PV:
-            out[name] = polyvec_to_payload(val)
-        elif kind == _PO:
-            out[name] = poly_to_payload(val)
-        elif kind == _FM:
-            out[name] = fieldmat_to_payload(val)
-        elif kind == _FS:
-            out[name] = FieldScalar(val)
-        elif kind == _RC:
-            out[name] = RankClaimPayload(val)
-        elif kind == _SH:
-            out[name] = ShiftPayload(tuple(val))
-    return out
+    return {name: kind.to_payload(pub[name]) for name, kind in schema.items()}
 
 
 def decode_public_inputs(protocol_id: str, field: PrimeField, payloads: dict) -> dict:
-    schema = PUBLIC_SCHEMA.get(protocol_id)
-    if schema is None:
+    spec = PROTOCOLS.get(protocol_id)
+    if spec is None:
         raise TranscriptError(f"unknown protocol {protocol_id!r}")
-    if set(payloads) != set(schema):
+    if set(payloads) != set(spec.schema):
         raise TranscriptError(f"{protocol_id}: wrong public input names")
     out = {}
-    for name, kind in schema.items():
+    for name, kind in spec.schema.items():
         pl = payloads[name]
-        if kind == _PM:
-            if not isinstance(pl, PolyMatrixPayload):
-                raise TranscriptError(f"{name}: expected a polynomial matrix")
-            out[name] = payload_to_polymat(field, pl)
-        elif kind == _PV:
-            if not isinstance(pl, PolyVectorPayload):
-                raise TranscriptError(f"{name}: expected a polynomial vector")
-            out[name] = payload_to_polyvec(field, pl)
-        elif kind == _PO:
-            if not isinstance(pl, PolyPayload):
-                raise TranscriptError(f"{name}: expected a polynomial")
-            out[name] = payload_to_poly(field, pl)
-        elif kind == _FM:
-            if not isinstance(pl, FieldMatrixPayload):
-                raise TranscriptError(f"{name}: expected a field matrix")
-            out[name] = payload_to_fieldmat(field, pl)
-        elif kind == _FS:
-            if not isinstance(pl, FieldScalar):
-                raise TranscriptError(f"{name}: expected a scalar")
-            out[name] = pl.value
-        elif kind == _RC:
-            if not isinstance(pl, RankClaimPayload):
-                raise TranscriptError(f"{name}: expected a rank claim")
-            out[name] = pl.value
-        elif kind == _SH:
-            if not isinstance(pl, ShiftPayload):
-                raise TranscriptError(f"{name}: expected a shift")
-            out[name] = list(pl.values)
+        if not isinstance(pl, kind.cls):
+            raise TranscriptError(f"{name}: expected {kind.noun}")
+        out[name] = kind.from_payload(field, pl)
     return out
 
 
@@ -1020,8 +986,7 @@ def run_protocol(protocol_id: str, pub: dict, params: ProtocolParams,
     Returns (Verdict, Transcript).  Raises ProverGaveUp if an honest Las
     Vegas prover exceeds its retry caps, and ValueError for malformed calls.
     """
-    if protocol_id not in _RUNNERS:
-        raise ValueError(f"unknown protocol {protocol_id!r}")
+    spec = protocol_spec(protocol_id)
     payloads = encode_public_inputs(protocol_id, pub)
     transcript = Transcript(protocol_id, params, payloads)
     if prover is None:
@@ -1031,9 +996,9 @@ def run_protocol(protocol_id: str, pub: dict, params: ProtocolParams,
     begin = getattr(prover, "begin_run", None)
     if begin is not None:
         begin()
-    sess = Session(transcript, prover=prover, replay=False)
+    sess = Session(spec, pub, transcript, prover=prover, replay=False)
     try:
-        _RUNNERS[protocol_id](sess, pub)
+        spec.runner(sess, pub)
         verdict = Verdict.accept()
     except ProtocolReject as rej:
         verdict = Verdict.reject(rej.reason, rej.detail)
@@ -1054,9 +1019,10 @@ def verify_transcript(transcript: Transcript) -> Verdict:
         pub = decode_public_inputs(transcript.protocol_id, field, transcript.public)
     except (TranscriptError, ValueError) as exc:
         return Verdict.reject(Reason.MALFORMED_MESSAGE, str(exc))
-    sess = Session(transcript, prover=None, replay=True)
+    spec = PROTOCOLS[transcript.protocol_id]
+    sess = Session(spec, pub, transcript, prover=None, replay=True)
     try:
-        _RUNNERS[transcript.protocol_id](sess, pub)
+        spec.runner(sess, pub)
         sess.finish_replay()
         return Verdict.accept()
     except ProtocolReject as rej:

@@ -5,7 +5,8 @@ kernel-of-kernel route, ``ToeplitzOp.apply_poly_mat`` (one product over the
 coefficient tensor) against its entrywise definition, and ``det_bareiss``
 on both sides of the point-count cutoff against fraction-free elimination;
 then the square solver's stop on a singular matrix and the agreement of the
-advertised #S bounds with the ones the runners record.
+advertised #S bounds with the ones the runners record, on true and false
+statements.
 """
 
 import random
@@ -18,7 +19,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polycert import PROTOCOL_IDS, oracles
-from polycert.experiments import generate_true_instance, strict_sigma
+from polycert.experiments import (
+    PROVER_SPECS,
+    generate_true_instance,
+    make_false_instance,
+    strict_sigma,
+)
 from polycert.ff import PrimeField
 from polycert.instances import rand_polymat, rand_singular
 from polycert.oracles import (
@@ -31,7 +37,7 @@ from polycert.oracles import (
 )
 from polycert.polymat import PolyMat, ToeplitzOp
 from polycert.protocols import run_protocol
-from polycert.transcript import MODE_FIAT_SHAMIR, ProtocolParams, Reason
+from polycert.transcript import MODE_FIAT_SHAMIR, MODE_INTERACTIVE, ProtocolParams, Reason
 from polycert.upoly import BATCH_CUTOFF, Poly
 from test_kernel import FIELDS, IDS, _poly, batch_cutoff, polymats
 
@@ -223,6 +229,16 @@ def test_strict_sigma_matches_recorded_bound(pid):
             pub = generate_true_instance(pid, random.Random(seed), field, mmax=5, dmax=3)
             _, t = run_protocol(pid, pub, params)
             assert strict_sigma(pid, pub) == t.meta["sigma_lower_bound"], (field.p, seed)
+    # false statements too: the bound is what the Verifier can compute, so a
+    # claim below the true rank (rank_ub) sets it, not the rank itself
+    if PROVER_SPECS[pid].false_instance is None:
+        return
+    for seed in range(3):
+        pub, prover, _, _ = make_false_instance(pid, random.Random(seed), F31, 64)
+        params = ProtocolParams(p=F31.p, sigma=64, mode=MODE_INTERACTIVE, strict=False,
+                                seed=seed)
+        _, t = run_protocol(pid, pub, params, prover=prover)
+        assert strict_sigma(pid, pub) == t.meta["sigma_lower_bound"], seed
 
 
 @pytest.mark.parametrize("pid", ["rsm", "rs_subset", "rs_equality"])

@@ -1,7 +1,9 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
+from polycert import PROTOCOL_IDS
 from polycert.cli import main
 
 
@@ -165,3 +167,28 @@ def test_run_interactive_transcript_saves_and_verifies(tmp_path):
     # interactive transcripts carry their seed, so they re-verify offline too
     res = runner.invoke(main, ["verify", str(out)])
     assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("kind", ["random", "planted-membership"])
+def test_every_protocol_exits_cleanly_on_generated_instances(tmp_path, kind):
+    """Each protocol on a 3 x 4 instance accepts, rejects or is a usage error;
+    no exception leaks, whatever the instance lacks (a square A, a vector v)."""
+    runner = CliRunner()
+    inst = tmp_path / "inst.json"
+    assert runner.invoke(main, [
+        "gen", "--kind", kind, "--m", "3", "--n", "4", "--d", "2",
+        "--seed", "1", "--out", str(inst),
+    ]).exit_code == 0
+    codes = {}
+    for pid in PROTOCOL_IDS:
+        res = runner.invoke(main, ["run", "--protocol", pid, "--instance", str(inst)])
+        assert res.exception is None or isinstance(res.exception, SystemExit), (
+            pid, repr(res.exception))
+        codes[pid] = res.exit_code
+    assert set(codes.values()) <= {0, 1, 2}, codes
+    assert codes["determinant"] == 2
+    res = runner.invoke(main, ["prove", "--protocol", "determinant", "--instance",
+                               str(inst), "--out", str(tmp_path / "t.json")])
+    assert res.exit_code == 2 and "square" in res.output, res.output
+    res = runner.invoke(main, ["run", "--protocol", "field_det", "--instance", str(inst)])
+    assert res.exit_code == 2 and "supported: singularity, " in res.output, res.output

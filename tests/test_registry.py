@@ -1,0 +1,47 @@
+"""The protocol registry: both tables cover the same ids, and every
+protocol's transcripts stay bit-identical on seeded true instances."""
+
+import hashlib
+import random
+
+from polycert import PROTOCOL_IDS
+from polycert.experiments import PROVER_SPECS, SOUNDNESS_PROTOCOLS, generate_true_instance
+from polycert.ff import PrimeField
+from polycert.protocols import PROTOCOLS, ProverGaveUp, run_protocol
+from polycert.transcript import MODE_FIAT_SHAMIR, ProtocolParams
+
+# sha256 over the digest and verdict of every protocol's Fiat-Shamir run on
+# generate_true_instance inputs (seeds 0 and 1, mmax 4, dmax 2, #S = p,
+# permissive) in F_{2^31-1} and F_97.  It pins the generators' draw order,
+# the public-input encoding, the hash chain and every Verifier decision.
+ALL_PROTOCOL_DIGESTS = "c75140b5f03ad1743297558cb431f93157700cbd58b5a8b97b681c35d53305de"
+
+
+def test_all_protocol_transcripts_are_pinned():
+    h = hashlib.sha256()
+    for p in (2**31 - 1, 97):
+        field = PrimeField(p)
+        params = ProtocolParams(p=p, sigma=p, mode=MODE_FIAT_SHAMIR, strict=False)
+        for pid in PROTOCOL_IDS:
+            for seed in (0, 1):
+                pub = generate_true_instance(pid, random.Random(seed), field,
+                                             mmax=4, dmax=2)
+                try:
+                    verdict, t = run_protocol(pid, pub, params)
+                    line = (f"{pid} {p} {seed} {t.digest()} {verdict.reason.value} "
+                            f"{verdict.detail}")
+                except ProverGaveUp:
+                    line = f"{pid} {p} {seed} gave-up"
+                h.update(line.encode() + b"\n")
+    assert h.hexdigest() == ALL_PROTOCOL_DIGESTS
+
+
+def test_registry_covers_every_protocol():
+    assert tuple(PROTOCOLS) == tuple(PROVER_SPECS) == PROTOCOL_IDS
+    for pid in SOUNDNESS_PROTOCOLS:
+        assert PROVER_SPECS[pid].false_instance is not None, pid
+    field = PrimeField(97)
+    for pid in PROTOCOL_IDS:
+        for seed in range(3):
+            pub = generate_true_instance(pid, random.Random(seed), field, mmax=4, dmax=2)
+            assert list(pub) == list(PROTOCOLS[pid].schema), (pid, seed)
