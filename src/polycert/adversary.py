@@ -24,7 +24,7 @@ from .oracles import (
 )
 from .polymat import MatView, PolyMat, ToeplitzOp
 from .protocols import wdeg
-from .provers import HonestProver
+from .provers import HonestProver, _field_of
 from .upoly import NEG_INF, Poly, RatFunc, poly_gcd
 
 
@@ -251,7 +251,7 @@ class CheatFullRankMembership(HonestProver):
         """Interpolate g through sample points so that u(alpha) c = g(alpha)
         holds on as many alpha in S as the degree budget allows."""
         u = self._rational(hint)
-        field = _field_of_view(view)
+        field = _field_of(view)
         if u is None:
             return Poly.zero(field)
         acc = RatFunc.zero(field)
@@ -396,10 +396,3 @@ def _scale_ratvec(scalar: Poly, vec):
     from .upoly import RatVec
 
     return RatVec([e * scalar for e in vec.entries])
-
-
-def _field_of_view(view):
-    mat = getattr(view, "mat", None)
-    if mat is not None:
-        return mat.field
-    return view.materialize().field

@@ -69,18 +69,24 @@ def _load_instance(path):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"cannot read instance file: {exc}")
-    if doc.get("format") != INSTANCE_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != INSTANCE_FORMAT:
         raise click.UsageError("not a polycert instance file")
-    field = PrimeField(int(doc["p"]))
-    objects = {}
-    for name, payload_doc in doc.get("objects", {}).items():
-        payload = payload_from_json(payload_doc)
-        if isinstance(payload, PolyMatrixPayload):
-            objects[name] = payload_to_polymat(field, payload)
-        elif isinstance(payload, PolyVectorPayload):
-            objects[name] = payload_to_polyvec(field, payload)
-        else:
-            objects[name] = payload
+    try:
+        field = PrimeField(int(doc["p"]))
+        objects = {}
+        for name, payload_doc in doc.get("objects", {}).items():
+            payload = payload_from_json(payload_doc)
+            if isinstance(payload, PolyMatrixPayload):
+                objects[name] = payload_to_polymat(field, payload)
+            elif isinstance(payload, PolyVectorPayload):
+                objects[name] = payload_to_polyvec(field, payload)
+            else:
+                objects[name] = payload
+    except KeyError as exc:
+        raise click.UsageError(f"malformed instance file: missing key {exc}")
+    except (TypeError, ValueError, AttributeError) as exc:
+        # ValueError covers a non-prime modulus and TranscriptError
+        raise click.UsageError(f"malformed instance file: {exc}")
     return field, doc, objects
 
 

@@ -19,6 +19,7 @@ so that soundness experiments can shrink ``sigma`` independently of ``p``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,8 +28,14 @@ DEFAULT_MODULUS = 2**31 - 1  # Mersenne prime; products fit comfortably in 128 b
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
+    """Deterministic Miller-Rabin, valid for all n < 3.3e24.
+
+    Cached, because every protocol run and every offline verify builds its
+    field from the transcript's modulus; the cache is bounded because that
+    modulus comes from untrusted input.
+    """
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -95,29 +102,6 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in prime field")
         return pow(a, self.p - 2, self.p)
-
-    def inv_many(self, values: list) -> list:
-        """Inverses of nonzero reduced elements with one exponentiation.
-
-        Montgomery's trick: invert the product of all values once, then peel
-        the individual inverses off the prefix products, three
-        multiplications per element.  :meth:`inv_array` is the same trick
-        on a numpy array, for batches large enough to repay numpy's cost.
-        """
-        if not values:
-            return []
-        p = self.p
-        prefix = []
-        acc = 1
-        for a in values:
-            prefix.append(acc)
-            acc = acc * a % p
-        acc = self.inv(acc)  # raises ZeroDivisionError if any value is 0
-        out = [0] * len(values)
-        for i in range(len(values) - 1, -1, -1):
-            out[i] = acc * prefix[i] % p
-            acc = acc * values[i] % p
-        return out
 
     @property
     def dtype(self):

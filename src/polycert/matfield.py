@@ -17,7 +17,7 @@ with :meth:`PrimeField.inv_array` (Montgomery's trick over a product tree),
 and the rank needs no inverse at all.  Arrays have
 :attr:`PrimeField.dtype`, so the arithmetic is exact for every supported
 modulus.  A batch has a fixed numpy cost, so callers keep the per-point
-routines for a handful of points (``upoly.BATCH_CUTOFF``).
+routines for a handful of points (``oracles.BATCH_CUTOFF``).
 """
 
 from __future__ import annotations

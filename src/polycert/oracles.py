@@ -7,7 +7,7 @@ row-space membership oracle.
 
 Rank, profile, determinant and rational solving reduce to linear algebra at
 evaluation points, exactly: enough distinct points always include one where
-no relevant minor vanishes.  With :data:`upoly.BATCH_CUTOFF` points or
+no relevant minor vanishes.  With :data:`BATCH_CUTOFF` points or
 more, they run on the batched kernel: :meth:`PolyMat.eval_many` evaluates
 every point in one Horner pass, :mod:`matfield`'s batched eliminations
 (:func:`~polycert.matfield.solve_many`,
@@ -18,11 +18,11 @@ rank and determinant), which is cheaper than numpy's fixed cost there;
 fields with fewer elements than points fall back to exact elimination over
 F[x].
 
-The saturation basis starts from the Popov form of A, which is already the
-answer when it is left prime (coprime maximal minors), as random wide
-matrices almost always are; only otherwise does it take the
-kernel-of-a-kernel route, whose intermediate degrees are many times those
-of A.
+The saturation basis starts from the Popov form P of A, which is already
+the answer when it is left prime (coprime maximal minors), as random wide
+matrices almost always are.  Otherwise the Hermite form of P's transpose
+gives P's common left factor, and dividing it out by back-substitution
+leaves a left prime basis of the same row space over F(x).
 
 None of this is available to Verifier code: a Verifier that called these
 routines would be recomputing the certified object, which defeats the whole
@@ -37,8 +37,16 @@ import numpy as np
 from . import matfield
 from .matfield import pluq
 from .polymat import PolyMat, check_hermite_shape
-from .upoly import (BATCH_CUTOFF, NEG_INF, Poly, RatFunc, RatVec, interpolate_many,
-                    poly_gcd, xgcd)
+from .upoly import NEG_INF, Poly, RatFunc, RatVec, interpolate_many, poly_gcd, xgcd
+
+# evaluation points from which the Prover uses the batched kernel: a numpy
+# batch has a fixed cost of some hundred microseconds, which per-point loops
+# over 2 x 2 to 4 x 4 matrices only repay from about 7 to 13 points
+# (measured crossovers in CHANGES.md)
+BATCH_CUTOFF = 12
+# evaluation points probed for a full-rank A(alpha), which proves full rank
+# (or finds independent rows and columns) before any elimination over F[x]
+EVAL_PROBE_CAP = 8
 
 
 class _Outcome:
@@ -61,7 +69,7 @@ NO_SOLUTION = _Outcome("NO_SOLUTION")
 def rank_and_profile(mat: PolyMat):
     """Rank over F(x) and the lexicographically smallest independent column set.
 
-    From :data:`~polycert.upoly.BATCH_CUTOFF` points on, by evaluation at
+    From :data:`BATCH_CUTOFF` points on, by evaluation at
     min(m, n) * deg + 1 distinct points: the rank is the largest rank of any
     A(alpha), and the profile the smallest column rank profile among the
     points that reach it.  Both are exact, because the nonzero r x r minor
@@ -127,7 +135,7 @@ def det_bareiss(mat: PolyMat) -> Poly:
     """Exact determinant of a square polynomial matrix.
 
     det(A) has degree at most n * deg, so it is fixed by its values at
-    n * deg + 1 distinct points.  From :data:`~polycert.upoly.BATCH_CUTOFF`
+    n * deg + 1 distinct points.  From :data:`BATCH_CUTOFF`
     such points on (and when the field has that many elements) it runs on
     the batched kernel: one :meth:`PolyMat.eval_many`, one
     :func:`~polycert.matfield.solve_many` giving det(A(alpha)) at every
@@ -187,7 +195,7 @@ def _det_bareiss(mat: PolyMat) -> Poly:
 # -- Algorithm: rational linear solving with full row rank --------------------
 
 
-def rational_solve_left(mat: PolyMat, v: list, max_eval_probes: int = 8):
+def rational_solve_left(mat: PolyMat, v: list):
     """Solve u A = v over F(x) for a full-row-rank A.
 
     Returns LOW_RANK iff rank(A) < m; otherwise the unique rational solution
@@ -207,7 +215,7 @@ def rational_solve_left(mat: PolyMat, v: list, max_eval_probes: int = 8):
         raise ValueError("rational solve needs at least one row")
     field = mat.field
     profile = None
-    for alpha in range(min(max_eval_probes, field.p)):
+    for alpha in range(min(EVAL_PROBE_CAP, field.p)):
         f = pluq(mat.eval_at(alpha))
         if f.rank == m:
             profile = f.col_rank_profile()
@@ -557,10 +565,6 @@ def kernel_basis_left(mat: PolyMat) -> PolyMat:
     return PolyMat(mat.field, u.rows[h.m:], ncols=mat.m)
 
 
-def kernel_basis_right(mat: PolyMat) -> PolyMat:
-    return kernel_basis_left(mat.transpose()).transpose()
-
-
 def saturation_basis(mat: PolyMat) -> PolyMat:
     """The zero-shift Popov basis of Sat(A) = F[x]^(1 x n) intersect rowspace_F(x)(A).
 
@@ -573,10 +577,10 @@ def saturation_basis(mat: PolyMat) -> PolyMat:
     nonsingular by the Popov shape, and det(P V) for the n x r Vandermonde
     matrix V on the nodes 1, ..., n, which by Cauchy-Binet is a combination
     of all the minors, with nonzero coefficients when n < p (so a factor
-    that the pivot minor shares with some other minors cannot spoil it).  Random wide
-    matrices almost always pass.  The test is sufficient, never wrong, only
-    conservative: when it fails, :func:`_saturation_basis_kernels` takes
-    the long way.
+    that the pivot minor shares with some other minors cannot spoil it).
+    Random wide matrices almost always pass.  The test is sufficient, never
+    wrong, only conservative: when it fails, P's common left factor is
+    divided out directly.
     """
     field = mat.field
     n = mat.n
@@ -592,17 +596,20 @@ def saturation_basis(mat: PolyMat) -> PolyMat:
                                    for i in range(r)] for j in range(n)], ncols=r)
     if poly_gcd(minor, det_bareiss(pm.mul(vandermonde))).is_one():
         return pm
-    return _saturation_basis_kernels(mat)
-
-
-def _saturation_basis_kernels(mat: PolyMat) -> PolyMat:
-    """Sat(A) as a left kernel basis of a right kernel basis of A, in
-    zero-shift Popov form so the output is canonical."""
-    k = kernel_basis_right(mat)
-    if k.n == 0:
-        return PolyMat.identity(mat.field, mat.n)
-    basis = kernel_basis_left(k)
-    return popov_form(basis, [0] * mat.n)
+    # P = H^T B with H = hermite_form(P^T) (r x r, lower triangular, monic
+    # diagonal, U P^T = [H; 0]) and B^T the first r columns of U^-1, so B
+    # extends to a unimodular matrix: it is left prime and spans Sat(P).
+    # Back-substitution reads B off H^T B = P, every division exact.
+    h, _ = hermite_form(pm.transpose())
+    b = [None] * r
+    for i in range(r - 1, -1, -1):
+        row = pm.rows[i]
+        for j in range(i + 1, r):
+            c = h.rows[j][i]
+            if not c.is_zero():
+                row = [f - c * g for f, g in zip(row, b[j])]
+        b[i] = [f.divexact(h.rows[i][i]) for f in row]
+    return popov_form(PolyMat(field, b, ncols=n), [0] * n)
 
 
 def row_membership_oracle(mat: PolyMat, v: list) -> bool:

@@ -16,7 +16,7 @@ receive.
 kernel: it evaluates a matrix at k points in one vectorised Horner pass over
 its ``(deg+1, m, n)`` coefficient tensor, giving the ``(k, m, n)`` array that
 the batched eliminations in :mod:`polycert.matfield` take.  The oracles use
-it from ``upoly.BATCH_CUTOFF`` points on; :meth:`PolyMat.eval_at` stays the
+it from ``oracles.BATCH_CUTOFF`` points on; :meth:`PolyMat.eval_at` stays the
 single-point path for both parties.  The same tensor
 (:meth:`PolyMat.coeff_tensor`) gives the Prover's Toeplitz compression
 :meth:`ToeplitzOp.apply_poly_mat` in one array product.

@@ -24,6 +24,7 @@ from .matfield import (
     sparse_representative,
 )
 from .oracles import (
+    EVAL_PROBE_CAP,
     LOW_RANK,
     NO_SOLUTION,
     rank_and_profile,
@@ -36,7 +37,6 @@ from .upoly import Poly, poly_gcd
 COPRIME_RETRY_CAP = 100
 RSM_OUTER_CAP = 20
 RSM_INNER_FACTOR = 20
-EVAL_PROBE_CAP = 8
 
 
 class HonestProver:

@@ -5,42 +5,25 @@ coefficient is nonzero; the empty list is the zero polynomial and its degree
 is the sentinel :data:`NEG_INF`, which satisfies every "deg <= bound" check
 by convention.
 
-Multiplication is schoolbook for short operands, Karatsuba above degree 32,
-and a limb-split numpy convolution for long operands when the modulus fits
-in 31 bits (the default 2**31 - 1 does).  All three paths are cross-checked
-against schoolbook in the test suite.
+Multiplication is schoolbook on Python ints: the Prover's operands stay
+short (under 33 coefficients in every benchmark workload), below the sizes
+where a sub-quadratic product starts to pay.
 
 Interpolation is batched: :func:`interpolate_many` fits one polynomial per
 ordinate list over a shared set of abscissae.  It inverts all
-divided-difference denominators with one exponentiation (Montgomery's trick)
-and expands each Newton form by Horner.  From :data:`BATCH_CUTOFF` points on
-it runs every column at once in one numpy array; below, per column on plain
-lists, which is cheaper than numpy's fixed cost.  :func:`interpolate` is its
+divided-difference denominators with one exponentiation (Montgomery's trick,
+:meth:`PrimeField.inv_array`), runs every column at once in one numpy array,
+and expands each Newton form by Horner.  :func:`interpolate` is its
 single-column case.
-
-:data:`BATCH_CUTOFF` is the one routing constant of the Prover's batched
-evaluation kernel (:meth:`PolyMat.eval_many`, the batched eliminations in
-:mod:`polycert.matfield` and the numpy path here): below it the oracles keep
-their per-point scalar paths.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 import numpy as np
 
 from .ff import PrimeField
 
 NEG_INF = float("-inf")
-
-_KARATSUBA_CUTOFF = 33  # lengths >= cutoff, i.e. degree > 32
-_NUMPY_CUTOFF = 48
-# evaluation points from which the Prover uses the batched kernel: a numpy
-# batch has a fixed cost of some hundred microseconds, which per-point loops
-# over 2 x 2 to 4 x 4 matrices only repay from about 7 to 13 points
-# (measured crossovers in CHANGES.md)
-BATCH_CUTOFF = 12
 
 
 def deg_add(a, b):
@@ -81,56 +64,6 @@ def _mul_schoolbook(p: int, a: list, b: list) -> list:
     return [c % p for c in out]
 
 
-def _mul_numpy(p: int, a: list, b: list) -> list:
-    # Split 31-bit coefficients into 16-bit limbs so int64 convolutions
-    # cannot overflow, then recombine mod p.
-    av = np.asarray(a, dtype=np.int64)
-    bv = np.asarray(b, dtype=np.int64)
-    a_hi, a_lo = av >> 16, av & 0xFFFF
-    b_hi, b_lo = bv >> 16, bv & 0xFFFF
-    hh = np.convolve(a_hi, b_hi) % p
-    mm = (np.convolve(a_hi, b_lo) + np.convolve(a_lo, b_hi)) % p
-    ll = np.convolve(a_lo, b_lo) % p
-    w32 = (1 << 32) % p
-    w16 = (1 << 16) % p
-    out = ((hh * w32) % p + (mm * w16) % p + ll) % p
-    return out.tolist()
-
-
-def _mul_karatsuba(p: int, a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    if n < _KARATSUBA_CUTOFF:
-        return _mul_schoolbook(p, a, b)
-    h = n // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    z0 = _mul_karatsuba(p, a0, b0) if a0 and b0 else []
-    z2 = _mul_karatsuba(p, a1, b1) if a1 and b1 else []
-    s0 = [x % p for x in map(sum, _zip_pad(a0, a1))]
-    s1 = [x % p for x in map(sum, _zip_pad(b0, b1))]
-    z1 = _mul_karatsuba(p, s0, s1) if s0 and s1 else []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(z0):
-        out[i] += c
-    for i, c in enumerate(z1):
-        out[i + h] += c
-    for i, c in enumerate(z0):
-        out[i + h] -= c
-    for i, c in enumerate(z2):
-        out[i + h] -= c
-        if i + 2 * h < len(out):
-            out[i + 2 * h] += c
-    return [c % p for c in out]
-
-
-def _zip_pad(a: list, b: list):
-    if len(a) < len(b):
-        a = a + [0] * (len(b) - len(a))
-    elif len(b) < len(a):
-        b = b + [0] * (len(a) - len(b))
-    return zip(a, b)
-
-
 def _mul_coeffs(p: int, a: list, b: list) -> list:
     if not a or not b:
         return []
@@ -141,10 +74,6 @@ def _mul_coeffs(p: int, a: list, b: list) -> list:
     if lb == 1:
         c = b[0]
         return [c * x % p for x in a]
-    if min(la, lb) >= _NUMPY_CUTOFF and p < 2**31:
-        return _trim(_mul_numpy(p, a, b))
-    if max(la, lb) >= _KARATSUBA_CUTOFF:
-        return _trim(_mul_karatsuba(p, a, b))
     return _trim(_mul_schoolbook(p, a, b))
 
 
@@ -377,9 +306,9 @@ def interpolate_many(field: PrimeField, xs, columns) -> list:
     Newton divided differences.  Every denominator ``xs[i] - xs[i-j]`` is
     shared by all columns, so they are inverted once, together, with a single
     exponentiation; each column then costs multiplications only, and its
-    Newton form is expanded by Horner, ``r <- r*(x - xs[j]) + c_j``.  From
-    :data:`BATCH_CUTOFF` points the columns are the rows of one numpy array
-    and each step runs over all of them at once.
+    Newton form is expanded by Horner, ``r <- r*(x - xs[j]) + c_j``.  The
+    columns are the rows of one numpy array, so each step runs over all of
+    them at once.
     """
     p = field.p
     xs = [x % p for x in xs]
@@ -391,31 +320,6 @@ def interpolate_many(field: PrimeField, xs, columns) -> list:
         raise ValueError("ordinate list length differs from the abscissae")
     if n == 0:
         return [Poly.zero(field) for _ in columns]
-    if n >= BATCH_CUTOFF:
-        return _interpolate_array(field, xs, columns)
-    # inv_rows[j-1][i-j] = 1 / (xs[i] - xs[i-j]) for 1 <= j <= i < n
-    invs = iter(field.inv_many(
-        [(xs[i] - xs[i - j]) % p for j in range(1, n) for i in range(j, n)]
-    ))
-    inv_rows = [list(islice(invs, n - j)) for j in range(1, n)]
-    out = []
-    for c in columns:
-        for j, row in enumerate(inv_rows, 1):
-            c[j:] = [(a - b) * w % p for a, b, w in zip(c[j:], c[j - 1:], row)]
-        r = [c[-1]]
-        for j in range(n - 2, -1, -1):
-            a = xs[j]
-            r = [(c[j] - a * r[0]) % p] + [
-                (u - a * v) % p for u, v in zip(r, r[1:])
-            ] + [r[-1]]
-        out.append(Poly(field, _trim(r), normalize=False))
-    return out
-
-
-def _interpolate_array(field: PrimeField, xs: list, columns: list) -> list:
-    """:func:`interpolate_many` with the columns as rows of one array."""
-    p = field.p
-    n = len(xs)
     x = np.array(xs, dtype=field.dtype)
     diffs = [(x[j:] - x[:-j]) % p for j in range(1, n)]
     invs = field.inv_array(np.concatenate(diffs) if diffs else diffs)

@@ -136,6 +136,23 @@ def test_usage_errors_exit_2(tmp_path):
     assert res.exit_code == 2  # rsm needs a planted membership vector
 
 
+_MATRIX = {"kind": "poly_matrix", "m": 1, "n": 1, "entries": [["1"]]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"format": "polycert-instance/v1", "objects": {"A": _MATRIX}},
+    {"format": "polycert-instance/v1", "p": 91, "objects": {"A": _MATRIX}},
+    {"format": "polycert-instance/v1", "p": 97, "objects": {"A": {"kind": "tensor"}}},
+    [{"format": "polycert-instance/v1", "p": 97}],
+], ids=["no-modulus", "composite-modulus", "unknown-payload-kind", "json-list"])
+def test_malformed_instance_file_is_a_usage_error(tmp_path, doc):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["run", "--protocol", "rank", "--instance", str(inst)])
+    assert res.exit_code == 2, res.output
+    assert "instance file" in res.output
+
+
 def test_experiment_single_protocol(tmp_path):
     runner = CliRunner()
     res = runner.invoke(main, [

@@ -21,6 +21,20 @@ def test_is_prime_small_table():
         assert is_prime(n) == (n in primes)
 
 
+def test_primality_cache_is_bounded_and_keeps_rejecting():
+    composite = (2**31 - 1) * 8191
+    is_prime.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            PrimeField(composite)
+    assert is_prime.cache_info().hits == 1
+    # moduli come from untrusted transcripts: the cache must not grow with them
+    for n in range(1000, 1000 + 4 * is_prime.cache_info().maxsize):
+        is_prime(n)
+    assert is_prime.cache_info().currsize <= is_prime.cache_info().maxsize
+    assert not is_prime(composite) and is_prime(2**31 - 1)
+
+
 def test_arith_examples_mod_7(f7):
     # 3*5 = 15 = 1 mod 7; 4+3 = 0 mod 7; inv(1) = 1
     assert f7.mul(3, 5) == 1

@@ -1,10 +1,10 @@
 """The Prover's batched evaluation kernel against the per-point routines.
 
 Batched evaluation (PolyMat.eval_many), batched elimination (matfield's
-solve_many, rank_profile_many, vecmat_many), batched inversion
-(PrimeField.inv_array) and the numpy path of interpolate_many must agree
-with the scalar code they replace, over a small field, an int64 field and a
-field that needs Python-int (object) arrays.
+solve_many, rank_profile_many, vecmat_many) and batched inversion
+(PrimeField.inv_array) must agree with the scalar code they replace, and
+interpolate_many with Lagrange's formula, over a small field, an int64 field
+and a field that needs Python-int (object) arrays.
 """
 
 from contextlib import contextmanager
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polycert import oracles, upoly
+from polycert import oracles
 from polycert.ff import PrimeField
 from polycert.matfield import (
     FieldMat,
@@ -27,6 +27,7 @@ from polycert.matfield import (
     vecmat_many,
 )
 from polycert.oracles import (
+    BATCH_CUTOFF,
     LOW_RANK,
     NO_SOLUTION,
     _rank_and_profile_bareiss,
@@ -37,7 +38,7 @@ from polycert.oracles import (
     rational_solve_left,
 )
 from polycert.polymat import PolyMat
-from polycert.upoly import BATCH_CUTOFF, Poly, interpolate_many
+from polycert.upoly import Poly, interpolate_many
 
 F97 = PrimeField(97)
 F31 = PrimeField(2**31 - 1)
@@ -49,8 +50,7 @@ IDS = ["F97", "F2^31-1", "F2^61-1"]
 @contextmanager
 def batch_cutoff(value):
     """Route every evaluation path to one side of the point-count cutoff."""
-    with mock.patch.object(upoly, "BATCH_CUTOFF", value), \
-            mock.patch.object(oracles, "BATCH_CUTOFF", value):
+    with mock.patch.object(oracles, "BATCH_CUTOFF", value):
         yield
 
 
@@ -274,19 +274,28 @@ def test_rational_solve_left_same_on_both_sides_of_cutoff(field, data):
 # -- interpolation -------------------------------------------------------------------------------
 
 
+def _lagrange(field, xs, ys):
+    """sum_i y_i prod_{j != i} (x - x_j) / (x_i - x_j), term by term."""
+    acc = Poly.zero(field)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        term = Poly.constant(field, yi)
+        for j, xj in enumerate(xs):
+            if j != i:
+                term = term * Poly.of(field, -xj, 1).scale(field.inv((xi - xj) % field.p))
+        acc = acc + term
+    return acc
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
-def test_interpolate_many_array_path_matches_list_path(field, data):
+def test_interpolate_many_matches_lagrange(field, data):
     n = data.draw(st.integers(0, 30))
     xs = data.draw(st.lists(st.integers(0, min(field.p, 10**6) - 1), min_size=n,
                             max_size=n, unique=True))
     columns = data.draw(st.lists(
         st.lists(st.integers(0, field.p - 1), min_size=n, max_size=n), max_size=5))
-    with batch_cutoff(10**9):
-        lists = interpolate_many(field, xs, columns)
-    with batch_cutoff(1):
-        arrays = interpolate_many(field, xs, columns)
-    assert arrays == lists
-    for f, ys in zip(arrays, columns):
+    got = interpolate_many(field, xs, columns)
+    assert got == [_lagrange(field, xs, ys) for ys in columns]
+    for f, ys in zip(got, columns):
         assert [f(x) for x in xs] == ys

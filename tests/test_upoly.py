@@ -10,9 +10,7 @@ from polycert.upoly import (
     Poly,
     RatFunc,
     RatVec,
-    _mul_karatsuba,
-    _mul_numpy,
-    _mul_schoolbook,
+    deg_add,
     interpolate,
     interpolate_many,
     poly_gcd,
@@ -175,40 +173,19 @@ def test_interpolate_many_duplicate_abscissa():
     assert interpolate_many(F7, [], [[], []]) == [Poly.zero(F7)] * 2
 
 
-def test_inv_many_matches_inv():
-    rng = random.Random(6)
-    for field in (F7, FBIG):
-        vals = [rng.randrange(1, field.p) for _ in range(50)]
-        assert field.inv_many(vals) == [field.inv(v) for v in vals]
-    assert F7.inv_many([]) == []
-    with pytest.raises(ZeroDivisionError):
-        F7.inv_many([3, 0, 2])
-
-
-@given(
-    a=st.lists(st.integers(0, 6), max_size=80),
-    b=st.lists(st.integers(0, 6), max_size=80),
-)
-@settings(max_examples=200, deadline=None)
-def test_mul_backends_agree_small_field(a, b):
-    f = Poly(F7, a)
-    g = Poly(F7, b)
-    expected = Poly(F7, _mul_schoolbook(7, f.coeffs, g.coeffs) if f.coeffs and g.coeffs else [])
-    assert f * g == expected
-
-
-def test_mul_backends_agree_large_field():
-    rng = random.Random(5)
-    p = FBIG.p
-    for _ in range(30):
-        la = rng.randrange(1, 200)
-        lb = rng.randrange(1, 200)
-        a = [rng.randrange(p) for _ in range(la)]
-        b = [rng.randrange(p) for _ in range(lb)]
-        ref = _mul_schoolbook(p, a, b)
-        assert _mul_numpy(p, a, b) == ref
-        got = _mul_karatsuba(p, a, b)
-        assert [c % p for c in got] == ref
+@pytest.mark.parametrize("field", [F7, FBIG], ids=["F7", "F2^31-1"])
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_mul_matches_evaluation(field, data):
+    # (f g)(alpha) = f(alpha) g(alpha), past the lengths any workload reaches
+    elems = st.integers(0, field.p - 1)
+    la, lb = data.draw(st.integers(0, 200)), data.draw(st.integers(0, 200))
+    f = Poly(field, data.draw(st.lists(elems, min_size=la, max_size=la)))
+    g = Poly(field, data.draw(st.lists(elems, min_size=lb, max_size=lb)))
+    prod = f * g
+    assert prod.deg == deg_add(f.deg, g.deg)
+    for alpha in data.draw(st.lists(st.integers(0, field.p - 1), min_size=1, max_size=5)):
+        assert prod(alpha) == f(alpha) * g(alpha) % field.p
 
 
 def test_ratfunc_reduction_and_denominator():
