@@ -18,6 +18,14 @@ rank and determinant), which is cheaper than numpy's fixed cost there;
 fields with fewer elements than points fall back to exact elimination over
 F[x].
 
+The rational solve decides membership at the points it solves at.  For
+u A = v with profile columns B, both sides of the cleared identity
+N A = det(B) v (N the Cramer numerators) have degree at most
+m * deg A + deg v, so at that many points plus one, all with
+det B(alpha) != 0, checking the solution of u B(alpha) = v_B(alpha)
+against the other columns decides u A = v exactly, and a non-member is
+rejected before anything is interpolated.
+
 The saturation basis starts from the Popov form P of A, which is already
 the answer when it is left prime (coprime maximal minors), as random wide
 matrices almost always are.  Otherwise the Hermite form of P's transpose
@@ -35,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import matfield
-from .matfield import pluq
+from .matfield import FieldMat, pluq
 from .polymat import PolyMat, check_hermite_shape
 from .upoly import NEG_INF, Poly, RatFunc, RatVec, interpolate_many, poly_gcd, xgcd
 
@@ -203,10 +211,12 @@ def rational_solve_left(mat: PolyMat, v: list):
 
     Full row rank is certified cheaply through evaluations when possible (a
     full-rank evaluation is proof), falling back to exact Bareiss
-    elimination; the system itself is solved on the pivot-column submatrix
-    by Cramer-style evaluation/interpolation when the field is big enough,
-    or by Gaussian elimination over F(x) otherwise.  Either way the result
-    is exact and verified against u A = v before returning.
+    elimination; either way it yields m profile columns B on which A is
+    nonsingular.  When the field is big enough, the system is solved and
+    u A = v decided together, on one set of evaluation points
+    (:func:`_solve_left_evaluation`); otherwise u B = v_B is solved by
+    Gaussian elimination over F(x) and u A = v checked by polynomial
+    arithmetic.  Both routes are exact.
     """
     m, n = mat.m, mat.n
     if len(v) != n:
@@ -224,57 +234,66 @@ def rational_solve_left(mat: PolyMat, v: list):
         r, profile = rank_and_profile(mat)
         if r < m:
             return LOW_RANK
-    sub = mat.submatrix(range(m), profile)
-    y = [v[j] for j in profile]
-    u = _solve_square_left(sub, y)
-    common = u.common_den
-    cleared = u.numer_row()
-    if not _left_residual_is_zero(mat, v, cleared, common):
+    deg_a = 0 if mat.deg == NEG_INF else int(mat.deg)
+    deg_v = max((int(f.deg) for f in v if f.coeffs), default=0)
+    npoints = m * deg_a + deg_v + 1
+    # det roots can force skipping up to m*deg_a candidate points
+    if field.p >= npoints + m * deg_a + 2:
+        return _solve_left_evaluation(mat, v, profile, npoints)
+    u = _solve_square_left_fraction(mat.submatrix(range(m), profile),
+                                    [v[j] for j in profile])
+    if not _left_residual_is_zero(mat, v, u.numer_row(), u.common_den):
         return NO_SOLUTION
     return u
 
 
-def _solve_square_left(b: PolyMat, y: list) -> RatVec:
-    """u with u B = y for nonsingular square B (unique over F(x))."""
-    m = b.m
-    field = b.field
-    deg_b = 0 if b.deg == NEG_INF else int(b.deg)
-    deg_y = max((0 if f.deg == NEG_INF else int(f.deg)) for f in y) if y else 0
-    npoints = m * deg_b + deg_y + 1
-    # det roots can force skipping up to m*deg_b candidate points
-    if field.p >= npoints + m * deg_b + 2:
-        return _solve_square_left_evaluation(b, y, npoints)
-    return _solve_square_left_fraction(b, y)
+def _solve_left_evaluation(mat: PolyMat, v: list, profile, npoints: int):
+    """u with u A = v, or NO_SOLUTION, from A and v at npoints points where
+    the profile columns B of A are nonsingular.
 
+    At each point alpha, one elimination gives det B(alpha) and the unique
+    w with w B(alpha) = v_B(alpha), and w is checked against the other
+    columns of A(alpha) and v(alpha).  The checks decide u A = v exactly:
+    with N = det(B) u the Cramer numerators, u A = v is N A = det(B) v,
+    both sides have degree at most m * deg A + deg v < npoints, and at
+    each point used det B(alpha) != 0, so the identity holds there iff
+    w A(alpha) = v(alpha).  A failed check returns NO_SOLUTION before any
+    interpolation; otherwise det B and N (degrees below npoints too) are
+    interpolated from the same points.
 
-def _solve_square_left_evaluation(b: PolyMat, y: list, npoints: int) -> RatVec:
-    """Cramer by evaluation: det(B) and det(B) * u at npoints nonsingular
-    points, interpolated.  Each numerator has degree < npoints, so any
-    nonsingular points give the same polynomials.
-
-    A nonsingular B is singular at no more than m * deg(B) points (the roots
-    of det B), so the first npoints + m * deg(B) candidates always hold
+    A nonsingular B is singular at no more than m * deg(A) points (the roots
+    of det B), so the first npoints + m * deg(A) candidates always hold
     npoints nonsingular ones; a B that leaves fewer is singular, and the
-    search stops there with ArithmeticError.
+    search stops there with ArithmeticError.  Below :data:`BATCH_CUTOFF`
+    points each point is evaluated and eliminated on its own; from there on
+    all of them at once on the batched kernel.
     """
-    field = b.field
+    field = mat.field
     p = field.p
-    m = b.m
-    deg_b = 0 if b.deg == NEG_INF else int(b.deg)
-    limit = min(p, npoints + m * deg_b)
+    m = mat.m
+    profile = list(profile)
+    chosen = set(profile)
+    rest = [j for j in range(mat.n) if j not in chosen]
+    deg_a = 0 if mat.deg == NEG_INF else int(mat.deg)
+    limit = min(p, npoints + m * deg_a)
+    xs = []
     if npoints < BATCH_CUTOFF:
-        xs = []
         det_vals = []
         numers = [[] for _ in range(m)]
+        cols_t = mat.transpose()
         alpha = 0
-        bt_rows = b.transpose()
         while len(xs) < npoints:
             if alpha >= limit:
                 raise ArithmeticError("singular matrix: too few nonsingular points")
-            mt = bt_rows.eval_at(alpha)
-            sol = matfield.solve_with_det(mt, [f(alpha) for f in y])
+            at = cols_t.eval_at(alpha).rows
+            va = [f(alpha) for f in v]
+            sol = matfield.solve_with_det(
+                FieldMat(field, [at[j] for j in profile], ncols=m, normalize=False),
+                [va[j] for j in profile])
             if sol is not None:
                 w, det_a = sol
+                if any(sum(wi * a for wi, a in zip(w, at[j])) % p != va[j] for j in rest):
+                    return NO_SOLUTION
                 xs.append(alpha)
                 det_vals.append(det_a)
                 for i in range(m):
@@ -282,19 +301,27 @@ def _solve_square_left_evaluation(b: PolyMat, y: list, npoints: int) -> RatVec:
             alpha += 1
         det_poly, *nums = interpolate_many(field, xs, [det_vals] + numers)
         return RatVec.from_common_den(det_poly, nums)
-    # u B = y is B^T u^T = y^T: evaluate the augmented [B^T | y^T] at once
-    aug = PolyMat(field, [row + [f] for row, f in zip(b.transpose().rows, y)], ncols=m + 1)
-    xs, cols = [], []
+    vrow = PolyMat(field, [v])
+    cols = []
     alpha = 0
     while len(xs) < npoints:
         if alpha >= limit:
             raise ArithmeticError("singular matrix: too few nonsingular points")
         pts = np.arange(alpha, min(alpha + npoints - len(xs), limit))
-        ok, det, w = matfield.solve_many(field, aug.eval_many(pts))
+        vals = mat.eval_many(pts)
+        vv = vrow.eval_many(pts)[:, 0, :]
+        # u B = v_B is B^T u^T = v_B^T: one augmented [B^T | v_B^T] per point
+        aug = np.concatenate([vals[:, :, profile].transpose(0, 2, 1),
+                              vv[:, profile, None]], axis=2)
+        ok, det, w = matfield.solve_many(field, aug)
+        w, det = w[ok], det[ok, None]
+        if rest and not (matfield.vecmat_many(field, w, vals[ok][:, :, rest])
+                         == vv[ok][:, rest]).all():
+            return NO_SOLUTION
         xs.extend(pts[ok].tolist())
-        cols.append(np.concatenate([det[ok, None], w[ok] * det[ok, None] % p], axis=1))
+        cols.append(np.concatenate([det, w * det % p], axis=1))
         alpha += len(pts)
-    det_poly, *nums = interpolate_many(field, xs, np.concatenate(cols).T.tolist())
+    det_poly, *nums = interpolate_many(field, xs, np.concatenate(cols).T)
     return RatVec.from_common_den(det_poly, nums)
 
 
@@ -337,39 +364,9 @@ def _solve_square_left_fraction(b: PolyMat, y: list) -> RatVec:
 def _left_residual_is_zero(mat: PolyMat, v: list, cleared: list, common: Poly) -> bool:
     """Is (common_den * u) A == common_den * v, i.e. u A == v, exactly?
 
-    Checked at deg_bound+1 points when the field allows, else by polynomial
-    arithmetic; both are exact decisions.
+    Polynomial arithmetic, for fields too small for the evaluation route.
     """
-    field = mat.field
-    p = field.p
-    deg_w = max((f.deg for f in cleared), default=NEG_INF)
-    bound = 0
-    for d in (
-        (deg_w + mat.deg) if (deg_w != NEG_INF and mat.deg != NEG_INF) else NEG_INF,
-        (common.deg + max((f.deg for f in v), default=NEG_INF))
-        if max((f.deg for f in v), default=NEG_INF) != NEG_INF
-        else NEG_INF,
-    ):
-        if d != NEG_INF:
-            bound = max(bound, int(d))
-    npoints = bound + 1
-    if npoints <= p and npoints < BATCH_CUTOFF:
-        for alpha in range(npoints):
-            wa = [f(alpha) for f in cleared]
-            lhs = mat.eval_at(alpha).vecmat(wa)
-            ca = common(alpha)
-            rhs = [ca * f(alpha) % p for f in v]
-            if lhs != rhs:
-                return False
-        return True
-    if npoints <= p:
-        pts = range(npoints)
-        vecs = PolyMat(field, [[*cleared, common, *v]]).eval_many(pts)[:, 0, :]
-        m = mat.m
-        lhs = matfield.vecmat_many(field, vecs[:, :m], mat.eval_many(pts))
-        rhs = vecs[:, m, None] * vecs[:, m + 1:] % p
-        return bool((lhs == rhs).all())
-    z = Poly.zero(field)
+    z = Poly.zero(mat.field)
     for j in range(mat.n):
         acc = z
         for i in range(mat.m):

@@ -19,7 +19,9 @@ the batched eliminations in :mod:`polycert.matfield` take.  The oracles use
 it from ``oracles.BATCH_CUTOFF`` points on; :meth:`PolyMat.eval_at` stays the
 single-point path for both parties.  The same tensor
 (:meth:`PolyMat.coeff_tensor`) gives the Prover's Toeplitz compression
-:meth:`ToeplitzOp.apply_poly_mat` in one array product.
+:meth:`ToeplitzOp.apply_poly_mat` in one array product, and that product is
+handed to C.A as its own coefficient tensor, so the rational solve on C.A
+evaluates it without rebuilding the tensor from its entries.
 """
 
 from __future__ import annotations
@@ -73,6 +75,18 @@ class PolyMat:
         """entries[i][j] is a low-to-high coefficient list."""
         return cls(field, [[Poly(field, c) for c in row] for row in entries],
                    ncols=ncols)
+
+    @classmethod
+    def from_coeff_tensor(cls, field, t: np.ndarray) -> "PolyMat":
+        """The matrix with coefficient tensor t, a ``(d+1, m, n)`` array of
+        reduced elements; t, less any all-zero top coefficients, is kept as
+        its :meth:`coeff_tensor`."""
+        while t.shape[0] > 1 and not (t[-1] != 0).any():
+            t = t[:-1]
+        rows = [[Poly(field, e) for e in row] for row in np.moveaxis(t, 0, 2).tolist()]
+        mat = cls(field, rows, ncols=t.shape[2])
+        mat._coeffs = t
+        return mat
 
     @classmethod
     def from_field_mat(cls, mat: FieldMat) -> "PolyMat":
@@ -404,7 +418,9 @@ class ToeplitzOp:
         One mod-p product of C with A's coefficient tensor
         (:meth:`PolyMat.coeff_tensor`), coefficient by coefficient; reduced
         after every row of A, so an ``int64`` accumulator never exceeds
-        p + (p-1)**2, and exact in ``field.dtype`` for every modulus.
+        p + (p-1)**2, and exact in ``field.dtype`` for every modulus.  The
+        product becomes the result's own coefficient tensor, so evaluating
+        C.A never re-reads its entries.
         """
         if mat.m != self.m:
             raise ValueError("dimension mismatch in Toeplitz application")
@@ -415,8 +431,7 @@ class ToeplitzOp:
         acc = np.zeros((t.shape[0], self.rho, mat.n), dtype=field.dtype)
         for k in range(self.m):
             acc = (acc + c[None, :, k, None] * t[:, None, k, :]) % p
-        out = np.moveaxis(acc, 0, 2).tolist()
-        return PolyMat(field, [[Poly(field, e) for e in row] for row in out], ncols=mat.n)
+        return PolyMat.from_coeff_tensor(field, acc)
 
 
 # -- lazy matrix/vector views used by the Verifier ---------------------------

@@ -12,6 +12,12 @@ counter) in Fiat-Shamir mode, with 8-byte big-endian words rejection-sampled
 to be uniform on [0, sigma).  One global hash state spans a whole run,
 including nested sub-protocols, so sibling sub-protocols can never see the
 same challenge stream.
+
+The digest covers the canonical byte encoding, not the JSON text.
+:meth:`Transcript.save` writes the JSON on one line, without spaces, keys
+sorted, and :meth:`Transcript.load` accepts any whitespace, so indented
+files load as well.  The public inputs are held read-only and encoded once
+per transcript; reassigning ``public`` encodes them afresh.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 from .ff import PrimeField
 from .polymat import PolyMat
@@ -412,11 +419,23 @@ class Transcript:
     def __init__(self, protocol_id: str, params: ProtocolParams, public: dict):
         self.protocol_id = protocol_id
         self.params = params
-        self.public = dict(public)  # name -> payload
+        self.public = public
         self.messages: list[Message] = []
         self.verdict: Verdict | None = None
         self.meta: dict = {}
         self._encoded: dict = {}  # id(message) -> (message, message.encode())
+
+    @property
+    def public(self):
+        """The public inputs, name -> payload: a read-only mapping, so that
+        their encoding, computed once, stays valid until ``public`` is
+        reassigned."""
+        return self._public
+
+    @public.setter
+    def public(self, public: dict):
+        self._public = MappingProxyType(dict(public))
+        self._public_bytes = None
 
     # -- construction -----------------------------------------------------
 
@@ -453,10 +472,14 @@ class Transcript:
         return DOMAIN_PREFIX + self.protocol_id
 
     def hash_prefix(self) -> bytes:
+        """Domain tag, core parameters and public inputs: the bytes both the
+        challenge chain and the digest start from."""
+        if self._public_bytes is None:
+            self._public_bytes = encode_public(self._public)
         return (
             self.domain_tag().encode("utf-8")
             + self.params.encode_core()
-            + encode_public(self.public)
+            + self._public_bytes
         )
 
     def canonical_bytes(self) -> bytes:
@@ -553,9 +576,10 @@ class Transcript:
         return t
 
     def save(self, path):
+        """Write the JSON form on one line, without spaces, keys sorted."""
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_json_dict(), separators=(",", ":"),
+                                sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "Transcript":

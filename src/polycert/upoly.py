@@ -10,14 +10,22 @@ short (under 33 coefficients in every benchmark workload), below the sizes
 where a sub-quadratic product starts to pay.
 
 Interpolation is batched: :func:`interpolate_many` fits one polynomial per
-ordinate list over a shared set of abscissae.  It inverts all
-divided-difference denominators with one exponentiation (Montgomery's trick,
-:meth:`PrimeField.inv_array`), runs every column at once in one numpy array,
-and expands each Newton form by Horner.  :func:`interpolate` is its
-single-column case.
+ordinate list over a shared set of abscissae by one matrix product, the
+ordinates times the interpolation operator of the abscissae (row i holds the
+Lagrange basis polynomial of the i-th abscissa).  The operator is built in
+O(n^2) with one exponentiation for all its denominators (Montgomery's trick,
+:meth:`PrimeField.inv_array`).  Operators of at most
+:data:`CACHED_OPERATOR_POINTS` points are kept, at most 32 of them, keyed
+by modulus and abscissae, since the Prover's abscissae repeat: 0, ..., K-1
+for a few K.  A larger one-off interpolation builds its operator and frees
+it.  For ``int64`` fields it is split into 16-bit limbs,
+so every partial sum of the product stays below 2**63; larger moduli use
+Python ints.  :func:`interpolate` is its single-column case.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -303,41 +311,85 @@ def interpolate(field: PrimeField, points) -> Poly:
 def interpolate_many(field: PrimeField, xs, columns) -> list:
     """One polynomial of degree < len(xs) per ordinate list, all over xs.
 
-    Newton divided differences.  Every denominator ``xs[i] - xs[i-j]`` is
-    shared by all columns, so they are inverted once, together, with a single
-    exponentiation; each column then costs multiplications only, and its
-    Newton form is expanded by Horner, ``r <- r*(x - xs[j]) + c_j``.  The
-    columns are the rows of one numpy array, so each step runs over all of
-    them at once.
+    Interpolation is linear in the ordinates: the coefficients of every
+    column are one row of ``Y @ R``, where row i of the n x n operator R
+    holds the coefficients of the Lagrange basis polynomial of xs[i]
+    (:func:`_interpolation_operator`, cached up to
+    :data:`CACHED_OPERATOR_POINTS` points).  ``columns``
+    is a list of ordinate lists or a ``(k, n)`` array.
     """
     p = field.p
-    xs = [x % p for x in xs]
+    xs = tuple(x % p for x in xs)
     n = len(xs)
     if len(set(xs)) != n:
         raise ValueError("duplicate abscissa in interpolation points")
-    columns = [[y % p for y in col] for col in columns]
     if any(len(col) != n for col in columns):
         raise ValueError("ordinate list length differs from the abscissae")
-    if n == 0:
+    if n == 0 or len(columns) == 0:
         return [Poly.zero(field) for _ in columns]
+    y = np.array(columns, dtype=field.dtype).reshape(-1, n) % p
+    if n <= CACHED_OPERATOR_POINTS:
+        op = _cached_interpolation_operator(field, xs)
+    else:
+        op = _interpolation_operator(field, xs)
+    if field.dtype is object:
+        coeffs = y.dot(op) % p
+    else:
+        # 16-bit limbs keep every partial sum of n < 2**16 terms below 2**63
+        lo, hi = op
+        coeffs = ((y @ hi % p) * 65536 + y @ lo % p) % p
+    return [Poly(field, _trim(row), normalize=False) for row in coeffs.tolist()]
+
+
+def _interpolation_operator(field: PrimeField, xs: tuple):
+    """The n x n matrix R whose row i is the Lagrange basis polynomial
+    L_i = prod_{j != i} (x - xs[j]) / (xs[i] - xs[j]), low-to-high.
+
+    O(n^2) in n vectorised steps: M = prod_j (x - xs[j]) by repeated
+    multiplication by a linear factor, every M / (x - xs[i]) at once by
+    synthetic division, each denominator M'(xs[i]) by Horner on the same
+    quotient, and all n of them inverted together by one exponentiation
+    (:meth:`PrimeField.inv_array`).  For an ``int64`` field it is returned
+    as its low and high 16-bit limbs, read-only; for larger moduli as one
+    ``object`` array.
+    """
+    p = field.p
+    n = len(xs)
     x = np.array(xs, dtype=field.dtype)
-    diffs = [(x[j:] - x[:-j]) % p for j in range(1, n)]
-    invs = field.inv_array(np.concatenate(diffs) if diffs else diffs)
-    c = np.array(columns, dtype=field.dtype).reshape(len(columns), n)
-    pos = 0
-    for j in range(1, n):
-        c[:, j:] = (c[:, j:] - c[:, j - 1:-1]) * invs[pos:pos + n - j] % p
-        pos += n - j
-    # r holds the Horner accumulator in its first n-1-j columns
-    r = np.zeros_like(c)
-    r[:, 0] = c[:, -1]
-    for j in range(n - 2, -1, -1):
-        size = n - 1 - j
-        prev = r[:, :size].copy()
-        r[:, 1:size + 1] = prev
-        r[:, 0] = c[:, j]
-        r[:, :size] = (r[:, :size] - xs[j] * prev) % p
-    return [Poly(field, _trim(row), normalize=False) for row in r.tolist()]
+    # high-to-low: monic[k] is the x^(n-k) coefficient of M, and q[k] holds
+    # the x^(n-1-k) coefficients of every M / (x - xs[i])
+    monic = np.zeros(n + 1, dtype=field.dtype)
+    monic[0] = 1
+    for j in range(n):
+        monic[1:j + 2] = (monic[1:j + 2] - xs[j] * monic[:j + 1]) % p
+    q = np.empty((n, n), dtype=field.dtype)
+    q[0] = 1
+    denom = np.ones(n, dtype=field.dtype)
+    for k in range(1, n):
+        q[k] = (monic[k] + x * q[k - 1]) % p
+        denom = (denom * x + q[k]) % p
+    # in place, and q freed once copied, so that an operator costs at most
+    # two n x n arrays at any time
+    q *= field.inv_array(denom)
+    q %= p
+    op = np.ascontiguousarray(q[::-1].T)
+    del q
+    if field.dtype is object:
+        op.flags.writeable = False
+        return op
+    hi = op >> 16
+    op &= 0xFFFF
+    for limb in (op, hi):
+        limb.flags.writeable = False
+    return op, hi
+
+
+# The Prover interpolates at 0, ..., K-1 for a few K (K <= 69 on the
+# certify workload), so operators of up to this many points are kept, at
+# most 32 of them: about 8 MB of int64 limbs at worst.  Larger ones are
+# built per call and freed after it.
+CACHED_OPERATOR_POINTS = 128
+_cached_interpolation_operator = lru_cache(maxsize=32)(_interpolation_operator)
 
 
 class RatFunc:

@@ -5,7 +5,7 @@ division by the common left factor) against the kernel-of-kernel route,
 ``ToeplitzOp.apply_poly_mat`` (one product over the coefficient tensor)
 against its entrywise definition, and ``det_bareiss``
 on both sides of the point-count cutoff against fraction-free elimination;
-then the square solver's stop on a singular matrix and the agreement of the
+then the evaluation solver's stop on a singular profile and the agreement of the
 advertised #S bounds with the ones the runners record, on true and false
 statements.
 """
@@ -32,7 +32,7 @@ from polycert.oracles import (
     BATCH_CUTOFF,
     _det_bareiss,
     _det_evaluation,
-    _solve_square_left,
+    _solve_left_evaluation,
     det_bareiss,
     kernel_basis_left,
     popov_form,
@@ -155,6 +155,10 @@ def test_apply_poly_mat_matches_entrywise(field, data):
     got = top.apply_poly_mat(mat)
     assert (got.m, got.n) == (rho, mat.n)
     assert got == _apply_entrywise(top, mat)
+    # the product's tensor, handed over, is the one its entries would build
+    fresh = PolyMat(field, got.rows, ncols=got.n).coeff_tensor()
+    assert got.coeff_tensor().shape == fresh.shape
+    assert (got.coeff_tensor() == fresh).all()
 
 
 def test_apply_poly_mat_of_zero_and_large_entries():
@@ -165,6 +169,11 @@ def test_apply_poly_mat_of_zero_and_large_entries():
         assert top.apply_poly_mat(PolyMat.zero(field, 4, 3)) == PolyMat.zero(field, 3, 3)
         big = PolyMat(field, [[Poly(field, [field.p - 1] * 5)] * 3] * 4, ncols=3)
         assert top.apply_poly_mat(big) == _apply_entrywise(top, big)
+        # C = [-1, 1] cancels the equal top coefficients of A's two rows
+        row = [Poly(field, [1, 2, 3]), Poly(field, [4, 0, 5])]
+        low = PolyMat(field, [row, [f + Poly.one(field) for f in row]], ncols=2)
+        got = ToeplitzOp(field, 1, 2, [1, field.p - 1]).apply_poly_mat(low)
+        assert got.deg == 0 and got.coeff_tensor().shape == (1, 1, 2)
 
 
 # -- determinant --------------------------------------------------------------------------------
@@ -222,18 +231,19 @@ def test_det_routes_by_point_count():
 
 
 def test_square_solve_stops_on_singular_matrix():
+    # the solve on the profile columns, handed a profile that is singular
     row = [Poly(F31, [1, 2]), Poly(F31, [3, 1])]
     b = PolyMat(F31, [row, [f * 5 for f in row]], ncols=2)
     y = [Poly.one(F31), Poly.x(F31)]
-    # 2 x 2 of degree 1: 3 points, the per-point path
+    # 2 x 2 of degree 1: 4 points, the per-point path
     with time_budget(5), pytest.raises(ArithmeticError):
-        _solve_square_left(b, y)
-    # 8 x 8 of degree 4: at least 33 points, the batched path
+        _solve_left_evaluation(b, y, (0, 1), 2 * 1 + 1 + 1)
+    # 8 x 8 of degree 4: 34 points, the batched path
     b8 = rand_singular(random.Random(4), F31, 8, 4)
-    assert 8 * 4 + 1 >= BATCH_CUTOFF
+    assert 8 * 4 + 1 + 1 >= BATCH_CUTOFF
     y8 = [Poly(F31, [i + 1, 7]) for i in range(8)]
     with time_budget(5), pytest.raises(ArithmeticError):
-        _solve_square_left(b8, y8)
+        _solve_left_evaluation(b8, y8, range(8), 8 * 4 + 1 + 1)
 
 
 # -- advertised #S bounds -------------------------------------------------------------------

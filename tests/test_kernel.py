@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polycert import oracles
+from polycert import oracles, upoly
 from polycert.ff import PrimeField
 from polycert.matfield import (
     FieldMat,
@@ -32,13 +32,13 @@ from polycert.oracles import (
     NO_SOLUTION,
     _rank_and_profile_bareiss,
     _rank_and_profile_evaluation,
-    _solve_square_left_evaluation,
+    _solve_left_evaluation,
     _solve_square_left_fraction,
     rank_and_profile,
     rational_solve_left,
 )
 from polycert.polymat import PolyMat
-from polycert.upoly import Poly, interpolate_many
+from polycert.upoly import Poly, RatFunc, interpolate_many
 
 F97 = PrimeField(97)
 F31 = PrimeField(2**31 - 1)
@@ -241,7 +241,7 @@ def test_square_solve_same_on_both_sides_of_cutoff(field, data):
     npoints = b.m * deg_b + deg_y + 1
     want = _solve_square_left_fraction(b, y)
     for k in (npoints, max(npoints, BATCH_CUTOFF), npoints + BATCH_CUTOFF):
-        got = _solve_square_left_evaluation(b, y, k)
+        got = _solve_left_evaluation(b, y, range(b.m), k)
         assert got.common_den == want.common_den
         assert got.numer_row() == want.numer_row()
         assert got == want
@@ -269,6 +269,103 @@ def test_rational_solve_left_same_on_both_sides_of_cutoff(field, data):
     assert batched.common_den == scalar.common_den
     assert batched.numer_row() == scalar.numer_row()
     assert batched.entries == scalar.entries
+
+
+# -- the rational solve against F(x) elimination --------------------------------------------------
+
+
+def _reference_solve(mat, v):
+    """u A = v by Gauss-Jordan elimination over F(x) on A^T, then the
+    residual u A - v in rational arithmetic: LOW_RANK, NO_SOLUTION or the
+    reduced entries of u."""
+    field, m = mat.field, mat.m
+    rows = [[RatFunc.of_poly(mat.rows[i][j]) for i in range(m)] for j in range(mat.n)]
+    rhs = [RatFunc.of_poly(f) for f in v]
+    for c in range(m):
+        piv = next((i for i in range(c, mat.n) if not rows[i][c].is_zero()), None)
+        if piv is None:
+            return LOW_RANK
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rhs[c], rhs[piv] = rhs[piv], rhs[c]
+        inv = RatFunc(rows[c][c].den, rows[c][c].num)
+        rows[c] = [e * inv for e in rows[c]]
+        rhs[c] = rhs[c] * inv
+        for i in range(mat.n):
+            f = rows[i][c]
+            if i != c and not f.is_zero():
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+                rhs[i] = rhs[i] - f * rhs[c]
+    u = rhs[:m]
+    for j in range(mat.n):
+        acc = RatFunc.zero(field)
+        for i in range(m):
+            acc = acc + u[i] * mat.rows[i][j]
+        if acc != RatFunc.of_poly(v[j]):
+            return NO_SOLUTION
+    return u
+
+
+@st.composite
+def membership_systems(draw, field):
+    """(A, v, kind): v a planted member of a random A, A rank-deficient, or
+    a planted member perturbed in one column outside A's greedy column rank
+    profile, which makes it a non-member."""
+    kind = draw(st.sampled_from(["member", "deficient", "perturbed"]))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(m + (kind == "perturbed"), m + 2))
+    d = draw(st.integers(0, 3))
+    rows = [[_poly(draw, field, d) for _ in range(n)] for _ in range(m)]
+    if kind == "deficient":
+        # the last row is a polynomial combination of the others (zero if m = 1)
+        qs = [_poly(draw, field, draw(st.integers(0, 1))) for _ in range(m - 1)]
+        rows[-1] = [sum((q * rows[i][j] for i, q in enumerate(qs)), Poly.zero(field))
+                    for j in range(n)]
+    mat = PolyMat(field, rows, ncols=n)
+    u = [_poly(draw, field, draw(st.integers(-1, 2))) for _ in range(m)]
+    v = [sum((u[i] * rows[i][j] for i in range(m)), Poly.zero(field)) for j in range(n)]
+    if kind == "perturbed":
+        r, profile = _rank_and_profile_bareiss(mat)
+        outside = [j for j in range(n) if j not in profile]
+        j = draw(st.sampled_from(outside))
+        delta = _poly(draw, field, draw(st.integers(0, 3)))
+        assume(not delta.is_zero())
+        v[j] = v[j] + delta
+    return mat, v, kind
+
+
+@pytest.mark.parametrize("field", FIELDS + [PrimeField(7)], ids=IDS + ["F7"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_rational_solve_left_matches_fraction_reference(field, data):
+    # F_7 mostly has too few points for the evaluation route: elimination over F(x)
+    mat, v, kind = data.draw(membership_systems(field))
+    want = _reference_solve(mat, v)
+    if kind == "deficient":
+        assert want is LOW_RANK
+    if kind == "perturbed":
+        # column j depends on earlier profile columns, so u A_j = v_j is
+        # forced by the others and a changed v_j leaves the row space
+        assert want in (LOW_RANK, NO_SOLUTION)
+    for cutoff in (1, 10**9):
+        with batch_cutoff(cutoff):
+            got = rational_solve_left(mat, v)
+        if want is LOW_RANK or want is NO_SOLUTION:
+            assert got is want
+        else:
+            assert got.entries == want
+
+
+def test_non_member_in_a_non_profile_column_on_both_paths():
+    # A = [1, x, x^2 + 1] spans its first column; v = u A + e_2 is not a member
+    for field in FIELDS:
+        a = PolyMat(field, [[Poly.one(field), Poly.x(field), Poly.of(field, 1, 0, 1)]])
+        u = Poly.of(field, 3, 1)
+        member = [u * f for f in a.rows[0]]
+        outside = member[:2] + [member[2] + Poly.one(field)]
+        for cutoff in (1, 10**9):
+            with batch_cutoff(cutoff):
+                assert rational_solve_left(a, member).entries == [RatFunc.of_poly(u)]
+                assert rational_solve_left(a, outside) is NO_SOLUTION
 
 
 # -- interpolation -------------------------------------------------------------------------------
@@ -299,3 +396,36 @@ def test_interpolate_many_matches_lagrange(field, data):
     assert got == [_lagrange(field, xs, ys) for ys in columns]
     for f, ys in zip(got, columns):
         assert [f(x) for x in xs] == ys
+
+
+def test_interpolate_many_largest_ordinates():
+    # every ordinate p - 1 at hundreds of points: a product of the ordinates
+    # with an unsplit int64 operator would overflow long before the sum ends
+    for field, xs in ((F31, range(0, 900, 3)), (F97, range(97)), (F61, range(80))):
+        top = field.p - 1
+        ramp = [x * x % field.p for x in xs]
+        const, square = interpolate_many(field, xs, [[top] * len(xs), ramp])
+        assert const == Poly.constant(field, top)
+        assert square == Poly.of(field, 0, 0, 1)
+
+
+def test_interpolation_operator_cache_stays_bounded():
+    cache = upoly._cached_interpolation_operator
+    bound = cache.cache_info().maxsize
+    for k in range(3 * bound):
+        xs = [k + 7 * i for i in range(4)]
+        ys = [k, 1, 2, 3]
+        f = interpolate_many(F31, xs, [ys])[0]
+        assert [f(x) for x in xs] == ys
+    assert cache.cache_info().currsize <= bound
+
+
+def test_large_interpolation_operator_is_not_cached():
+    cache = upoly._cached_interpolation_operator
+    cache.cache_clear()
+    xs = range(upoly.CACHED_OPERATOR_POINTS + 1)
+    ys = [(3 * x + 5) % F31.p for x in xs]
+    assert interpolate_many(F31, xs, [ys]) == [Poly.of(F31, 5, 3)]
+    assert cache.cache_info().currsize == 0
+    interpolate_many(F31, range(upoly.CACHED_OPERATOR_POINTS), [ys[:-1]])
+    assert cache.cache_info().currsize == 1

@@ -1,10 +1,14 @@
 import json
 import random
+from unittest import mock
 
 import pytest
 from scipy.stats import chi2
 
+from polycert import transcript as tr
 from polycert.ff import PrimeField
+from polycert.polymat import PolyMat
+from polycert.protocols import run_protocol, verify_transcript
 from polycert.transcript import (
     MODE_FIAT_SHAMIR,
     MODE_INTERACTIVE,
@@ -30,6 +34,7 @@ from polycert.transcript import (
     payload_from_json,
     payload_to_json,
 )
+from polycert.upoly import Poly
 
 FBIG = PrimeField(2**31 - 1)
 
@@ -209,6 +214,46 @@ def test_transcript_save_load_roundtrip(tmp_path):
     path2 = tmp_path / "t2.json"
     loaded.save(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _accepted_rank_transcript():
+    x = Poly.x(FBIG)
+    a = PolyMat(FBIG, [[x, Poly.one(FBIG)], [x + x, Poly.of(FBIG, 2)]])
+    verdict, t = run_protocol("rank", {"A": a, "rho": 1}, _params())
+    assert verdict.accepted
+    return t
+
+
+def test_save_writes_compact_sorted_json(tmp_path):
+    t = _accepted_rank_transcript()
+    path = tmp_path / "t.json"
+    t.save(path)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(t.to_json_dict(), separators=(",", ":"), sort_keys=True) + "\n"
+    loaded = Transcript.load(path)
+    assert loaded.digest() == t.digest()
+    assert loaded.verdict == t.verdict == verify_transcript(loaded)
+    # documents written with indentation, as earlier versions saved them, still load
+    path.write_text(json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n")
+    again = Transcript.load(path)
+    assert again.digest() == t.digest() and verify_transcript(again).accepted
+
+
+def test_public_inputs_encoded_once_per_transcript():
+    with mock.patch.object(tr, "encode_public", wraps=tr.encode_public) as enc:
+        t = _accepted_rank_transcript()              # absorbs the public inputs
+        doc = t.to_json_dict()                       # digests them
+        assert enc.call_count == 1
+        loaded = Transcript.from_json_dict(doc)      # checks the stored digest
+        assert verify_transcript(loaded).accepted    # replays the hash chain
+        loaded.digest()
+        assert enc.call_count == 2
+    with pytest.raises(TypeError):
+        loaded.public["rho"] = RankClaimPayload(2)
+    before = loaded.digest()
+    loaded.public = {**loaded.public, "rho": RankClaimPayload(2)}
+    assert loaded.digest() != before
+    assert not verify_transcript(loaded).accepted
 
 
 def test_transcript_digest_tamper_detected(tmp_path):

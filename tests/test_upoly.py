@@ -171,6 +171,7 @@ def test_interpolate_many_duplicate_abscissa():
     with pytest.raises(ValueError):
         interpolate_many(FBIG, [0, 5, 0], [[1, 2, 3], [4, 5, 6]])
     assert interpolate_many(F7, [], [[], []]) == [Poly.zero(F7)] * 2
+    assert interpolate_many(F7, [], []) == interpolate_many(FBIG, [3, 9], []) == []
 
 
 @pytest.mark.parametrize("field", [F7, FBIG], ids=["F7", "F2^31-1"])
