@@ -24,7 +24,7 @@ from .oracles import (
 )
 from .polymat import MatView, PolyMat, ToeplitzOp
 from .protocols import wdeg
-from .provers import HonestProver, _field_of
+from .provers import HonestProver, _field_of, draw_compression
 from .upoly import NEG_INF, Poly, RatFunc, poly_gcd
 
 
@@ -308,15 +308,13 @@ class CheatRowSpaceMembership(CheatFullRankMembership):
         self._forged_index = None
         self._forged_rat = None
 
-    def rsm_rank(self, a: PolyMat) -> int:
-        return rank_and_profile(a)[0]
-
     def rsm_commitment(self, a, v, rho, t, sigma):
         rng = self._cheat_rng
         m = a.m
         field = a.field
         self._forged_index = None
         self._forged_rat = None
+        base = self.compression_base(a, v, rho)
         tops: list = []
         dens: list = []
         sols: list = []
@@ -337,12 +335,7 @@ class CheatRowSpaceMembership(CheatFullRankMembership):
                 self._forged_index = -1  # every sub-proof is hostile
                 self._rsm_solutions = [None] * t
                 return fallback, ones
-            top = ToeplitzOp(
-                field, rho, m,
-                [rng.randrange(sigma) for _ in range(rho + m - 1)],
-            )
-            compressed = top.apply_poly_mat(a)
-            w = rational_solve_left(compressed, v)
+            top, w = draw_compression(rng, a, v, rho, sigma, base)
             if w is LOW_RANK or w is NO_SOLUTION:
                 continue
             tops.append(top)

@@ -221,13 +221,13 @@ def pluq(mat: FieldMat) -> PluqFactorization:
         piv = a[r][col]
         inv_piv = field.inv(piv)
         inv_pivots.append(inv_piv)
+        live = a[r][r:]
         for i in range(r + 1, m):
-            c = a[i][col]
+            row_i = a[i]
+            c = row_i[col]
             if c:
                 f = c * inv_piv % p
-                row_i, row_r = a[i], a[r]
-                for jj in range(r, n):
-                    row_i[jj] = (row_i[jj] - f * row_r[jj]) % p
+                row_i[r:] = [(x - f * y) % p for x, y in zip(row_i[r:], live)]
                 row_i[col] = f  # keep the multiplier in the eliminated slot
         if col != r:
             for i in range(m):
@@ -265,13 +265,23 @@ def solve_right(mat: FieldMat, b: list):
     """Any w with A w = b, or None if the system is inconsistent."""
     if len(b) != mat.m:
         raise ValueError("dimension mismatch in solve_right")
-    p = mat.field.p
-    f = pluq(mat)
+    return pluq_solve(pluq(mat), b)
+
+
+def pluq_solve(f: PluqFactorization, b: list):
+    """The w of :func:`solve_right` from A's factorization ``f = pluq(A)``.
+
+    Free variables are set to zero, so w is supported on the column rank
+    profile ``f.perm_cols[:f.rank]``; None if A w = b is inconsistent.
+    """
+    if len(b) != f.m:
+        raise ValueError("dimension mismatch in pluq_solve")
+    p = f.field.p
     r = f.rank
     # forward substitution: L c = P^{-1} b  (unit lower, all m rows)
-    pb = [b[f.perm_rows[i]] for i in range(mat.m)]
+    pb = [b[f.perm_rows[i]] for i in range(f.m)]
     c = [0] * r
-    for i in range(mat.m):
+    for i in range(f.m):
         acc = pb[i]
         for k in range(min(i, r)):
             acc -= f.lower.rows[i][k] * c[k]
@@ -281,15 +291,15 @@ def solve_right(mat: FieldMat, b: list):
         elif acc != 0:
             return None  # inconsistent
     # back substitution on U (r x n), free variables set to zero
-    w_perm = [0] * mat.n
+    w_perm = [0] * f.n
     for i in range(r - 1, -1, -1):
         acc = c[i]
         for j in range(i + 1, r):
             acc -= f.upper.rows[i][j] * w_perm[j]
         acc %= p
         w_perm[i] = acc * f.inv_pivots[i] % p
-    w = [0] * mat.n
-    for j in range(mat.n):
+    w = [0] * f.n
+    for j in range(f.n):
         w[f.perm_cols[j]] = w_perm[j]
     return w
 
@@ -304,34 +314,10 @@ def solve_with_det(mat: FieldMat, b: list):
         raise ValueError("solve_with_det needs a square matrix")
     if len(b) != mat.m:
         raise ValueError("dimension mismatch in solve_with_det")
-    p = mat.field.p
     f = pluq(mat)
     if f.rank < mat.n:
         return None
-    n = mat.n
-    pb = [b[f.perm_rows[i]] for i in range(n)]
-    c = [0] * n
-    for i in range(n):
-        acc = pb[i]
-        for k in range(i):
-            acc -= f.lower.rows[i][k] * c[k]
-        c[i] = acc % p
-    w_perm = [0] * n
-    det = 1
-    for i in range(n):
-        det = det * f.upper.rows[i][i] % p
-    if perm_sign(f.perm_rows) * perm_sign(f.perm_cols) < 0:
-        det = (p - det) % p
-    for i in range(n - 1, -1, -1):
-        acc = c[i]
-        for j in range(i + 1, n):
-            acc -= f.upper.rows[i][j] * w_perm[j]
-        acc %= p
-        w_perm[i] = acc * f.inv_pivots[i] % p
-    w = [0] * n
-    for j in range(n):
-        w[f.perm_cols[j]] = w_perm[j]
-    return w, det
+    return pluq_solve(f, b), f.det()
 
 
 def right_nullvector(mat: FieldMat):
@@ -376,16 +362,9 @@ def sparse_representative(mat: FieldMat, v: list, rho: int):
     f = pluq(mat)
     if f.rank > rho:
         return None
-    target = mat.matvec(v)
-    profile = list(f.col_rank_profile())
-    sub = mat.submatrix(range(mat.m), profile)
-    x = solve_right(sub, target)
-    if x is None:  # cannot happen for rank <= rho, kept as a guard
-        return None
-    gamma = [0] * mat.n
-    for j, col in enumerate(profile):
-        gamma[col] = x[j]
-    return gamma
+    # A gamma = A v is consistent, and its solution with zero free variables
+    # is the one supported on the profile columns
+    return pluq_solve(f, mat.matvec(v))
 
 
 def hamming_weight(v: list) -> int:

@@ -24,13 +24,18 @@ N A = det(B) v (N the Cramer numerators) have degree at most
 m * deg A + deg v, so at that many points plus one, all with
 det B(alpha) != 0, checking the solution of u B(alpha) = v_B(alpha)
 against the other columns decides u A = v exactly, and a non-member is
-rejected before anything is interpolated.
+rejected before anything is interpolated.  The interpolated det B and N
+are brought to lowest terms by one gcd (:meth:`RatVec.from_common_den`).
+A caller that has already found A's profile columns hands them to the
+solve, which then skips its own full-rank probe.
 
 The saturation basis starts from the Popov form P of A, which is already
 the answer when it is left prime (coprime maximal minors), as random wide
 matrices almost always are.  Otherwise the Hermite form of P's transpose
 gives P's common left factor, and dividing it out by back-substitution
-leaves a left prime basis of the same row space over F(x).
+leaves a left prime basis of the same row space over F(x).  That Hermite
+form, like the one behind :func:`row_membership_oracle`, is computed
+without the unimodular transform, which only :func:`hermite_form` returns.
 
 None of this is available to Verifier code: a Verifier that called these
 routines would be recomputing the certified object, which defeats the whole
@@ -203,7 +208,7 @@ def _det_bareiss(mat: PolyMat) -> Poly:
 # -- Algorithm: rational linear solving with full row rank --------------------
 
 
-def rational_solve_left(mat: PolyMat, v: list):
+def rational_solve_left(mat: PolyMat, v: list, profile=None):
     """Solve u A = v over F(x) for a full-row-rank A.
 
     Returns LOW_RANK iff rank(A) < m; otherwise the unique rational solution
@@ -212,7 +217,10 @@ def rational_solve_left(mat: PolyMat, v: list):
     Full row rank is certified cheaply through evaluations when possible (a
     full-rank evaluation is proof), falling back to exact Bareiss
     elimination; either way it yields m profile columns B on which A is
-    nonsingular.  When the field is big enough, the system is solved and
+    nonsingular.  A caller that has already certified full row rank passes
+    those columns as ``profile`` (the column rank profile of a rank-m
+    A(alpha), or of A itself), and the probe is skipped.  When the field is
+    big enough, the system is solved and
     u A = v decided together, on one set of evaluation points
     (:func:`_solve_left_evaluation`); otherwise u B = v_B is solved by
     Gaussian elimination over F(x) and u A = v checked by polynomial
@@ -224,12 +232,12 @@ def rational_solve_left(mat: PolyMat, v: list):
     if m == 0:
         raise ValueError("rational solve needs at least one row")
     field = mat.field
-    profile = None
-    for alpha in range(min(EVAL_PROBE_CAP, field.p)):
-        f = pluq(mat.eval_at(alpha))
-        if f.rank == m:
-            profile = f.col_rank_profile()
-            break
+    if profile is None:
+        for alpha in range(min(EVAL_PROBE_CAP, field.p)):
+            f = pluq(mat.eval_at(alpha))
+            if f.rank == m:
+                profile = f.col_rank_profile()
+                break
     if profile is None:
         r, profile = rank_and_profile(mat)
         if r < m:
@@ -387,13 +395,21 @@ def hermite_form(mat: PolyMat):
     transforms, that row is frozen as the pivot row for the column, and a
     final pass reduces the below-pivot degrees.
     """
+    return _hermite(mat, with_transform=True)
+
+
+def _hermite(mat: PolyMat, with_transform: bool):
+    """H, and U when asked for; without U every row transform is applied
+    to A's rows only, about half the work for callers that need only H."""
     field = mat.field
     m, n = mat.m, mat.n
     work = [list(row) for row in mat.rows]
-    trans = [
-        [Poly.one(field) if i == j else Poly.zero(field) for j in range(m)]
-        for i in range(m)
-    ]
+    targets = [work]
+    if with_transform:
+        targets.append([
+            [Poly.one(field) if i == j else Poly.zero(field) for j in range(m)]
+            for i in range(m)
+        ])
     active = list(range(m))
     finalized = []  # (pivot_col, work_index), discovered right-to-left
     for j in range(n - 1, -1, -1):
@@ -408,12 +424,12 @@ def hermite_form(mat: PolyMat):
             g, s, t = xgcd(a, b)
             qa = a.divexact(g)
             qb = b.divexact(g)
-            _rows_transform(work, trans, acc, other, s, t, -qb, qa)
+            _rows_transform(targets, acc, other, s, t, -qb, qa)
         piv = work[acc][j]
         if piv.lc() != 1:
             c = field.inv(piv.lc())
-            work[acc] = [f.scale(c) for f in work[acc]]
-            trans[acc] = [f.scale(c) for f in trans[acc]]
+            for target in targets:
+                target[acc] = [f.scale(c) for f in target[acc]]
         finalized.append((j, acc))
         active.remove(acc)
     finalized.reverse()  # now pivot columns increase
@@ -426,22 +442,22 @@ def hermite_form(mat: PolyMat):
             piv = work[idx][k]
             q = work[idx_hi][k] // piv
             if not q.is_zero():
-                work[idx_hi] = [
-                    f - q * g for f, g in zip(work[idx_hi], work[idx])
-                ]
-                trans[idx_hi] = [
-                    f - q * g for f, g in zip(trans[idx_hi], trans[idx])
-                ]
-    h_rows = [work[idx] for _, idx in finalized]
+                for target in targets:
+                    target[idx_hi] = [
+                        f - q * g for f, g in zip(target[idx_hi], target[idx])
+                    ]
+    h = PolyMat(field, [work[idx] for _, idx in finalized], ncols=n)
+    if not with_transform:
+        return h, None
+    trans = targets[1]
     u_rows = [trans[idx] for _, idx in finalized] + [trans[idx] for idx in active]
-    h = PolyMat(field, h_rows, ncols=n)
-    u = PolyMat(field, u_rows, ncols=m)
-    return h, u
+    return h, PolyMat(field, u_rows, ncols=m)
 
 
-def _rows_transform(work, trans, i1, i2, a11, a12, a21, a22):
-    """(row_i1, row_i2) <- (a11 row_i1 + a12 row_i2, a21 row_i1 + a22 row_i2)."""
-    for target in (work, trans):
+def _rows_transform(targets, i1, i2, a11, a12, a21, a22):
+    """(row_i1, row_i2) <- (a11 row_i1 + a12 row_i2, a21 row_i1 + a22 row_i2)
+    in every matrix of ``targets``."""
+    for target in targets:
         r1, r2 = target[i1], target[i2]
         new1 = [a11 * x + a12 * y for x, y in zip(r1, r2)]
         new2 = [a21 * x + a22 * y for x, y in zip(r1, r2)]
@@ -597,7 +613,7 @@ def saturation_basis(mat: PolyMat) -> PolyMat:
     # diagonal, U P^T = [H; 0]) and B^T the first r columns of U^-1, so B
     # extends to a unimodular matrix: it is left prime and spans Sat(P).
     # Back-substitution reads B off H^T B = P, every division exact.
-    h, _ = hermite_form(pm.transpose())
+    h, _ = _hermite(pm.transpose(), with_transform=False)
     b = [None] * r
     for i in range(r - 1, -1, -1):
         row = pm.rows[i]
@@ -613,7 +629,7 @@ def row_membership_oracle(mat: PolyMat, v: list) -> bool:
     """Is v in the F[x]-row space of A?  Deterministic Hermite reduction."""
     if len(v) != mat.n:
         raise ValueError("dimension mismatch in membership oracle")
-    h, _ = hermite_form(mat)
+    h, _ = _hermite(mat, with_transform=False)
     ok, prof = check_hermite_shape(h) if h.m else (True, None)
     if h.m and not ok:
         raise AssertionError("hermite_form produced an out-of-shape result")

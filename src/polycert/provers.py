@@ -7,6 +7,14 @@ prover's own seeded randomness, so a fixed prover seed reproduces a
 transcript bit for bit; retry caps turn a stuck search into ProverGaveUp
 rather than a hang.
 
+Work is shared within a run.  The rank claim of the membership protocol
+comes from one probe, and for a full-row-rank A the solve of u A = v reuses
+the probe's profile and serves every Toeplitz compression C drawn: the
+solution of w (C A) = v is u C^-1 (:func:`draw_compression`).  The PLUQ
+that finds a nonsingular A(alpha) also solves A(alpha) w = b.  All of it
+is kept per run and keyed by the matrix object itself, and
+:meth:`HonestProver.begin_run` drops it.
+
 On a false statement an honest prover does not crash: it degrades to a
 well-formed best effort and lets the Verifier reject.
 """
@@ -17,9 +25,9 @@ import random
 
 from .matfield import (
     FieldMat,
-    det_field,
     nullvector_left,
     pluq,
+    pluq_solve,
     solve_right,
     sparse_representative,
 )
@@ -32,7 +40,7 @@ from .oracles import (
 )
 from .polymat import MatView, PolyMat, ToeplitzOp, VecView
 from .protocols import ProverGaveUp, wdeg
-from .upoly import Poly, poly_gcd
+from .upoly import Poly, RatVec, poly_gcd
 
 COPRIME_RETRY_CAP = 100
 RSM_OUTER_CAP = 20
@@ -47,10 +55,16 @@ class HonestProver:
         self.rng = random.Random(seed)
         self._frrsm_cache: dict = {}
         self._rsm_solutions: list | None = None
+        # (view, alpha, pluq of view(alpha)) from nonsingularity_point
+        self._nonsingular: tuple | None = None
+        # (A, column profile) from rsm_rank when A has full row rank
+        self._rsm_probe: tuple | None = None
 
     def begin_run(self):
         self._frrsm_cache.clear()
         self._rsm_solutions = None
+        self._nonsingular = None
+        self._rsm_probe = None
 
     # -- singularity / nonsingularity ------------------------------------
 
@@ -62,15 +76,23 @@ class HonestProver:
         return v
 
     def nonsingularity_point(self, view: MatView, sigma: int) -> int:
+        """The first alpha with A(alpha) nonsingular; its factorization is
+        kept for :meth:`nonsingularity_solution`."""
         n = view.nrows
         d = wdeg(view.deg_bound)
         for alpha in range(min(sigma, n * d + 1)):
-            if det_field(view.eval_at(alpha)) != 0:
+            f = pluq(view.eval_at(alpha))
+            if f.rank == n:
+                self._nonsingular = (view, alpha, f)
                 return alpha
         return 0
 
     def nonsingularity_solution(self, view: MatView, alpha: int, b: list) -> list:
-        w = solve_right(view.eval_at(alpha), b)
+        kept = self._nonsingular
+        if kept is not None and kept[0] is view and kept[1] == alpha:
+            w = pluq_solve(kept[2], b)
+        else:
+            w = solve_right(view.eval_at(alpha), b)
         if w is None:
             return [0] * view.ncols
         return w
@@ -190,7 +212,33 @@ class HonestProver:
     # -- row space membership (Algorithm: honest prover) ---------------------------------
 
     def rsm_rank(self, a: PolyMat) -> int:
-        return rank_and_profile(a)[0]
+        """rank(A) over F(x): min(m, n) when A(0) reaches it, else by exact
+        elimination.  A full row rank keeps its profile columns for the
+        solve in :meth:`compression_base`.
+
+        One probe, not :data:`EVAL_PROBE_CAP`: a rank-deficient A, as in
+        the false membership instances, fails every probe, and a random
+        full-rank A passes at 0.
+        """
+        rank = min(a.m, a.n)
+        f = pluq(a.eval_at(0))
+        if f.rank == rank:
+            profile = f.col_rank_profile()
+        else:
+            rank, profile = rank_and_profile(a)
+        self._rsm_probe = (a, profile) if rank == a.m else None
+        return rank
+
+    def compression_base(self, a: PolyMat, v: list, rho: int):
+        """The one solution u of u A = v (a RatVec or NO_SOLUTION) when
+        rho = m and A has full row rank; None otherwise, and then every
+        compression C.A is solved on its own (:func:`draw_compression`)."""
+        if rho != a.m:
+            return None
+        probe = self._rsm_probe
+        profile = probe[1] if probe is not None and probe[0] is a else None
+        u = rational_solve_left(a, v, profile)
+        return None if u is LOW_RANK else u
 
     def rsm_commitment(self, a: PolyMat, v: list, rho: int, t: int, sigma: int):
         """Toeplitz compressions and denominators with coprime gcd.
@@ -198,10 +246,10 @@ class HonestProver:
         Las Vegas: redraw each compression until the compressed system is
         full rank and solvable, and redraw the whole batch until the
         denominators are globally coprime.  Caps: 20 t draws per batch, 20
-        batches.
+        batches.  For full-row-rank A the system u A = v is solved once and
+        every draw costs a PLUQ of C over F_p (:func:`draw_compression`).
         """
-        m = a.m
-        spec_len = rho + m - 1
+        base = self.compression_base(a, v, rho)
         for _ in range(RSM_OUTER_CAP):
             tops: list = []
             dens: list = []
@@ -213,12 +261,7 @@ class HonestProver:
                     raise ProverGaveUp(
                         "Toeplitz compression search exceeded its draw cap"
                     )
-                top = ToeplitzOp(
-                    a.field, rho, m,
-                    [self.rng.randrange(sigma) for _ in range(spec_len)],
-                )
-                compressed = top.apply_poly_mat(a)
-                w = rational_solve_left(compressed, v)
+                top, w = draw_compression(self.rng, a, v, rho, sigma, base)
                 if w is LOW_RANK or w is NO_SOLUTION:
                     continue
                 tops.append(top)
@@ -231,6 +274,36 @@ class HonestProver:
                 self._rsm_solutions = sols
                 return tops, dens
         raise ProverGaveUp("coprime denominators not found within the batch cap")
+
+
+def draw_compression(rng: random.Random, a: PolyMat, v: list, rho: int, sigma: int,
+                     base):
+    """A random rho x m Toeplitz C (rho + m - 1 draws from rng) and the
+    solution of w (C A) = v, exactly as ``rational_solve_left(C.A, v)``
+    returns it: a RatVec, LOW_RANK or NO_SOLUTION.
+
+    ``base`` is :meth:`HonestProver.compression_base`.  When it is None,
+    C.A is formed and solved.  Otherwise A has full row rank m = rho, so
+    rank(C.A) = rank(C), and w (C A) = v iff w C = u for the one solution u
+    of u A = v: C.A is LOW_RANK exactly when C is singular, and otherwise
+    w = u C^-1, with u's denominator, because any common divisor of the
+    entries of N C^-1 (N = u's numerators) divides those of N C^-1 C = N.
+    """
+    top = ToeplitzOp(a.field, rho, a.m, [rng.randrange(sigma) for _ in range(rho + a.m - 1)])
+    if base is None:
+        return top, rational_solve_left(top.apply_poly_mat(a), v)
+    f = pluq(top.materialize().transpose())
+    if f.rank < rho:
+        return top, LOW_RANK
+    if base is NO_SOLUTION:
+        return top, NO_SOLUTION
+    # w C = N / den is C^T w^T = N^T, one solve per coefficient of N
+    numers = base.numer_row()
+    width = max(len(g.coeffs) for g in numers)
+    cols = [pluq_solve(f, [g.coeffs[k] if k < len(g.coeffs) else 0 for g in numers])
+            for k in range(width)]
+    return top, RatVec.in_lowest_terms(
+        base.common_den, [Poly(a.field, [col[i] for col in cols]) for i in range(rho)])
 
 
 def _field_of(view) -> object:

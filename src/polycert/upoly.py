@@ -508,29 +508,46 @@ class RatVec:
     def from_common_den(cls, den: Poly, numers) -> "RatVec":
         """The vector ``numers / den`` for a nonzero den, in lowest terms.
 
-        One gcd chain g = gcd(den, n_1, ..., n_m), stopped as soon as it
-        reaches 1, reduces the whole vector: the common denominator is
-        den/g made monic and the numerators are the n_i/g scaled by the same
-        constant, which is exactly the lcm of the reduced entries'
-        denominators and the matching numerator row.
+        The vector's gcd G = gcd(den, n_1, ..., n_m) divides den and the
+        weighted sum s = 1 n_1 + 2 n_2 + ... + m n_m, so g = gcd(den, s) is
+        a multiple of G, and g = G exactly when g divides every n_i.  That
+        one gcd almost always settles it; otherwise the chain
+        gcd(g, n_1, n_2, ...), stopped as soon as it reaches 1, finds G.
+        The common denominator is den/G made monic and the numerators are
+        the n_i/G scaled by the same constant, which is exactly the lcm of
+        the reduced entries' denominators and the matching numerator row.
         """
         numers = list(numers)
         if not numers:
             raise ValueError("empty rational vector")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in rational vector")
-        g = den
-        for f in numers:
-            g = poly_gcd(g, f)
-            if g.is_one():
-                break
+        field = den.field
+        weighted = [0] * max(len(f.coeffs) for f in numers)
+        for k, f in enumerate(numers, 1):
+            for i, c in enumerate(f.coeffs):
+                weighted[i] += k * c
+        g = poly_gcd(den, Poly(field, weighted))
         if not g.is_one():
+            split = [divmod(f, g) for f in numers]
+            if all(r.is_zero() for _, r in split):
+                numers = [q for q, _ in split]
+            else:
+                for f in numers:
+                    g = poly_gcd(g, f)
+                    if g.is_one():
+                        break
+                numers = [f.divexact(g) for f in numers]
             den = den.divexact(g)
-            numers = [f.divexact(g) for f in numers]
-        c = den.field.inv(den.lc())
+        c = field.inv(den.lc())
         if c != 1:
             den = den.scale(c)
             numers = [f.scale(c) for f in numers]
+        return cls.in_lowest_terms(den, numers)
+
+    @classmethod
+    def in_lowest_terms(cls, den: Poly, numers: list) -> "RatVec":
+        """The vector ``numers / den``, already in lowest terms with den monic."""
         out = cls.__new__(cls)
         out.field = den.field
         out._entries = None

@@ -81,7 +81,7 @@ def _saturation_by_kernels(mat):
 
 def _saturation_and_hermite_calls(mat):
     """saturation_basis(mat) and how often its general path ran."""
-    with mock.patch.object(oracles, "hermite_form", wraps=oracles.hermite_form) as hermite:
+    with mock.patch.object(oracles, "_hermite", wraps=oracles._hermite) as hermite:
         got = saturation_basis(mat)
     return got, hermite.call_count
 

@@ -1,0 +1,290 @@
+"""The rsm Prover's shared work.
+
+The Toeplitz compression of a full-row-rank A solved as u C^-1 against a
+solve of C.A itself; the one-gcd reduction to lowest terms against
+entrywise reduction; the factorization and probe kept between Prover calls
+never serving another matrix; and transcripts pinned at the certify sizes
+on both routes of the compression: full-row-rank A (rsm, rs_equality,
+hermite, spopov and sat_basis's wide run) and rank-deficient A
+(kernel_basis, sat_basis's tall run).
+"""
+
+import hashlib
+import random
+from unittest import mock
+
+import pytest
+
+from polycert import instances as I
+from polycert import provers, upoly
+from polycert.ff import PrimeField
+from polycert.matfield import det_field
+from polycert.experiments import generate_true_instance
+from polycert.oracles import (
+    LOW_RANK,
+    NO_SOLUTION,
+    hermite_form,
+    kernel_basis_left,
+    popov_form,
+    rational_solve_left,
+    saturation_basis,
+)
+from polycert.polymat import PolyMat, PolyMatView
+from polycert.protocols import run_protocol
+from polycert.provers import HonestProver, draw_compression
+from polycert.transcript import MODE_FIAT_SHAMIR, MODE_INTERACTIVE, ProtocolParams
+from polycert.upoly import Poly, RatVec
+
+F31 = PrimeField(2**31 - 1)
+F101 = PrimeField(101)
+CERTIFY_PARAMS = ProtocolParams(p=F31.p, sigma=F31.p, mode=MODE_FIAT_SHAMIR, strict=True)
+
+# (rows, columns, degree) as `polycert prove` is benchmarked
+CERTIFY_SIZES = {
+    "rsm": (8, 10, 4),
+    "rs_equality": (6, 8, 3),
+    "hermite": (4, 6, 3),
+    "spopov": (6, 8, 3),
+    "kernel_basis": (6, 4, 3),
+    "sat_basis": (5, 7, 3),
+}
+
+# sha256 over the saved transcripts of seeds 0 and 1, per protocol
+CERTIFY_SIZE_DIGESTS = {
+    "rsm": "604864dbe94bfb34c94dd6bbded64e4fbc5fbb4ee22e38f6967d13a5abb529dc",
+    "rs_equality": "79d4e99fdb5539b08c9b569ad7197f7cd3b5d1e24c189671fb202d9e42d41869",
+    "hermite": "23328e7c23e9a3788931ef2362f6c662a20a5fd43ac6b487839bd89916656752",
+    "spopov": "3da7eb29b5ebd73c18dff5a5ba5b35ef3c1ee7cc0ba5111905cb0a1774c9ea26",
+    "kernel_basis": "8cc3c8a6332b43032d90c2b84c22eb5c63f28acedc8183e5eabb7e35318c957d",
+    "sat_basis": "072edc444633c7dcb0974d4296a66bb4f59d24f869713aaa60ffcb15e6cfae42",
+}
+
+
+def certify_size_inputs(pid, seed):
+    """Public inputs of a true statement at the certify size, the certified
+    object computed by the Prover-side oracle."""
+    rng = random.Random(f"certify-pin:{pid}:{seed}")
+    m, n, d = CERTIFY_SIZES[pid]
+    if pid == "rsm":
+        a, v, _ = I.planted_member(rng, F31, m, n, d)
+        return {"A": a, "v": v}
+    if pid == "rs_equality":
+        b = I.rand_polymat(rng, F31, m, n, d)
+        return {"A": I.rand_unimodular(rng, F31, m, dmax=1).mul(b), "B": b}
+    a = I.rand_polymat(rng, F31, m, n, d)
+    if pid == "hermite":
+        return {"A": a, "H": hermite_form(a)[0]}
+    if pid == "spopov":
+        return {"A": a, "shift": [0] * n, "P": popov_form(a, [0] * n)}
+    if pid == "kernel_basis":
+        return {"A": a, "B": kernel_basis_left(a)}
+    return {"A": a, "B": saturation_basis(a)}
+
+
+@pytest.mark.parametrize("pid", list(CERTIFY_SIZES))
+def test_certify_size_transcripts_are_pinned(pid, tmp_path):
+    h = hashlib.sha256()
+    for seed in (0, 1):
+        verdict, t = run_protocol(pid, certify_size_inputs(pid, seed), CERTIFY_PARAMS)
+        assert verdict.accepted, (pid, seed, verdict)
+        path = tmp_path / f"{pid}-{seed}.json"
+        t.save(path)
+        h.update(path.read_bytes())
+    assert h.hexdigest() == CERTIFY_SIZE_DIGESTS[pid]
+
+
+# -- the compression of a full-row-rank A -------------------------------------------------
+
+
+class _Constant:
+    """An rng whose every draw is c: an all-c Toeplitz matrix, singular for m > 1."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def randrange(self, sigma):
+        return self.c
+
+
+def _full_row_rank_instances(field, rng):
+    for m, n, d in ((1, 2, 2), (2, 2, 1), (2, 4, 2), (3, 4, 2), (4, 5, 1)):
+        a, v, _ = I.planted_member(rng, field, m, n, d)
+        if rational_solve_left(a, v) is not LOW_RANK:
+            yield a, v
+        yield I.planted_nonmember_rational(rng, field, m, n, d)
+
+
+@pytest.mark.parametrize("field", [F31, F101], ids=["F2^31-1", "F101"])
+def test_compressed_solution_is_u_times_c_inverse(field):
+    rng = random.Random(f"compression:{field.p}")
+    singular = 0
+    for a, v in _full_row_rank_instances(field, rng):
+        m = a.m
+        base = HonestProver().compression_base(a, v, m)
+        assert base is not None and base is not NO_SOLUTION
+        for k in range(50):
+            # small sample sets make singular C common, p makes it rare
+            sigma = 3 if k % 2 else field.p
+            seed = rng.randrange(2**32)
+            top, got = draw_compression(random.Random(seed), a, v, m, sigma, base)
+            _, want = draw_compression(random.Random(seed), a, v, m, sigma, None)
+            if det_field(top.materialize()) == 0:
+                singular += 1
+                assert got is LOW_RANK and want is LOW_RANK
+                continue
+            assert isinstance(got, RatVec) and isinstance(want, RatVec)
+            assert got.common_den == want.common_den
+            assert got.numer_row() == want.numer_row()
+        if m > 1:
+            _, got = draw_compression(_Constant(5), a, v, m, field.p, base)
+            assert got is LOW_RANK
+    assert singular > 0
+
+
+def test_compression_base_leaves_rank_deficient_a_to_the_direct_route():
+    rng = random.Random(3)
+    prover = HonestProver()
+    # tall: rho = rank 2 < m = 3, C is 2 x 3
+    a, v, _ = I.planted_member(rng, F101, 3, 2, 2)
+    assert prover.rsm_rank(a) == 2
+    assert prover.compression_base(a, v, 2) is None
+    # a claim of full row rank on a rank-deficient A falls back too
+    a = I.planted_rank(rng, F101, 3, 4, 2, 2)
+    assert prover.compression_base(a, a.rows[0], 3) is None
+
+
+def test_compression_base_on_a_non_member():
+    rng = random.Random(4)
+    a = I.rand_polymat(rng, F101, 2, 4, 2)
+    v = [Poly.one(F101)] + [Poly.zero(F101)] * 3
+    assert rational_solve_left(a, v) is NO_SOLUTION
+    base = HonestProver().compression_base(a, v, 2)
+    assert base is NO_SOLUTION
+    for seed in range(20):
+        _, got = draw_compression(random.Random(seed), a, v, 2, 3, base)
+        _, want = draw_compression(random.Random(seed), a, v, 2, 3, None)
+        assert got is want
+
+
+# -- lowest terms by one gcd ---------------------------------------------------------------
+
+
+def _rand_poly(rng, field, dmax):
+    return Poly(field, [rng.randrange(field.p) for _ in range(rng.randint(0, dmax + 1))])
+
+
+def _assert_lowest_terms_agree(den, numers):
+    field = den.field
+    got = RatVec.from_common_den(den, numers)
+    want = RatVec.normalize(field, [(f, den) for f in numers])
+    assert got.common_den == want.common_den
+    assert got.numer_row() == want.numer_row()
+    assert got.entries == want.entries
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 2**31 - 1])
+def test_from_common_den_matches_entrywise_reduction(p):
+    field = PrimeField(p)
+    rng = random.Random(f"lowest-terms:{p}")
+    for _ in range(150):
+        m = rng.randint(1, 5)
+        shared = _rand_poly(rng, field, 2)
+        if shared.is_zero():
+            shared = Poly.one(field)
+        den = shared * _rand_poly(rng, field, 3)
+        if den.is_zero():
+            continue
+        # a factor shared by every numerator, by some, or by none
+        numers = [(shared if rng.random() < 0.7 else Poly.one(field)) * _rand_poly(rng, field, 3)
+                  for _ in range(m)]
+        _assert_lowest_terms_agree(den, numers)
+
+
+def test_from_common_den_edge_cases():
+    x = Poly.x(F101)
+    one = Poly.one(F101)
+    zero = Poly.zero(F101)
+    # m = 1
+    _assert_lowest_terms_agree((x - one) * (x + one), [(x - one) * x])
+    _assert_lowest_terms_agree(x.scale(7), [x.scale(3)])
+    # zero numerators, all or some
+    _assert_lowest_terms_agree((x - one) * x, [zero, zero])
+    _assert_lowest_terms_agree((x - one) * x, [zero, x, zero])
+    _assert_lowest_terms_agree(Poly.constant(F101, 4), [zero])
+
+
+def test_from_common_den_falls_back_when_the_weighted_sum_shares_more():
+    x = Poly.x(F101)
+    f = x - Poly.constant(F101, 1)
+    n2 = x - Poly.constant(F101, 3)
+    n1 = f * (x + Poly.constant(F101, 2)) - n2.scale(2)
+    den = f * (x - Poly.constant(F101, 5))
+    # the weighted sum n1 + 2 n2 has the factor f of den, which neither
+    # numerator has, so the first gcd overshoots and the chain must run
+    assert ((n1 + n2.scale(2)) % f).is_zero()
+    assert not (n1 % f).is_zero() and not (n2 % f).is_zero()
+    with mock.patch.object(upoly, "poly_gcd", wraps=upoly.poly_gcd) as gcd:
+        RatVec.from_common_den(den, [n1, n2])
+    assert gcd.call_count > 1
+    _assert_lowest_terms_agree(den, [n1, n2])
+
+
+# -- state kept between Prover calls ---------------------------------------------------------
+
+
+class _SpyProver(HonestProver):
+    """Records which evaluated matrix each nonsingularity solution is for."""
+
+    def nonsingularity_solution(self, view, alpha, b):
+        self.current = view.eval_at(alpha)
+        return super().nonsingularity_solution(view, alpha, b)
+
+
+def test_reused_prover_solves_with_its_own_factorization():
+    prover = _SpyProver(seed=5)
+    solved = []
+    real = provers.pluq_solve
+
+    def checked(f, b):
+        assert f.reconstruct() == prover.current
+        solved.append(f)
+        return real(f, b)
+
+    rng = random.Random(9)
+    runs = [(pid, generate_true_instance(pid, rng, F101, mmax=3, dmax=2))
+            for _ in range(4) for pid in ("nonsingularity", "rank_lb", "rank", "rsm")]
+    with mock.patch.object(provers, "pluq_solve", checked):
+        # one prover for every run, as make_false_instance hands one to every trial
+        for k, (pid, pub) in enumerate(runs):
+            params = ProtocolParams(p=F101.p, sigma=F101.p, mode=MODE_INTERACTIVE,
+                                    strict=False, seed=k)
+            verdict, _ = run_protocol(pid, pub, params, prover=prover)
+            assert verdict.accepted, (pid, verdict)
+    assert solved
+
+
+def test_kept_factorization_and_probe_serve_only_their_own_matrix():
+    rng = random.Random(11)
+    prover = HonestProver()
+    v1 = PolyMatView(I.rand_nonsingular(rng, F101, 3, 2))
+    v2 = PolyMatView(I.rand_nonsingular(rng, F101, 3, 2))
+    alpha = prover.nonsingularity_point(v1, F101.p)
+    b = [1, 2, 3]
+    for view, point in ((v2, alpha), (v1, alpha + 1), (v1, alpha)):
+        w = prover.nonsingularity_solution(view, point, b)
+        assert view.eval_at(point).matvec(w) == b
+    prover.begin_run()
+    assert prover._nonsingular is None
+    # the probe of one matrix (profile 0, 1) is not the profile of the next,
+    # whose first two columns are zero
+    zero, one = Poly.zero(F101), Poly.one(F101)
+    r = I.rand_polymat(rng, F101, 2, 2, 2).rows
+    a1 = PolyMat(F101, [[one, zero] + r[0], [zero, one] + r[1]], ncols=4)
+    assert prover.rsm_rank(a1) == 2 and prover._rsm_probe == (a1, (0, 1))
+    a2 = PolyMat(F101, [[zero, zero] + row for row in
+                        I.rand_nonsingular(rng, F101, 2, 2).rows], ncols=4)
+    v = [f + g for f, g in zip(a2.rows[0], a2.rows[1])]
+    base = prover.compression_base(a2, v, 2)
+    assert base.common_den.is_one() and base.numer_row() == [Poly.one(F101)] * 2
+    prover.begin_run()
+    assert prover._rsm_probe is None
