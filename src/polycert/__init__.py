@@ -8,7 +8,7 @@ via a Fiat-Shamir hash chain, and every exchange is recorded in a bit-exact
 transcript that can be stored and re-verified offline.
 """
 
-from .ff import PrimeField, SampleSet
+from .ff import PrimeField
 from .upoly import NEG_INF, Poly, RatFunc, RatVec
 from .matfield import FieldMat
 from .polymat import PolyMat
@@ -17,7 +17,6 @@ from .protocols import PROTOCOL_IDS, ProverGaveUp, run_protocol, verify_transcri
 
 __all__ = [
     "PrimeField",
-    "SampleSet",
     "Poly",
     "RatFunc",
     "RatVec",

@@ -32,6 +32,21 @@ class InstanceActuallyTrue(Exception):
     """A cheat strategy was pointed at a statement that is in fact true."""
 
 
+def _rank_maximizing_point(view: MatView, sigma: int) -> int:
+    """The first point in the Verifier's useful range where the singular view
+    evaluates to the largest rank.  No point can beat rank n-1, so the walk
+    stops at the first point that reaches it."""
+    n = view.nrows
+    best, best_rank = 0, -1
+    for alpha in range(min(sigma, n * wdeg(view.deg_bound) + 2)):
+        r = pluq(view.eval_at(alpha)).rank
+        if r > best_rank:
+            best, best_rank = alpha, r
+        if r == n - 1:
+            break
+    return best
+
+
 class CheatNonSingularity(HonestProver):
     """A is singular: commit a rank-maximizing point, answer when consistent."""
 
@@ -41,15 +56,7 @@ class CheatNonSingularity(HonestProver):
             raise InstanceActuallyTrue("matrix is nonsingular")
 
     def nonsingularity_point(self, view: MatView, sigma: int) -> int:
-        n = view.nrows
-        best, best_rank = 0, -1
-        for alpha in range(min(sigma, n * wdeg(view.deg_bound) + 2)):
-            r = pluq(view.eval_at(alpha)).rank
-            if r > best_rank:
-                best, best_rank = alpha, r
-            if r == n - 1:
-                break
-        return best
+        return _rank_maximizing_point(view, sigma)
     # the inherited solution method already solves when b is consistent
 
 
@@ -70,13 +77,8 @@ class CheatRankLowerBound(HonestProver):
         return rows, cols
 
     def nonsingularity_point(self, view: MatView, sigma: int) -> int:
-        n = view.nrows
-        best, best_rank = 0, -1
-        for alpha in range(min(sigma, n * wdeg(view.deg_bound) + 2)):
-            r = pluq(view.eval_at(alpha)).rank
-            if r > best_rank:
-                best, best_rank = alpha, r
-        return best
+        # every rho x rho submatrix of A is singular: rank(A) < rho
+        return _rank_maximizing_point(view, sigma)
 
 
 def _pad(profile, rho, limit):

@@ -39,10 +39,6 @@ from .transcript import (
     TranscriptError,
     payload_from_json,
     payload_to_json,
-    payload_to_polymat,
-    payload_to_polyvec,
-    polymat_to_payload,
-    polyvec_to_payload,
 )
 
 INSTANCE_FORMAT = "polycert-instance/v1"
@@ -73,15 +69,8 @@ def _load_instance(path):
         raise click.UsageError("not a polycert instance file")
     try:
         field = PrimeField(int(doc["p"]))
-        objects = {}
-        for name, payload_doc in doc.get("objects", {}).items():
-            payload = payload_from_json(payload_doc)
-            if isinstance(payload, PolyMatrixPayload):
-                objects[name] = payload_to_polymat(field, payload)
-            elif isinstance(payload, PolyVectorPayload):
-                objects[name] = payload_to_polyvec(field, payload)
-            else:
-                objects[name] = payload
+        objects = {name: payload_from_json(payload_doc).value_in(field)
+                   for name, payload_doc in doc.get("objects", {}).items()}
     except KeyError as exc:
         raise click.UsageError(f"malformed instance file: missing key {exc}")
     except (TypeError, ValueError, AttributeError) as exc:
@@ -118,21 +107,21 @@ def gen(kind, m, n, d, r, modulus, seed, out):
         a = rand_polymat(rng, field, m, n, d)
         # B is n x n: composable with A both as A.B and as a same-width matrix
         b = rand_polymat(rng, field, n, n, d)
-        objects = {"A": polymat_to_payload(a), "B": polymat_to_payload(b)}
+        objects = {"A": PolyMatrixPayload.of(a), "B": PolyMatrixPayload.of(b)}
     elif kind == "planted-rank":
         if r is None or not 0 <= r <= min(m, n):
             raise click.UsageError("planted-rank needs --r in [0, min(m, n)]")
         a = planted_rank(rng, field, m, n, r, d)
-        objects = {"A": polymat_to_payload(a)}
+        objects = {"A": PolyMatrixPayload.of(a)}
         witness = {"rank": r}
     elif kind == "planted-membership":
         a, v, q = planted_member(rng, field, m, n, d)
-        objects = {"A": polymat_to_payload(a), "v": polyvec_to_payload(v)}
-        witness = {"combination": payload_to_json(polyvec_to_payload(q))}
+        objects = {"A": PolyMatrixPayload.of(a), "v": PolyVectorPayload.of(v)}
+        witness = {"combination": payload_to_json(PolyVectorPayload.of(q))}
     elif kind == "planted-normal-form":
         a = rand_polymat(rng, field, m, n, d)
         h, _ = hermite_form(a)
-        objects = {"A": polymat_to_payload(a), "H": polymat_to_payload(h)}
+        objects = {"A": PolyMatrixPayload.of(a), "H": PolyMatrixPayload.of(h)}
         witness = {"hermite_rows": h.m}
     doc = {
         "format": INSTANCE_FORMAT,

@@ -1,4 +1,4 @@
-"""Prime field arithmetic and uniform sampling from a subset of the field.
+"""Prime field arithmetic.
 
 Field elements are plain Python integers in ``[0, p)``; a :class:`PrimeField`
 instance carries the modulus and provides the arithmetic.  Keeping elements
@@ -11,14 +11,14 @@ The batched kernels (:mod:`polycert.polymat`, :mod:`polycert.matfield`,
 :attr:`PrimeField.dtype`, and invert a whole array with one exponentiation
 (:meth:`PrimeField.inv_array`).
 
-Random challenges are always drawn from the sample set
-``S = {0, 1, ..., sigma-1}`` embedded in the field, never from all of F_p,
-so that soundness experiments can shrink ``sigma`` independently of ``p``.
+Random challenges (:class:`polycert.transcript.ChallengeSource`) are always
+drawn from the sample set ``S = {0, 1, ..., sigma-1}`` embedded in the
+field, never from all of F_p, so that soundness experiments can shrink
+``sigma`` independently of ``p``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -87,14 +87,6 @@ class PrimeField:
 
     # -- arithmetic on reduced ints ------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        c = a + b
-        return c - self.p if c >= self.p else c
-
-    def sub(self, a: int, b: int) -> int:
-        c = a - b
-        return c + self.p if c < 0 else c
-
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
 
@@ -141,31 +133,3 @@ class PrimeField:
             up[1::2] = inv * level[0::2] % p
             inv = up
         return inv[: len(values)]
-
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.p
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
-        return pow(a, e, self.p)
-
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """The challenge set S = {0, ..., sigma-1} inside a prime field."""
-
-    field: PrimeField
-    sigma: int
-
-    def __post_init__(self):
-        if not 1 <= self.sigma <= self.field.p:
-            raise ValueError(
-                f"sample set size must satisfy 1 <= sigma <= p, got {self.sigma}"
-            )
-
-    def __contains__(self, value: int) -> bool:
-        return 0 <= value < self.sigma

@@ -108,12 +108,6 @@ class PolyMat:
             self._deg = d
         return self._deg
 
-    @property
-    def working_deg(self) -> int:
-        """max(1, deg): the d_A convention used in all probability bounds."""
-        d = self.deg
-        return 1 if d == NEG_INF else max(1, int(d))
-
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.rows for e in row)
 

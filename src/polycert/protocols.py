@@ -22,6 +22,7 @@ is the one that guarantees completeness and 1/2-soundness for the composite.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple
 
 from .ff import PrimeField
@@ -58,14 +59,6 @@ from .transcript import (
     Transcript,
     TranscriptError,
     Verdict,
-    fieldmat_to_payload,
-    payload_to_fieldmat,
-    payload_to_poly,
-    payload_to_polymat,
-    payload_to_polyvec,
-    poly_to_payload,
-    polymat_to_payload,
-    polyvec_to_payload,
 )
 from .upoly import NEG_INF, Poly, deg_add, deg_le, deg_scale
 
@@ -225,7 +218,7 @@ class Session:
 
     def prover_poly(self, label: str, produce) -> Poly:
         payload = self._prover_payload(
-            label, PolyPayload, lambda: poly_to_payload(produce())
+            label, PolyPayload, lambda: PolyPayload.of(produce())
         )
         self._check_poly(label, list(payload.coeffs))
         return Poly(self.field, list(payload.coeffs), normalize=False)
@@ -331,29 +324,6 @@ class Session:
 # -- the registry -------------------------------------------------------------------
 
 
-class PayloadKind(NamedTuple):
-    """How one kind of public input travels in a transcript."""
-
-    cls: type                 # the payload class the transcript must hold
-    to_payload: Callable      # domain object -> payload
-    from_payload: Callable    # (field, payload) -> domain object
-    noun: str                 # what a wrong payload was expected to be
-
-
-_PM = PayloadKind(PolyMatrixPayload, polymat_to_payload, payload_to_polymat,
-                  "a polynomial matrix")
-_PV = PayloadKind(PolyVectorPayload, polyvec_to_payload, payload_to_polyvec,
-                  "a polynomial vector")
-_PO = PayloadKind(PolyPayload, poly_to_payload, payload_to_poly, "a polynomial")
-_FM = PayloadKind(FieldMatrixPayload, fieldmat_to_payload, payload_to_fieldmat,
-                  "a field matrix")
-_FS = PayloadKind(FieldScalar, FieldScalar, lambda field, pl: pl.value, "a scalar")
-_RC = PayloadKind(RankClaimPayload, RankClaimPayload, lambda field, pl: pl.value,
-                  "a rank claim")
-_SH = PayloadKind(ShiftPayload, lambda shift: ShiftPayload(tuple(shift)),
-                  lambda field, pl: list(pl.values), "a shift")
-
-
 class ProtocolSpec(NamedTuple):
     """Everything the Verifier side knows about one protocol.
 
@@ -363,7 +333,7 @@ class ProtocolSpec(NamedTuple):
     """
 
     runner: Callable          # (Session, public inputs); raises ProtocolReject
-    schema: dict              # public input name -> PayloadKind, in encoding order
+    schema: dict              # public input name -> payload class, in encoding order
     bound: Callable
     claimed_rank_of: str | None = None
 
@@ -415,7 +385,8 @@ def _dot(field, a, b) -> int:
 # rather than crashes.
 
 
-@protocol("singularity", {"A": _PM}, lambda pub: 2 * pub["A"].n * _mdeg(pub, "A"))
+@protocol("singularity", {"A": PolyMatrixPayload},
+          lambda pub: 2 * pub["A"].n * _mdeg(pub, "A"))
 def run_singularity(sess: Session, pub):
     a: PolyMat = pub["A"]
     if a.m != a.n or a.m == 0:
@@ -451,7 +422,8 @@ def _nonsingularity(sess: Session, view: MatView):
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "A(alpha) w != b")
 
 
-@protocol("nonsingularity", {"A": _PM}, lambda pub: pub["A"].n * _mdeg(pub, "A") + 1)
+@protocol("nonsingularity", {"A": PolyMatrixPayload},
+          lambda pub: pub["A"].n * _mdeg(pub, "A") + 1)
 def run_nonsingularity(sess: Session, pub):
     a: PolyMat = pub["A"]
     if a.m != a.n or a.m == 0:
@@ -466,12 +438,10 @@ def _rank_lb(sess: Session, view: MatView, rho: int):
     if rho == 0:
         return  # vacuously true
     m, n = view.nrows, view.ncols
-    cache = {}
 
+    @functools.cache
     def sets():
-        if "v" not in cache:
-            cache["v"] = sess.prover.rank_lb_sets(view, rho)
-        return cache["v"]
+        return sess.prover.rank_lb_sets(view, rho)
 
     rows = sess.prover_index_set("row_set", rho, m, lambda: sets()[0])
     cols = sess.prover_index_set("col_set", rho, n, lambda: sets()[1])
@@ -480,7 +450,7 @@ def _rank_lb(sess: Session, view: MatView, rho: int):
         _nonsingularity(sess, sub)
 
 
-@protocol("rank_lb", {"A": _PM, "rho": _RC},
+@protocol("rank_lb", {"A": PolyMatrixPayload, "rho": RankClaimPayload},
           lambda pub: max(0, pub["rho"]) * _mdeg(pub, "A") + 1)
 def run_rank_lb(sess: Session, pub):
     sess.declare_bound()
@@ -504,14 +474,14 @@ def _rank_ub(sess: Session, a: PolyMat, rho: int):
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "A(alpha) gamma != A(alpha) v")
 
 
-@protocol("rank_ub", {"A": _PM, "rho": _RC},
+@protocol("rank_ub", {"A": PolyMatrixPayload, "rho": RankClaimPayload},
           lambda pub: 2 * max(0, pub["rho"]) * _mdeg(pub, "A") + 2)
 def run_rank_ub(sess: Session, pub):
     sess.declare_bound()
     _rank_ub(sess, pub["A"], pub["rho"])
 
 
-@protocol("rank", {"A": _PM, "rho": _RC},
+@protocol("rank", {"A": PolyMatrixPayload, "rho": RankClaimPayload},
           lambda pub: 2 * max(0, pub["rho"]) * _mdeg(pub, "A") + 2)
 def run_rank(sess: Session, pub):
     a: PolyMat = pub["A"]
@@ -531,12 +501,10 @@ def _field_det(sess: Session, b: FieldMat, beta: int):
         if beta != 1 % sess.field.p:
             sess.fail(Reason.EVALUATION_CHECK_FAILED, "empty determinant is 1")
         return
-    cache = {}
 
+    @functools.cache
     def factors():
-        if "v" not in cache:
-            cache["v"] = sess.prover.field_det_factors(b, beta)
-        return cache["v"]
+        return sess.prover.field_det_factors(b, beta)
 
     r = sess.prover_rank_claim("pluq_rank", lambda: factors()[0])
     if r > nu:
@@ -581,7 +549,7 @@ def _field_det(sess: Session, b: FieldMat, beta: int):
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "Freivalds check failed")
 
 
-@protocol("determinant", {"A": _PM, "delta": _PO},
+@protocol("determinant", {"A": PolyMatrixPayload, "delta": PolyPayload},
           lambda pub: 2 * pub["A"].n * _mdeg(pub, "A") + 2)
 def run_determinant(sess: Session, pub):
     a: PolyMat = pub["A"]
@@ -597,13 +565,14 @@ def run_determinant(sess: Session, pub):
         _field_det(sess, a.eval_at(alpha), beta)
 
 
-@protocol("field_det", {"B": _FM, "beta": _FS}, lambda pub: 2)
+@protocol("field_det", {"B": FieldMatrixPayload, "beta": FieldScalar}, lambda pub: 2)
 def run_field_det(sess: Session, pub):
     sess.declare_bound()
     _field_det(sess, pub["B"], pub["beta"])
 
 
-@protocol("system_solve", {"A": _PM, "b": _PV, "v": _PV, "delta": _PO},
+@protocol("system_solve", {"A": PolyMatrixPayload, "b": PolyVectorPayload,
+                           "v": PolyVectorPayload, "delta": PolyPayload},
           lambda pub: 4 * max(_mdeg(pub, "A"), row_wdeg(pub["b"]), row_wdeg(pub["v"]),
                               wdeg(pub["delta"].deg)))
 def run_system_solve(sess: Session, pub):
@@ -637,14 +606,15 @@ def _matmul(sess: Session, a: PolyMat, b: PolyMat, c: PolyMat):
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "A(a)(B(a)v) != C(a)v")
 
 
-@protocol("matmul", {"A": _PM, "B": _PM, "C": _PM},
+@protocol("matmul", {"A": PolyMatrixPayload, "B": PolyMatrixPayload, "C": PolyMatrixPayload},
           lambda pub: 4 * _mdeg(pub, "A", "B", "C") + 2)
 def run_matmul(sess: Session, pub):
     sess.declare_bound()
     _matmul(sess, pub["A"], pub["B"], pub["C"])
 
 
-@protocol("inverse", {"A": _PM, "B": _PM}, lambda pub: 4 * _mdeg(pub, "A", "B") + 2)
+@protocol("inverse", {"A": PolyMatrixPayload, "B": PolyMatrixPayload},
+          lambda pub: 4 * _mdeg(pub, "A", "B") + 2)
 def run_inverse(sess: Session, pub):
     a, b = pub["A"], pub["B"]
     if a.m != a.n or b.m != b.n or a.n != b.m:
@@ -679,7 +649,7 @@ def _frrsm(sess: Session, view: MatView, vec: VecView, hint=None):
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "w c != g(alpha)")
 
 
-@protocol("frrsm", {"A": _PM, "v": _PV},
+@protocol("frrsm", {"A": PolyMatrixPayload, "v": PolyVectorPayload},
           lambda pub: (6 * pub["A"].m + 2) * _vdeg(pub) + 2)
 def run_frrsm(sess: Session, pub):
     a: PolyMat = pub["A"]
@@ -694,12 +664,10 @@ def _coprime(sess: Session, fs: list):
     t = len(fs)
     if t < 1:
         sess.fail(Reason.PARAMS_INVALID, "need at least one polynomial")
-    cache = {}
 
+    @functools.cache
     def witness():
-        if "v" not in cache:
-            cache["v"] = sess.prover.coprime_witness(fs, sess.sigma)
-        return cache["v"]
+        return sess.prover.coprime_witness(fs, sess.sigma)
 
     s1 = sess.prover_poly("bezout_s1", lambda: witness()[0])
     s2 = sess.prover_poly("bezout_s2", lambda: witness()[1])
@@ -727,7 +695,7 @@ def _coprime(sess: Session, fs: list):
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "Bezout identity fails")
 
 
-@protocol("coprime", {"f": _PV}, lambda pub: 2 * row_wdeg(pub["f"]))
+@protocol("coprime", {"f": PolyVectorPayload}, lambda pub: 2 * row_wdeg(pub["f"]))
 def run_coprime(sess: Session, pub):
     fs: list = pub["f"]
     if fs:
@@ -752,12 +720,10 @@ def _rsm(sess: Session, a: PolyMat, v: list):
     if sess.sigma <= rho:
         sess.fail(Reason.PARAMS_INVALID, "sample set must exceed the rank claim")
     t = rsm_rounds(sess.sigma, rho, a.deg)
-    cache = {}
 
+    @functools.cache
     def commitment():
-        if "v" not in cache:
-            cache["v"] = sess.prover.rsm_commitment(a, v, rho, t, sess.sigma)
-        return cache["v"]
+        return sess.prover.rsm_commitment(a, v, rho, t, sess.sigma)
 
     tops = []
     for i in range(t):
@@ -793,7 +759,7 @@ def _rsm(sess: Session, a: PolyMat, v: list):
             )
 
 
-@protocol("rsm", {"A": _PM, "v": _PV},
+@protocol("rsm", {"A": PolyMatrixPayload, "v": PolyVectorPayload},
           lambda pub, rho: (8 * rho + 2) * _vdeg(pub) + 2, claimed_rank_of="A")
 def run_rsm(sess: Session, pub):
     _rsm(sess, pub["A"], pub["v"])
@@ -808,7 +774,7 @@ def _rs_subset(sess: Session, a: PolyMat, b: PolyMat):
         _rsm(sess, b, v)
 
 
-@protocol("rs_subset", {"A": _PM, "B": _PM},
+@protocol("rs_subset", {"A": PolyMatrixPayload, "B": PolyMatrixPayload},
           lambda pub, rho: (8 * rho + 2) * _mdeg(pub, "A", "B") + 4, claimed_rank_of="B")
 def run_rs_subset(sess: Session, pub):
     _rs_subset(sess, pub["A"], pub["B"])
@@ -821,13 +787,13 @@ def _rs_equality(sess: Session, a: PolyMat, b: PolyMat):
         _rs_subset(sess, b, a)
 
 
-@protocol("rs_equality", {"A": _PM, "B": _PM},
+@protocol("rs_equality", {"A": PolyMatrixPayload, "B": PolyMatrixPayload},
           lambda pub, rho: (8 * rho + 2) * _mdeg(pub, "A", "B") + 4, claimed_rank_of="B")
 def run_rs_equality(sess: Session, pub):
     _rs_equality(sess, pub["A"], pub["B"])
 
 
-@protocol("row_basis", {"A": _PM, "B": _PM},
+@protocol("row_basis", {"A": PolyMatrixPayload, "B": PolyMatrixPayload},
           lambda pub: (8 * pub["B"].m + 2) * _mdeg(pub, "A", "B") + 6)
 def run_row_basis(sess: Session, pub):
     a, b = pub["A"], pub["B"]
@@ -840,7 +806,7 @@ def run_row_basis(sess: Session, pub):
         _rs_equality(sess, b, a)
 
 
-@protocol("hermite", {"A": _PM, "H": _PM},
+@protocol("hermite", {"A": PolyMatrixPayload, "H": PolyMatrixPayload},
           lambda pub: (8 * pub["H"].m + 2) * _mdeg(pub, "A", "H") + 4)
 def run_hermite(sess: Session, pub):
     a: PolyMat = pub["A"]
@@ -857,7 +823,8 @@ def run_hermite(sess: Session, pub):
         _rs_equality(sess, a, h)
 
 
-@protocol("spopov", {"A": _PM, "shift": _SH, "P": _PM},
+@protocol("spopov",
+          {"A": PolyMatrixPayload, "shift": ShiftPayload, "P": PolyMatrixPayload},
           lambda pub: (8 * pub["P"].m + 2) * _mdeg(pub, "A", "P") + 4)
 def run_spopov(sess: Session, pub):
     a: PolyMat = pub["A"]
@@ -888,14 +855,14 @@ def _saturated(sess: Session, b: PolyMat):
             _rs_subset(sess, ident, b)
 
 
-@protocol("saturated", {"A": _PM},
+@protocol("saturated", {"A": PolyMatrixPayload},
           lambda pub: 8 * min(pub["A"].m, pub["A"].n) * _mdeg(pub, "A") + 4)
 def run_saturated(sess: Session, pub):
     sess.declare_bound()
     _saturated(sess, pub["A"])
 
 
-@protocol("sat_basis", {"A": _PM, "B": _PM},
+@protocol("sat_basis", {"A": PolyMatrixPayload, "B": PolyMatrixPayload},
           lambda pub: (8 * pub["A"].n + 2) * _mdeg(pub, "A", "B") + 4)
 def run_sat_basis(sess: Session, pub):
     a: PolyMat = pub["A"]
@@ -913,7 +880,7 @@ def run_sat_basis(sess: Session, pub):
         _saturated(sess, b)
 
 
-@protocol("unimod_completable", {"A": _PM},
+@protocol("unimod_completable", {"A": PolyMatrixPayload},
           lambda pub: 8 * pub["A"].m * _mdeg(pub, "A") + 4)
 def run_unimod_completable(sess: Session, pub):
     a: PolyMat = pub["A"]
@@ -926,7 +893,7 @@ def run_unimod_completable(sess: Session, pub):
         _saturated(sess, a)
 
 
-@protocol("kernel_basis", {"A": _PM, "B": _PM},
+@protocol("kernel_basis", {"A": PolyMatrixPayload, "B": PolyMatrixPayload},
           lambda pub: 8 * pub["A"].m * _mdeg(pub, "A", "B") + 4)
 def run_kernel_basis(sess: Session, pub):
     a: PolyMat = pub["A"]
@@ -958,7 +925,7 @@ def encode_public_inputs(protocol_id: str, pub: dict) -> dict:
         raise ValueError(
             f"{protocol_id} needs public inputs {sorted(schema)}, got {sorted(pub)}"
         )
-    return {name: kind.to_payload(pub[name]) for name, kind in schema.items()}
+    return {name: cls.of(pub[name]) for name, cls in schema.items()}
 
 
 def decode_public_inputs(protocol_id: str, field: PrimeField, payloads: dict) -> dict:
@@ -968,11 +935,11 @@ def decode_public_inputs(protocol_id: str, field: PrimeField, payloads: dict) ->
     if set(payloads) != set(spec.schema):
         raise TranscriptError(f"{protocol_id}: wrong public input names")
     out = {}
-    for name, kind in spec.schema.items():
+    for name, cls in spec.schema.items():
         pl = payloads[name]
-        if not isinstance(pl, kind.cls):
-            raise TranscriptError(f"{name}: expected {kind.noun}")
-        out[name] = kind.from_payload(field, pl)
+        if not isinstance(pl, cls):
+            raise TranscriptError(f"{name}: expected a {cls.__name__}")
+        out[name] = pl.value_in(field)
     return out
 
 

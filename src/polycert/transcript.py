@@ -1,10 +1,11 @@
 """Typed protocol messages, transcripts, and the two challenge modes.
 
-Every value that crosses the Prover/Verifier channel is one of a small set
-of typed payloads with a deterministic, injective byte encoding: tag string
+Every value that crosses the Prover/Verifier channel is one of 11 payload
+kinds with a deterministic, injective byte encoding: tag string
 (length-prefixed), then 8-byte little-endian integers; polynomials are a
 coefficient count followed by coefficients low-to-high, matrices carry
-their dimensions first.
+their dimensions first.  Each kind is declared once (``@payload_kind``), and
+its bytes, JSON form and communication count follow from that declaration.
 
 Challenges come from a ChallengeSource: a seeded PRNG in interactive mode,
 or a SHA-256 chain over (domain tag || public inputs || prior messages ||
@@ -22,13 +23,16 @@ per transcript; reassigning ``public`` encodes them afresh.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
 import re
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 from .ff import PrimeField
 from .polymat import PolyMat
@@ -47,160 +51,20 @@ class DigestMismatchError(TranscriptError):
     """Stored digest does not match the canonical bytes."""
 
 
-# -- payload types -------------------------------------------------------------
+# -- wire types ------------------------------------------------------------------
+#
+# A wire type fixes, for one payload field, its canonical bytes, its JSON
+# spelling, its strict JSON reader and the number of field elements (or
+# integers) it adds to the communication count.  Words are 8-byte
+# little-endian; a list carries its length first, except the entries of a
+# matrix, whose count m*n the dimensions before them already give.
 
 
-@dataclass(frozen=True)
-class FieldScalar:
-    value: int
-
-
-@dataclass(frozen=True)
-class FieldVector:
-    values: tuple
-
-
-@dataclass(frozen=True)
-class PolyPayload:
-    coeffs: tuple  # low-to-high, normalized
-
-
-@dataclass(frozen=True)
-class PolyVectorPayload:
-    polys: tuple  # tuple of coefficient tuples
-
-
-@dataclass(frozen=True)
-class PolyMatrixPayload:
-    m: int
-    n: int
-    entries: tuple  # row-major coefficient tuples
-
-
-@dataclass(frozen=True)
-class FieldMatrixPayload:
-    m: int
-    n: int
-    entries: tuple  # row-major field elements
-
-
-@dataclass(frozen=True)
-class IndexSetPayload:
-    values: tuple
-
-
-@dataclass(frozen=True)
-class ToeplitzSpecPayload:
-    rho: int
-    m: int
-    values: tuple
-
-
-@dataclass(frozen=True)
-class RankClaimPayload:
-    value: int
-
-
-@dataclass(frozen=True)
-class BoolPayload:
-    value: bool
-
-
-@dataclass(frozen=True)
-class ShiftPayload:
-    values: tuple  # signed integers
-
-
-_KIND = {
-    FieldScalar: "field_scalar",
-    FieldVector: "field_vector",
-    PolyPayload: "poly",
-    PolyVectorPayload: "poly_vector",
-    PolyMatrixPayload: "poly_matrix",
-    FieldMatrixPayload: "field_matrix",
-    IndexSetPayload: "index_set",
-    ToeplitzSpecPayload: "toeplitz_spec",
-    RankClaimPayload: "rank_claim",
-    BoolPayload: "bool",
-    ShiftPayload: "shift",
-}
-_KIND_REV = {v: k for k, v in _KIND.items()}
-
-
-def payload_kind(payload) -> str:
-    return _KIND[type(payload)]
-
-
-def comm_elements(payload) -> int:
-    """Field elements (or integers) this payload contributes to communication."""
-    if isinstance(payload, FieldScalar):
-        return 1
-    if isinstance(payload, FieldVector):
-        return len(payload.values)
-    if isinstance(payload, PolyPayload):
-        return len(payload.coeffs)
-    if isinstance(payload, PolyVectorPayload):
-        return sum(len(c) for c in payload.polys)
-    if isinstance(payload, (PolyMatrixPayload,)):
-        return sum(len(c) for c in payload.entries)
-    if isinstance(payload, FieldMatrixPayload):
-        return len(payload.entries)
-    if isinstance(payload, IndexSetPayload):
-        return len(payload.values)
-    if isinstance(payload, ToeplitzSpecPayload):
-        return len(payload.values)
-    if isinstance(payload, RankClaimPayload):
-        return 1
-    if isinstance(payload, BoolPayload):
-        return 0
-    if isinstance(payload, ShiftPayload):
-        return len(payload.values)
-    raise TypeError(f"unknown payload {payload!r}")
-
-
-# -- conversions between payloads and domain objects ---------------------------
-
-
-def poly_to_payload(f: Poly) -> PolyPayload:
-    return PolyPayload(tuple(f.coeffs))
-
-
-def payload_to_poly(field: PrimeField, p: PolyPayload) -> Poly:
-    return Poly(field, list(p.coeffs))
-
-
-def polyvec_to_payload(row) -> PolyVectorPayload:
-    return PolyVectorPayload(tuple(tuple(f.coeffs) for f in row))
-
-
-def payload_to_polyvec(field: PrimeField, p: PolyVectorPayload):
-    return [Poly(field, list(c)) for c in p.polys]
-
-
-def polymat_to_payload(mat: PolyMat) -> PolyMatrixPayload:
-    return PolyMatrixPayload(
-        mat.m, mat.n, tuple(tuple(e.coeffs) for row in mat.rows for e in row)
-    )
-
-
-def payload_to_polymat(field: PrimeField, p: PolyMatrixPayload) -> PolyMat:
-    rows = []
-    it = iter(p.entries)
-    for _ in range(p.m):
-        rows.append([Poly(field, list(next(it))) for _ in range(p.n)])
-    return PolyMat(field, rows, ncols=p.n)
-
-
-def fieldmat_to_payload(mat: FieldMat) -> FieldMatrixPayload:
-    return FieldMatrixPayload(mat.m, mat.n, tuple(c for row in mat.rows for c in row))
-
-
-def payload_to_fieldmat(field: PrimeField, p: FieldMatrixPayload) -> FieldMat:
-    rows = [list(p.entries[i * p.n : (i + 1) * p.n]) for i in range(p.m)]
-    return FieldMat(field, rows, ncols=p.n, normalize=False)
-
-
-# -- canonical byte encoding ----------------------------------------------------
+class Wire(NamedTuple):
+    encode: Callable    # value -> canonical bytes
+    to_json: Callable   # value -> its one JSON spelling
+    from_json: Callable  # JSON value -> value; raises TranscriptError
+    count: Callable     # value -> elements it adds to the communication
 
 
 def _tag(name: str) -> bytes:
@@ -215,54 +79,321 @@ def _u64(v: int) -> bytes:
         raise TranscriptError(f"{v} is not an unsigned 64-bit value") from exc
 
 
-def _i64(v: int) -> bytes:
+def _pack(fmt: str, *words) -> bytes:
     try:
-        return int(v).to_bytes(8, "little", signed=True)
-    except OverflowError as exc:
-        raise TranscriptError(f"{v} is not a signed 64-bit value") from exc
+        return struct.pack(fmt, *words)
+    except struct.error as exc:
+        raise TranscriptError(f"a value does not fit a 64-bit word: {exc}") from exc
+
+
+def _byte(flag) -> bytes:
+    return b"\x01" if flag else b"\x00"
+
+
+def _words(values) -> bytes:
+    return _pack(f"<{len(values)}Q", *values)
+
+
+def _counted(values) -> bytes:
+    return _pack(f"<{len(values) + 1}Q", len(values), *values)
+
+
+def _lists(lists, prefix=()) -> bytes:
+    """Each list counted, one after another, after the words in prefix."""
+    words = list(prefix)
+    for c in lists:
+        words.append(len(c))
+        words.extend(c)
+    return _words(words)
+
+
+def _strs(values) -> list:
+    return list(map(str, values))
+
+
+def _ints(values) -> list:
+    return list(map(int, values))
+
+
+def _str_lists(lists) -> list:
+    return [list(map(str, c)) for c in lists]
+
+
+def _total_len(lists) -> int:
+    return sum(map(len, lists))
+
+
+# Canonical JSON: each value has exactly one accepted spelling, the one its
+# wire type writes, so no other document maps onto a valid certificate.
+
+_DECIMALS = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
+
+
+def _json_bool(v) -> bool:
+    """A JSON true/false; any other value (the string "false", 0) is malformed."""
+    if not isinstance(v, bool):
+        raise TranscriptError(f"expected a JSON boolean, got {v!r}")
+    return v
+
+
+def _json_int(v) -> int:
+    """A JSON integer; a bool, float or numeric string is malformed."""
+    if type(v) is not int:
+        raise TranscriptError(f"expected a JSON integer, got {v!r}")
+    return v
+
+
+def _json_uint(v) -> int:
+    """A non-negative JSON integer: a dimension, rank or index."""
+    if _json_int(v) < 0:
+        raise TranscriptError(f"expected a non-negative integer, got {v!r}")
+    return v
+
+
+def _json_list(v) -> list:
+    if not isinstance(v, list):
+        raise TranscriptError(f"expected a JSON array, got {v!r}")
+    return v
+
+
+def _json_str(v) -> str:
+    """A label, name or detail: an ASCII JSON string, as the byte encoding needs."""
+    if not isinstance(v, str) or not v.isascii():
+        raise TranscriptError(f"expected an ASCII JSON string, got {v!r}")
+    return v
+
+
+def _elems(v) -> tuple:
+    """Field elements: ASCII decimal strings with no sign, whitespace,
+    separator or leading zero.  One regular-expression match checks a whole
+    list; ``int`` then refuses an element that itself held the comma."""
+    v = _json_list(v)
+    try:
+        if v and not _DECIMALS.fullmatch(",".join(v)):
+            raise ValueError("not canonical")
+        return tuple(map(int, v))
+    except (TypeError, ValueError) as exc:
+        raise TranscriptError(f"field elements must be decimal strings: {exc}") from exc
+
+
+def _json_elem(v) -> int:
+    """One field element (or the modulus), see :func:`_elems`."""
+    return _elems([v])[0]
+
+
+def _elem_lists(v) -> tuple:
+    return tuple(map(_elems, _json_list(v)))
+
+
+# encode, JSON writer, strict JSON reader, communication count
+DIM = Wire(_u64, int, _json_uint, lambda v: 0)
+UINT = Wire(_u64, int, _json_uint, lambda v: 1)
+ELEM = Wire(_u64, str, _json_elem, lambda v: 1)
+BOOL = Wire(_byte, bool, _json_bool, lambda v: 0)
+ELEMS = Wire(_counted, _strs, _elems, len)
+INDICES = Wire(_counted, _ints, lambda v: tuple(map(_json_uint, _json_list(v))), len)
+SIGNED = Wire(lambda c: _pack(f"<Q{len(c)}q", len(c), *c), _ints,
+              lambda v: tuple(map(_json_int, _json_list(v))), len)
+ELEM_LISTS = Wire(lambda c: _lists(c, (len(c),)), _str_lists, _elem_lists, _total_len)
+MATRIX_ELEMS = Wire(_words, _strs, _elems, len)
+MATRIX_LISTS = Wire(_lists, _str_lists, _elem_lists, _total_len)
+
+
+# -- payload kinds -----------------------------------------------------------------
+#
+# Each kind is declared once, by ``@payload_kind`` on its class: its name and
+# its fields in encoding order, each with its wire type.  A payload encodes
+# as the tag of its kind name followed by its fields.  The kinds that carry
+# public inputs convert from and to their domain objects with ``of(obj)``
+# and ``value_in(field)``.
+
+
+class _Kind(NamedTuple):
+    name: str
+    tag: bytes
+    fields: tuple       # (attribute, Wire) in encoding order
+
+
+_KINDS: dict = {}       # payload class -> _Kind
+_CLASSES: dict = {}     # kind name -> payload class
+
+
+def payload_kind(name: str, **wires):
+    """Make the decorated class a frozen dataclass, the payload kind ``name``
+    whose fields, named in encoding order, travel as the given wire types."""
+    def declare(cls):
+        cls = dataclass(frozen=True)(cls)
+        if tuple(wires) != tuple(f.name for f in dataclasses.fields(cls)):
+            raise TypeError(f"{cls.__name__}: wire types must name its fields in order")
+        _KINDS[cls] = _Kind(name, _tag(name), tuple(wires.items()))
+        _CLASSES[name] = cls
+        return cls
+    return declare
+
+
+class _PlainValue:
+    """A payload whose domain form is the one value it holds."""
+
+    @classmethod
+    def of(cls, value):
+        return cls(value)
+
+    def value_in(self, field: PrimeField):
+        return self.value
+
+
+class _Matrix:
+    """A matrix payload: m*n row-major entries, checked on construction, so
+    a decoded matrix never lies about its dimensions."""
+
+    def __post_init__(self):
+        if len(self.entries) != self.m * self.n:
+            raise TranscriptError(
+                f"{len(self.entries)} entries for a {self.m} x {self.n} matrix")
+
+
+@payload_kind("field_scalar", value=ELEM)
+class FieldScalar(_PlainValue):
+    value: int
+
+
+@payload_kind("field_vector", values=ELEMS)
+class FieldVector:
+    values: tuple
+
+
+@payload_kind("poly", coeffs=ELEMS)
+class PolyPayload:
+    coeffs: tuple  # low-to-high, normalized
+
+    @classmethod
+    def of(cls, f: Poly) -> "PolyPayload":
+        return cls(tuple(f.coeffs))
+
+    def value_in(self, field: PrimeField) -> Poly:
+        return Poly(field, list(self.coeffs))
+
+
+@payload_kind("poly_vector", polys=ELEM_LISTS)
+class PolyVectorPayload:
+    polys: tuple  # tuple of coefficient tuples
+
+    @classmethod
+    def of(cls, row) -> "PolyVectorPayload":
+        return cls(tuple(tuple(f.coeffs) for f in row))
+
+    def value_in(self, field: PrimeField) -> list:
+        return [Poly(field, list(c)) for c in self.polys]
+
+
+@payload_kind("poly_matrix", m=DIM, n=DIM, entries=MATRIX_LISTS)
+class PolyMatrixPayload(_Matrix):
+    m: int
+    n: int
+    entries: tuple  # row-major coefficient tuples
+
+    @classmethod
+    def of(cls, mat: PolyMat) -> "PolyMatrixPayload":
+        return cls(mat.m, mat.n, tuple(tuple(e.coeffs) for row in mat.rows for e in row))
+
+    def value_in(self, field: PrimeField) -> PolyMat:
+        polys = [Poly(field, list(c)) for c in self.entries]
+        n = self.n
+        return PolyMat(field, [polys[i * n : (i + 1) * n] for i in range(self.m)], ncols=n)
+
+
+@payload_kind("field_matrix", m=DIM, n=DIM, entries=MATRIX_ELEMS)
+class FieldMatrixPayload(_Matrix):
+    m: int
+    n: int
+    entries: tuple  # row-major field elements
+
+    @classmethod
+    def of(cls, mat: FieldMat) -> "FieldMatrixPayload":
+        return cls(mat.m, mat.n, tuple(c for row in mat.rows for c in row))
+
+    def value_in(self, field: PrimeField) -> FieldMat:
+        n = self.n
+        rows = [list(self.entries[i * n : (i + 1) * n]) for i in range(self.m)]
+        return FieldMat(field, rows, ncols=n, normalize=False)
+
+
+@payload_kind("index_set", values=INDICES)
+class IndexSetPayload:
+    values: tuple
+
+
+@payload_kind("toeplitz_spec", rho=DIM, m=DIM, values=ELEMS)
+class ToeplitzSpecPayload:
+    rho: int
+    m: int
+    values: tuple
+
+
+@payload_kind("rank_claim", value=UINT)
+class RankClaimPayload(_PlainValue):
+    value: int
+
+
+@payload_kind("bool", value=BOOL)
+class BoolPayload:
+    value: bool
+
+
+@payload_kind("shift", values=SIGNED)
+class ShiftPayload:
+    values: tuple  # signed integers
+
+    @classmethod
+    def of(cls, shift) -> "ShiftPayload":
+        return cls(tuple(shift))
+
+    def value_in(self, field: PrimeField) -> list:
+        return list(self.values)
+
+
+# the former name of PolyMatrixPayload.of, which existing callers import
+polymat_to_payload = PolyMatrixPayload.of
+
+
+def _kind_of(payload) -> _Kind:
+    try:
+        return _KINDS[type(payload)]
+    except KeyError:
+        raise TypeError(f"unknown payload {payload!r}") from None
+
+
+def comm_elements(payload) -> int:
+    """Field elements (or integers) this payload contributes to communication."""
+    n = 0
+    for name, wire in _kind_of(payload).fields:
+        n += wire.count(getattr(payload, name))
+    return n
 
 
 def encode_payload(payload) -> bytes:
-    kind = payload_kind(payload)
-    out = [_tag(kind)]
-    if isinstance(payload, FieldScalar):
-        out.append(_u64(payload.value))
-    elif isinstance(payload, (FieldVector, IndexSetPayload)):
-        out.append(_u64(len(payload.values)))
-        out.extend(_u64(v) for v in payload.values)
-    elif isinstance(payload, PolyPayload):
-        out.append(_u64(len(payload.coeffs)))
-        out.extend(_u64(c) for c in payload.coeffs)
-    elif isinstance(payload, PolyVectorPayload):
-        out.append(_u64(len(payload.polys)))
-        for c in payload.polys:
-            out.append(_u64(len(c)))
-            out.extend(_u64(x) for x in c)
-    elif isinstance(payload, PolyMatrixPayload):
-        out.append(_u64(payload.m))
-        out.append(_u64(payload.n))
-        for c in payload.entries:
-            out.append(_u64(len(c)))
-            out.extend(_u64(x) for x in c)
-    elif isinstance(payload, FieldMatrixPayload):
-        out.append(_u64(payload.m))
-        out.append(_u64(payload.n))
-        out.extend(_u64(x) for x in payload.entries)
-    elif isinstance(payload, ToeplitzSpecPayload):
-        out.append(_u64(payload.rho))
-        out.append(_u64(payload.m))
-        out.append(_u64(len(payload.values)))
-        out.extend(_u64(x) for x in payload.values)
-    elif isinstance(payload, RankClaimPayload):
-        out.append(_u64(payload.value))
-    elif isinstance(payload, BoolPayload):
-        out.append(b"\x01" if payload.value else b"\x00")
-    elif isinstance(payload, ShiftPayload):
-        out.append(_u64(len(payload.values)))
-        out.extend(_i64(x) for x in payload.values)
-    else:
-        raise TypeError(f"unknown payload {payload!r}")
-    return b"".join(out)
+    kind = _kind_of(payload)
+    return kind.tag + b"".join(
+        [wire.encode(getattr(payload, name)) for name, wire in kind.fields])
+
+
+def payload_to_json(payload) -> dict:
+    kind = _kind_of(payload)
+    doc = {"kind": kind.name}
+    for name, wire in kind.fields:
+        doc[name] = wire.to_json(getattr(payload, name))
+    return doc
+
+
+def payload_from_json(doc: dict):
+    """The payload a JSON object spells; anything malformed is a TranscriptError."""
+    try:
+        cls = _CLASSES.get(doc["kind"])
+        if cls is None:
+            raise TranscriptError(f"unknown payload kind {doc['kind']!r}")
+        return cls(*[wire.from_json(doc[name]) for name, wire in _KINDS[cls].fields])
+    except (KeyError, TypeError) as exc:
+        raise TranscriptError(f"malformed payload: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -317,9 +448,8 @@ class ProtocolParams:
 
     def encode_core(self) -> bytes:
         # absorbed into the Fiat-Shamir prefix: everything that shapes checks
-        return _tag("params") + _u64(self.p) + _u64(self.sigma) + _tag(self.mode) + (
-            b"\x01" if self.strict else b"\x00"
-        )
+        return (_tag("params") + _u64(self.p) + _u64(self.sigma) + _tag(self.mode)
+                + _byte(self.strict))
 
 
 class Reason(str, Enum):
@@ -494,7 +624,7 @@ class Transcript:
             out.append(_tag("no_verdict"))
         else:
             out.append(_tag("verdict"))
-            out.append(b"\x01" if self.verdict.accepted else b"\x00")
+            out.append(_byte(self.verdict.accepted))
             out.append(_tag(self.verdict.reason.value))
             out.append(_tag(self.verdict.detail))
         return b"".join(out)
@@ -589,146 +719,3 @@ class Transcript:
             except json.JSONDecodeError as exc:
                 raise TranscriptError(f"not valid JSON: {exc}") from exc
         return cls.from_json_dict(doc)
-
-
-# -- JSON payload mapping -------------------------------------------------------------
-
-
-def payload_to_json(payload) -> dict:
-    kind = payload_kind(payload)
-    if isinstance(payload, FieldScalar):
-        return {"kind": kind, "value": str(payload.value)}
-    if isinstance(payload, (FieldVector,)):
-        return {"kind": kind, "values": [str(v) for v in payload.values]}
-    if isinstance(payload, IndexSetPayload):
-        return {"kind": kind, "values": [int(v) for v in payload.values]}
-    if isinstance(payload, PolyPayload):
-        return {"kind": kind, "coeffs": [str(c) for c in payload.coeffs]}
-    if isinstance(payload, PolyVectorPayload):
-        return {"kind": kind, "polys": [[str(c) for c in f] for f in payload.polys]}
-    if isinstance(payload, PolyMatrixPayload):
-        return {
-            "kind": kind,
-            "m": payload.m,
-            "n": payload.n,
-            "entries": [[str(c) for c in f] for f in payload.entries],
-        }
-    if isinstance(payload, FieldMatrixPayload):
-        return {
-            "kind": kind,
-            "m": payload.m,
-            "n": payload.n,
-            "entries": [str(c) for c in payload.entries],
-        }
-    if isinstance(payload, ToeplitzSpecPayload):
-        return {
-            "kind": kind,
-            "rho": payload.rho,
-            "m": payload.m,
-            "values": [str(v) for v in payload.values],
-        }
-    if isinstance(payload, RankClaimPayload):
-        return {"kind": kind, "value": payload.value}
-    if isinstance(payload, BoolPayload):
-        return {"kind": kind, "value": payload.value}
-    if isinstance(payload, ShiftPayload):
-        return {"kind": kind, "values": [int(v) for v in payload.values]}
-    raise TypeError(f"unknown payload {payload!r}")
-
-
-# Canonical JSON: each value has exactly one accepted spelling, the one
-# payload_to_json writes, so no other document maps onto a valid certificate.
-
-_DECIMALS = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
-
-
-def _json_bool(v) -> bool:
-    """A JSON true/false; any other value (the string "false", 0) is malformed."""
-    if not isinstance(v, bool):
-        raise TranscriptError(f"expected a JSON boolean, got {v!r}")
-    return v
-
-
-def _json_int(v) -> int:
-    """A JSON integer; a bool, float or numeric string is malformed."""
-    if type(v) is not int:
-        raise TranscriptError(f"expected a JSON integer, got {v!r}")
-    return v
-
-
-def _json_uint(v) -> int:
-    """A non-negative JSON integer: a dimension, rank or index."""
-    if _json_int(v) < 0:
-        raise TranscriptError(f"expected a non-negative integer, got {v!r}")
-    return v
-
-
-def _json_list(v) -> list:
-    if not isinstance(v, list):
-        raise TranscriptError(f"expected a JSON array, got {v!r}")
-    return v
-
-
-def _json_str(v) -> str:
-    """A label, name or detail: an ASCII JSON string, as the byte encoding needs."""
-    if not isinstance(v, str) or not v.isascii():
-        raise TranscriptError(f"expected an ASCII JSON string, got {v!r}")
-    return v
-
-
-def _elems(v) -> tuple:
-    """Field elements: ASCII decimal strings with no sign, whitespace,
-    separator or leading zero.  One regular-expression match checks a whole
-    list; ``int`` then refuses an element that itself held the comma."""
-    v = _json_list(v)
-    try:
-        if v and not _DECIMALS.fullmatch(",".join(v)):
-            raise ValueError("not canonical")
-        return tuple(map(int, v))
-    except (TypeError, ValueError) as exc:
-        raise TranscriptError(f"field elements must be decimal strings: {exc}") from exc
-
-
-def _json_elem(v) -> int:
-    """One field element (or the modulus), see :func:`_elems`."""
-    return _elems([v])[0]
-
-
-def _matrix_dims(doc: dict) -> tuple:
-    """(m, n) of a matrix payload: non-negative, with m*n entries."""
-    m, n = _json_uint(doc["m"]), _json_uint(doc["n"])
-    if len(_json_list(doc["entries"])) != m * n:
-        raise TranscriptError(f"{len(doc['entries'])} entries for a {m} x {n} matrix")
-    return m, n
-
-
-def payload_from_json(doc: dict):
-    kind = doc.get("kind")
-    if kind not in _KIND_REV:
-        raise TranscriptError(f"unknown payload kind {kind!r}")
-    if kind == "field_scalar":
-        return FieldScalar(_json_elem(doc["value"]))
-    if kind == "field_vector":
-        return FieldVector(_elems(doc["values"]))
-    if kind == "index_set":
-        return IndexSetPayload(tuple(_json_uint(v) for v in _json_list(doc["values"])))
-    if kind == "poly":
-        return PolyPayload(_elems(doc["coeffs"]))
-    if kind == "poly_vector":
-        return PolyVectorPayload(tuple(_elems(f) for f in _json_list(doc["polys"])))
-    if kind == "poly_matrix":
-        m, n = _matrix_dims(doc)
-        return PolyMatrixPayload(m, n, tuple(_elems(f) for f in doc["entries"]))
-    if kind == "field_matrix":
-        m, n = _matrix_dims(doc)
-        return FieldMatrixPayload(m, n, _elems(doc["entries"]))
-    if kind == "toeplitz_spec":
-        rho, m = _json_uint(doc["rho"]), _json_uint(doc["m"])
-        return ToeplitzSpecPayload(rho, m, _elems(doc["values"]))
-    if kind == "rank_claim":
-        return RankClaimPayload(_json_uint(doc["value"]))
-    if kind == "bool":
-        return BoolPayload(_json_bool(doc["value"]))
-    if kind == "shift":
-        return ShiftPayload(tuple(_json_int(v) for v in _json_list(doc["values"])))
-    raise TranscriptError(f"unknown payload kind {kind!r}")

@@ -22,6 +22,7 @@ from polycert.polymat import (
     check_popov_shape,
     hermite_shift,
 )
+from polycert.protocols import wdeg
 from polycert.upoly import NEG_INF, Poly, RatFunc
 
 F7 = PrimeField(7)
@@ -244,7 +245,7 @@ def test_hermite_popov_correspondence():
         h, _ = hermite_form(a)
         if h.m == 0:
             continue
-        t = int(max(a.working_deg, 1 if h.deg == NEG_INF else h.deg)) + 1
+        t = int(max(wdeg(a.deg), 1 if h.deg == NEG_INF else h.deg)) + 1
         shift = hermite_shift(n, t)
         p = popov_form(a, shift)
         assert p == h

@@ -15,10 +15,16 @@ from polycert.transcript import MODE_FIAT_SHAMIR, ProtocolParams
 # permissive) in F_{2^31-1} and F_97.  It pins the generators' draw order,
 # the public-input encoding, the hash chain and every Verifier decision.
 ALL_PROTOCOL_DIGESTS = "c75140b5f03ad1743297558cb431f93157700cbd58b5a8b97b681c35d53305de"
+# sha256 over the text Transcript.save writes for each of those runs: it pins
+# the JSON spelling of every payload kind and the recorded meta (communication
+# counts included), which the digest does not cover.
+ALL_PROTOCOL_SAVED_JSON = "b3b21543fe8de61718f0354402296c077e95386f986c105f14f7ea811c4e4dbe"
 
 
-def test_all_protocol_transcripts_are_pinned():
+def test_all_protocol_transcripts_are_pinned(tmp_path):
     h = hashlib.sha256()
+    saved = hashlib.sha256()
+    path = tmp_path / "t.json"
     for p in (2**31 - 1, 97):
         field = PrimeField(p)
         params = ProtocolParams(p=p, sigma=p, mode=MODE_FIAT_SHAMIR, strict=False)
@@ -30,10 +36,13 @@ def test_all_protocol_transcripts_are_pinned():
                     verdict, t = run_protocol(pid, pub, params)
                     line = (f"{pid} {p} {seed} {t.digest()} {verdict.reason.value} "
                             f"{verdict.detail}")
+                    t.save(path)
+                    saved.update(path.read_bytes())
                 except ProverGaveUp:
                     line = f"{pid} {p} {seed} gave-up"
                 h.update(line.encode() + b"\n")
     assert h.hexdigest() == ALL_PROTOCOL_DIGESTS
+    assert saved.hexdigest() == ALL_PROTOCOL_SAVED_JSON
 
 
 def test_registry_covers_every_protocol():

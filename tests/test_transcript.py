@@ -41,7 +41,7 @@ FBIG = PrimeField(2**31 - 1)
 
 def rand_payload(rng):
     p = 2**31 - 1
-    kind = rng.randrange(10)
+    kind = rng.randrange(11)
     if kind == 0:
         return FieldScalar(rng.randrange(p))
     if kind == 1:
@@ -68,6 +68,8 @@ def rand_payload(rng):
         return RankClaimPayload(rng.randrange(10))
     if kind == 8:
         return BoolPayload(bool(rng.randrange(2)))
+    if kind == 9:
+        return ShiftPayload(tuple(rng.randrange(-2**63, 2**63) for _ in range(rng.randrange(4))))
     m, n = rng.randrange(1, 4), rng.randrange(1, 4)
     return FieldMatrixPayload(m, n, tuple(rng.randrange(p) for _ in range(m * n)))
 
@@ -106,12 +108,19 @@ def test_canonical_encoding_injective_on_samples():
 
 
 def test_comm_element_counts():
+    """Field elements and integers count; dimensions and booleans do not."""
     assert comm_elements(FieldScalar(3)) == 1
     assert comm_elements(FieldVector((1, 2, 3))) == 3
     assert comm_elements(PolyPayload((1, 0, 2))) == 3
-    assert comm_elements(BoolPayload(True)) == 0
+    assert comm_elements(PolyVectorPayload(((1, 2), (), (3,)))) == 3
+    assert comm_elements(PolyMatrixPayload(1, 2, ((1, 2, 3), (4,)))) == 4
+    assert comm_elements(PolyMatrixPayload(0, 3, ())) == 0
+    assert comm_elements(FieldMatrixPayload(2, 3, (1, 2, 3, 4, 5, 6))) == 6
+    assert comm_elements(IndexSetPayload((0, 2))) == 2
     assert comm_elements(ToeplitzSpecPayload(2, 3, (1, 2, 3, 4))) == 4
     assert comm_elements(RankClaimPayload(5)) == 1
+    assert comm_elements(BoolPayload(True)) == 0
+    assert comm_elements(ShiftPayload((-1, 0, 4))) == 3
 
 
 def _params(mode=MODE_FIAT_SHAMIR, sigma=64, seed=None):

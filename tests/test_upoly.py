@@ -82,7 +82,7 @@ def test_eval_is_ring_hom():
         g = rand_poly(rng, F7, rng.randrange(-1, 9))
         a = rng.randrange(7)
         assert (f * g)(a) == F7.mul(f(a), g(a))
-        assert (f + g)(a) == F7.add(f(a), g(a))
+        assert (f + g)(a) == (f(a) + g(a)) % 7
 
 
 def test_xgcd_examples():
