@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .matfield import FieldMat, det_field, pluq, solve_right
+from .matfield import FieldMat, det_field, pluq, rank_profile, solve_right
 from .oracles import (
     LOW_RANK,
     NO_SOLUTION,
@@ -25,7 +25,7 @@ from .oracles import (
 from .polymat import MatView, PolyMat, ToeplitzOp
 from .protocols import wdeg
 from .provers import HonestProver, _field_of, draw_compression
-from .upoly import NEG_INF, Poly, RatFunc, poly_gcd
+from .upoly import NEG_INF, Poly, RatFunc, RatVec, poly_gcd
 
 
 class InstanceActuallyTrue(Exception):
@@ -39,7 +39,7 @@ def _rank_maximizing_point(view: MatView, sigma: int) -> int:
     n = view.nrows
     best, best_rank = 0, -1
     for alpha in range(min(sigma, n * wdeg(view.deg_bound) + 2)):
-        r = pluq(view.eval_at(alpha)).rank
+        r = rank_profile(view.eval_at(alpha))[0]
         if r > best_rank:
             best, best_rank = alpha, r
         if r == n - 1:
@@ -69,12 +69,14 @@ class CheatRankLowerBound(HonestProver):
             raise InstanceActuallyTrue("rank really is at least rho")
 
     def rank_lb_sets(self, view: MatView, rho: int):
+        """A's row and column profiles, each padded to rho indices: a
+        statement fact (:meth:`HonestProver.fact`), since they depend on A
+        and rho alone."""
         mat = view.materialize()
-        _, row_profile = rank_and_profile(mat.transpose())
-        _, col_profile = rank_and_profile(mat)
-        rows = _pad(list(row_profile), rho, mat.m)
-        cols = _pad(list(col_profile), rho, mat.n)
-        return rows, cols
+        return self.fact(("rank_lb_sets", rho), mat, lambda: (
+            _pad(list(rank_and_profile(mat.transpose())[1]), rho, mat.m),
+            _pad(list(rank_and_profile(mat)[1]), rho, mat.n),
+        ))
 
     def nonsingularity_point(self, view: MatView, sigma: int) -> int:
         # every rho x rho submatrix of A is singular: rank(A) < rho
@@ -102,8 +104,7 @@ class CheatRankUpperBound(HonestProver):
 
     def rank_ub_gamma(self, a: PolyMat, rho: int, alpha: int, v: list) -> list:
         ev = a.eval_at(alpha)
-        f = pluq(ev)
-        take = list(f.col_rank_profile())[:rho]
+        take = rank_profile(ev)[2][:rho]
         target = ev.matvec(v)
         sub = ev.submatrix(range(ev.m), take)
         x = solve_right(sub, target)
@@ -216,7 +217,7 @@ class CheatCoprime(HonestProver):
                 s1, s2 = Poly.zero(field), Poly.zero(field)
                 break
             sol = solve_right(
-                FieldMat(field, rows, ncols=bound1 + bound2, normalize=False), rhs
+                FieldMat.of_rows(field, rows, bound1 + bound2), rhs
             )
             if sol is not None:
                 s1 = Poly(field, sol[:bound1])
@@ -256,9 +257,7 @@ class CheatFullRankMembership(HonestProver):
         field = _field_of(view)
         if u is None:
             return Poly.zero(field)
-        acc = RatFunc.zero(field)
-        for ui, ci in zip(u.entries, c):
-            acc = acc + ui * Poly.constant(field, ci)
+        acc = _combine_over_common_den(u, c)
         if acc.is_polynomial():
             return acc.num
         from .upoly import deg_add, deg_scale, interpolate
@@ -387,7 +386,19 @@ class CheatRowSpaceMembership(CheatFullRankMembership):
         return CheatFullRankMembership.frrsm_w(self, view, vec, c, g, alpha, hint)
 
 
-def _scale_ratvec(scalar: Poly, vec):
-    from .upoly import RatVec
+def _combine_over_common_den(u: RatVec, c: list) -> RatFunc:
+    """u c = (sum_i c_i N_i) / den over u's common denominator, reduced by
+    one gcd; the reduced form is unique, so it equals the sum of the
+    reduced terms c_i u_i."""
+    numers = u.numer_row()
+    acc = [0] * max(len(f.coeffs) for f in numers)
+    for f, ci in zip(numers, c):
+        if ci:
+            for k, x in enumerate(f.coeffs):
+                acc[k] += ci * x
+    return RatFunc(Poly(u.field, acc), u.common_den)
 
-    return RatVec([e * scalar for e in vec.entries])
+
+def _scale_ratvec(scalar: Poly, vec: RatVec) -> RatVec:
+    """scalar * vec, reduced once over vec's common denominator."""
+    return RatVec.from_common_den(vec.common_den, [scalar * f for f in vec.numer_row()])

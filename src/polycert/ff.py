@@ -91,9 +91,12 @@ class PrimeField:
         return a * b % self.p
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in prime field")
-        return pow(a, self.p - 2, self.p)
+        """1/a by one extended gcd (``pow(a, -1, p)``), for any int a; a
+        multiple of p, reduced or not, raises ZeroDivisionError."""
+        try:
+            return pow(a, -1, self.p)
+        except ValueError:
+            raise ZeroDivisionError("inverse of 0 in prime field") from None
 
     @property
     def dtype(self):

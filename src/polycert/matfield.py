@@ -1,10 +1,11 @@
 """Exact linear algebra over the base field.
 
-One elimination kernel (PLUQ with topmost-row, leftmost-column pivoting)
-backs rank, column rank profile, nullspace, system solving and determinant
-of a single matrix, so there is a single correctness surface.  Both protocol
-parties use these routines: the Prover to find witnesses, the Verifier only
-for the evaluated checks it is allowed to do anyway.
+One pivoting rule (topmost row, leftmost column) serves a single matrix.
+PLUQ backs nullspace, system solving and determinant; callers that read
+only the rank and the rank profiles take :func:`rank_profile`, which makes
+the same pivot choices without inverting anything or keeping L and U.
+Both protocol parties use these routines: the Prover to find witnesses,
+the Verifier only for the evaluated checks it is allowed to do anyway.
 
 The Prover also asks one question of A(alpha) at many points alpha.  For
 that, the batched kernels :func:`solve_many`, :func:`rank_profile_many` and
@@ -49,15 +50,25 @@ class FieldMat:
         self.rows = rows
 
     @classmethod
+    def of_rows(cls, field: PrimeField, rows: list, ncols: int) -> "FieldMat":
+        """The matrix that owns ``rows``: lists of ncols reduced ints that
+        the caller has just built and shares with no one, so they are
+        neither copied nor checked."""
+        out = cls.__new__(cls)
+        out.field = field
+        out.m = len(rows)
+        out.n = ncols
+        out.rows = rows
+        return out
+
+    @classmethod
     def zero(cls, field, m, n):
-        return cls(field, [[0] * n for _ in range(m)], ncols=n, normalize=False)
+        return cls.of_rows(field, [[0] * n for _ in range(m)], n)
 
     @classmethod
     def identity(cls, field, n):
-        return cls(
-            field, [[1 if i == j else 0 for j in range(n)] for i in range(n)],
-            ncols=n, normalize=False,
-        )
+        return cls.of_rows(
+            field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     def __eq__(self, other):
         return (
@@ -76,16 +87,13 @@ class FieldMat:
 
     def transpose(self) -> "FieldMat":
         cols = [[row[j] for row in self.rows] for j in range(self.n)]
-        return FieldMat(self.field, cols, ncols=self.m, normalize=False)
+        return FieldMat.of_rows(self.field, cols, self.m)
 
     def submatrix(self, row_idx, col_idx) -> "FieldMat":
         col_idx = list(col_idx)
-        return FieldMat(
-            self.field,
-            [[self.rows[i][j] for j in col_idx] for i in row_idx],
-            ncols=len(col_idx),
-            normalize=False,
-        )
+        return FieldMat.of_rows(
+            self.field, [[self.rows[i][j] for j in col_idx] for i in row_idx],
+            len(col_idx))
 
     def matvec(self, v: list) -> list:
         """A @ v for a length-n vector."""
@@ -115,7 +123,7 @@ class FieldMat:
             [sum(a * b for a, b in zip(row, col)) % p for col in bt]
             for row in self.rows
         ]
-        return FieldMat(self.field, out, ncols=other.n, normalize=False)
+        return FieldMat.of_rows(self.field, out, other.n)
 
 
 @dataclass
@@ -165,7 +173,7 @@ class PluqFactorization:
                 for k in range(r):
                     acc += self.lower.rows[i][k] * self.upper.rows[k][j]
                 out[self.perm_rows[i]][self.perm_cols[j]] = acc % p
-        return FieldMat(self.field, out, ncols=n, normalize=False)
+        return FieldMat.of_rows(self.field, out, n)
 
 
 def perm_sign(perm) -> int:
@@ -245,14 +253,53 @@ def pluq(mat: FieldMat) -> PluqFactorization:
                 upper[i][j] = a[i][j]
     return PluqFactorization(
         field, m, n, r, perm_rows, perm_cols,
-        FieldMat(field, lower, ncols=r, normalize=False),
-        FieldMat(field, upper, ncols=n, normalize=False),
+        FieldMat.of_rows(field, lower, r),
+        FieldMat.of_rows(field, upper, n),
         inv_pivots,
     )
 
 
-def rank(mat: FieldMat) -> int:
-    return pluq(mat).rank
+def rank_profile(mat: FieldMat):
+    """(rank, pivot rows, pivot columns) of A, with exactly :func:`pluq`'s
+    pivots: ``(f.rank, f.perm_rows[:f.rank], f.perm_cols[:f.rank])`` for
+    ``f = pluq(A)``.
+
+    The same row swaps pick the same pivots, but the elimination keeps no
+    L or U and inverts nothing: each row below the pivot becomes
+    ``piv * row - c * pivot_row``, a nonzero multiple of what :func:`pluq` leaves
+    there, so every later pivot search sees the same zeros.  The pivot
+    columns come out in increasing order: they are the column rank profile.
+    """
+    p = mat.field.p
+    m, n = mat.m, mat.n
+    a = mat.copy_rows()
+    perm_rows = list(range(m))
+    cols = []
+    r = 0
+    for col in range(n):
+        if r >= m:
+            break
+        pos = None
+        for i in range(r, m):
+            if a[i][col] != 0:
+                pos = i
+                break
+        if pos is None:
+            continue
+        if pos != r:
+            a[pos], a[r] = a[r], a[pos]
+            perm_rows[pos], perm_rows[r] = perm_rows[r], perm_rows[pos]
+        piv = a[r][col]
+        live = a[r][col + 1:]
+        for i in range(r + 1, m):
+            row_i = a[i]
+            c = row_i[col]
+            if c:
+                row_i[col + 1:] = [(piv * x - c * y) % p
+                                   for x, y in zip(row_i[col + 1:], live)]
+        cols.append(col)
+        r += 1
+    return r, perm_rows[:r], cols
 
 
 def det_field(mat: FieldMat) -> int:

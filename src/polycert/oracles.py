@@ -48,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import matfield
-from .matfield import FieldMat, pluq
+from .matfield import FieldMat
 from .polymat import PolyMat, check_hermite_shape
 from .upoly import NEG_INF, Poly, RatFunc, RatVec, interpolate_many, poly_gcd, xgcd
 
@@ -234,9 +234,9 @@ def rational_solve_left(mat: PolyMat, v: list, profile=None):
     field = mat.field
     if profile is None:
         for alpha in range(min(EVAL_PROBE_CAP, field.p)):
-            f = pluq(mat.eval_at(alpha))
-            if f.rank == m:
-                profile = f.col_rank_profile()
+            r, _, cols = matfield.rank_profile(mat.eval_at(alpha))
+            if r == m:
+                profile = cols
                 break
     if profile is None:
         r, profile = rank_and_profile(mat)

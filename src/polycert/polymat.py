@@ -127,10 +127,8 @@ class PolyMat:
 
     def eval_at(self, alpha: int) -> FieldMat:
         """Entrywise Horner evaluation."""
-        return FieldMat(
-            self.field, [[e(alpha) for e in row] for row in self.rows],
-            ncols=self.n, normalize=False,
-        )
+        return FieldMat.of_rows(
+            self.field, [[e(alpha) for e in row] for row in self.rows], self.n)
 
     def eval_many(self, alphas) -> np.ndarray:
         """A(alpha) for every alpha: a (k, m, n) array from one Horner pass.
@@ -376,11 +374,10 @@ class ToeplitzOp:
         return self.values[i - j + self.m - 1]
 
     def materialize(self) -> FieldMat:
-        return FieldMat(
+        return FieldMat.of_rows(
             self.field,
             [[self.entry(i, j) for j in range(self.m)] for i in range(self.rho)],
-            ncols=self.m, normalize=False,
-        )
+            self.m)
 
     def apply_field_mat(self, mat: FieldMat) -> FieldMat:
         """C @ M for an evaluated m x n matrix."""
@@ -394,7 +391,7 @@ class ToeplitzOp:
                 [sum(c * mat.rows[k][j] for k, c in enumerate(crow)) % p
                  for j in range(mat.n)]
             )
-        return FieldMat(self.field, out, ncols=mat.n, normalize=False)
+        return FieldMat.of_rows(self.field, out, mat.n)
 
     def left_apply(self, x: list) -> list:
         """x @ C for a length-rho vector."""

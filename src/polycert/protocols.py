@@ -22,7 +22,6 @@ is the one that guarantees completeness and 1/2-soundness for the composite.
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, NamedTuple
 
 from .ff import PrimeField
@@ -120,6 +119,7 @@ class Session:
         self.replay = replay
         self._cursor = 0
         self._sub_stack: list[str] = []
+        self._answers: dict = {}  # id(subject) -> (subject, Prover answer)
         self.source = ChallengeSource(self.params, transcript.domain_tag())
         if self.source.hashes:
             self.source.absorb(transcript.hash_prefix())
@@ -199,6 +199,20 @@ class Session:
         self._check_elems(label, coeffs)
         if coeffs and coeffs[-1] == 0:
             self.fail(Reason.MALFORMED_MESSAGE, f"{label}: non-normalized polynomial")
+
+    def prover_answer(self, subject, produce):
+        """produce(): the one Prover call behind a group of messages, made on
+        the first message's request and kept for the others.
+
+        Keyed by the object the answer is about (a view, an evaluated
+        matrix, a list of polynomials), which every sub-protocol call
+        receives fresh; the entry holds it, so no other object can take
+        its id.
+        """
+        hit = self._answers.get(id(subject))
+        if hit is None:
+            hit = self._answers[id(subject)] = (subject, produce())
+        return hit[1]
 
     # -- typed prover messages --------------------------------------------------
 
@@ -439,9 +453,8 @@ def _rank_lb(sess: Session, view: MatView, rho: int):
         return  # vacuously true
     m, n = view.nrows, view.ncols
 
-    @functools.cache
     def sets():
-        return sess.prover.rank_lb_sets(view, rho)
+        return sess.prover_answer(view, lambda: sess.prover.rank_lb_sets(view, rho))
 
     rows = sess.prover_index_set("row_set", rho, m, lambda: sets()[0])
     cols = sess.prover_index_set("col_set", rho, n, lambda: sets()[1])
@@ -502,9 +515,8 @@ def _field_det(sess: Session, b: FieldMat, beta: int):
             sess.fail(Reason.EVALUATION_CHECK_FAILED, "empty determinant is 1")
         return
 
-    @functools.cache
     def factors():
-        return sess.prover.field_det_factors(b, beta)
+        return sess.prover_answer(b, lambda: sess.prover.field_det_factors(b, beta))
 
     r = sess.prover_rank_claim("pluq_rank", lambda: factors()[0])
     if r > nu:
@@ -665,9 +677,8 @@ def _coprime(sess: Session, fs: list):
     if t < 1:
         sess.fail(Reason.PARAMS_INVALID, "need at least one polynomial")
 
-    @functools.cache
     def witness():
-        return sess.prover.coprime_witness(fs, sess.sigma)
+        return sess.prover_answer(fs, lambda: sess.prover.coprime_witness(fs, sess.sigma))
 
     s1 = sess.prover_poly("bezout_s1", lambda: witness()[0])
     s2 = sess.prover_poly("bezout_s2", lambda: witness()[1])
@@ -721,9 +732,9 @@ def _rsm(sess: Session, a: PolyMat, v: list):
         sess.fail(Reason.PARAMS_INVALID, "sample set must exceed the rank claim")
     t = rsm_rounds(sess.sigma, rho, a.deg)
 
-    @functools.cache
     def commitment():
-        return sess.prover.rsm_commitment(a, v, rho, t, sess.sigma)
+        return sess.prover_answer(
+            v, lambda: sess.prover.rsm_commitment(a, v, rho, t, sess.sigma))
 
     tops = []
     for i in range(t):

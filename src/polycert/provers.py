@@ -12,8 +12,14 @@ comes from one probe, and for a full-row-rank A the solve of u A = v reuses
 the probe's profile and serves every Toeplitz compression C drawn: the
 solution of w (C A) = v is u C^-1 (:func:`draw_compression`).  The PLUQ
 that finds a nonsingular A(alpha) also solves A(alpha) w = b.  All of it
-is kept per run and keyed by the matrix object itself, and
+is run state, keyed by the matrix object itself, and
 :meth:`HonestProver.begin_run` drops it.
+
+Facts that depend only on a public matrix, such as the rank and profile
+behind the membership rank claim, are statement facts: computed on first
+use and kept per prover, keyed by the matrix object (:meth:`HonestProver.fact`),
+so that a prover run many times on one statement, as in the soundness
+experiments, computes them once.  ``begin_run`` keeps them.
 
 On a false statement an honest prover does not crash: it degrades to a
 well-formed best effort and lets the Verifier reject.
@@ -28,6 +34,7 @@ from .matfield import (
     nullvector_left,
     pluq,
     pluq_solve,
+    rank_profile,
     solve_right,
     sparse_representative,
 )
@@ -45,6 +52,7 @@ from .upoly import Poly, RatVec, poly_gcd
 COPRIME_RETRY_CAP = 100
 RSM_OUTER_CAP = 20
 RSM_INNER_FACTOR = 20
+FACT_CAP = 64  # statement-fact entries a prover keeps before starting afresh
 
 
 class HonestProver:
@@ -53,6 +61,8 @@ class HonestProver:
 
     def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
+        # (kind, id(matrix)) -> (matrix, fact); kept across runs
+        self._facts: dict = {}
         self._frrsm_cache: dict = {}
         self._rsm_solutions: list | None = None
         # (view, alpha, pluq of view(alpha)) from nonsingularity_point
@@ -65,6 +75,23 @@ class HonestProver:
         self._rsm_solutions = None
         self._nonsingular = None
         self._rsm_probe = None
+
+    def fact(self, kind, mat, compute):
+        """compute(), a fact that depends only on the matrix object mat,
+        computed on its first use and kept for later runs.
+
+        The entry holds mat, so no other object can take its id, as
+        ``Transcript._encoded`` holds its messages.  Matrices built afresh
+        each run would only pile up, so past :data:`FACT_CAP` entries the
+        memo starts afresh.
+        """
+        key = (kind, id(mat))
+        hit = self._facts.get(key)
+        if hit is None:
+            if len(self._facts) >= FACT_CAP:
+                self._facts.clear()
+            hit = self._facts[key] = (mat, compute())
+        return hit[1]
 
     # -- singularity / nonsingularity ------------------------------------
 
@@ -106,9 +133,9 @@ class HonestProver:
         point works, fall back to exact fraction-free rank profiles.
         """
         for alpha in range(EVAL_PROBE_CAP):
-            f = pluq(view.eval_at(alpha))
-            if f.rank >= rho:
-                return sorted(f.perm_rows[:rho]), sorted(f.perm_cols[:rho])
+            r, rows, cols = rank_profile(view.eval_at(alpha))
+            if r >= rho:
+                return sorted(rows[:rho]), cols[:rho]
         mat = view.materialize()
         _, row_profile = rank_and_profile(mat.transpose())
         if len(row_profile) >= rho:
@@ -212,20 +239,10 @@ class HonestProver:
     # -- row space membership (Algorithm: honest prover) ---------------------------------
 
     def rsm_rank(self, a: PolyMat) -> int:
-        """rank(A) over F(x): min(m, n) when A(0) reaches it, else by exact
-        elimination.  A full row rank keeps its profile columns for the
-        solve in :meth:`compression_base`.
-
-        One probe, not :data:`EVAL_PROBE_CAP`: a rank-deficient A, as in
-        the false membership instances, fails every probe, and a random
-        full-rank A passes at 0.
-        """
-        rank = min(a.m, a.n)
-        f = pluq(a.eval_at(0))
-        if f.rank == rank:
-            profile = f.col_rank_profile()
-        else:
-            rank, profile = rank_and_profile(a)
+        """rank(A) over F(x), a statement fact (:meth:`fact`).  A full row
+        rank keeps its profile columns for the solve in
+        :meth:`compression_base`."""
+        rank, profile = self.fact("rsm_rank", a, lambda: _rank_and_profile_probed(a))
         self._rsm_probe = (a, profile) if rank == a.m else None
         return rank
 
@@ -304,6 +321,20 @@ def draw_compression(rng: random.Random, a: PolyMat, v: list, rho: int, sigma: i
             for k in range(width)]
     return top, RatVec.in_lowest_terms(
         base.common_den, [Poly(a.field, [col[i] for col in cols]) for i in range(rho)])
+
+
+def _rank_and_profile_probed(a: PolyMat):
+    """rank(A) and its column profile: min(m, n) and the profile of A(0)
+    when A(0) reaches that rank, else by exact elimination.
+
+    One probe, not :data:`EVAL_PROBE_CAP`: a rank-deficient A, as in the
+    false membership instances, fails every probe, and a random full-rank A
+    passes at 0.
+    """
+    r, _, cols = rank_profile(a.eval_at(0))
+    if r == min(a.m, a.n):
+        return r, tuple(cols)
+    return rank_and_profile(a)
 
 
 def _field_of(view) -> object:

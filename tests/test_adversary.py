@@ -1,7 +1,11 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polycert import adversary, provers
 from polycert.adversary import (
     CheatCoprime,
     CheatFieldDeterminant,
@@ -11,6 +15,8 @@ from polycert.adversary import (
     CheatRankUpperBound,
     CheatRowSpaceMembership,
     InstanceActuallyTrue,
+    _combine_over_common_den,
+    _scale_ratvec,
 )
 from polycert.experiments import (
     SOUNDNESS_PROTOCOLS,
@@ -24,10 +30,18 @@ from polycert.ff import PrimeField
 from polycert.instances import planted_member, planted_rank, rand_nonsingular
 from polycert.matfield import FieldMat, det_field
 from polycert.polymat import PolyMat
-from polycert.protocols import PROTOCOL_IDS
-from polycert.upoly import Poly
+from polycert.protocols import PROTOCOL_IDS, run_protocol
+from polycert.transcript import MODE_INTERACTIVE, ProtocolParams
+from polycert.upoly import Poly, RatFunc, RatVec
 
 F = PrimeField(2**31 - 1)
+
+# sha256 over the digest and verdict of three interactive trials on one
+# prover object, for the false instance of every SOUNDNESS_PROTOCOLS entry
+# at #S 32 and 64 and instance seeds 0 and 1.  It pins what a cheating
+# Prover sends from one trial to the next, so state kept across trials
+# (the Prover's per-matrix facts) cannot change an exchange.
+CHEATING_EXCHANGE_DIGESTS = "d6b12ec475c12c14d16186c6f312cb7b9c827b9816b8576ec9049d90fc82496e"
 
 
 def test_cheats_refuse_true_instances():
@@ -132,7 +146,7 @@ def test_rank_ub_bound_near_tightness_demo():
     from polycert.polymat import PolyMat
     from polycert.protocols import run_protocol
     from polycert.transcript import ProtocolParams
-    from polycert.upoly import Poly
+    from polycert.upoly import Poly, RatFunc, RatVec
 
     sigma = 32
     # f vanishes on {0..3} inside S; A = diag(f, 1, 1) has rank 3 except at
@@ -157,3 +171,90 @@ def test_rank_ub_bound_near_tightness_demo():
     assert rate <= bound + 3 * se
     # the four planted roots give a genuine win probability of about 4/32
     assert rate >= 4 / sigma - 3 * se
+
+
+def test_cheating_exchanges_are_pinned():
+    h = hashlib.sha256()
+    for pid in SOUNDNESS_PROTOCOLS:
+        for sigma in (32, 64):
+            for seed in (0, 1):
+                rng = random.Random(seed)
+                pub, prover, _, _ = make_false_instance(pid, rng, F, sigma)
+                for trial in range(3):
+                    params = ProtocolParams(p=F.p, sigma=sigma, mode=MODE_INTERACTIVE,
+                                            strict=False, seed=rng.randrange(2**62))
+                    verdict, t = run_protocol(pid, pub, params, prover=prover)
+                    line = (f"{pid} {sigma} {seed} {trial} {t.digest()} "
+                            f"{verdict.reason.value} {verdict.detail}")
+                    h.update(line.encode() + b"\n")
+    assert h.hexdigest() == CHEATING_EXCHANGE_DIGESTS
+
+
+def _rand_ratvec(rng, field):
+    """A random RatVec whose entries often share denominator factors, held
+    either as reduced entries or in common-denominator form."""
+    def poly(d):
+        return Poly(field, [rng.randrange(field.p) for _ in range(d + 1)])
+
+    shared = poly(rng.randrange(3))
+    m = rng.randrange(1, 5)
+    pairs = []
+    for _ in range(m):
+        den = poly(rng.randrange(3))
+        if rng.random() < 0.5:
+            den = den * shared
+        if den.is_zero():
+            den = Poly.one(field)
+        pairs.append((poly(rng.randrange(4)), den))
+    if rng.random() < 0.5:
+        return RatVec.normalize(field, pairs)
+    den = Poly.one(field)
+    for _, d in pairs:
+        den = den * d
+    return RatVec.from_common_den(den, [num * den.divexact(d) for num, d in pairs])
+
+
+@pytest.mark.parametrize("field", [PrimeField(p) for p in (2, 7, 2**31 - 1, 2**61 - 1)],
+                         ids=["F2", "F7", "F2^31-1", "F2^61-1"])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_one_denominator_sums_match_per_term_sums(field, seed):
+    """The forged g's sum u c over u's common denominator, and the forged
+    vector d u, equal the per-term RatFunc arithmetic they replace."""
+    rng = random.Random(seed)
+    u = _rand_ratvec(rng, field)
+    c = [rng.randrange(field.p) for _ in range(len(u))]
+    per_term = RatFunc.zero(field)
+    for ui, ci in zip(u.entries, c):
+        per_term = per_term + ui * Poly.constant(field, ci)
+    assert _combine_over_common_den(u, c) == per_term
+    d = Poly(field, [rng.randrange(field.p) for _ in range(3)] + [1])
+    scaled = _scale_ratvec(d, u)
+    by_entries = RatVec([e * d for e in u.entries])
+    assert scaled.common_den == by_entries.common_den
+    assert scaled.numer_row() == by_entries.numer_row()
+    assert scaled.entries == by_entries.entries
+
+
+@pytest.mark.parametrize("pid, module", [("rank_lb", adversary), ("rsm", provers)])
+def test_statement_facts_are_computed_once_per_prover(pid, module, monkeypatch):
+    """Exact rank profiles of the public matrix are kept across runs of one
+    prover; begin_run drops only run state."""
+    pub, prover, _, _ = make_false_instance(pid, random.Random(0), F, 32)
+    ranked = []
+    real = module.rank_and_profile
+    monkeypatch.setattr(module, "rank_and_profile", lambda a: ranked.append(a) or real(a))
+    counts = []
+    for seed in range(3):
+        params = ProtocolParams(p=F.p, sigma=32, mode=MODE_INTERACTIVE, strict=False,
+                                seed=seed)
+        run_protocol(pid, pub, params, prover=prover)
+        counts.append(len(ranked))
+    assert counts[0] > 0 and counts == [counts[0]] * 3
+
+
+def test_statement_facts_stay_bounded():
+    prover = provers.HonestProver()
+    for i in range(3 * provers.FACT_CAP):
+        assert prover.fact("k", PolyMat.identity(F, 2), lambda: i) == i
+    assert len(prover._facts) <= provers.FACT_CAP

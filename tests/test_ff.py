@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycert.ff import PrimeField, is_prime
+
+FIELDS = [PrimeField(p) for p in (2, 7, 2**31 - 1, 2**61 - 1)]
+FIELD_IDS = ["F2", "F7", "F2^31-1", "F2^61-1"]
 
 
 def test_modulus_must_be_prime():
@@ -50,5 +55,19 @@ def test_field_axioms_random(f7, rng):
 
 
 def test_inv_zero_raises(f7):
-    with pytest.raises(ZeroDivisionError):
-        f7.inv(0)
+    # every multiple of p is zero in the field, reduced or not
+    for a in (0, 7, -7, 14):
+        with pytest.raises(ZeroDivisionError):
+            f7.inv(a)
+    assert f7.inv(-1) == 6
+    assert f7.inv(8) == 1
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_inv_matches_fermat(field, data):
+    p = field.p
+    a = data.draw(st.integers(1, p - 1))
+    assert field.inv(a) == pow(a, p - 2, p)
+    assert field.inv(a - p) == field.inv(a)

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycert.ff import PrimeField
 from polycert.matfield import (
@@ -10,6 +12,7 @@ from polycert.matfield import (
     hamming_weight,
     nullvector_left,
     pluq,
+    rank_profile,
     solve_right,
     solve_with_det,
     sparse_representative,
@@ -246,3 +249,37 @@ def test_sparse_representative_random():
         assert g is not None
         assert hamming_weight(g) <= r
         assert a.matvec(g) == a.matvec(v)
+
+
+@st.composite
+def shaped_matrices(draw, field):
+    """Tall, wide, zero and rank-deficient matrices: a random m x n matrix,
+    a zero one, or a product of m x k and k x n factors with k < min(m, n)."""
+    m = draw(st.integers(0, 6))
+    n = draw(st.integers(0, 6))
+    elems = st.integers(0, field.p - 1)
+
+    def block(rows, cols):
+        return draw(st.lists(st.lists(elems, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    kind = draw(st.sampled_from(["random", "zero", "deficient"]))
+    if kind == "zero":
+        return FieldMat.zero(field, m, n)
+    if kind == "deficient" and min(m, n) > 1:
+        k = draw(st.integers(1, min(m, n) - 1))
+        left = FieldMat(field, block(m, k), ncols=k)
+        return left.matmul(FieldMat(field, block(k, n), ncols=n))
+    return FieldMat(field, block(m, n), ncols=n)
+
+
+@pytest.mark.parametrize("field", [PrimeField(p) for p in (2, 7, 2**31 - 1, 2**61 - 1)],
+                         ids=["F2", "F7", "F2^31-1", "F2^61-1"])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_rank_profile_has_pluqs_pivots(field, data):
+    mat = data.draw(shaped_matrices(field))
+    before = mat.copy_rows()
+    f = pluq(mat)
+    assert rank_profile(mat) == (f.rank, f.perm_rows[:f.rank], f.perm_cols[:f.rank])
+    assert mat.rows == before
