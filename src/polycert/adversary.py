@@ -230,6 +230,17 @@ class CheatCoprime(HonestProver):
         return self._s1, self._s2, list(self._betas)
 
 
+class Forged:
+    """A cheat's answer for the ``frrsm`` sub-proof it attacks: its rational
+    u, or None when no rational u is usable and every point is played on
+    its own."""
+
+    __slots__ = ("rational",)
+
+    def __init__(self, rational: RatVec | None):
+        self.rational = rational
+
+
 class CheatFullRankMembership(HonestProver):
     """v has a rational but non-polynomial solution: send the polynomial
     part of u.c and the true evaluation u(alpha)."""
@@ -247,17 +258,18 @@ class CheatFullRankMembership(HonestProver):
                 raise InstanceActuallyTrue("v is in the polynomial row space")
             self._u = u
 
-    def _rational(self, hint):
-        return self._u
+    def frrsm_solution(self, view, vec):
+        return Forged(self._u)
 
-    def frrsm_g(self, view, vec, c, hint) -> Poly:
+    def frrsm_g(self, view, vec, c, u) -> Poly:
         """Interpolate g through sample points so that u(alpha) c = g(alpha)
         holds on as many alpha in S as the degree budget allows."""
-        u = self._rational(hint)
+        if not isinstance(u, Forged):
+            return super().frrsm_g(view, vec, c, u)
         field = _field_of(view)
-        if u is None:
+        if u.rational is None:
             return Poly.zero(field)
-        acc = _combine_over_common_den(u, c)
+        acc = _combine_over_common_den(u.rational, c)
         if acc.is_polynomial():
             return acc.num
         from .upoly import deg_add, deg_scale, interpolate
@@ -276,11 +288,12 @@ class CheatFullRankMembership(HonestProver):
             return acc.num // acc.den
         return interpolate(field, points)
 
-    def frrsm_w(self, view, vec, c, g, alpha, hint) -> list:
-        u = self._rational(hint)
-        if u is not None:
+    def frrsm_w(self, view, vec, c, g, alpha, u) -> list:
+        if not isinstance(u, Forged):
+            return super().frrsm_w(view, vec, c, g, alpha, u)
+        if u.rational is not None:
             try:
-                return u.eval(alpha)
+                return u.rational.eval(alpha)
             except ZeroDivisionError:
                 pass
         # no rational solution usable at alpha: solve the evaluated system
@@ -292,7 +305,8 @@ class CheatFullRankMembership(HonestProver):
 class CheatRowSpaceMembership(CheatFullRankMembership):
     """Membership fails: an honest-looking Toeplitz commitment with one
     forged denominator, then the interpolated-g tactic in the single
-    sub-proof whose statement is false.
+    sub-proof whose statement is false, which the commitment marks by
+    handing it a :class:`Forged` solution.
 
     The commitment is rebuilt per run, because composed protocols hand this
     strategy a fresh random target vector each time; whenever the particular
@@ -306,20 +320,18 @@ class CheatRowSpaceMembership(CheatFullRankMembership):
         self._cheat_rng = random.Random(seed ^ 0xF00D)
         if v is not None and row_membership_oracle(a, v):
             raise InstanceActuallyTrue("v is in the polynomial row space")
-        self._forged_index = None
-        self._forged_rat = None
+
+    # an frrsm sub-proof outside the commitment is answered honestly
+    frrsm_solution = HonestProver.frrsm_solution
 
     def rsm_commitment(self, a, v, rho, t, sigma):
         rng = self._cheat_rng
         m = a.m
         field = a.field
-        self._forged_index = None
-        self._forged_rat = None
         base = self.compression_base(a, v, rho)
         tops: list = []
         dens: list = []
         sols: list = []
-        rats: list = []
         guard = 0
         while len(tops) < t:
             guard += 1
@@ -333,23 +345,20 @@ class CheatRowSpaceMembership(CheatFullRankMembership):
                         field, rho, m,
                         [rng.randrange(sigma) for _ in range(rho + m - 1)],
                     ))
-                self._forged_index = -1  # every sub-proof is hostile
-                self._rsm_solutions = [None] * t
-                return fallback, ones
+                # every sub-proof is hostile
+                return fallback, ones, [Forged(None)] * t
             top, w = draw_compression(rng, a, v, rho, sigma, base)
             if w is LOW_RANK or w is NO_SOLUTION:
                 continue
             tops.append(top)
             dens.append(w.common_den)
             sols.append(w.numer_row())
-            rats.append(w)
         g = dens[0]
         for den in dens[1:]:
             g = poly_gcd(g, den)
         if g.is_one():
             # this particular target is a true member: play honestly
-            self._rsm_solutions = sols
-            return tops, dens
+            return tops, dens, sols
         last = dens[-1]
         forged = None
         for c in range(1, 1000):
@@ -362,28 +371,9 @@ class CheatRowSpaceMembership(CheatFullRankMembership):
                 break
         if forged is None:
             raise RuntimeError("no coprime forgery found")
-        self._forged_index = t - 1
-        self._forged_rat = _scale_ratvec(forged, rats[-1])
-        self._rsm_solutions = sols
-        return tops, dens[:-1] + [forged]
-
-    def _rational(self, hint):
-        return self._forged_rat
-
-    def _is_forged(self, hint) -> bool:
-        if hint is None or hint[0] != "rsm" or self._forged_index is None:
-            return False
-        return self._forged_index == -1 or hint[1] == self._forged_index
-
-    def frrsm_g(self, view, vec, c, hint) -> Poly:
-        if not self._is_forged(hint):
-            return HonestProver.frrsm_g(self, view, vec, c, hint)
-        return CheatFullRankMembership.frrsm_g(self, view, vec, c, hint)
-
-    def frrsm_w(self, view, vec, c, g, alpha, hint) -> list:
-        if not self._is_forged(hint):
-            return HonestProver.frrsm_w(self, view, vec, c, g, alpha, hint)
-        return CheatFullRankMembership.frrsm_w(self, view, vec, c, g, alpha, hint)
+        # w is the last compression's solution, whose denominator was forged
+        sols[-1] = Forged(_scale_ratvec(forged, w))
+        return tops, dens[:-1] + [forged], sols
 
 
 def _combine_over_common_den(u: RatVec, c: list) -> RatFunc:

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import matfield
 from .matfield import FieldMat
-from .polymat import PolyMat, check_hermite_shape
+from .polymat import PolyMat, check_hermite_shape, shifted_pivot
 from .upoly import NEG_INF, Poly, RatFunc, RatVec, interpolate_many, poly_gcd, xgcd
 
 # evaluation points from which the Prover uses the batched kernel: a numpy
@@ -96,7 +96,7 @@ def rank_and_profile(mat: PolyMat):
         return 0, ()
     npoints = min(mat.m, mat.n) * int(mat.deg) + 1
     if npoints < BATCH_CUTOFF or mat.field.p < npoints:
-        return _rank_and_profile_bareiss(mat)
+        return _bareiss(mat)[:2]
     return _rank_and_profile_evaluation(mat, npoints)
 
 
@@ -109,13 +109,17 @@ def _rank_and_profile_evaluation(mat: PolyMat, npoints: int):
     return r, min(tuple(np.flatnonzero(row).tolist()) for row in profiles)
 
 
-def _rank_and_profile_bareiss(mat: PolyMat):
-    """Fraction-free (Bareiss) elimination: every intermediate entry is a
-    minor of the input, and each update divides exactly by the previous
-    pivot."""
+def _bareiss(mat: PolyMat):
+    """Fraction-free (Bareiss) elimination: (rank, column profile, det).
+
+    Every intermediate entry is a minor of the input, and each update
+    divides exactly by the previous pivot.  det, for a square A, is the last
+    pivot signed by the row swaps when the rank is full, and 0 otherwise.
+    """
     m, n = mat.m, mat.n
     work = [list(row) for row in mat.rows]
     prev = Poly.one(mat.field)
+    sign = 1
     pr = 0
     profile = []
     for j in range(n):
@@ -130,6 +134,7 @@ def _rank_and_profile_bareiss(mat: PolyMat):
             continue
         if piv_row != pr:
             work[piv_row], work[pr] = work[pr], work[piv_row]
+            sign = -sign
         piv = work[pr][j]
         for i in range(pr + 1, m):
             head = work[i][j]
@@ -141,7 +146,11 @@ def _rank_and_profile_bareiss(mat: PolyMat):
         prev = piv
         profile.append(j)
         pr += 1
-    return pr, tuple(profile)
+    if pr < n:
+        det = Poly.zero(mat.field)
+    else:
+        det = prev if sign > 0 else -prev
+    return pr, tuple(profile), det
 
 
 def det_bareiss(mat: PolyMat) -> Poly:
@@ -163,7 +172,7 @@ def det_bareiss(mat: PolyMat) -> Poly:
     npoints = n * max(0, mat.deg) + 1
     if npoints >= BATCH_CUTOFF and mat.field.p >= npoints:
         return _det_evaluation(mat, npoints)
-    return _det_bareiss(mat)
+    return _bareiss(mat)[2]
 
 
 def _det_evaluation(mat: PolyMat, npoints: int) -> Poly:
@@ -174,35 +183,6 @@ def _det_evaluation(mat: PolyMat, npoints: int) -> Poly:
     aug = np.concatenate([vals, np.zeros(vals.shape[:2] + (1,), dtype=vals.dtype)], axis=2)
     _, det, _ = matfield.solve_many(field, aug)
     return interpolate_many(field, range(npoints), [det.tolist()])[0]
-
-
-def _det_bareiss(mat: PolyMat) -> Poly:
-    """Fraction-free (Bareiss) elimination for the determinant."""
-    n = mat.n
-    work = [list(row) for row in mat.rows]
-    prev = Poly.one(mat.field)
-    sign = 1
-    for j in range(n):
-        piv_row = None
-        for i in range(j, n):
-            if not work[i][j].is_zero():
-                piv_row = i
-                break
-        if piv_row is None:
-            return Poly.zero(mat.field)
-        if piv_row != j:
-            work[piv_row], work[j] = work[j], work[piv_row]
-            sign = -sign
-        piv = work[j][j]
-        for i in range(j + 1, n):
-            head = work[i][j]
-            row_i, row_j = work[i], work[j]
-            for l in range(j + 1, n):
-                num = piv * row_i[l] - head * row_j[l]
-                row_i[l] = num.divexact(prev)
-            row_i[j] = Poly.zero(mat.field)
-        prev = piv
-    return prev if sign > 0 else -prev
 
 
 # -- Algorithm: rational linear solving with full row rank --------------------
@@ -469,16 +449,10 @@ def _rows_transform(targets, i1, i2, a11, a12, a21, a22):
 
 
 def _pivot_of(row, shift):
-    """(pivot index, pivot degree) under the shift, or None for a zero row."""
-    best = None
-    for j, f in enumerate(row):
-        if f.coeffs:
-            val = int(f.deg) + shift[j]
-            if best is None or val >= best[0]:
-                best = (val, j)
-    if best is None:
-        return None
-    return best[1], int(row[best[1]].deg)
+    """(pivot index, pivot degree) of a nonzero row under the shift
+    (:func:`~polycert.polymat.shifted_pivot`)."""
+    k = shifted_pivot(row, shift)
+    return k, int(row[k].deg)
 
 
 def popov_form(mat: PolyMat, shift=None) -> PolyMat:
@@ -601,7 +575,7 @@ def saturation_basis(mat: PolyMat) -> PolyMat:
     r = pm.m
     if r == n:
         return PolyMat.identity(field, n)
-    pivots = [_pivot_of(row, [0] * n)[0] for row in pm.rows]
+    pivots = [shifted_pivot(row, [0] * n) for row in pm.rows]
     minor = det_bareiss(pm.submatrix(range(r), pivots))
     if minor.is_constant():
         return pm

@@ -635,15 +635,27 @@ def run_inverse(sess: Session, pub):
     _matmul(sess, a, b, PolyMat.identity(sess.field, a.n))
 
 
-def _frrsm(sess: Session, view: MatView, vec: VecView, hint=None):
+def _frrsm(sess: Session, view: MatView, vec: VecView, solution=None):
+    """Full-rank membership of vec in the row space of view.
+
+    The Prover's solution u of u A = v is one answer per sub-proof
+    (:meth:`Session.prover_answer`), handed to both of its messages:
+    ``solution()`` when the caller already holds it, as the ``rsm``
+    commitment does, else ``prover.frrsm_solution``.
+    """
     m, n = view.nrows, view.ncols
     if vec.length != n:
         sess.fail(Reason.PARAMS_INVALID, "dimension mismatch")
     if m == 0:
         sess.fail(Reason.PARAMS_INVALID, "empty matrix")
+
+    def answer():
+        return sess.prover_answer(
+            view, solution or (lambda: sess.prover.frrsm_solution(view, vec)))
+
     c = sess.challenge_vector("combination", m)
     g = sess.prover_poly(
-        "inner_product", lambda: sess.prover.frrsm_g(view, vec, c, hint)
+        "inner_product", lambda: sess.prover.frrsm_g(view, vec, c, answer())
     )
     bound = deg_add(deg_scale(m, view.deg_bound), vec.deg_bound)
     # deg(v) = -inf alone must not force g = 0 when A is nonzero: the honest
@@ -653,7 +665,7 @@ def _frrsm(sess: Session, view: MatView, vec: VecView, hint=None):
         sess.fail(Reason.DEGREE_CHECK_FAILED, "inner product degree too high")
     alpha = sess.challenge_scalar("alpha")
     w = sess.prover_vector(
-        "solution_eval", m, lambda: sess.prover.frrsm_w(view, vec, c, g, alpha, hint)
+        "solution_eval", m, lambda: sess.prover.frrsm_w(view, vec, c, g, alpha, answer())
     )
     if view.eval_at(alpha).vecmat(w) != vec.eval_at(alpha):
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "w A(alpha) != v(alpha)")
@@ -762,12 +774,8 @@ def _rsm(sess: Session, a: PolyMat, v: list):
         _coprime(sess, dens)
     for i in range(t):
         with sess.subprotocol("frrsm"):
-            _frrsm(
-                sess,
-                ToeplitzProductView(tops[i], a),
-                ScaledVecView(dens[i], v),
-                hint=("rsm", i),
-            )
+            _frrsm(sess, ToeplitzProductView(tops[i], a), ScaledVecView(dens[i], v),
+                   solution=lambda i=i: commitment()[2][i])
 
 
 @protocol("rsm", {"A": PolyMatrixPayload, "v": PolyVectorPayload},
@@ -971,9 +979,6 @@ def run_protocol(protocol_id: str, pub: dict, params: ProtocolParams,
         from .provers import HonestProver  # prover side may use the heavy oracles
 
         prover = HonestProver(seed=prover_seed)
-    begin = getattr(prover, "begin_run", None)
-    if begin is not None:
-        begin()
     sess = Session(spec, pub, transcript, prover=prover, replay=False)
     try:
         spec.runner(sess, pub)

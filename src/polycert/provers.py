@@ -7,19 +7,21 @@ prover's own seeded randomness, so a fixed prover seed reproduces a
 transcript bit for bit; retry caps turn a stuck search into ProverGaveUp
 rather than a hang.
 
-Work is shared within a run.  The rank claim of the membership protocol
-comes from one probe, and for a full-row-rank A the solve of u A = v reuses
-the probe's profile and serves every Toeplitz compression C drawn: the
-solution of w (C A) = v is u C^-1 (:func:`draw_compression`).  The PLUQ
-that finds a nonsingular A(alpha) also solves A(alpha) w = b.  All of it
-is run state, keyed by the matrix object itself, and
-:meth:`HonestProver.begin_run` drops it.
+A prover keeps no run state.  The answer behind a group of messages is
+kept by the run's Session (:meth:`Session.prover_answer`) and handed back
+as data: the ``rsm`` commitment carries the solution of every compressed
+system, which its ``frrsm`` sub-proofs receive, and an ``frrsm`` sub-proof
+asks for its solution once and passes it to both of its messages.  For a
+full-row-rank A the solve of u A = v serves every Toeplitz compression C
+drawn: the solution of w (C A) = v is u C^-1 (:func:`draw_compression`).
 
 Facts that depend only on a public matrix, such as the rank and profile
 behind the membership rank claim, are statement facts: computed on first
 use and kept per prover, keyed by the matrix object (:meth:`HonestProver.fact`),
 so that a prover run many times on one statement, as in the soundness
-experiments, computes them once.  ``begin_run`` keeps them.
+experiments, computes them once.  The PLUQ that finds a nonsingular
+A(alpha) is kept with its view and point, and solves A(alpha) w = b only
+for that same view and point.
 
 On a false statement an honest prover does not crash: it degrades to a
 well-formed best effort and lets the Verifier reject.
@@ -63,18 +65,8 @@ class HonestProver:
         self.rng = random.Random(seed)
         # (kind, id(matrix)) -> (matrix, fact); kept across runs
         self._facts: dict = {}
-        self._frrsm_cache: dict = {}
-        self._rsm_solutions: list | None = None
         # (view, alpha, pluq of view(alpha)) from nonsingularity_point
         self._nonsingular: tuple | None = None
-        # (A, column profile) from rsm_rank when A has full row rank
-        self._rsm_probe: tuple | None = None
-
-    def begin_run(self):
-        self._frrsm_cache.clear()
-        self._rsm_solutions = None
-        self._nonsingular = None
-        self._rsm_probe = None
 
     def fact(self, kind, mat, compute):
         """compute(), a fact that depends only on the matrix object mat,
@@ -162,39 +154,23 @@ class HonestProver:
 
     # -- full-rank row space membership ------------------------------------------
 
-    def _frrsm_solution(self, view: MatView, vec: VecView, hint):
+    def frrsm_solution(self, view: MatView, vec: VecView):
         """A polynomial u with u A = v, or None when no such u exists."""
-        if hint is not None and hint[0] == "rsm" and self._rsm_solutions is not None:
-            return self._rsm_solutions[hint[1]]
-        key = (id(view), id(vec))
-        if key in self._frrsm_cache:
-            return self._frrsm_cache[key][0]
-        mat = view.materialize()
-        if isinstance(vec, VecView):
-            target = vec.materialize()
-        else:
-            target = list(vec)
-        u = rational_solve_left(mat, target)
+        u = rational_solve_left(view.materialize(), vec.materialize())
         if u is LOW_RANK or u is NO_SOLUTION or not u.is_polynomial():
-            sol = None
-        else:
-            sol = u.numer_row()
-        self._frrsm_cache[key] = (sol, view, vec)
-        return sol
+            return None
+        return u.numer_row()
 
-    def frrsm_g(self, view: MatView, vec: VecView, c: list, hint) -> Poly:
-        u = self._frrsm_solution(view, vec, hint)
-        field = _field_of(view)
+    def frrsm_g(self, view: MatView, vec: VecView, c: list, u) -> Poly:
+        acc = Poly.zero(_field_of(view))
         if u is None:
-            return Poly.zero(field)
-        acc = Poly.zero(field)
+            return acc
         for ui, ci in zip(u, c):
             acc = acc + ui.scale(ci)
         return acc
 
     def frrsm_w(self, view: MatView, vec: VecView, c: list, g: Poly,
-                alpha: int, hint) -> list:
-        u = self._frrsm_solution(view, vec, hint)
+                alpha: int, u) -> list:
         if u is None:
             return [0] * view.nrows
         return [f(alpha) for f in u]
@@ -238,27 +214,29 @@ class HonestProver:
 
     # -- row space membership (Algorithm: honest prover) ---------------------------------
 
+    def _rsm_rank_fact(self, a: PolyMat):
+        return self.fact("rsm_rank", a, lambda: _rank_and_profile_probed(a))
+
     def rsm_rank(self, a: PolyMat) -> int:
-        """rank(A) over F(x), a statement fact (:meth:`fact`).  A full row
-        rank keeps its profile columns for the solve in
-        :meth:`compression_base`."""
-        rank, profile = self.fact("rsm_rank", a, lambda: _rank_and_profile_probed(a))
-        self._rsm_probe = (a, profile) if rank == a.m else None
-        return rank
+        """rank(A) over F(x), a statement fact (:meth:`fact`)."""
+        return self._rsm_rank_fact(a)[0]
 
     def compression_base(self, a: PolyMat, v: list, rho: int):
         """The one solution u of u A = v (a RatVec or NO_SOLUTION) when
         rho = m and A has full row rank; None otherwise, and then every
-        compression C.A is solved on its own (:func:`draw_compression`)."""
+        compression C.A is solved on its own (:func:`draw_compression`).
+        A full row rank hands the solve the profile columns of the
+        ``rsm_rank`` fact."""
         if rho != a.m:
             return None
-        probe = self._rsm_probe
-        profile = probe[1] if probe is not None and probe[0] is a else None
-        u = rational_solve_left(a, v, profile)
+        rank, profile = self._rsm_rank_fact(a)
+        u = rational_solve_left(a, v, profile if rank == a.m else None)
         return None if u is LOW_RANK else u
 
     def rsm_commitment(self, a: PolyMat, v: list, rho: int, t: int, sigma: int):
-        """Toeplitz compressions and denominators with coprime gcd.
+        """(tops, dens, sols): Toeplitz compressions C_i, denominators with
+        coprime gcd, and the polynomial solutions of u_i (C_i A) = den_i v
+        that the ``frrsm`` sub-proofs receive.
 
         Las Vegas: redraw each compression until the compressed system is
         full rank and solvable, and redraw the whole batch until the
@@ -288,8 +266,7 @@ class HonestProver:
             for den in dens[1:]:
                 g = poly_gcd(g, den)
             if g.is_one():
-                self._rsm_solutions = sols
-                return tops, dens
+                return tops, dens, sols
         raise ProverGaveUp("coprime denominators not found within the batch cap")
 
 

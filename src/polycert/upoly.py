@@ -476,23 +476,26 @@ class RatFunc:
 
 
 class RatVec:
-    """Row vector of rational functions.
-
-    Held as reduced entries, or as the common-denominator form
-    ``numer_row / common_den`` (``common_den`` monic, with no factor shared
-    by every numerator); each is derived from the other when first read.
+    """Row vector of rational functions, held in common-denominator form
+    ``numer_row / common_den``: ``common_den`` monic, with no factor shared
+    by every numerator.  That form is unique; the reduced entries are
+    derived from it when read.
     """
 
-    __slots__ = ("field", "_entries", "_common_den", "_numer_row")
+    __slots__ = ("field", "common_den", "_numer_row")
 
     def __init__(self, entries):
+        """The vector of the given RatFunc entries: common_den is the lcm
+        of their denominators."""
         entries = list(entries)
         if not entries:
             raise ValueError("empty rational vector")
-        self.field = entries[0].num.field
-        self._entries = entries
-        self._common_den = None
-        self._numer_row = None
+        d = Poly.one(entries[0].num.field)
+        for e in entries:
+            d = poly_lcm(d, e.den)
+        self.field = d.field
+        self.common_den = d
+        self._numer_row = [e.num * d.divexact(e.den) for e in entries]
 
     @classmethod
     def normalize(cls, field, raw_pairs) -> "RatVec":
@@ -550,49 +553,41 @@ class RatVec:
         """The vector ``numers / den``, already in lowest terms with den monic."""
         out = cls.__new__(cls)
         out.field = den.field
-        out._entries = None
-        out._common_den = den
+        out.common_den = den
         out._numer_row = numers
         return out
 
     @property
     def entries(self) -> list:
-        """The reduced entries (built from the common form when first read)."""
-        if self._entries is None:
-            self._entries = [RatFunc(f, self._common_den) for f in self._numer_row]
-        return self._entries
+        """The reduced entries, one gcd each."""
+        return [RatFunc(f, self.common_den) for f in self._numer_row]
 
     def __len__(self):
-        return len(self._entries if self._entries is not None else self._numer_row)
+        return len(self._numer_row)
 
     def __getitem__(self, i):
-        return self.entries[i]
+        return RatFunc(self._numer_row[i], self.common_den)
 
     def __eq__(self, other):
-        return isinstance(other, RatVec) and self.entries == other.entries
+        return (isinstance(other, RatVec) and self.common_den == other.common_den
+                and self._numer_row == other._numer_row)
 
     def __repr__(self):
         return f"RatVec({self.entries!r})"
-
-    @property
-    def common_den(self) -> Poly:
-        """lcm of the entry denominators: the denominator of the vector."""
-        if self._common_den is None:
-            d = Poly.one(self.field)
-            for e in self._entries:
-                d = poly_lcm(d, e.den)
-            self._common_den = d
-        return self._common_den
 
     def is_polynomial(self) -> bool:
         return self.common_den.is_one()
 
     def numer_row(self) -> list:
         """common_den * entries, a polynomial row vector."""
-        if self._numer_row is None:
-            d = self.common_den
-            self._numer_row = [e.num * d.divexact(e.den) for e in self._entries]
         return list(self._numer_row)
 
     def eval(self, alpha: int) -> list:
-        return [e.eval(alpha) for e in self.entries]
+        """N(alpha) / den(alpha); den(alpha) = 0 exactly when some reduced
+        entry's denominator vanishes at alpha."""
+        d = self.common_den(alpha)
+        if d == 0:
+            raise ZeroDivisionError(f"denominator vanishes at {alpha}")
+        field = self.field
+        inv = field.inv(d)
+        return [field.mul(f(alpha), inv) for f in self._numer_row]

@@ -239,7 +239,7 @@ def test_one_denominator_sums_match_per_term_sums(field, seed):
 @pytest.mark.parametrize("pid, module", [("rank_lb", adversary), ("rsm", provers)])
 def test_statement_facts_are_computed_once_per_prover(pid, module, monkeypatch):
     """Exact rank profiles of the public matrix are kept across runs of one
-    prover; begin_run drops only run state."""
+    prover."""
     pub, prover, _, _ = make_false_instance(pid, random.Random(0), F, 32)
     ranked = []
     real = module.rank_and_profile

@@ -8,6 +8,7 @@ from polycert import PROTOCOL_IDS
 from polycert.experiments import PROVER_SPECS, SOUNDNESS_PROTOCOLS, generate_true_instance
 from polycert.ff import PrimeField
 from polycert.protocols import PROTOCOLS, ProverGaveUp, run_protocol
+from polycert.provers import HonestProver
 from polycert.transcript import MODE_FIAT_SHAMIR, ProtocolParams
 
 # sha256 over the digest and verdict of every protocol's Fiat-Shamir run on
@@ -21,10 +22,10 @@ ALL_PROTOCOL_DIGESTS = "c75140b5f03ad1743297558cb431f93157700cbd58b5a8b97b681c35
 ALL_PROTOCOL_SAVED_JSON = "b3b21543fe8de61718f0354402296c077e95386f986c105f14f7ea811c4e4dbe"
 
 
-def test_all_protocol_transcripts_are_pinned(tmp_path):
-    h = hashlib.sha256()
-    saved = hashlib.sha256()
-    path = tmp_path / "t.json"
+def _pinned_runs(prover=None):
+    """(line, transcript) for each run behind the pins; transcript is None
+    when the Prover gave up.  A given prover serves every run, its rng
+    reseeded to the state of the HonestProver(seed=0) a run makes itself."""
     for p in (2**31 - 1, 97):
         field = PrimeField(p)
         params = ProtocolParams(p=p, sigma=p, mode=MODE_FIAT_SHAMIR, strict=False)
@@ -32,17 +33,37 @@ def test_all_protocol_transcripts_are_pinned(tmp_path):
             for seed in (0, 1):
                 pub = generate_true_instance(pid, random.Random(seed), field,
                                              mmax=4, dmax=2)
+                if prover is not None:
+                    prover.rng.seed(0)
                 try:
-                    verdict, t = run_protocol(pid, pub, params)
-                    line = (f"{pid} {p} {seed} {t.digest()} {verdict.reason.value} "
-                            f"{verdict.detail}")
-                    t.save(path)
-                    saved.update(path.read_bytes())
+                    verdict, t = run_protocol(pid, pub, params, prover=prover)
                 except ProverGaveUp:
-                    line = f"{pid} {p} {seed} gave-up"
-                h.update(line.encode() + b"\n")
+                    yield f"{pid} {p} {seed} gave-up", None
+                    continue
+                yield (f"{pid} {p} {seed} {t.digest()} {verdict.reason.value} "
+                       f"{verdict.detail}"), t
+
+
+def test_all_protocol_transcripts_are_pinned(tmp_path):
+    h = hashlib.sha256()
+    saved = hashlib.sha256()
+    path = tmp_path / "t.json"
+    for line, t in _pinned_runs():
+        if t is not None:
+            t.save(path)
+            saved.update(path.read_bytes())
+        h.update(line.encode() + b"\n")
     assert h.hexdigest() == ALL_PROTOCOL_DIGESTS
     assert saved.hexdigest() == ALL_PROTOCOL_SAVED_JSON
+
+
+def test_one_prover_serves_every_run_as_a_fresh_one_would():
+    """No run state of one run leaks into the next: a single prover,
+    reseeded before each run, reproduces the pins."""
+    h = hashlib.sha256()
+    for line, _ in _pinned_runs(HonestProver()):
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == ALL_PROTOCOL_DIGESTS
 
 
 def test_registry_covers_every_protocol():

@@ -2,8 +2,8 @@
 
 The Toeplitz compression of a full-row-rank A solved as u C^-1 against a
 solve of C.A itself; the one-gcd reduction to lowest terms against
-entrywise reduction; the factorization and probe kept between Prover calls
-never serving another matrix; and transcripts pinned at the certify sizes
+entrywise reduction; the kept factorization and rank profile never serving
+another matrix; and transcripts pinned at the certify sizes
 on both routes of the compression: full-row-rank A (rsm, rs_equality,
 hermite, spopov and sat_basis's wide run) and rank-deficient A
 (kernel_basis, sat_basis's tall run).
@@ -270,21 +270,19 @@ def test_kept_factorization_and_probe_serve_only_their_own_matrix():
     v2 = PolyMatView(I.rand_nonsingular(rng, F101, 3, 2))
     alpha = prover.nonsingularity_point(v1, F101.p)
     b = [1, 2, 3]
-    for view, point in ((v2, alpha), (v1, alpha + 1), (v1, alpha)):
+    for view, point in ((v2, alpha), (v1, alpha + 1), (v1, alpha), (v2, alpha)):
         w = prover.nonsingularity_solution(view, point, b)
         assert view.eval_at(point).matvec(w) == b
-    prover.begin_run()
-    assert prover._nonsingular is None
-    # the probe of one matrix (profile 0, 1) is not the profile of the next,
-    # whose first two columns are zero
+    # the profile of one matrix (columns 0, 1) is not the profile of the
+    # next, whose first two columns are zero, in either order of calls
     zero, one = Poly.zero(F101), Poly.one(F101)
     r = I.rand_polymat(rng, F101, 2, 2, 2).rows
     a1 = PolyMat(F101, [[one, zero] + r[0], [zero, one] + r[1]], ncols=4)
-    assert prover.rsm_rank(a1) == 2 and prover._rsm_probe == (a1, (0, 1))
     a2 = PolyMat(F101, [[zero, zero] + row for row in
                         I.rand_nonsingular(rng, F101, 2, 2).rows], ncols=4)
-    v = [f + g for f, g in zip(a2.rows[0], a2.rows[1])]
-    base = prover.compression_base(a2, v, 2)
-    assert base.common_den.is_one() and base.numer_row() == [Poly.one(F101)] * 2
-    prover.begin_run()
-    assert prover._rsm_probe is None
+    for first, second in ((a1, a2), (a2, a1)):
+        assert prover.rsm_rank(first) == 2
+        for a in (second, first):
+            v = [f + g for f, g in zip(a.rows[0], a.rows[1])]
+            base = prover.compression_base(a, v, 2)
+            assert base.common_den.is_one() and base.numer_row() == [one] * 2

@@ -216,6 +216,30 @@ def test_ratvec_common_denominator():
         RatVec.normalize(F7, [(one, Poly.zero(F7))])
 
 
+def test_ratvec_eval_and_equality_follow_its_entries():
+    """N(alpha)/den(alpha) is every entry's value, and den(alpha) = 0 exactly
+    when some reduced entry's denominator vanishes; vectors built from
+    entries and from a common denominator compare equal."""
+    rng = random.Random(8)
+    for _ in range(60):
+        pairs = [(rand_poly(rng, F7, rng.randrange(-1, 3)),
+                  rand_poly(rng, F7, rng.randrange(0, 3)))
+                 for _ in range(rng.randrange(1, 4))]
+        v = RatVec.normalize(F7, pairs)
+        entries = [RatFunc(n, d) for n, d in pairs]
+        den = Poly.one(F7)
+        for _, d in pairs:
+            den = den * d
+        assert v == RatVec.from_common_den(den, [n * den.divexact(d) for n, d in pairs])
+        assert v.entries == entries
+        for alpha in range(F7.p):
+            if any(e.den(alpha) == 0 for e in entries):
+                with pytest.raises(ZeroDivisionError):
+                    v.eval(alpha)
+            else:
+                assert v.eval(alpha) == [e.eval(alpha) for e in entries]
+
+
 def test_ratfunc_field_ops():
     rng = random.Random(6)
     for _ in range(100):
