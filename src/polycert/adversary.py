@@ -24,7 +24,7 @@ from .oracles import (
 )
 from .polymat import MatView, PolyMat, ToeplitzOp
 from .protocols import wdeg
-from .provers import HonestProver, _field_of, draw_compression
+from .provers import HonestProver, _field_of, draw_batch
 from .upoly import NEG_INF, Poly, RatFunc, RatVec, poly_gcd
 
 
@@ -179,10 +179,7 @@ class CheatCoprime(HonestProver):
     def __init__(self, fs: list, sigma: int, seed: int = 0):
         super().__init__(seed)
         field = fs[0].field
-        g = fs[0]
-        for f in fs[1:]:
-            g = poly_gcd(g, f)
-        if g.is_one():
+        if poly_gcd(*fs).is_one():
             raise InstanceActuallyTrue("the family is coprime")
         t = len(fs)
         rng = random.Random(seed ^ 0x5EED)
@@ -326,53 +323,32 @@ class CheatRowSpaceMembership(CheatFullRankMembership):
 
     def rsm_commitment(self, a, v, rho, t, sigma):
         rng = self._cheat_rng
-        m = a.m
         field = a.field
-        base = self.compression_base(a, v, rho)
-        tops: list = []
-        dens: list = []
-        sols: list = []
-        guard = 0
-        while len(tops) < t:
-            guard += 1
-            if guard > 200 * t:
-                # cannot even reach full compressed rank / rational solutions:
-                # fall back to all-ones denominators and per-point tactics
-                ones = [Poly.one(field) for _ in range(t)]
-                fallback = []
-                while len(fallback) < t:
-                    fallback.append(ToeplitzOp(
-                        field, rho, m,
-                        [rng.randrange(sigma) for _ in range(rho + m - 1)],
-                    ))
-                # every sub-proof is hostile
-                return fallback, ones, [Forged(None)] * t
-            top, w = draw_compression(rng, a, v, rho, sigma, base)
-            if w is LOW_RANK or w is NO_SOLUTION:
-                continue
-            tops.append(top)
-            dens.append(w.common_den)
-            sols.append(w.numer_row())
-        g = dens[0]
-        for den in dens[1:]:
-            g = poly_gcd(g, den)
-        if g.is_one():
+        batch = draw_batch(rng, a, v, rho, t, sigma, self.compression_base(a, v, rho),
+                           200 * t)
+        if batch is None:
+            # cannot even reach full compressed rank / rational solutions:
+            # fall back to all-ones denominators and per-point tactics, in
+            # which every sub-proof is hostile
+            fallback = [ToeplitzOp(field, rho, a.m,
+                                   [rng.randrange(sigma) for _ in range(rho + a.m - 1)])
+                        for _ in range(t)]
+            return fallback, [Poly.one(field)] * t, [Forged(None)] * t
+        tops, dens, sols = batch
+        if poly_gcd(*dens).is_one():
             # this particular target is a true member: play honestly
-            return tops, dens, sols
-        last = dens[-1]
+            return batch
         forged = None
         for c in range(1, 1000):
-            cand = last + Poly.constant(field, c)
-            gg = cand
-            for den in dens[:-1]:
-                gg = poly_gcd(gg, den)
-            if gg.is_one():
+            cand = dens[-1] + Poly.constant(field, c)
+            if poly_gcd(cand, *dens[:-1]).is_one():
                 forged = cand
                 break
         if forged is None:
             raise RuntimeError("no coprime forgery found")
-        # w is the last compression's solution, whose denominator was forged
-        sols[-1] = Forged(_scale_ratvec(forged, w))
+        # the last compression's solution, whose denominator was forged
+        last = RatVec.in_lowest_terms(dens[-1], sols[-1])
+        sols[-1] = Forged(_scale_ratvec(forged, last))
         return tops, dens[:-1] + [forged], sols
 
 

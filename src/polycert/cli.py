@@ -255,37 +255,38 @@ def run(protocol, instance, mode, sigma, seed, strict, prover_seed, out):
 def experiment(suite, protocol, trials, sigma, seed, modulus, out_dir):
     """Run completeness / soundness experiment suites and report pass/fail."""
     p = modulus if modulus is not None else _env_int("POLYCERT_MODULUS", DEFAULT_MODULUS)
-    reports = []
-    failed = False
-    if protocol is not None and suite is None:
+    # --suite acceptance runs both lists
+    completeness = PROTOCOL_IDS
+    soundness = [(pid, sg) for pid in SOUNDNESS_PROTOCOLS for sg in (32, 64)]
+    if suite == "completeness":
+        soundness = []
+    elif suite == "soundness":
+        completeness = []
+    elif suite is None:
+        if protocol is None:
+            raise click.UsageError("give --suite or --protocol")
         if protocol not in SOUNDNESS_PROTOCOLS:
             raise click.UsageError(
                 f"soundness experiments exist for: {', '.join(SOUNDNESS_PROTOCOLS)}"
             )
-        rep = run_soundness_experiment(protocol, trials=trials or 2000,
-                                       sigma=sigma, seed=seed, p=p)
-        reports.append(rep)
-    elif suite == "completeness":
-        for pid in PROTOCOL_IDS:
-            rep = run_completeness_experiment(pid, trials=trials or 100,
-                                              seed=seed, p=p)
-            reports.append(rep)
-    elif suite == "soundness":
-        for pid in SOUNDNESS_PROTOCOLS:
-            for sg in (32, 64):
-                rep = run_soundness_experiment(pid, trials=trials or 2000,
-                                               sigma=sg, seed=seed, p=p)
-                reports.append(rep)
-    elif suite == "acceptance":
-        for pid in PROTOCOL_IDS:
-            reports.append(run_completeness_experiment(pid, trials=trials or 100,
-                                                       seed=seed, p=p))
-        for pid in SOUNDNESS_PROTOCOLS:
-            for sg in (32, 64):
-                reports.append(run_soundness_experiment(pid, trials=trials or 2000,
-                                                        sigma=sg, seed=seed, p=p))
-    else:
-        raise click.UsageError("give --suite or --protocol")
+        completeness, soundness = [], [(protocol, sigma)]
+    # parameter errors are usage errors, found before any experiment runs
+    least = 100 if soundness else 1  # run_soundness_experiment's minimum
+    if trials is not None and trials < least:
+        raise click.UsageError(f"need --trials >= {least}"
+                               + (" for soundness experiments" if soundness else ""))
+    try:
+        PrimeField(p)
+        for _, sg in soundness:
+            ProtocolParams(p=p, sigma=sg, mode=MODE_INTERACTIVE)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    reports = [run_completeness_experiment(pid, trials=trials or 100, seed=seed, p=p)
+               for pid in completeness]
+    reports += [run_soundness_experiment(pid, trials=trials or 2000, sigma=sg,
+                                         seed=seed, p=p)
+                for pid, sg in soundness]
+    failed = False
     for rep in reports:
         doc = rep.to_json_dict()
         status = "pass" if rep.passed else "FAIL"

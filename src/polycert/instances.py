@@ -21,7 +21,7 @@ from .oracles import (
     saturation_basis,
 )
 from .polymat import PolyMat
-from .upoly import Poly
+from .upoly import Poly, poly_gcd
 
 
 def rand_poly(rng: random.Random, field: PrimeField, dmax: int,
@@ -54,23 +54,13 @@ def rand_field_mat(rng, field, m, n) -> FieldMat:
 
 
 def rand_unimodular(rng, field, n, steps=None, dmax=2) -> PolyMat:
-    """Product of elementary row operations, with the inverse tracked."""
-    rows = [list(r) for r in PolyMat.identity(field, n).rows]
-    for _ in range(steps if steps is not None else max(4, 3 * n)):
-        kind = rng.randrange(3)
-        i, j = rng.randrange(n), rng.randrange(n)
-        if kind == 0 and i != j:
-            q = rand_poly(rng, field, dmax)
-            rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
-        elif kind == 1 and i != j:
-            rows[i], rows[j] = rows[j], rows[i]
-        else:
-            c = rng.randrange(1, field.p)
-            rows[i] = [a.scale(c) for a in rows[i]]
-    return PolyMat(field, rows, ncols=n)
+    """A product of elementary row operations (:func:`rand_unimodular_with_inverse`
+    without the inverse)."""
+    return rand_unimodular_with_inverse(rng, field, n, steps, dmax)[0]
 
 
 def rand_unimodular_with_inverse(rng, field, n, steps=None, dmax=2):
+    """(U, U^-1) for U a product of random elementary row operations."""
     rows = [list(r) for r in PolyMat.identity(field, n).rows]
     inv_rows = [list(r) for r in PolyMat.identity(field, n).rows]
     for _ in range(steps if steps is not None else max(4, 3 * n)):
@@ -239,16 +229,11 @@ def planted_sat_basis_instance(rng, field, m, n, dmax):
 
 def rand_coprime_family(rng, field, t, dmax):
     """t polynomials with gcd 1 (first one nonzero)."""
-    from .upoly import poly_gcd
-
     if t == 1:
         # a single polynomial is "coprime" iff it is a nonzero constant
         return [Poly.constant(field, rng.randrange(1, field.p))]
     while True:
         fs = [rand_poly(rng, field, dmax, nonzero=True)]
         fs += [rand_poly(rng, field, dmax) for _ in range(t - 1)]
-        g = fs[0].monic()
-        for f in fs[1:]:
-            g = poly_gcd(g, f)
-        if g.is_one():
+        if poly_gcd(*fs).is_one():
             return fs

@@ -351,41 +351,20 @@ def pluq_solve(f: PluqFactorization, b: list):
     return w
 
 
-def solve_with_det(mat: FieldMat, b: list):
-    """(w, det) with A w = b for square A, or None if A is singular.
-
-    One factorization serves both the solve and the determinant, which the
-    evaluation-interpolation rational solver calls once per sample point.
-    """
-    if mat.m != mat.n:
-        raise ValueError("solve_with_det needs a square matrix")
-    if len(b) != mat.m:
-        raise ValueError("dimension mismatch in solve_with_det")
-    f = pluq(mat)
-    if f.rank < mat.n:
-        return None
-    return pluq_solve(f, b), f.det()
-
-
 def right_nullvector(mat: FieldMat):
-    """A nonzero w with A w = 0, or None iff A has full column rank."""
-    p = mat.field.p
+    """A nonzero w with A w = 0, or None iff A has full column rank.
+
+    For the column j = ``perm_cols[rank]`` outside the rank profile, w is
+    the solution of A w = -A e_j on the profile columns (:func:`pluq_solve`)
+    with w_j = 1.
+    """
     f = pluq(mat)
-    r = f.rank
-    if r >= mat.n:
+    if f.rank >= mat.n:
         return None
-    # free column at permuted position r; solve U[:, :r] x = -U[:, r]
-    x = [0] * r
-    for i in range(r - 1, -1, -1):
-        acc = (-f.upper.rows[i][r]) % p
-        for j in range(i + 1, r):
-            acc -= f.upper.rows[i][j] * x[j]
-        acc %= p
-        x[i] = acc * f.inv_pivots[i] % p
-    w = [0] * mat.n
-    for j in range(r):
-        w[f.perm_cols[j]] = x[j]
-    w[f.perm_cols[r]] = 1
+    p = mat.field.p
+    j = f.perm_cols[f.rank]
+    w = pluq_solve(f, [-row[j] % p for row in mat.rows])
+    w[j] = 1
     return w
 
 

@@ -16,7 +16,8 @@ and :func:`upoly.interpolate_many` interpolates every column at once.  Fewer
 points take the per-point scalar path (fraction-free Bareiss elimination for
 rank and determinant), which is cheaper than numpy's fixed cost there;
 fields with fewer elements than points fall back to exact elimination over
-F[x].
+F[x]: Bareiss for rank and determinant, and Cramer's rule on Bareiss
+determinants for the rational solve.
 
 The rational solve decides membership at the points it solves at.  For
 u A = v with profile columns B, both sides of the cleared identity
@@ -50,7 +51,7 @@ import numpy as np
 from . import matfield
 from .matfield import FieldMat
 from .polymat import PolyMat, check_hermite_shape, shifted_pivot
-from .upoly import NEG_INF, Poly, RatFunc, RatVec, interpolate_many, poly_gcd, xgcd
+from .upoly import NEG_INF, Poly, RatVec, interpolate_many, poly_gcd, xgcd
 
 # evaluation points from which the Prover uses the batched kernel: a numpy
 # batch has a fixed cost of some hundred microseconds, which per-point loops
@@ -203,8 +204,9 @@ def rational_solve_left(mat: PolyMat, v: list, profile=None):
     big enough, the system is solved and
     u A = v decided together, on one set of evaluation points
     (:func:`_solve_left_evaluation`); otherwise u B = v_B is solved by
-    Gaussian elimination over F(x) and u A = v checked by polynomial
-    arithmetic.  Both routes are exact.
+    Cramer's rule on fraction-free (Bareiss) determinants over F[x] and
+    N A = det(B) v checked by polynomial arithmetic.  Both routes are exact,
+    and both bring det B and N to the one lowest-terms form.
     """
     m, n = mat.m, mat.n
     if len(v) != n:
@@ -228,11 +230,15 @@ def rational_solve_left(mat: PolyMat, v: list, profile=None):
     # det roots can force skipping up to m*deg_a candidate points
     if field.p >= npoints + m * deg_a + 2:
         return _solve_left_evaluation(mat, v, profile, npoints)
-    u = _solve_square_left_fraction(mat.submatrix(range(m), profile),
-                                    [v[j] for j in profile])
-    if not _left_residual_is_zero(mat, v, u.numer_row(), u.common_den):
+    # Cramer's rule on B: N_i = det(B with row i replaced by v_B), u = N / det B
+    b = mat.submatrix(range(m), profile)
+    v_b = [v[j] for j in profile]
+    det = _bareiss(b)[2]
+    numers = [_bareiss(PolyMat(field, b.rows[:i] + [v_b] + b.rows[i + 1:], ncols=m))[2]
+              for i in range(m)]
+    if not _left_residual_is_zero(mat, v, numers, det):
         return NO_SOLUTION
-    return u
+    return RatVec.from_common_den(det, numers)
 
 
 def _solve_left_evaluation(mat: PolyMat, v: list, profile, npoints: int):
@@ -275,11 +281,9 @@ def _solve_left_evaluation(mat: PolyMat, v: list, profile, npoints: int):
                 raise ArithmeticError("singular matrix: too few nonsingular points")
             at = cols_t.eval_at(alpha).rows
             va = [f(alpha) for f in v]
-            sol = matfield.solve_with_det(
-                FieldMat(field, [at[j] for j in profile], ncols=m, normalize=False),
-                [va[j] for j in profile])
-            if sol is not None:
-                w, det_a = sol
+            f = matfield.pluq(FieldMat.of_rows(field, [at[j] for j in profile], m))
+            if f.rank == m:
+                w, det_a = matfield.pluq_solve(f, [va[j] for j in profile]), f.det()
                 if any(sum(wi * a for wi, a in zip(w, at[j])) % p != va[j] for j in rest):
                     return NO_SOLUTION
                 xs.append(alpha)
@@ -311,42 +315,6 @@ def _solve_left_evaluation(mat: PolyMat, v: list, profile, npoints: int):
         alpha += len(pts)
     det_poly, *nums = interpolate_many(field, xs, np.concatenate(cols).T)
     return RatVec.from_common_den(det_poly, nums)
-
-
-def _solve_square_left_fraction(b: PolyMat, y: list) -> RatVec:
-    """Gaussian elimination over F(x) with eagerly reduced rational entries."""
-    m = b.m
-    field = b.field
-    # solve B^T x = y^T
-    work = [
-        [RatFunc.of_poly(b.rows[j][i]) for j in range(m)] for i in range(m)
-    ]
-    rhs = [RatFunc.of_poly(f) for f in y]
-    for col in range(m):
-        piv = None
-        for i in range(col, m):
-            if not work[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            raise ArithmeticError("pivot submatrix was singular")
-        work[col], work[piv] = work[piv], work[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv_piv = RatFunc(work[col][col].den, work[col][col].num)
-        for i in range(col + 1, m):
-            if work[i][col].is_zero():
-                continue
-            f = work[i][col] * inv_piv
-            for l in range(col, m):
-                work[i][l] = work[i][l] - f * work[col][l]
-            rhs[i] = rhs[i] - f * rhs[col]
-    out = [RatFunc.zero(field) for _ in range(m)]
-    for i in range(m - 1, -1, -1):
-        acc = rhs[i]
-        for l in range(i + 1, m):
-            acc = acc - work[i][l] * out[l]
-        out[i] = acc / work[i][i]
-    return RatVec(out)
 
 
 def _left_residual_is_zero(mat: PolyMat, v: list, cleared: list, common: Poly) -> bool:

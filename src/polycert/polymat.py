@@ -251,34 +251,14 @@ class PivotProfile:
 def check_hermite_shape(h: PolyMat):
     """Does H satisfy the Hermite form conditions?
 
-    Pivot of a row is its last nonzero column; requires monic pivots,
-    strictly increasing pivot indices (which forces zeros right of pivots),
-    and strictly smaller degrees below each pivot.  Any zero row fails.
-    Returns (ok, PivotProfile or None).
+    The Hermite form is the shifted Popov form for a Hermite shift with
+    t above every degree of H (:func:`hermite_shift`): the pivot of a row
+    is then its last nonzero column, so the Popov conditions read as monic
+    pivots, strictly increasing pivot indices (which forces zeros right of
+    pivots, and above them) and strictly smaller degrees below each pivot.
+    Any zero row fails.  Returns (ok, PivotProfile or None).
     """
-    indices = []
-    degrees = []
-    for i in range(h.m):
-        row = h.rows[i]
-        k = None
-        for j in range(h.n - 1, -1, -1):
-            if not row[j].is_zero():
-                k = j
-                break
-        if k is None:
-            return False, None
-        if indices and k <= indices[-1]:
-            return False, None
-        if row[k].lc() != 1:
-            return False, None
-        indices.append(k)
-        degrees.append(int(row[k].deg))
-    for idx, (k, d) in enumerate(zip(indices, degrees)):
-        for i2 in range(idx + 1, h.m):
-            e = h.rows[i2][k]
-            if not e.is_zero() and e.deg >= d:
-                return False, None
-    return True, PivotProfile(tuple(indices), tuple(degrees))
+    return check_popov_shape(h, hermite_shift(h.n, 1 + max(0, h.deg)))
 
 
 def shifted_row_degree(row: list, shift: list):

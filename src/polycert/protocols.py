@@ -108,7 +108,7 @@ class Session:
     """Single protocol run: message recording/replay plus challenge derivation."""
 
     def __init__(self, spec: "ProtocolSpec", pub: dict, transcript: Transcript,
-                 prover=None, replay: bool = False):
+                 prover=None):
         self.spec = spec
         self.pub = pub
         self.transcript = transcript
@@ -116,7 +116,7 @@ class Session:
         self.field: PrimeField = transcript.params.field()
         self.sigma = transcript.params.sigma
         self.prover = prover
-        self.replay = replay
+        self.replay = prover is None  # no Prover: replay the recorded messages
         self._cursor = 0
         self._sub_stack: list[str] = []
         self._answers: dict = {}  # id(subject) -> (subject, Prover answer)
@@ -281,23 +281,25 @@ class Session:
 
     # -- verifier challenges -----------------------------------------------------
 
-    def _emit_challenge(self, label: str, payload):
+    def _verifier_message(self, label: str, payload, mismatch: str = "challenge mismatch"):
+        """Send a message whose payload the Verifier knows, a challenge or a
+        sub-protocol marker; in replay, check it against the recording."""
         if self.replay:
             recorded = self._next_recorded("V", label)
             if recorded.payload != payload:
-                self.fail(Reason.MALFORMED_MESSAGE, f"{label}: challenge mismatch")
+                self.fail(Reason.MALFORMED_MESSAGE, f"{label}: {mismatch}")
             self._absorb(recorded)
         else:
             self._append(Message("V", label, payload))
 
     def challenge_scalar(self, label: str) -> int:
         value = self.source.draw()
-        self._emit_challenge(label, FieldScalar(value))
+        self._verifier_message(label, FieldScalar(value))
         return value
 
     def challenge_vector(self, label: str, k: int) -> list:
         values = tuple(self.source.draw_vector(k))
-        self._emit_challenge(label, FieldVector(values))
+        self._verifier_message(label, FieldVector(values))
         return list(values)
 
     # -- sub-protocol nesting -------------------------------------------------------
@@ -308,27 +310,19 @@ class Session:
             self.proto_id = proto_id
 
         def __enter__(self):
-            self.sess._marker(f"begin:{self.proto_id}")
+            self.sess._verifier_message(f"begin:{self.proto_id}", BoolPayload(True),
+                                       "bad marker")
             self.sess._sub_stack.append(self.proto_id)
 
         def __exit__(self, exc_type, exc, tb):
             self.sess._sub_stack.pop()
             if exc_type is None:
-                self.sess._marker(f"end:{self.proto_id}")
+                self.sess._verifier_message(f"end:{self.proto_id}", BoolPayload(True),
+                                           "bad marker")
             return False
 
     def subprotocol(self, proto_id: str) -> "_Sub":
         return Session._Sub(self, proto_id)
-
-    def _marker(self, label: str):
-        payload = BoolPayload(True)
-        if self.replay:
-            recorded = self._next_recorded("V", label)
-            if recorded.payload != payload:
-                self.fail(Reason.MALFORMED_MESSAGE, f"{label}: bad marker")
-            self._absorb(recorded)
-        else:
-            self._append(Message("V", label, payload))
 
     def finish_replay(self):
         if self.replay and self._cursor != len(self.transcript.messages):
@@ -979,7 +973,7 @@ def run_protocol(protocol_id: str, pub: dict, params: ProtocolParams,
         from .provers import HonestProver  # prover side may use the heavy oracles
 
         prover = HonestProver(seed=prover_seed)
-    sess = Session(spec, pub, transcript, prover=prover, replay=False)
+    sess = Session(spec, pub, transcript, prover=prover)
     try:
         spec.runner(sess, pub)
         verdict = Verdict.accept()
@@ -1003,7 +997,7 @@ def verify_transcript(transcript: Transcript) -> Verdict:
     except (TranscriptError, ValueError) as exc:
         return Verdict.reject(Reason.MALFORMED_MESSAGE, str(exc))
     spec = PROTOCOLS[transcript.protocol_id]
-    sess = Session(spec, pub, transcript, prover=None, replay=True)
+    sess = Session(spec, pub, transcript)
     try:
         spec.runner(sess, pub)
         sess.finish_replay()

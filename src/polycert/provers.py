@@ -187,7 +187,7 @@ class HonestProver:
             if f1.is_constant() and not f1.is_zero():
                 return Poly.constant(field, field.inv(f1.lc())), Poly.zero(field), []
             return Poly.zero(field), Poly.zero(field), []
-        if _true_gcd(fs) is not None:
+        if not poly_gcd(*fs).is_one():
             # gcd of the whole family is nontrivial: statement is false
             return Poly.zero(field), Poly.zero(field), [0] * (t - 2)
         for _ in range(COPRIME_RETRY_CAP):
@@ -238,36 +238,41 @@ class HonestProver:
         coprime gcd, and the polynomial solutions of u_i (C_i A) = den_i v
         that the ``frrsm`` sub-proofs receive.
 
-        Las Vegas: redraw each compression until the compressed system is
-        full rank and solvable, and redraw the whole batch until the
-        denominators are globally coprime.  Caps: 20 t draws per batch, 20
-        batches.  For full-row-rank A the system u A = v is solved once and
-        every draw costs a PLUQ of C over F_p (:func:`draw_compression`).
+        Las Vegas: :func:`draw_batch` redraws each compression until the
+        compressed system is full rank and solvable, and the whole batch is
+        redrawn until the denominators are globally coprime.  Caps: 20 t
+        draws per batch, 20 batches.
         """
         base = self.compression_base(a, v, rho)
         for _ in range(RSM_OUTER_CAP):
-            tops: list = []
-            dens: list = []
-            sols: list = []
-            draws = 0
-            while len(tops) < t:
-                draws += 1
-                if draws > RSM_INNER_FACTOR * t:
-                    raise ProverGaveUp(
-                        "Toeplitz compression search exceeded its draw cap"
-                    )
-                top, w = draw_compression(self.rng, a, v, rho, sigma, base)
-                if w is LOW_RANK or w is NO_SOLUTION:
-                    continue
-                tops.append(top)
-                dens.append(w.common_den)
-                sols.append(w.numer_row())
-            g = dens[0]
-            for den in dens[1:]:
-                g = poly_gcd(g, den)
-            if g.is_one():
-                return tops, dens, sols
+            batch = draw_batch(self.rng, a, v, rho, t, sigma, base, RSM_INNER_FACTOR * t)
+            if batch is None:
+                raise ProverGaveUp("Toeplitz compression search exceeded its draw cap")
+            if poly_gcd(*batch[1]).is_one():
+                return batch
         raise ProverGaveUp("coprime denominators not found within the batch cap")
+
+
+def draw_batch(rng: random.Random, a: PolyMat, v: list, rho: int, t: int, sigma: int,
+               base, cap: int):
+    """(tops, dens, sols) for t compressions C_i whose systems w (C_i A) = v
+    are full rank and solvable: the C_i, the common denominators of their
+    solutions and the numerator rows.  Draws (:func:`draw_compression`)
+    until t are found; None once cap draws are spent.
+    """
+    tops: list = []
+    dens: list = []
+    sols: list = []
+    for _ in range(cap):
+        top, w = draw_compression(rng, a, v, rho, sigma, base)
+        if w is LOW_RANK or w is NO_SOLUTION:
+            continue
+        tops.append(top)
+        dens.append(w.common_den)
+        sols.append(w.numer_row())
+        if len(tops) == t:
+            return tops, dens, sols
+    return None
 
 
 def draw_compression(rng: random.Random, a: PolyMat, v: list, rho: int, sigma: int,
@@ -319,13 +324,3 @@ def _field_of(view) -> object:
     if mat is not None:
         return mat.field
     return view.materialize().field
-
-
-def _true_gcd(fs: list):
-    """The gcd of the family if it is nontrivial, else None."""
-    g = fs[0]
-    for f in fs[1:]:
-        g = poly_gcd(g, f)
-    if g.is_one():
-        return None
-    return g

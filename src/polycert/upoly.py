@@ -284,13 +284,12 @@ def xgcd(f: Poly, g: Poly):
     return r0.scale(c), s0.scale(c), t0.scale(c)
 
 
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    if f.is_zero() and g.is_zero():
-        return Poly.zero(f.field)
-    r0, r1 = f, g
-    while not r1.is_zero():
-        r0, r1 = r1, r0 % r1
-    return r0.monic()
+def poly_gcd(f: Poly, *others: Poly) -> Poly:
+    """The monic gcd of f and the others, zero when all of them are zero."""
+    for r1 in others:
+        while not r1.is_zero():
+            f, r1 = r1, f % r1
+    return f.monic()
 
 
 def poly_lcm(f: Poly, g: Poly) -> Poly:

@@ -30,8 +30,9 @@ from polycert.ff import PrimeField
 from polycert.instances import planted_member, planted_rank, rand_nonsingular
 from polycert.matfield import FieldMat, det_field
 from polycert.polymat import PolyMat
-from polycert.protocols import PROTOCOL_IDS, run_protocol
-from polycert.transcript import MODE_INTERACTIVE, ProtocolParams
+from polycert.oracles import LOW_RANK
+from polycert.protocols import PROTOCOL_IDS, ProverGaveUp, run_protocol
+from polycert.transcript import MODE_INTERACTIVE, ProtocolParams, Verdict
 from polycert.upoly import Poly, RatFunc, RatVec
 
 F = PrimeField(2**31 - 1)
@@ -258,3 +259,26 @@ def test_statement_facts_stay_bounded():
     for i in range(3 * provers.FACT_CAP):
         assert prover.fact("k", PolyMat.identity(F, 2), lambda: i) == i
     assert len(prover._facts) <= provers.FACT_CAP
+
+
+def test_no_usable_compression_ends_in_fallback_or_give_up(monkeypatch):
+    """When every Toeplitz compression is LOW_RANK, the cheat falls back to
+    all-ones denominators and hostile sub-proofs, and the run still ends in
+    a Verdict; the honest Prover gives up."""
+    monkeypatch.setattr(provers, "draw_compression",
+                        lambda rng, a, v, rho, sigma, base: (None, LOW_RANK))
+    pub, cheat, _, _ = make_false_instance("rsm", random.Random(0), F, 32)
+    params = ProtocolParams(p=F.p, sigma=32, mode=MODE_INTERACTIVE, strict=False, seed=5)
+    verdict, t = run_protocol("rsm", pub, params, prover=cheat)
+    assert isinstance(verdict, Verdict)
+    dens = [m.payload.coeffs for m in t.messages if m.label.startswith("denominator_")]
+    assert dens and all(c == (1,) for c in dens)
+    a, v, _ = planted_member(random.Random(1), F, 2, 3, 1)
+    with pytest.raises(ProverGaveUp):
+        run_protocol("rsm", {"A": a, "v": v}, params)
+
+
+def test_a_single_nonzero_constant_is_a_coprime_family():
+    with pytest.raises(InstanceActuallyTrue):
+        CheatCoprime([Poly.constant(F, 5)], sigma=32)
+    CheatCoprime([Poly.x(F)], sigma=32)  # x alone has gcd x

@@ -134,6 +134,19 @@ def test_usage_errors_exit_2(tmp_path):
         "--out", str(tmp_path / "t.json"),
     ])
     assert res.exit_code == 2  # rsm needs a planted membership vector
+    for args in (
+        ["--protocol", "rsm", "--trials", "50"],  # soundness needs 100 trials
+        ["--protocol", "rsm", "--trials", "0"],
+        ["--suite", "completeness", "--trials", "0"],
+        ["--suite", "acceptance", "--trials", "50"],
+        ["--protocol", "rsm", "--modulus", "10"],  # not prime
+        ["--suite", "completeness", "--modulus", "10"],
+        ["--protocol", "rsm", "--sigma", "200", "--modulus", "97"],
+        ["--suite", "soundness", "--modulus", "31"],  # #S 32 > p
+    ):
+        res = runner.invoke(main, ["experiment"] + args)
+        assert res.exit_code == 2, (args, res.output)
+        assert res.exception is None or isinstance(res.exception, SystemExit), args
 
 
 _MATRIX = {"kind": "poly_matrix", "m": 1, "n": 1, "entries": [["1"]]}

@@ -33,12 +33,11 @@ from polycert.oracles import (
     _bareiss,
     _rank_and_profile_evaluation,
     _solve_left_evaluation,
-    _solve_square_left_fraction,
     rank_and_profile,
     rational_solve_left,
 )
 from polycert.polymat import PolyMat
-from polycert.upoly import Poly, RatFunc, interpolate_many
+from polycert.upoly import Poly, RatFunc, RatVec, interpolate_many
 
 F97 = PrimeField(97)
 F31 = PrimeField(2**31 - 1)
@@ -239,7 +238,7 @@ def test_square_solve_same_on_both_sides_of_cutoff(field, data):
     deg_b = 0 if b.is_zero() else int(b.deg)
     deg_y = max((int(f.deg) for f in y if not f.is_zero()), default=0)
     npoints = b.m * deg_b + deg_y + 1
-    want = _solve_square_left_fraction(b, y)
+    want = RatVec(_reference_solve(b, y))
     for k in (npoints, max(npoints, BATCH_CUTOFF), npoints + BATCH_CUTOFF):
         got = _solve_left_evaluation(b, y, range(b.m), k)
         assert got.common_den == want.common_den
@@ -333,11 +332,13 @@ def membership_systems(draw, field):
     return mat, v, kind
 
 
-@pytest.mark.parametrize("field", FIELDS + [PrimeField(7)], ids=IDS + ["F7"])
+@pytest.mark.parametrize("field", FIELDS + [PrimeField(p) for p in (7, 2, 3)],
+                         ids=IDS + ["F7", "F2", "F3"])
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_rational_solve_left_matches_fraction_reference(field, data):
-    # F_7 mostly has too few points for the evaluation route: elimination over F(x)
+    # F_7, F_2 and F_3 mostly have too few points for the evaluation route:
+    # Cramer's rule on Bareiss determinants
     mat, v, kind = data.draw(membership_systems(field))
     want = _reference_solve(mat, v)
     if kind == "deficient":

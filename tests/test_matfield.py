@@ -14,7 +14,6 @@ from polycert.matfield import (
     pluq,
     rank_profile,
     solve_right,
-    solve_with_det,
     sparse_representative,
 )
 
@@ -161,20 +160,6 @@ def test_solve_right_inconsistent():
     a = FieldMat(F7, [[1, 2], [2, 4]])
     # column space is spanned by (1, 2); b = (1, 0) is outside
     assert solve_right(a, [1, 0]) is None
-
-
-def test_solve_with_det_matches():
-    rng = random.Random(14)
-    for _ in range(200):
-        n = rng.randrange(1, 6)
-        a = rand_mat(rng, F101, n, n)
-        got = solve_with_det(a, [rng.randrange(101) for _ in range(n)])
-        d = det_field(a)
-        if d == 0:
-            assert got is None
-        else:
-            w, dd = got
-            assert dd == d
 
 
 def test_det_examples():

@@ -17,6 +17,7 @@ from polycert.oracles import (
     saturation_basis,
 )
 from polycert.polymat import (
+    PivotProfile,
     PolyMat,
     check_hermite_shape,
     check_popov_shape,
@@ -578,3 +579,28 @@ def test_popov_stress_extreme_shifts():
         assert list(prof.indices) == sorted(prof.indices)
         w = rand_unimodular(rng, F97, m)
         assert popov_form(w.mul(a), shift) == p1
+
+
+def test_hermite_shape_by_its_conditions():
+    """The Hermite check, a Popov check under a Hermite shift, accepts
+    Hermite forms with the pivot profile of their last nonzero columns,
+    and rejects zero rows and pivots that do not increase (a non-monic
+    pivot and a high entry below a pivot: the test above)."""
+    assert check_hermite_shape(PolyMat(F7, [], ncols=3)) == (True, PivotProfile((), ()))
+    rng = random.Random(44)
+    for _ in range(40):
+        h, _ = hermite_form(rand_polymat(rng, F97, rng.randrange(1, 4), rng.randrange(1, 4), 2))
+        if h.m:
+            cols = [max(j for j, f in enumerate(row) if not f.is_zero()) for row in h.rows]
+            degs = [int(row[k].deg) for row, k in zip(h.rows, cols)]
+            assert check_hermite_shape(h) == (True, PivotProfile(tuple(cols), tuple(degs)))
+    # [[x^2, 0], [c, x]] with deg c < 2 is in Hermite form
+    good = PolyMat.from_coeff_lists(F7, [[[0, 0, 1], []], [[3, 1], [0, 1]]])
+    assert check_hermite_shape(good) == (True, PivotProfile((0, 1), (2, 1)))
+    broken = {
+        "zero row": [[[0, 0, 1], []], [[], []]],
+        "pivots not increasing": [[[3, 1], [0, 1]], [[0, 0, 1], []]],
+        "repeated pivot": [[[0, 0, 1], []], [[1], []]],
+    }
+    for name, rows in broken.items():
+        assert check_hermite_shape(PolyMat.from_coeff_lists(F7, rows)) == (False, None), name

@@ -264,3 +264,24 @@ def test_gcd_lcm_relations():
         m = poly_lcm(f, g)
         assert (m % f).is_zero() and (m % g).is_zero()
         assert (d * m).monic() == (f * g).monic()
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), F7, FBIG], ids=["F2", "F7", "F2^31-1"])
+def test_gcd_of_a_family_is_the_pairwise_chain(field):
+    """poly_gcd(f_1, ..., f_k) equals the chain of extended-Euclid gcds of
+    pairs, for 1 to 4 polynomials with zeros among them: monic, and zero
+    only when every f_i is zero."""
+    rng = random.Random(field.p)
+    common = rand_poly(rng, field, 1)
+    for _ in range(150):
+        fs = [rand_poly(rng, field, rng.randrange(-1, 4)) for _ in range(rng.randrange(1, 5))]
+        if rng.random() < 0.5:
+            fs = [f * common for f in fs]
+        chain = Poly.zero(field)
+        for f in fs:
+            if not (chain.is_zero() and f.is_zero()):
+                chain = xgcd(chain, f)[0]
+        got = poly_gcd(*fs)
+        assert got == chain, fs
+        assert got.is_zero() == all(f.is_zero() for f in fs)
+        assert got.is_zero() or got.lc() == 1
