@@ -248,7 +248,8 @@ def run(protocol, instance, mode, sigma, seed, strict, prover_seed, out):
 @click.option("--protocol", type=str, default=None,
               help="single-protocol soundness experiment")
 @click.option("--trials", type=int, default=None)
-@click.option("--sigma", type=int, default=64, show_default=True)
+@click.option("--sigma", type=int, default=None,
+              help="sample set size of a single-protocol experiment (default: 64)")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--modulus", type=int, default=None)
 @click.option("--out-dir", type=click.Path(file_okay=False), default=None)
@@ -258,6 +259,9 @@ def experiment(suite, protocol, trials, sigma, seed, modulus, out_dir):
     # --suite acceptance runs both lists
     completeness = PROTOCOL_IDS
     soundness = [(pid, sg) for pid in SOUNDNESS_PROTOCOLS for sg in (32, 64)]
+    if suite is not None and (protocol is not None or sigma is not None):
+        raise click.UsageError("--protocol and --sigma select a single-protocol "
+                               "experiment; a --suite runs its own protocols and #S")
     if suite == "completeness":
         soundness = []
     elif suite == "soundness":
@@ -269,7 +273,7 @@ def experiment(suite, protocol, trials, sigma, seed, modulus, out_dir):
             raise click.UsageError(
                 f"soundness experiments exist for: {', '.join(SOUNDNESS_PROTOCOLS)}"
             )
-        completeness, soundness = [], [(protocol, sigma)]
+        completeness, soundness = [], [(protocol, 64 if sigma is None else sigma)]
     # parameter errors are usage errors, found before any experiment runs
     least = 100 if soundness else 1  # run_soundness_experiment's minimum
     if trials is not None and trials < least:

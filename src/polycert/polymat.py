@@ -10,7 +10,9 @@ import that module.
 Matrices with claimed products like C.A (C a Toeplitz operator) are
 represented as lazy views that only ever evaluate C.A(alpha) = C @ A(alpha),
 so the Verifier never pays for a polynomial matrix product it did not
-receive.
+receive.  Its checks go further and never form C @ A(alpha) either: they
+multiply a view by a vector at alpha (``vecmat_at``, ``matvec_at``), which
+takes the vector through C and A(alpha) one after the other.
 
 :meth:`PolyMat.eval_many` is the evaluation part of the Prover's batched
 kernel: it evaluates a matrix at k points in one vectorised Horner pass over
@@ -27,6 +29,7 @@ evaluates it without rebuilding the tensor from its entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -98,14 +101,11 @@ class PolyMat:
 
     @property
     def deg(self):
-        """Max entry degree; NEG_INF for a zero or empty matrix."""
+        """Max entry degree; NEG_INF for a zero or empty matrix.  An entry's
+        degree is its coefficient count less one, so the longest list gives it."""
         if self._deg is None:
-            d = NEG_INF
-            for row in self.rows:
-                for e in row:
-                    if e.deg != NEG_INF and (d == NEG_INF or e.deg > d):
-                        d = e.deg
-            self._deg = d
+            longest = max((len(e.coeffs) for row in self.rows for e in row), default=0)
+            self._deg = longest - 1 if longest else NEG_INF
         return self._deg
 
     def is_zero(self) -> bool:
@@ -215,17 +215,20 @@ class PolyMat:
         )
 
     def scalar_row_combination(self, lam: list) -> list:
-        """lam @ A for a field-element row vector lam: a list of Poly."""
+        """lam @ A for a field-element row vector lam: a list of Poly, each
+        summed over the rows as one coefficient list and reduced once."""
         if len(lam) != self.m:
             raise ValueError("dimension mismatch in row combination")
-        z = Poly.zero(self.field)
+        terms = [(c, row) for c, row in zip(lam, self.rows) if c]
         out = []
         for j in range(self.n):
-            acc = z
-            for i, c in enumerate(lam):
-                if c:
-                    acc = acc + self.rows[i][j].scale(c)
-            out.append(acc)
+            acc = []
+            for c, row in terms:
+                coeffs = row[j].coeffs
+                if len(coeffs) > len(acc):
+                    acc += [0] * (len(coeffs) - len(acc))
+                acc[: len(coeffs)] = [x + c * a for x, a in zip(acc, coeffs)]
+            out.append(Poly(self.field, acc))
         return out
 
 
@@ -353,35 +356,41 @@ class ToeplitzOp:
     def entry(self, i: int, j: int) -> int:
         return self.values[i - j + self.m - 1]
 
+    def _rows(self) -> list:
+        """The rows of C: row i is values[i : i + m] reversed."""
+        rev = self.values[::-1]
+        top = self.rho - 1
+        return [rev[top - i : top - i + self.m] for i in range(self.rho)]
+
     def materialize(self) -> FieldMat:
-        return FieldMat.of_rows(
-            self.field,
-            [[self.entry(i, j) for j in range(self.m)] for i in range(self.rho)],
-            self.m)
+        return FieldMat.of_rows(self.field, self._rows(), self.m)
 
     def apply_field_mat(self, mat: FieldMat) -> FieldMat:
         """C @ M for an evaluated m x n matrix."""
         if mat.m != self.m:
             raise ValueError("dimension mismatch in Toeplitz application")
         p = self.field.p
-        out = []
-        for i in range(self.rho):
-            crow = [self.entry(i, j) for j in range(self.m)]
-            out.append(
-                [sum(c * mat.rows[k][j] for k, c in enumerate(crow)) % p
-                 for j in range(mat.n)]
-            )
-        return FieldMat.of_rows(self.field, out, mat.n)
+        cols = mat.transpose().rows
+        return FieldMat.of_rows(
+            self.field,
+            [[sum(map(mul, crow, col)) % p for col in cols] for crow in self._rows()],
+            mat.n)
+
+    def apply_vec(self, y: list) -> list:
+        """C @ y for a length-m vector."""
+        if len(y) != self.m:
+            raise ValueError("dimension mismatch in Toeplitz application")
+        p = self.field.p
+        return [sum(map(mul, crow, y)) % p for crow in self._rows()]
 
     def left_apply(self, x: list) -> list:
-        """x @ C for a length-rho vector."""
+        """x @ C for a length-rho vector: column j of C is values[m-1-j :][:rho]."""
         if len(x) != self.rho:
             raise ValueError("dimension mismatch in Toeplitz application")
         p = self.field.p
-        return [
-            sum(x[i] * self.entry(i, j) for i in range(self.rho)) % p
-            for j in range(self.m)
-        ]
+        vals, rho = self.values, self.rho
+        return [sum(map(mul, x, vals[k : k + rho])) % p
+                for k in range(self.m - 1, -1, -1)]
 
     def apply_poly_mat(self, mat: PolyMat) -> PolyMat:
         """C @ A as an explicit polynomial matrix (Prover-side only).
@@ -406,10 +415,38 @@ class ToeplitzOp:
 
 
 # -- lazy matrix/vector views used by the Verifier ---------------------------
+#
+# A Verifier check multiplies a view at one point by a vector, so each view
+# offers the two products directly: ``vecmat_at(alpha, w)`` is w A(alpha) and
+# ``matvec_at(alpha, w)`` is A(alpha) w.  For C.A they cost about rho*m + m*n
+# products, w (C.A)(alpha) = (w C) A(alpha) and (C.A)(alpha) w = C (A(alpha) w),
+# where forming (C.A)(alpha) first would cost rho*m*n.
+
+
+def _vecmat_at(mat: PolyMat, alpha: int, w: list) -> list:
+    """w A(alpha), evaluating only the rows that w does not zero."""
+    if len(w) != mat.m:
+        raise ValueError("dimension mismatch in vecmat")
+    p = mat.field.p
+    out = [0] * mat.n
+    for c, row in zip(w, mat.rows):
+        if c:
+            out = [o + c * e(alpha) for o, e in zip(out, row)]
+    return [o % p for o in out]
+
+
+def _matvec_at(mat: PolyMat, alpha: int, w: list) -> list:
+    """A(alpha) w, evaluating only the columns that w does not zero."""
+    if len(w) != mat.n:
+        raise ValueError("dimension mismatch in matvec")
+    p = mat.field.p
+    support = [(j, c) for j, c in enumerate(w) if c]
+    return [sum(row[j](alpha) * c for j, c in support) % p for row in mat.rows]
 
 
 class MatView:
-    """Interface: nrows, ncols, deg_bound, eval_at(alpha) -> FieldMat."""
+    """Interface: nrows, ncols, deg_bound, eval_at(alpha) -> FieldMat, and
+    the products vecmat_at(alpha, w) and matvec_at(alpha, w) -> list."""
 
     __slots__ = ()
 
@@ -435,12 +472,23 @@ class PolyMatView(MatView):
     def eval_at(self, alpha: int) -> FieldMat:
         return self.mat.eval_at(alpha)
 
+    def vecmat_at(self, alpha: int, w: list) -> list:
+        return _vecmat_at(self.mat, alpha, w)
+
+    def matvec_at(self, alpha: int, w: list) -> list:
+        return _matvec_at(self.mat, alpha, w)
+
     def materialize(self) -> PolyMat:
         return self.mat
 
 
 class ToeplitzProductView(MatView):
-    """The product C.A seen only through evaluations C @ A(alpha)."""
+    """The product C.A seen only through evaluations C @ A(alpha).
+
+    ``eval_at`` keeps the few last products C @ A(alpha) it formed (the
+    Prover's rank probes form them); the vector products use a kept one and
+    otherwise never form it.
+    """
 
     __slots__ = ("top", "mat", "_cache")
 
@@ -473,11 +521,27 @@ class ToeplitzProductView(MatView):
             self._cache[alpha] = got
         return got
 
+    def vecmat_at(self, alpha: int, w: list) -> list:
+        got = self._cache.get(alpha)
+        if got is not None:
+            return got.vecmat(w)
+        return _vecmat_at(self.mat, alpha, self.top.left_apply(w))
+
+    def matvec_at(self, alpha: int, w: list) -> list:
+        got = self._cache.get(alpha)
+        if got is not None:
+            return got.matvec(w)
+        return self.top.apply_vec(_matvec_at(self.mat, alpha, w))
+
     def materialize(self) -> PolyMat:
         return self.top.apply_poly_mat(self.mat)
 
 
 class SubmatrixView(MatView):
+    """A[R, K] for a view A; its vector products spread the vector over all
+    of A's rows (or columns), zero outside R (or K), and keep the entries
+    at K (or R)."""
+
     __slots__ = ("base", "row_idx", "col_idx")
 
     def __init__(self, base: MatView, row_idx, col_idx):
@@ -499,6 +563,24 @@ class SubmatrixView(MatView):
 
     def eval_at(self, alpha: int) -> FieldMat:
         return self.base.eval_at(alpha).submatrix(self.row_idx, self.col_idx)
+
+    def vecmat_at(self, alpha: int, w: list) -> list:
+        if len(w) != len(self.row_idx):
+            raise ValueError("dimension mismatch in vecmat")
+        spread = [0] * self.base.nrows
+        for i, c in zip(self.row_idx, w):
+            spread[i] += c
+        full = self.base.vecmat_at(alpha, spread)
+        return [full[j] for j in self.col_idx]
+
+    def matvec_at(self, alpha: int, w: list) -> list:
+        if len(w) != len(self.col_idx):
+            raise ValueError("dimension mismatch in matvec")
+        spread = [0] * self.base.ncols
+        for j, c in zip(self.col_idx, w):
+            spread[j] += c
+        full = self.base.matvec_at(alpha, spread)
+        return [full[i] for i in self.row_idx]
 
     def materialize(self) -> PolyMat:
         return self.base.materialize().submatrix(self.row_idx, self.col_idx)

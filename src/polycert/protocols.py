@@ -426,7 +426,7 @@ def _nonsingularity(sess: Session, view: MatView):
     w = sess.prover_vector(
         "solution", n, lambda: sess.prover.nonsingularity_solution(view, alpha, b)
     )
-    if view.eval_at(alpha).matvec(w) != b:
+    if view.matvec_at(alpha, w) != b:
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "A(alpha) w != b")
 
 
@@ -661,7 +661,7 @@ def _frrsm(sess: Session, view: MatView, vec: VecView, solution=None):
     w = sess.prover_vector(
         "solution_eval", m, lambda: sess.prover.frrsm_w(view, vec, c, g, alpha, answer())
     )
-    if view.eval_at(alpha).vecmat(w) != vec.eval_at(alpha):
+    if view.vecmat_at(alpha, w) != vec.eval_at(alpha):
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "w A(alpha) != v(alpha)")
     if _dot(sess.field, w, c) != g(alpha):
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "w c != g(alpha)")
@@ -989,7 +989,9 @@ def verify_transcript(transcript: Transcript) -> Verdict:
 
     Every challenge is re-derived (Fiat-Shamir hash chain or seeded PRNG)
     and compared against the recorded one, and every Verifier check is
-    re-run against the recorded prover messages.
+    re-run against the recorded prover messages.  A recorded value with no
+    canonical bytes (a word of 2^64 or more in a file loaded without its
+    digest) is met when the replay encodes it, and rejects as malformed.
     """
     try:
         field = transcript.params.field()
@@ -997,10 +999,12 @@ def verify_transcript(transcript: Transcript) -> Verdict:
     except (TranscriptError, ValueError) as exc:
         return Verdict.reject(Reason.MALFORMED_MESSAGE, str(exc))
     spec = PROTOCOLS[transcript.protocol_id]
-    sess = Session(spec, pub, transcript)
     try:
+        sess = Session(spec, pub, transcript)
         spec.runner(sess, pub)
         sess.finish_replay()
         return Verdict.accept()
     except ProtocolReject as rej:
         return Verdict.reject(rej.reason, rej.detail)
+    except TranscriptError as exc:
+        return Verdict.reject(Reason.MALFORMED_MESSAGE, str(exc))

@@ -31,6 +31,8 @@ import re
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import chain
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -67,7 +69,11 @@ class Wire(NamedTuple):
     count: Callable     # value -> elements it adds to the communication
 
 
+@lru_cache(maxsize=1024)
 def _tag(name: str) -> bytes:
+    """The length-prefixed name.  Kept for the most recent names, since kind
+    names, labels and reasons repeat in every transcript; bounded, since a
+    loaded file can bring any number of new ones."""
     raw = name.encode("ascii")
     return len(raw).to_bytes(4, "little") + raw
 
@@ -177,12 +183,26 @@ def _elems(v) -> tuple:
 
 
 def _json_elem(v) -> int:
-    """One field element (or the modulus), see :func:`_elems`."""
-    return _elems([v])[0]
+    """One field element (or the modulus), spelled as :func:`_elems` requires."""
+    if not (type(v) is str and v.isascii() and v.isdigit() and (v[0] != "0" or len(v) == 1)):
+        raise TranscriptError(f"a field element must be a decimal string, got {v!r}")
+    return int(v)
 
 
 def _elem_lists(v) -> tuple:
-    return tuple(map(_elems, _json_list(v)))
+    """Lists of field elements, see :func:`_elems`, checked as one flat list
+    and then cut back to the lengths they came in."""
+    lists = _json_list(v)
+    if not all(isinstance(c, list) for c in lists):
+        raise TranscriptError(f"expected JSON arrays of field elements, got {v!r}")
+    flat = _elems(list(chain.from_iterable(lists)))
+    out = []
+    start = 0
+    for c in lists:
+        stop = start + len(c)
+        out.append(flat[start:stop])
+        start = stop
+    return tuple(out)
 
 
 # encode, JSON writer, strict JSON reader, communication count
@@ -205,7 +225,24 @@ MATRIX_LISTS = Wire(_lists, _str_lists, _elem_lists, _total_len)
 # its fields in encoding order, each with its wire type.  A payload encodes
 # as the tag of its kind name followed by its fields.  The kinds that carry
 # public inputs convert from and to their domain objects with ``of(obj)``
-# and ``value_in(field)``.
+# and ``value_in(field)``.  ``value_in`` accepts one spelling of each value:
+# field elements in [0, p) and polynomials without a trailing zero, so no
+# second document (an entry plus p, a padded polynomial) states the same
+# inputs under another digest.
+
+
+def _check_public_elems(field: PrimeField, values):
+    if values and (min(values) < 0 or max(values) >= field.p):
+        raise TranscriptError(f"a public field element is outside [0, {field.p})")
+
+
+def _polys_in(field: PrimeField, coeff_lists) -> list:
+    """The polynomials whose low-to-high coefficients these are, the lists
+    checked to be canonical: elements of the field, no trailing zero."""
+    if not all(c[-1] for c in coeff_lists if c):
+        raise TranscriptError("a public polynomial has a trailing zero coefficient")
+    _check_public_elems(field, list(chain.from_iterable(coeff_lists)))
+    return [Poly(field, list(c), normalize=False) for c in coeff_lists]
 
 
 class _Kind(NamedTuple):
@@ -256,6 +293,10 @@ class _Matrix:
 class FieldScalar(_PlainValue):
     value: int
 
+    def value_in(self, field: PrimeField) -> int:
+        _check_public_elems(field, (self.value,))
+        return self.value
+
 
 @payload_kind("field_vector", values=ELEMS)
 class FieldVector:
@@ -271,7 +312,7 @@ class PolyPayload:
         return cls(tuple(f.coeffs))
 
     def value_in(self, field: PrimeField) -> Poly:
-        return Poly(field, list(self.coeffs))
+        return _polys_in(field, (self.coeffs,))[0]
 
 
 @payload_kind("poly_vector", polys=ELEM_LISTS)
@@ -283,7 +324,7 @@ class PolyVectorPayload:
         return cls(tuple(tuple(f.coeffs) for f in row))
 
     def value_in(self, field: PrimeField) -> list:
-        return [Poly(field, list(c)) for c in self.polys]
+        return _polys_in(field, self.polys)
 
 
 @payload_kind("poly_matrix", m=DIM, n=DIM, entries=MATRIX_LISTS)
@@ -297,7 +338,7 @@ class PolyMatrixPayload(_Matrix):
         return cls(mat.m, mat.n, tuple(tuple(e.coeffs) for row in mat.rows for e in row))
 
     def value_in(self, field: PrimeField) -> PolyMat:
-        polys = [Poly(field, list(c)) for c in self.entries]
+        polys = _polys_in(field, self.entries)
         n = self.n
         return PolyMat(field, [polys[i * n : (i + 1) * n] for i in range(self.m)], ncols=n)
 
@@ -313,6 +354,7 @@ class FieldMatrixPayload(_Matrix):
         return cls(mat.m, mat.n, tuple(c for row in mat.rows for c in row))
 
     def value_in(self, field: PrimeField) -> FieldMat:
+        _check_public_elems(field, self.entries)
         n = self.n
         rows = [list(self.entries[i * n : (i + 1) * n]) for i in range(self.m)]
         return FieldMat(field, rows, ncols=n, normalize=False)
@@ -373,6 +415,9 @@ def comm_elements(payload) -> int:
 
 def encode_payload(payload) -> bytes:
     kind = _kind_of(payload)
+    if len(kind.fields) == 1:
+        (name, wire), = kind.fields
+        return kind.tag + wire.encode(getattr(payload, name))
     return kind.tag + b"".join(
         [wire.encode(getattr(payload, name)) for name, wire in kind.fields])
 
@@ -396,19 +441,22 @@ def payload_from_json(doc: dict):
         raise TranscriptError(f"malformed payload: {exc!r}") from exc
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
+    """One message: immutable, and a tuple, which builds in a third of the
+    time of a frozen dataclass; a transcript file holds thousands."""
+
     sender: str  # "P" or "V"
     label: str
     payload: object
 
     def encode(self) -> bytes:
-        return (
-            _tag("message")
-            + self.sender.encode("ascii")
-            + _tag(self.label)
-            + encode_payload(self.payload)
-        )
+        return _message_head(self.sender, self.label) + encode_payload(self.payload)
+
+
+@lru_cache(maxsize=1024)
+def _message_head(sender: str, label: str) -> bytes:
+    """The bytes every message from sender under label starts with."""
+    return _tag("message") + sender.encode("ascii") + _tag(label)
 
 
 def encode_public(public: dict) -> bytes:
@@ -485,6 +533,9 @@ class Verdict:
 # -- challenge sources --------------------------------------------------------------
 
 
+_DIGEST_WORDS = struct.Struct(">4Q")  # a SHA-256 digest as four big-endian words
+
+
 class ChallengeSource:
     """Uniform draws from {0, ..., sigma-1}, interactive or Fiat-Shamir.
 
@@ -505,7 +556,7 @@ class ChallengeSource:
             self._hasher = hashlib.sha256()
             self._hasher.update(domain_tag.encode("utf-8"))
             self._ctr = 0
-            self._words = []
+            self._words = iter(())
             self._limit = (2**64 // self.sigma) * self.sigma
 
     @property
@@ -518,23 +569,19 @@ class ChallengeSource:
         if self.mode == MODE_FIAT_SHAMIR:
             self._hasher.update(data)
             self._ctr = 0
-            self._words = []
+            self._words = iter(())
 
     def draw(self) -> int:
         if self.mode == MODE_INTERACTIVE:
             return self._rng.randrange(self.sigma)
         while True:
-            if not self._words:
-                h = self._hasher.copy()
-                h.update(self._ctr.to_bytes(8, "little"))
-                digest = h.digest()
-                self._ctr += 1
-                self._words = [
-                    int.from_bytes(digest[i : i + 8], "big") for i in range(0, 32, 8)
-                ]
-            w = self._words.pop(0)
-            if w < self._limit:
-                return w % self.sigma
+            for w in self._words:  # the digest's words not yet read
+                if w < self._limit:
+                    return w % self.sigma
+            h = self._hasher.copy()
+            h.update(self._ctr.to_bytes(8, "little"))
+            self._ctr += 1
+            self._words = iter(_DIGEST_WORDS.unpack(h.digest()))
 
     def draw_vector(self, k: int) -> list:
         return [self.draw() for _ in range(k)]

@@ -143,6 +143,11 @@ def test_usage_errors_exit_2(tmp_path):
         ["--suite", "completeness", "--modulus", "10"],
         ["--protocol", "rsm", "--sigma", "200", "--modulus", "97"],
         ["--suite", "soundness", "--modulus", "31"],  # #S 32 > p
+        # a suite runs its own protocols at #S 32 and 64
+        ["--suite", "completeness", "--protocol", "rsm", "--trials", "1"],
+        ["--suite", "completeness", "--sigma", "99999", "--trials", "1"],
+        ["--suite", "soundness", "--sigma", "64"],
+        ["--suite", "acceptance", "--protocol", "nosuch"],
     ):
         res = runner.invoke(main, ["experiment"] + args)
         assert res.exit_code == 2, (args, res.output)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycert.ff import PrimeField
 from polycert.matfield import FieldMat
@@ -18,6 +20,7 @@ from polycert.upoly import NEG_INF, Poly
 
 F7 = PrimeField(7)
 F97 = PrimeField(97)
+FBIG = PrimeField(2**31 - 1)
 
 
 def rand_poly(rng, field, dmax):
@@ -102,6 +105,10 @@ def test_toeplitz_layout_and_apply():
     assert top.apply_field_mat(a) == mat.matmul(a)
     x = [rng.randrange(7) for _ in range(2)]
     assert top.left_apply(x) == mat.transpose().matvec(x)
+    y = [rng.randrange(7) for _ in range(3)]
+    assert top.apply_vec(y) == mat.matvec(y)
+    with pytest.raises(ValueError):
+        top.apply_vec(x)
     zero = ToeplitzOp(F7, 2, 3, [0, 0, 0, 0])
     assert zero.materialize() == FieldMat.zero(F7, 2, 3)
     one_row = ToeplitzOp(F7, 1, 3, [5, 6, 0])
@@ -131,6 +138,54 @@ def test_submatrix_view():
     alpha = 17
     assert view.eval_at(alpha) == a.eval_at(alpha).submatrix([1, 3], [0, 2, 4])
     assert view.materialize() == a.submatrix([1, 3], [0, 2, 4])
+
+
+def _vectors(data, field, length):
+    """A vector with many zeros, as the spread vectors of a submatrix have."""
+    elem = st.one_of(st.just(0), st.integers(0, field.p - 1))
+    return data.draw(st.lists(elem, min_size=length, max_size=length))
+
+
+def _index_set(data, universe):
+    return data.draw(st.lists(st.integers(0, universe - 1), min_size=1,
+                              max_size=universe, unique=True))
+
+
+@pytest.mark.parametrize("field", [F7, FBIG], ids=["F7", "F2^31-1"])
+@pytest.mark.parametrize("square", [True, False], ids=["rho=m", "rho<m"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_view_products_match_evaluation(field, square, data):
+    """vecmat_at/matvec_at equal eval_at(alpha).vecmat/matvec for every view,
+    C.A with and without its kept product, and submatrices of both, down to
+    index sets of size 1."""
+    m = data.draw(st.integers(1 if square else 2, 5))
+    n = data.draw(st.integers(1, 5))
+    rho = m if square else data.draw(st.integers(1, m - 1))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    a = rand_pm(rng, field, m, n, 3)
+    top = ToeplitzOp(field, rho, m, [rng.randrange(field.p) for _ in range(rho + m - 1)])
+    alpha = data.draw(st.integers(0, field.p - 1))
+    cold = ToeplitzProductView(top, a)
+    warm = ToeplitzProductView(top, a)
+    warm.eval_at(alpha)
+    ev = a.eval_at(alpha)
+    product = top.apply_field_mat(ev)
+    cases = [(PolyMatView(a), ev), (cold, product), (warm, product)]
+    for base, ref in list(cases):
+        index_sets = [(_index_set(data, base.nrows), _index_set(data, base.ncols)),
+                      ([data.draw(st.integers(0, base.nrows - 1))],
+                       [data.draw(st.integers(0, base.ncols - 1))])]
+        for rows, cols in index_sets:
+            cases.append((SubmatrixView(base, rows, cols), ref.submatrix(rows, cols)))
+    for view, ref in cases:
+        w = _vectors(data, field, view.nrows)
+        assert view.vecmat_at(alpha, w) == ref.vecmat(w)
+        w = _vectors(data, field, view.ncols)
+        assert view.matvec_at(alpha, w) == ref.matvec(w)
+    # the vector products never form C @ A(alpha) themselves
+    assert not cold._cache
+    assert list(warm._cache) == [alpha]
 
 
 def test_scaled_vec_view():

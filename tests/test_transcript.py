@@ -286,3 +286,121 @@ def test_transcript_parse_errors(tmp_path):
     path.write_text(json.dumps({"format": "nope"}))
     with pytest.raises(TranscriptError):
         Transcript.load(path)
+
+
+# -- public inputs have one spelling ------------------------------------------------
+
+
+# Interactive runs: their challenges do not hash the public inputs, so a
+# re-spelled input replays the same exchange, and only the decoder can tell.
+
+
+def _respelled(t, edit):
+    """t's saved document, edited by edit(doc) and loaded back under the
+    digest of its new bytes."""
+    doc = json.loads(json.dumps(t.to_json_dict()))
+    edit(doc)
+    del doc["digest"]
+    return Transcript.from_json_dict(doc)
+
+
+def _plus_p(entries, i, p):
+    entries[i] = str(int(entries[i]) + p)
+
+
+def _honest(pid, pub, params):
+    verdict, t = run_protocol(pid, pub, params)
+    assert verdict.accepted
+    return t
+
+
+def test_public_field_det_entry_plus_p_is_malformed():
+    from polycert.matfield import FieldMat
+
+    t = _honest("field_det", {"B": FieldMat(FBIG, [[2, 1], [1, 1]]), "beta": 1},
+                _params(MODE_INTERACTIVE, seed=3))
+    wide = _respelled(t, lambda d: _plus_p(d["public"]["B"]["entries"], 0, FBIG.p))
+    assert wide.digest() != t.digest()
+    verdict = verify_transcript(wide)
+    assert not verdict.accepted and verdict.reason is tr.Reason.MALFORMED_MESSAGE
+    # the determinant value itself, which used to fail its evaluation check
+    wide = _respelled(t, lambda d: d["public"]["beta"].update(value=str(1 + FBIG.p)))
+    verdict = verify_transcript(wide)
+    assert not verdict.accepted and verdict.reason is tr.Reason.MALFORMED_MESSAGE
+
+
+def test_public_interactive_matmul_entry_plus_p_is_malformed():
+    a = PolyMat.from_coeff_lists(FBIG, [[[1, 2], [3]], [[0, 1], [4, 5]]])
+    b = PolyMat.identity(FBIG, 2)
+    t = _honest("matmul", {"A": a, "B": b, "C": a}, _params(MODE_INTERACTIVE, seed=3))
+    wide = _respelled(t, lambda d: _plus_p(d["public"]["A"]["entries"][0], 0, FBIG.p))
+    assert wide.digest() != t.digest()
+    verdict = verify_transcript(wide)
+    assert not verdict.accepted and verdict.reason is tr.Reason.MALFORMED_MESSAGE
+
+
+def test_public_coprime_trailing_zero_is_malformed():
+    x = Poly.x(FBIG)
+    t = _honest("coprime", {"f": [x, x + Poly.one(FBIG)]}, _params(MODE_INTERACTIVE, seed=3))
+    padded = _respelled(t, lambda d: d["public"]["f"]["polys"][0].append("0"))
+    assert padded.digest() != t.digest()
+    verdict = verify_transcript(padded)
+    assert not verdict.accepted and verdict.reason is tr.Reason.MALFORMED_MESSAGE
+
+
+F7 = PrimeField(7)
+
+
+@pytest.mark.parametrize("payload", [
+    FieldScalar(7),
+    PolyPayload((1, 7)),
+    PolyPayload((1, 0)),
+    PolyPayload((0,)),
+    PolyVectorPayload(((1,), (2, 0))),
+    PolyVectorPayload(((1,), (9,))),
+    PolyMatrixPayload(1, 2, ((1,), (3, 0))),
+    PolyMatrixPayload(1, 2, ((1,), (8, 1))),
+    FieldMatrixPayload(1, 2, (0, 7)),
+], ids=repr)
+def test_value_in_refuses_a_second_spelling(payload):
+    with pytest.raises(TranscriptError):
+        payload.value_in(F7)
+
+
+def test_value_in_takes_canonical_values():
+    assert FieldScalar(6).value_in(F7) == 6
+    assert PolyPayload((1, 6)).value_in(F7) == Poly(F7, [1, 6])
+    assert PolyPayload(()).value_in(F7).is_zero()
+    assert PolyVectorPayload(((), (3,))).value_in(F7) == [Poly.zero(F7), Poly(F7, [3])]
+    mat = PolyMatrixPayload(1, 2, ((), (0, 1))).value_in(F7)
+    assert mat == PolyMat.from_coeff_lists(F7, [[[], [0, 1]]])
+    assert FieldMatrixPayload(1, 2, (0, 6)).value_in(F7).rows == [[0, 6]]
+
+
+def test_instance_file_with_a_second_spelling_is_a_usage_error(tmp_path):
+    from click.testing import CliRunner
+
+    from polycert.cli import main
+
+    for entries in ([["98"]], [["1", "0"]]):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({
+            "format": "polycert-instance/v1", "p": 97,
+            "objects": {"A": {"kind": "poly_matrix", "m": 1, "n": 1, "entries": entries}},
+        }))
+        res = CliRunner().invoke(main, ["run", "--protocol", "rank", "--instance", str(inst)])
+        assert res.exit_code == 2, res.output
+        assert "instance file" in res.output
+
+
+def test_unencodable_value_without_digest_rejects_as_malformed():
+    # without a digest the file loads unencoded; the replay meets the word
+    t = _honest("rank", {"A": PolyMat.identity(FBIG, 2), "rho": 2}, _params())
+
+    def huge(doc):
+        msg = next(m for m in doc["messages"] if m["payload"]["kind"] == "field_vector"
+                   and m["sender"] == "P")
+        msg["payload"]["values"][0] = str(2**64)
+
+    verdict = verify_transcript(_respelled(t, huge))
+    assert not verdict.accepted and verdict.reason is tr.Reason.MALFORMED_MESSAGE
