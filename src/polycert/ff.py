@@ -8,8 +8,9 @@ fast enough for the experiment suites.
 
 The batched kernels (:mod:`polycert.polymat`, :mod:`polycert.matfield`,
 :mod:`polycert.upoly`) hold many elements in one numpy array of
-:attr:`PrimeField.dtype`, and invert a whole array with one exponentiation
-(:meth:`PrimeField.inv_array`).
+:attr:`PrimeField.dtype`, invert a whole array with one exponentiation
+(:meth:`PrimeField.inv_array`), and multiply arrays exactly mod p
+(:meth:`PrimeField.matmul` on :meth:`PrimeField.limbs`).
 
 Random challenges (:class:`polycert.transcript.ChallengeSource`) are always
 drawn from the sample set ``S = {0, 1, ..., sigma-1}`` embedded in the
@@ -108,6 +109,33 @@ class PrimeField:
         stays exact for every supported modulus.
         """
         return np.int64 if self.p < 2**31 else object
+
+    def limbs(self, b) -> tuple:
+        """An array b of reduced elements made ready for :meth:`matmul`:
+        ``(lo, hi)``, its low and high 16-bit limbs, for an ``int64`` field,
+        and ``(b,)`` above 2**31."""
+        b = np.asarray(b, dtype=self.dtype)
+        if self.dtype is object:
+            return (b,)
+        return b & 0xFFFF, b >> 16
+
+    def matmul(self, a, limbs) -> np.ndarray:
+        """a @ b mod p, with numpy's ``matmul`` broadcasting, for reduced a
+        and b given by :meth:`limbs`.
+
+        For an ``int64`` field a reduced element times a 16-bit limb is below
+        2**47, so every partial sum of an inner dimension below 2**16 (the
+        transcript's ``MAX_DIMENSION``) stays below 2**63; above 2**31 the
+        product runs on Python ints.
+        """
+        p = self.p
+        if len(limbs) == 1:
+            return a @ limbs[0] % p
+        lo, hi = limbs
+        inner = lo.shape[-2] if lo.ndim > 1 else lo.shape[0]
+        if inner >= 65536:
+            raise ValueError("inner dimension too large for an exact int64 product")
+        return ((a @ hi % p) * 65536 + a @ lo % p) % p
 
     def inv_array(self, values) -> np.ndarray:
         """Inverses of a 1-D array of nonzero reduced elements, one exponentiation.

@@ -146,9 +146,6 @@ class PluqFactorization:
     upper: FieldMat  # r x n, nonzero diagonal
     inv_pivots: list  # inv_pivots[i] = 1 / upper[i][i], kept from elimination
 
-    def col_rank_profile(self) -> tuple:
-        return tuple(sorted(self.perm_cols[: self.rank]))
-
     def det(self) -> int:
         if self.m != self.n:
             raise ValueError("determinant of a non-square factorization")
@@ -161,19 +158,6 @@ class PluqFactorization:
         if perm_sign(self.perm_rows) * perm_sign(self.perm_cols) < 0:
             d = (p - d) % p
         return d
-
-    def reconstruct(self) -> FieldMat:
-        """P.L.U.Q, for verification."""
-        p = self.field.p
-        m, n, r = self.m, self.n, self.rank
-        out = [[0] * n for _ in range(m)]
-        for i in range(m):
-            for j in range(n):
-                acc = 0
-                for k in range(r):
-                    acc += self.lower.rows[i][k] * self.upper.rows[k][j]
-                out[self.perm_rows[i]][self.perm_cols[j]] = acc % p
-        return FieldMat.of_rows(self.field, out, n)
 
 
 def perm_sign(perm) -> int:
@@ -487,14 +471,6 @@ def rank_profile_many(field: PrimeField, mats):
 
 
 def vecmat_many(field: PrimeField, w, mats):
-    """``w_i @ A_i`` for a ``(k, m)`` array of vectors and ``(k, m, n)`` matrices.
-
-    Reduced after every row, so an ``int64`` accumulator never exceeds
-    p + (p-1)**2.
-    """
-    p = field.p
-    k, m, n = mats.shape
-    acc = np.zeros((k, n), dtype=field.dtype)
-    for i in range(m):
-        acc = (acc + w[:, i, None] * mats[:, i, :]) % p
-    return acc
+    """``w_i @ A_i`` for a ``(k, m)`` array of vectors and ``(k, m, n)``
+    matrices, as one exact batched product (:meth:`PrimeField.matmul`)."""
+    return field.matmul(w[:, None, :], field.limbs(mats))[:, 0, :]

@@ -1,9 +1,9 @@
 """Module-aware computations on polynomial matrices: the Prover's toolbox.
 
-Rank and column rank profile over F[x], exact determinants, rational system
-solving with full row rank, Hermite and shifted Popov forms with unimodular
-transformation tracking, kernel and saturation bases, and a deterministic
-row-space membership oracle.
+Rank and column rank profile over F[x], exact determinants, rational and
+polynomial system solving with full row rank, Hermite and shifted Popov
+forms with unimodular transformation tracking, kernel and saturation bases,
+and a deterministic row-space membership oracle.
 
 Rank, profile, determinant and rational solving reduce to linear algebra at
 evaluation points, exactly: enough distinct points always include one where
@@ -20,15 +20,24 @@ F[x]: Bareiss for rank and determinant, and Cramer's rule on Bareiss
 determinants for the rational solve.
 
 The rational solve decides membership at the points it solves at.  For
-u A = v with profile columns B, both sides of the cleared identity
-N A = det(B) v (N the Cramer numerators) have degree at most
-m * deg A + deg v, so at that many points plus one, all with
-det B(alpha) != 0, checking the solution of u B(alpha) = v_B(alpha)
-against the other columns decides u A = v exactly, and a non-member is
-rejected before anything is interpolated.  The interpolated det B and N
-are brought to lowest terms by one gcd (:meth:`RatVec.from_common_den`).
-A caller that has already found A's profile columns hands them to the
-solve, which then skips its own full-rank probe.
+u A = v with profile columns B, the cleared identity N A = det(B) v (N the
+Cramer numerators) and det B and N themselves have degree below K, a
+bound from the row and column degree sums (:func:`solve_plan`), so at K
+points, all with det B(alpha) != 0, checking the solution of
+u B(alpha) = v_B(alpha) against the other columns decides u A = v exactly,
+and a non-member is rejected before anything is interpolated.  The
+interpolated det B and N are brought to lowest terms by one gcd
+(:meth:`RatVec.from_common_den`).  A caller that has already found A's
+profile columns hands them to the solve, which then skips its own
+full-rank probe.
+
+A statement that asserts a polynomial answer (an ``frrsm`` solution, the
+one solve behind full-rank ``rsm`` compressions) is solved by x-adic
+lifting instead (:func:`polynomial_solve_left`): B(0) is factored once,
+and each coefficient of u costs one triangular solve and one product on
+A's coefficient tensor, so the Prover pays deg u + 1 steps instead of K
+points.  The lift needs a nonsingular B(0); without one, and for rational
+answers, the solve above runs.
 
 The saturation basis starts from the Popov form P of A, which is already
 the answer when it is left prime (coprime maximal minors), as random wide
@@ -201,11 +210,11 @@ def rational_solve_left(mat: PolyMat, v: list, profile=None):
     nonsingular.  A caller that has already certified full row rank passes
     those columns as ``profile`` (the column rank profile of a rank-m
     A(alpha), or of A itself), and the probe is skipped.  When the field is
-    big enough, the system is solved and
-    u A = v decided together, on one set of evaluation points
-    (:func:`_solve_left_evaluation`); otherwise u B = v_B is solved by
-    Cramer's rule on fraction-free (Bareiss) determinants over F[x] and
-    N A = det(B) v checked by polynomial arithmetic.  Both routes are exact,
+    big enough, the system is solved and u A = v decided together, on the
+    K points of :func:`solve_plan` (:func:`_solve_left_evaluation`);
+    otherwise u B = v_B is solved by Cramer's rule on fraction-free
+    (Bareiss) determinants over F[x] and N A = det(B) v checked by
+    polynomial arithmetic.  Both routes are exact,
     and both bring det B and N to the one lowest-terms form.
     """
     m, n = mat.m, mat.n
@@ -224,12 +233,9 @@ def rational_solve_left(mat: PolyMat, v: list, profile=None):
         r, profile = rank_and_profile(mat)
         if r < m:
             return LOW_RANK
-    deg_a = 0 if mat.deg == NEG_INF else int(mat.deg)
-    deg_v = max((int(f.deg) for f in v if f.coeffs), default=0)
-    npoints = m * deg_a + deg_v + 1
-    # det roots can force skipping up to m*deg_a candidate points
-    if field.p >= npoints + m * deg_a + 2:
-        return _solve_left_evaluation(mat, v, profile, npoints)
+    npoints, budget = solve_plan(mat, v, profile)
+    if field.p >= npoints + budget + 2:
+        return _solve_left_evaluation(mat, v, profile, npoints, budget)
     # Cramer's rule on B: N_i = det(B with row i replaced by v_B), u = N / det B
     b = mat.submatrix(range(m), profile)
     v_b = [v[j] for j in profile]
@@ -241,26 +247,28 @@ def rational_solve_left(mat: PolyMat, v: list, profile=None):
     return RatVec.from_common_den(det, numers)
 
 
-def _solve_left_evaluation(mat: PolyMat, v: list, profile, npoints: int):
+def _solve_left_evaluation(mat: PolyMat, v: list, profile, npoints: int, budget: int):
     """u with u A = v, or NO_SOLUTION, from A and v at npoints points where
-    the profile columns B of A are nonsingular.
+    the profile columns B of A are nonsingular (:func:`solve_plan` gives
+    npoints and budget).
 
     At each point alpha, one elimination gives det B(alpha) and the unique
     w with w B(alpha) = v_B(alpha), and w is checked against the other
     columns of A(alpha) and v(alpha).  The checks decide u A = v exactly:
     with N = det(B) u the Cramer numerators, u A = v is N A = det(B) v,
-    both sides have degree at most m * deg A + deg v < npoints, and at
-    each point used det B(alpha) != 0, so the identity holds there iff
-    w A(alpha) = v(alpha).  A failed check returns NO_SOLUTION before any
-    interpolation; otherwise det B and N (degrees below npoints too) are
-    interpolated from the same points.
+    whose column j outside B is, up to sign, the determinant of B bordered
+    by A's column j and the row (v_B, v_j).  Those determinants have degree
+    below npoints, and at each point used det B(alpha) != 0, so the identity
+    holds there iff w A(alpha) = v(alpha).  A failed check returns
+    NO_SOLUTION before any interpolation; otherwise det B and N (degrees
+    below npoints too) are interpolated from the same points.
 
-    A nonsingular B is singular at no more than m * deg(A) points (the roots
-    of det B), so the first npoints + m * deg(A) candidates always hold
-    npoints nonsingular ones; a B that leaves fewer is singular, and the
-    search stops there with ArithmeticError.  Below :data:`BATCH_CUTOFF`
-    points each point is evaluated and eliminated on its own; from there on
-    all of them at once on the batched kernel.
+    A nonsingular B is singular at no more than budget points (the roots of
+    det B), so the first npoints + budget candidates always hold npoints
+    nonsingular ones; a B that leaves fewer is singular, and the search
+    stops there with ArithmeticError.  Below :data:`BATCH_CUTOFF` points each
+    point is evaluated and eliminated on its own; from there on all of them
+    at once on the batched kernel.
     """
     field = mat.field
     p = field.p
@@ -268,8 +276,7 @@ def _solve_left_evaluation(mat: PolyMat, v: list, profile, npoints: int):
     profile = list(profile)
     chosen = set(profile)
     rest = [j for j in range(mat.n) if j not in chosen]
-    deg_a = 0 if mat.deg == NEG_INF else int(mat.deg)
-    limit = min(p, npoints + m * deg_a)
+    limit = min(p, npoints + budget)
     xs = []
     if npoints < BATCH_CUTOFF:
         det_vals = []
@@ -315,6 +322,90 @@ def _solve_left_evaluation(mat: PolyMat, v: list, profile, npoints: int):
         alpha += len(pts)
     det_poly, *nums = interpolate_many(field, xs, np.concatenate(cols).T)
     return RatVec.from_common_den(det_poly, nums)
+
+
+def solve_plan(mat: PolyMat, v: list, profile):
+    """(K, budget) for u A = v on the profile columns B of a full-row-rank A.
+
+    With c_j = max(cdeg_j A, deg v_j), every polynomial that decides the
+    solve has degree below K = min(sum rdeg A + deg v,
+    sum_{j in B} c_j + max_{j not in B} c_j) + 1: det B, the Cramer
+    numerators N_i (B with row i replaced by v_B) and the determinants of B
+    bordered by a column j outside B and the row (v_B, v_j), bounded by
+    their row degrees and by their column degrees (a missing degree counts
+    as 0).  So does a polynomial solution u = N / det B.  det B has at most
+    budget = min(sum rdeg A, sum_{j in B} cdeg_j A) roots.
+    """
+    # coefficient counts: a degree is one less, and a zero entry counts as 0
+    lens = [[len(e.coeffs) for e in row] for row in mat.rows]
+    vlens = [len(f.coeffs) for f in v]
+    cdeg = [max(0, max(col) - 1) for col in zip(*lens)] if lens else [0] * mat.n
+    c = [max(d, vl - 1) for d, vl in zip(cdeg, vlens)]
+    rsum = sum(max(0, max(row, default=0) - 1) for row in lens)
+    deg_v = max(0, max(vlens, default=0) - 1)
+    chosen = set(profile)
+    inside = sum(c[j] for j in chosen)
+    outside = max([c[j] for j in range(mat.n) if j not in chosen], default=0)
+    npoints = min(rsum + deg_v, inside + outside) + 1
+    return npoints, min(rsum, sum(cdeg[j] for j in chosen))
+
+
+def polynomial_solve_left(mat: PolyMat, v: list, profile=None):
+    """The polynomial u with u A = v for a full-row-rank A, by x-adic lifting.
+
+    Returns u as a list of Poly; NO_SOLUTION when no polynomial u exists;
+    None when the lift cannot start, because B(0) is singular for the
+    profile columns B of A (``profile``, or when None the column rank
+    profile of A(0), which must then have rank m).
+
+    With B(0) factored once (PLUQ), the digits u_0, u_1, ... of u are found
+    one at a time: u_k solves u_k B(0) = r_k on B, for r_k the coefficient
+    of x^k in the residual r = v - (u_0 + ... + u_{k-1} x^(k-1)) A, and then
+    u_k x^k A is taken off r in one product on A's coefficient tensor
+    (:meth:`PrimeField.matmul`, exact mod p).  That leaves r_k zero on B, and
+    no later digit changes r_k, so a nonzero r_k outside B means no
+    polynomial u exists; neither does one once K digits (:func:`solve_plan`)
+    leave r nonzero, since a polynomial solution has degree below K.  A zero
+    r proves u A = v.  A member costs deg u + 1 steps.
+    """
+    field = mat.field
+    p = field.p
+    m, n = mat.m, mat.n
+    if len(v) != n:
+        raise ValueError("dimension mismatch in polynomial solve")
+    t = mat.coeff_tensor()
+    at0 = t[0].tolist()
+    if profile is None:
+        r, _, profile = matfield.rank_profile(FieldMat.of_rows(field, at0, n))
+        if r < m:
+            return None
+    profile = list(profile)
+    f = matfield.pluq(FieldMat.of_rows(field, [[at0[i][j] for i in range(m)]
+                                              for j in profile], m))
+    if f.rank < m:
+        return None
+    npoints, _ = solve_plan(mat, v, profile)
+    rest = [j for j in range(n) if j not in set(profile)]
+    limbs = field.limbs(t)
+    width = t.shape[0]
+    res = np.zeros((max([npoints + width] + [len(g.coeffs) for g in v]), n),
+                   dtype=field.dtype)
+    for j, g in enumerate(v):
+        res[: len(g.coeffs), j] = g.coeffs
+    digits = []
+    k = 0
+    while res[k:].any():  # the rows below k are zero
+        if k == npoints:
+            return NO_SOLUTION
+        rk = res[k].tolist()
+        u_k = matfield.pluq_solve(f, [rk[j] for j in profile])
+        digits.append(u_k)
+        step = field.matmul(np.array(u_k, dtype=field.dtype), limbs)
+        res[k : k + width] = (res[k : k + width] - step) % p
+        if rest and res[k, rest].any():
+            return NO_SOLUTION
+        k += 1
+    return [Poly(field, [d[i] for d in digits]) for i in range(m)]
 
 
 def _left_residual_is_zero(mat: PolyMat, v: list, cleared: list, common: Poly) -> bool:
@@ -584,9 +675,3 @@ def row_membership_oracle(mat: PolyMat, v: list) -> bool:
             w = [f - q * g for f, g in zip(w, h.rows[i])]
     return all(f.is_zero() for f in w)
 
-
-def is_unimodular(mat: PolyMat) -> bool:
-    if mat.m != mat.n:
-        return False
-    d = det_bareiss(mat)
-    return d.is_constant() and not d.is_zero()

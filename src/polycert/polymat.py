@@ -19,11 +19,13 @@ kernel: it evaluates a matrix at k points in one vectorised Horner pass over
 its ``(deg+1, m, n)`` coefficient tensor, giving the ``(k, m, n)`` array that
 the batched eliminations in :mod:`polycert.matfield` take.  The oracles use
 it from ``oracles.BATCH_CUTOFF`` points on; :meth:`PolyMat.eval_at` stays the
-single-point path for both parties.  The same tensor
-(:meth:`PolyMat.coeff_tensor`) gives the Prover's Toeplitz compression
-:meth:`ToeplitzOp.apply_poly_mat` in one array product, and that product is
-handed to C.A as its own coefficient tensor, so the rational solve on C.A
-evaluates it without rebuilding the tensor from its entries.
+single-point path for both parties.  Products run on the same tensor
+(:meth:`PolyMat.coeff_tensor`), exactly mod p in 16-bit limbs
+(:meth:`PrimeField.matmul`): :meth:`PolyMat.mul` is one batched product per
+coefficient of the left factor, and the Prover's Toeplitz compression
+:meth:`ToeplitzOp.apply_poly_mat` is one array product.  A product keeps its
+tensor (:meth:`PolyMat.from_coeff_tensor`), so evaluating it, as the rational
+solve on C.A does, never rebuilds the tensor from its entries.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .ff import PrimeField
 from .matfield import FieldMat
-from .upoly import NEG_INF, Poly
+from .upoly import NEG_INF, Poly, _trim
 
 
 class PolyMat:
@@ -84,18 +86,13 @@ class PolyMat:
         """The matrix with coefficient tensor t, a ``(d+1, m, n)`` array of
         reduced elements; t, less any all-zero top coefficients, is kept as
         its :meth:`coeff_tensor`."""
-        while t.shape[0] > 1 and not (t[-1] != 0).any():
+        while t.shape[0] > 1 and not t[-1].any():
             t = t[:-1]
-        rows = [[Poly(field, e) for e in row] for row in np.moveaxis(t, 0, 2).tolist()]
+        rows = [[Poly(field, _trim(e), normalize=False) for e in row]
+                for row in np.moveaxis(t, 0, 2).tolist()]
         mat = cls(field, rows, ncols=t.shape[2])
         mat._coeffs = t
         return mat
-
-    @classmethod
-    def from_field_mat(cls, mat: FieldMat) -> "PolyMat":
-        f = mat.field
-        return cls(f, [[Poly.constant(f, c) for c in row] for row in mat.rows],
-                   ncols=mat.n)
 
     # -- structure -------------------------------------------------------
 
@@ -178,23 +175,23 @@ class PolyMat:
         return PolyMat(self.field, self.rows + other.rows, ncols=self.n)
 
     def mul(self, other: "PolyMat") -> "PolyMat":
+        """A B on the coefficient tensors: for each coefficient A_i, one
+        batched product A_i @ t(B) mod p (:meth:`PrimeField.matmul`, exact
+        for an inner dimension below 2**16) added into the coefficients
+        i, ..., i + deg B of the product.  It needs no evaluation points,
+        so it works in every field, and the product keeps its tensor."""
         if self.n != other.m:
             raise ValueError("dimension mismatch in matrix product")
-        z = Poly.zero(self.field)
-        out = []
-        for i in range(self.m):
-            row_i = self.rows[i]
-            out_row = []
-            for j in range(other.n):
-                acc = z
-                for k in range(self.n):
-                    a = row_i[k]
-                    b = other.rows[k][j]
-                    if a.coeffs and b.coeffs:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return PolyMat(self.field, out, ncols=other.n)
+        field = self.field
+        p = field.p
+        ta = self.coeff_tensor()
+        tb = field.limbs(other.coeff_tensor())
+        width = tb[0].shape[0]
+        acc = np.zeros((ta.shape[0] + width - 1, self.m, other.n), dtype=field.dtype)
+        for i, a_i in enumerate(ta):
+            if a_i.any():
+                acc[i : i + width] = (acc[i : i + width] + field.matmul(a_i, tb)) % p
+        return PolyMat.from_coeff_tensor(field, acc)
 
     def add(self, other: "PolyMat") -> "PolyMat":
         if self.m != other.m or self.n != other.n:
@@ -395,23 +392,17 @@ class ToeplitzOp:
     def apply_poly_mat(self, mat: PolyMat) -> PolyMat:
         """C @ A as an explicit polynomial matrix (Prover-side only).
 
-        One mod-p product of C with A's coefficient tensor
-        (:meth:`PolyMat.coeff_tensor`), coefficient by coefficient; reduced
-        after every row of A, so an ``int64`` accumulator never exceeds
-        p + (p-1)**2, and exact in ``field.dtype`` for every modulus.  The
+        One exact mod-p product of C with A's coefficient tensor
+        (:meth:`PolyMat.coeff_tensor`, :meth:`PrimeField.matmul`).  The
         product becomes the result's own coefficient tensor, so evaluating
         C.A never re-reads its entries.
         """
         if mat.m != self.m:
             raise ValueError("dimension mismatch in Toeplitz application")
         field = self.field
-        p = field.p
-        c = np.array(self.materialize().rows, dtype=field.dtype).reshape(self.rho, self.m)
-        t = mat.coeff_tensor()
-        acc = np.zeros((t.shape[0], self.rho, mat.n), dtype=field.dtype)
-        for k in range(self.m):
-            acc = (acc + c[None, :, k, None] * t[:, None, k, :]) % p
-        return PolyMat.from_coeff_tensor(field, acc)
+        c = np.array(self._rows(), dtype=field.dtype).reshape(self.rho, self.m)
+        t = field.limbs(mat.coeff_tensor())
+        return PolyMat.from_coeff_tensor(field, field.matmul(c, t))
 
 
 # -- lazy matrix/vector views used by the Verifier ---------------------------

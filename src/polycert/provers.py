@@ -44,6 +44,7 @@ from .oracles import (
     EVAL_PROBE_CAP,
     LOW_RANK,
     NO_SOLUTION,
+    polynomial_solve_left,
     rank_and_profile,
     rational_solve_left,
 )
@@ -155,11 +156,18 @@ class HonestProver:
     # -- full-rank row space membership ------------------------------------------
 
     def frrsm_solution(self, view: MatView, vec: VecView):
-        """A polynomial u with u A = v, or None when no such u exists."""
-        u = rational_solve_left(view.materialize(), vec.materialize())
-        if u is LOW_RANK or u is NO_SOLUTION or not u.is_polynomial():
-            return None
-        return u.numer_row()
+        """A polynomial u with u A = v, or None when no such u exists.
+
+        By x-adic lifting (:func:`polynomial_solve_left`) when A(0) has full
+        row rank, else by the rational solve."""
+        a, v = view.materialize(), vec.materialize()
+        u = polynomial_solve_left(a, v)
+        if u is None:
+            u = rational_solve_left(a, v)
+            if u is LOW_RANK or u is NO_SOLUTION or not u.is_polynomial():
+                return None
+            return u.numer_row()
+        return None if u is NO_SOLUTION else u
 
     def frrsm_g(self, view: MatView, vec: VecView, c: list, u) -> Poly:
         acc = Poly.zero(_field_of(view))
@@ -225,11 +233,19 @@ class HonestProver:
         """The one solution u of u A = v (a RatVec or NO_SOLUTION) when
         rho = m and A has full row rank; None otherwise, and then every
         compression C.A is solved on its own (:func:`draw_compression`).
-        A full row rank hands the solve the profile columns of the
-        ``rsm_rank`` fact."""
+
+        A full row rank hands the profile columns of the ``rsm_rank`` fact
+        to x-adic lifting (:func:`polynomial_solve_left`), since a true
+        statement has a polynomial u.  The rational solve runs when the lift
+        finds none, which only a false statement reaches, or cannot start
+        because B(0) is singular."""
         if rho != a.m:
             return None
         rank, profile = self._rsm_rank_fact(a)
+        if rank == a.m:
+            u = polynomial_solve_left(a, v, profile)
+            if u is not None and u is not NO_SOLUTION:
+                return RatVec.in_lowest_terms(Poly.one(a.field), u)
         u = rational_solve_left(a, v, profile if rank == a.m else None)
         return None if u is LOW_RANK else u
 

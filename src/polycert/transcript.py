@@ -43,6 +43,12 @@ from .upoly import Poly
 
 FORMAT_NAME = "polycert-transcript/v1"
 DOMAIN_PREFIX = "polycert/v1/"
+# the largest dimension a loaded matrix or Toeplitz operator may declare.  A
+# matrix lists its m*n entries, but an empty one lists none, so without a cap
+# a few bytes could declare 10**6 empty rows.  Below 2**16, the inner
+# dimension up to which the Prover's int64 products in 16-bit limbs are exact
+# (:meth:`PrimeField.matmul`).
+MAX_DIMENSION = 2**16 - 1
 
 
 class TranscriptError(ValueError):
@@ -156,6 +162,14 @@ def _json_uint(v) -> int:
     return v
 
 
+def _json_dim(v) -> int:
+    """A matrix or operator dimension: a non-negative JSON integer of at most
+    :data:`MAX_DIMENSION`."""
+    if _json_uint(v) > MAX_DIMENSION:
+        raise TranscriptError(f"dimension {v} exceeds {MAX_DIMENSION}")
+    return v
+
+
 def _json_list(v) -> list:
     if not isinstance(v, list):
         raise TranscriptError(f"expected a JSON array, got {v!r}")
@@ -206,7 +220,7 @@ def _elem_lists(v) -> tuple:
 
 
 # encode, JSON writer, strict JSON reader, communication count
-DIM = Wire(_u64, int, _json_uint, lambda v: 0)
+DIM = Wire(_u64, int, _json_dim, lambda v: 0)
 UINT = Wire(_u64, int, _json_uint, lambda v: 1)
 ELEM = Wire(_u64, str, _json_elem, lambda v: 1)
 BOOL = Wire(_byte, bool, _json_bool, lambda v: 0)

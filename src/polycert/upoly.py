@@ -18,9 +18,9 @@ O(n^2) with one exponentiation for all its denominators (Montgomery's trick,
 :data:`CACHED_OPERATOR_POINTS` points are kept, at most 32 of them, keyed
 by modulus and abscissae, since the Prover's abscissae repeat: 0, ..., K-1
 for a few K.  A larger one-off interpolation builds its operator and frees
-it.  For ``int64`` fields it is split into 16-bit limbs,
-so every partial sum of the product stays below 2**63; larger moduli use
-Python ints.  :func:`interpolate` is its single-column case.
+it.  It is kept as its 16-bit limbs (:meth:`PrimeField.limbs`), so the
+product is exact in ``int64``; larger moduli use Python ints.
+:func:`interpolate` is its single-column case.
 """
 
 from __future__ import annotations
@@ -331,12 +331,7 @@ def interpolate_many(field: PrimeField, xs, columns) -> list:
         op = _cached_interpolation_operator(field, xs)
     else:
         op = _interpolation_operator(field, xs)
-    if field.dtype is object:
-        coeffs = y.dot(op) % p
-    else:
-        # 16-bit limbs keep every partial sum of n < 2**16 terms below 2**63
-        lo, hi = op
-        coeffs = ((y @ hi % p) * 65536 + y @ lo % p) % p
+    coeffs = field.matmul(y, op)
     return [Poly(field, _trim(row), normalize=False) for row in coeffs.tolist()]
 
 
@@ -348,9 +343,8 @@ def _interpolation_operator(field: PrimeField, xs: tuple):
     multiplication by a linear factor, every M / (x - xs[i]) at once by
     synthetic division, each denominator M'(xs[i]) by Horner on the same
     quotient, and all n of them inverted together by one exponentiation
-    (:meth:`PrimeField.inv_array`).  For an ``int64`` field it is returned
-    as its low and high 16-bit limbs, read-only; for larger moduli as one
-    ``object`` array.
+    (:meth:`PrimeField.inv_array`).  It is returned as its read-only
+    :meth:`PrimeField.limbs`.
     """
     p = field.p
     n = len(xs)
@@ -368,19 +362,15 @@ def _interpolation_operator(field: PrimeField, xs: tuple):
         q[k] = (monic[k] + x * q[k - 1]) % p
         denom = (denom * x + q[k]) % p
     # in place, and q freed once copied, so that an operator costs at most
-    # two n x n arrays at any time
+    # three n x n arrays at any time (the copy and its two limbs)
     q *= field.inv_array(denom)
     q %= p
     op = np.ascontiguousarray(q[::-1].T)
     del q
-    if field.dtype is object:
-        op.flags.writeable = False
-        return op
-    hi = op >> 16
-    op &= 0xFFFF
-    for limb in (op, hi):
+    limbs = field.limbs(op)
+    for limb in limbs:
         limb.flags.writeable = False
-    return op, hi
+    return limbs
 
 
 # The Prover interpolates at 0, ..., K-1 for a few K (K <= 69 on the
@@ -416,10 +406,6 @@ class RatFunc:
                     den = den.scale(c)
         self.num = num
         self.den = den
-
-    @classmethod
-    def of_poly(cls, f: Poly) -> "RatFunc":
-        return cls(f, None, reduce=False)
 
     @classmethod
     def zero(cls, field) -> "RatFunc":

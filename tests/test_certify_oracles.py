@@ -37,6 +37,7 @@ from polycert.oracles import (
     kernel_basis_left,
     popov_form,
     saturation_basis,
+    solve_plan,
 )
 from polycert.polymat import PolyMat, ToeplitzOp
 from polycert.protocols import run_protocol
@@ -235,15 +236,18 @@ def test_square_solve_stops_on_singular_matrix():
     row = [Poly(F31, [1, 2]), Poly(F31, [3, 1])]
     b = PolyMat(F31, [row, [f * 5 for f in row]], ncols=2)
     y = [Poly.one(F31), Poly.x(F31)]
-    # 2 x 2 of degree 1: 4 points, the per-point path
+    # 2 x 2 of degree 1: 3 points, the per-point path
+    plan = solve_plan(b, y, (0, 1))
+    assert plan == (3, 2) and plan[0] < BATCH_CUTOFF
     with time_budget(5), pytest.raises(ArithmeticError):
-        _solve_left_evaluation(b, y, (0, 1), 2 * 1 + 1 + 1)
-    # 8 x 8 of degree 4: 34 points, the batched path
+        _solve_left_evaluation(b, y, (0, 1), *plan)
+    # 8 x 8 of degree 4: 33 points, the batched path
     b8 = rand_singular(random.Random(4), F31, 8, 4)
-    assert 8 * 4 + 1 + 1 >= BATCH_CUTOFF
     y8 = [Poly(F31, [i + 1, 7]) for i in range(8)]
+    plan8 = solve_plan(b8, y8, range(8))
+    assert plan8[0] >= BATCH_CUTOFF
     with time_budget(5), pytest.raises(ArithmeticError):
-        _solve_left_evaluation(b8, y8, range(8), 8 * 4 + 1 + 1)
+        _solve_left_evaluation(b8, y8, range(8), *plan8)
 
 
 # -- advertised #S bounds -------------------------------------------------------------------

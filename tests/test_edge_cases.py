@@ -8,7 +8,6 @@ casing by callers.
 import pytest
 
 from polycert.ff import PrimeField
-from polycert.matfield import FieldMat
 from polycert.oracles import (
     hermite_form,
     kernel_basis_left,
@@ -66,7 +65,8 @@ def test_one_by_one_systems():
 
 
 def test_constant_matrices_through_membership():
-    c3 = PolyMat.from_field_mat(FieldMat(F, [[1, 2, 3], [4, 5, 6], [7, 8, 10]]))
+    c3 = PolyMat(F, [[Poly.constant(F, c) for c in row]
+                     for row in [[1, 2, 3], [4, 5, 6], [7, 8, 10]]], ncols=3)
     run_ok("rsm", {"A": c3, "v": [Poly.of(F, 2), Poly.of(F, 4), Poly.of(F, 6)]})
     run_ok("hermite", {"A": c3, "H": hermite_form(c3)[0]})
     run_ok("unimod_completable", {"A": PolyMat(F, [c3.rows[0], c3.rows[1]],

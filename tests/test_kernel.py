@@ -35,9 +35,11 @@ from polycert.oracles import (
     _solve_left_evaluation,
     rank_and_profile,
     rational_solve_left,
+    solve_plan,
 )
 from polycert.polymat import PolyMat
 from polycert.upoly import Poly, RatFunc, RatVec, interpolate_many
+from test_matfield import col_rank_profile
 
 F97 = PrimeField(97)
 F31 = PrimeField(2**31 - 1)
@@ -167,7 +169,7 @@ def test_rank_profile_many_matches_pluq(field, data):
     for rows, r, mask in zip(mats, ranks, masks):
         f = pluq(FieldMat(field, rows))
         assert int(r) == f.rank
-        assert tuple(np.flatnonzero(mask).tolist()) == f.col_rank_profile()
+        assert tuple(np.flatnonzero(mask).tolist()) == col_rank_profile(f)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
@@ -235,12 +237,10 @@ def square_systems(draw, field):
 @settings(max_examples=30, deadline=None)
 def test_square_solve_same_on_both_sides_of_cutoff(field, data):
     b, y = data.draw(square_systems(field))
-    deg_b = 0 if b.is_zero() else int(b.deg)
-    deg_y = max((int(f.deg) for f in y if not f.is_zero()), default=0)
-    npoints = b.m * deg_b + deg_y + 1
+    npoints, budget = solve_plan(b, y, range(b.m))
     want = RatVec(_reference_solve(b, y))
     for k in (npoints, max(npoints, BATCH_CUTOFF), npoints + BATCH_CUTOFF):
-        got = _solve_left_evaluation(b, y, range(b.m), k)
+        got = _solve_left_evaluation(b, y, range(b.m), k, budget)
         assert got.common_den == want.common_den
         assert got.numer_row() == want.numer_row()
         assert got == want
@@ -273,13 +273,18 @@ def test_rational_solve_left_same_on_both_sides_of_cutoff(field, data):
 # -- the rational solve against F(x) elimination --------------------------------------------------
 
 
+def _of_poly(f):
+    """f as a RatFunc over the denominator 1."""
+    return RatFunc(f, None, reduce=False)
+
+
 def _reference_solve(mat, v):
     """u A = v by Gauss-Jordan elimination over F(x) on A^T, then the
     residual u A - v in rational arithmetic: LOW_RANK, NO_SOLUTION or the
     reduced entries of u."""
     field, m = mat.field, mat.m
-    rows = [[RatFunc.of_poly(mat.rows[i][j]) for i in range(m)] for j in range(mat.n)]
-    rhs = [RatFunc.of_poly(f) for f in v]
+    rows = [[_of_poly(mat.rows[i][j]) for i in range(m)] for j in range(mat.n)]
+    rhs = [_of_poly(f) for f in v]
     for c in range(m):
         piv = next((i for i in range(c, mat.n) if not rows[i][c].is_zero()), None)
         if piv is None:
@@ -299,7 +304,7 @@ def _reference_solve(mat, v):
         acc = RatFunc.zero(field)
         for i in range(m):
             acc = acc + u[i] * mat.rows[i][j]
-        if acc != RatFunc.of_poly(v[j]):
+        if acc != _of_poly(v[j]):
             return NO_SOLUTION
     return u
 
@@ -365,7 +370,7 @@ def test_non_member_in_a_non_profile_column_on_both_paths():
         outside = member[:2] + [member[2] + Poly.one(field)]
         for cutoff in (1, 10**9):
             with batch_cutoff(cutoff):
-                assert rational_solve_left(a, member).entries == [RatFunc.of_poly(u)]
+                assert rational_solve_left(a, member).entries == [_of_poly(u)]
                 assert rational_solve_left(a, outside) is NO_SOLUTION
 
 

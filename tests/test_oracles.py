@@ -8,7 +8,6 @@ from polycert.oracles import (
     NO_SOLUTION,
     det_bareiss,
     hermite_form,
-    is_unimodular,
     kernel_basis_left,
     popov_form,
     rank_and_profile,
@@ -29,6 +28,14 @@ from polycert.upoly import NEG_INF, Poly, RatFunc
 F7 = PrimeField(7)
 F97 = PrimeField(97)
 FBIG = PrimeField(2**31 - 1)
+
+
+def is_unimodular(mat: PolyMat) -> bool:
+    """Square with a nonzero constant determinant."""
+    if mat.m != mat.n:
+        return False
+    d = det_bareiss(mat)
+    return d.is_constant() and not d.is_zero()
 
 
 def rand_poly(rng, field, dmax):

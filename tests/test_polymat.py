@@ -60,15 +60,81 @@ def test_mul_examples_and_convolution_oracle():
     assert a.mul(i2) == a
     x = PolyMat.from_coeff_lists(F7, [[[0, 1]]])
     assert x.mul(x) == PolyMat.from_coeff_lists(F7, [[[0, 0, 1]]])
-    # naive triple-loop convolution oracle
     b = rand_pm(rng, F7, 2, 3, 2)
-    prod = a.mul(b)
-    for i in range(2):
-        for j in range(3):
-            acc = Poly.zero(F7)
-            for k in range(2):
-                acc = acc + a.rows[i][k] * b.rows[k][j]
-            assert prod.rows[i][j] == acc
+    assert a.mul(b) == reference_mul(a, b)
+
+
+def reference_mul(a, b):
+    """A B by the schoolbook triple loop over the entries."""
+    z = Poly.zero(a.field)
+    out = []
+    for i in range(a.m):
+        out_row = []
+        for j in range(b.n):
+            acc = z
+            for k in range(a.n):
+                x, y = a.rows[i][k], b.rows[k][j]
+                if x.coeffs and y.coeffs:
+                    acc = acc + x * y
+            out_row.append(acc)
+        out.append(out_row)
+    return PolyMat(a.field, out, ncols=b.n)
+
+
+MUL_FIELDS = [PrimeField(2), F97, FBIG, PrimeField(2**61 - 1)]
+MUL_IDS = ["F2", "F97", "F2^31-1", "F2^61-1"]
+
+
+@st.composite
+def factor_pairs(draw, field):
+    """(A, B) with A m x k and B k x n, any of them 0, and factors that are
+    random, zero or constant."""
+    m, k, n = (draw(st.integers(0, 4)) for _ in range(3))
+
+    def factor(r, c):
+        kind = draw(st.sampled_from(["random", "zero", "constant"]))
+        d = {"random": draw(st.integers(0, 5)), "zero": -1, "constant": 0}[kind]
+        return PolyMat(field, [[Poly(field, draw(st.lists(st.integers(0, field.p - 1),
+                                                          min_size=d + 1, max_size=d + 1)))
+                                for _ in range(c)] for _ in range(r)], ncols=c)
+
+    return factor(m, k), factor(k, n)
+
+
+@pytest.mark.parametrize("field", MUL_FIELDS, ids=MUL_IDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_mul_matches_the_triple_loop(field, data):
+    a, b = data.draw(factor_pairs(field))
+    c = a.mul(b)
+    assert (c.m, c.n) == (a.m, b.n)
+    assert c == reference_mul(a, b)
+    # the product keeps its tensor, and evaluating from it agrees with eval_at
+    t = c.coeff_tensor()
+    assert t.dtype == field.dtype and t.shape == (1 + max(0, c.deg), c.m, c.n)
+    xs = [0, 1, field.p - 1, 5 % field.p]
+    for x, at in zip(xs, c.eval_many(xs)):
+        assert at.tolist() == c.eval_at(x).rows
+
+
+@pytest.mark.parametrize("field", MUL_FIELDS[2:], ids=MUL_IDS[2:])
+def test_mul_is_exact_at_the_largest_elements(field):
+    # every coefficient p - 1: an int64 sum of unsplit products would overflow
+    top = Poly(field, [field.p - 1] * 3)
+    a = PolyMat(field, [[top] * 16 for _ in range(3)], ncols=16)
+    b = PolyMat(field, [[top] * 2 for _ in range(16)], ncols=2)
+    assert a.mul(b) == reference_mul(a, b)
+
+
+def test_mul_over_f2_above_the_field_size():
+    # a product of degree 8 over F_2 has more coefficients than F_2 has points
+    f2 = PrimeField(2)
+    rng = random.Random(53)
+    a, b = rand_pm(rng, f2, 3, 3, 4), rand_pm(rng, f2, 3, 3, 4)
+    a.rows[0][0] = Poly(f2, [1, 0, 0, 0, 1])
+    b.rows[0][0] = Poly(f2, [0, 1, 0, 0, 1])
+    c = a.mul(b)
+    assert c.deg > f2.p and c == reference_mul(a, b)
 
 
 def test_degree_bound_of_product():

@@ -404,3 +404,30 @@ def test_unencodable_value_without_digest_rejects_as_malformed():
 
     verdict = verify_transcript(_respelled(t, huge))
     assert not verdict.accepted and verdict.reason is tr.Reason.MALFORMED_MESSAGE
+
+
+@pytest.mark.parametrize("kind", ["poly_matrix", "field_matrix"])
+@pytest.mark.parametrize("m, n", [(10**6, 0), (0, 10**6)])
+def test_declared_dimension_above_the_cap_is_malformed(kind, m, n):
+    # an empty matrix lists no entries, so only the cap bounds what its
+    # dimensions ask the loader to build
+    with pytest.raises(TranscriptError):
+        payload_from_json({"kind": kind, "m": m, "n": n, "entries": []})
+
+
+def test_dimensions_up_to_the_cap_load():
+    assert tr.MAX_DIMENSION < 2**16
+    for kind in ("poly_matrix", "field_matrix"):
+        for m, n in ((tr.MAX_DIMENSION, 0), (0, tr.MAX_DIMENSION)):
+            payload = payload_from_json({"kind": kind, "m": m, "n": n, "entries": []})
+            assert (payload.m, payload.n) == (m, n)
+    with pytest.raises(TranscriptError):
+        payload_from_json({"kind": "toeplitz_spec", "rho": tr.MAX_DIMENSION + 1, "m": 1,
+                           "values": []})
+
+
+def test_empty_kernel_basis_certificate_loads():
+    a = PolyMat(FBIG, [[Poly(FBIG, [1, 1]), Poly.one(FBIG)]], ncols=2)
+    t = _honest("kernel_basis", {"A": a, "B": PolyMat(FBIG, [], ncols=1)}, _params())
+    loaded = Transcript.from_json_dict(json.loads(json.dumps(t.to_json_dict())))
+    assert verify_transcript(loaded).accepted
