@@ -63,7 +63,9 @@ def _load_instance(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and an integer past Python's
+        # digit limit; RecursionError nesting past the recursion limit
         raise click.UsageError(f"cannot read instance file: {exc}")
     if not isinstance(doc, dict) or doc.get("format") != INSTANCE_FORMAT:
         raise click.UsageError("not a polycert instance file")

@@ -17,8 +17,9 @@ the solve inverts all its diagonal entries and pivot products at the end
 with :meth:`PrimeField.inv_array` (Montgomery's trick over a product tree),
 and the rank needs no inverse at all.  Arrays have
 :attr:`PrimeField.dtype`, so the arithmetic is exact for every supported
-modulus.  A batch has a fixed numpy cost, so callers keep the per-point
-routines for a handful of points (``oracles.BATCH_CUTOFF``).
+modulus.  A batch has a fixed numpy cost, so the oracles take it only on
+the batched route of ``oracles.elimination_plan``: small blocks at few points
+are eliminated fraction-free over F[x] instead.
 """
 
 from __future__ import annotations

@@ -7,22 +7,23 @@ and a deterministic row-space membership oracle.
 
 Rank, profile, determinant and rational solving reduce to linear algebra at
 evaluation points, exactly: enough distinct points always include one where
-no relevant minor vanishes.  With :data:`BATCH_CUTOFF` points or
-more, they run on the batched kernel: :meth:`PolyMat.eval_many` evaluates
-every point in one Horner pass, :mod:`matfield`'s batched eliminations
+no relevant minor vanishes.  One plan (:func:`elimination_plan`) counts the
+points from A's row and column degree sums and picks one of two routes.  The
+batched route evaluates every point in one Horner pass
+(:meth:`PolyMat.eval_many`), eliminates all of them together
 (:func:`~polycert.matfield.solve_many`,
-:func:`~polycert.matfield.rank_profile_many`) handle all points together,
-and :func:`upoly.interpolate_many` interpolates every column at once.  Fewer
-points take the per-point scalar path (fraction-free Bareiss elimination for
-rank and determinant), which is cheaper than numpy's fixed cost there;
-fields with fewer elements than points fall back to exact elimination over
-F[x]: Bareiss for rank and determinant, and Cramer's rule on Bareiss
-determinants for the rational solve.
+:func:`~polycert.matfield.rank_profile_many`) and interpolates every column
+at once (:func:`upoly.interpolate_many`).  The fraction-free route works
+over F[x]: Bareiss elimination for rank and determinant, and Cramer's rule
+on Bareiss determinants for the rational solve.  It serves fields too small
+for the points, and small blocks at few points (two rows below
+:data:`BATCH_CUTOFF` points, at most four rows at fewer), where it beats
+numpy's fixed cost per batch.
 
 The rational solve decides membership at the points it solves at.  For
 u A = v with profile columns B, the cleared identity N A = det(B) v (N the
 Cramer numerators) and det B and N themselves have degree below K, a
-bound from the row and column degree sums (:func:`solve_plan`), so at K
+bound from the row and column degree sums (:func:`elimination_plan`), so at K
 points, all with det B(alpha) != 0, checking the solution of
 u B(alpha) = v_B(alpha) against the other columns decides u A = v exactly,
 and a non-member is rejected before anything is interpolated.  The
@@ -62,10 +63,9 @@ from .matfield import FieldMat
 from .polymat import PolyMat, check_hermite_shape, shifted_pivot
 from .upoly import NEG_INF, Poly, RatVec, interpolate_many, poly_gcd, xgcd
 
-# evaluation points from which the Prover uses the batched kernel: a numpy
-# batch has a fixed cost of some hundred microseconds, which per-point loops
-# over 2 x 2 to 4 x 4 matrices only repay from about 7 to 13 points
-# (measured crossovers in CHANGES.md)
+# points below which a two-row block is eliminated fraction-free, not by a
+# numpy batch with its fixed cost of some hundred microseconds; the route
+# rule is in elimination_plan (measured crossovers in CHANGES.md)
 BATCH_CUTOFF = 12
 # evaluation points probed for a full-rank A(alpha), which proves full rank
 # (or finds independent rows and columns) before any elimination over F[x]
@@ -92,27 +92,25 @@ NO_SOLUTION = _Outcome("NO_SOLUTION")
 def rank_and_profile(mat: PolyMat):
     """Rank over F(x) and the lexicographically smallest independent column set.
 
-    From :data:`BATCH_CUTOFF` points on, by evaluation at
-    min(m, n) * deg + 1 distinct points: the rank is the largest rank of any
-    A(alpha), and the profile the smallest column rank profile among the
-    points that reach it.  Both are exact, because the nonzero r x r minor
-    on the true profile columns has at most r * deg roots, and no evaluation
-    can exceed the true rank or jump earlier than the true profile.  Fewer
-    points, or a field with fewer elements than points, take fraction-free
-    (Bareiss) elimination over F[x], which is cheaper than per-point
-    elimination on small matrices.
+    On the batched route (:func:`elimination_plan`), by evaluation at its
+    points: the rank is the largest rank of any A(alpha), and the profile
+    the smallest column rank profile among the points that reach it.  Both
+    are exact, because the nonzero r x r minor on the true profile columns
+    vanishes at fewer than the planned points, and no evaluation can exceed
+    the true rank or jump earlier than the true profile.  Otherwise by
+    fraction-free (Bareiss) elimination over F[x].
     """
     if mat.deg == NEG_INF:
         return 0, ()
-    npoints = min(mat.m, mat.n) * int(mat.deg) + 1
-    if npoints < BATCH_CUTOFF or mat.field.p < npoints:
-        return _bareiss(mat)[:2]
-    return _rank_and_profile_evaluation(mat, npoints)
+    npoints, _, batched = elimination_plan(mat)
+    if batched:
+        return _rank_and_profile_evaluation(mat, npoints)
+    return _bareiss(mat)[:2]
 
 
 def _rank_and_profile_evaluation(mat: PolyMat, npoints: int):
     """The rank and profile of A from A(0), ..., A(npoints-1) in one batch;
-    exact for npoints > min(m, n) * deg."""
+    exact for the points of :func:`elimination_plan`."""
     ranks, masks = matfield.rank_profile_many(mat.field, mat.eval_many(range(npoints)))
     r = int(ranks.max())
     profiles = np.unique(masks[ranks == r], axis=0)
@@ -166,28 +164,26 @@ def _bareiss(mat: PolyMat):
 def det_bareiss(mat: PolyMat) -> Poly:
     """Exact determinant of a square polynomial matrix.
 
-    det(A) has degree at most n * deg, so it is fixed by its values at
-    n * deg + 1 distinct points.  From :data:`BATCH_CUTOFF`
-    such points on (and when the field has that many elements) it runs on
-    the batched kernel: one :meth:`PolyMat.eval_many`, one
+    det(A) has degree at most min(sum rdeg A, sum cdeg A), so it is fixed by
+    its values at the points of :func:`elimination_plan`.  On the batched
+    route: one :meth:`PolyMat.eval_many`, one
     :func:`~polycert.matfield.solve_many` giving det(A(alpha)) at every
-    point, and one interpolation.  Smaller cases take fraction-free
-    (Bareiss) elimination over F[x].
+    point, and one interpolation.  Otherwise fraction-free (Bareiss)
+    elimination over F[x].
     """
     if mat.m != mat.n:
         raise ValueError("determinant of a non-square matrix")
-    n = mat.n
-    if n == 0:
+    if mat.n == 0:
         return Poly.one(mat.field)
-    npoints = n * max(0, mat.deg) + 1
-    if npoints >= BATCH_CUTOFF and mat.field.p >= npoints:
+    npoints, _, batched = elimination_plan(mat)
+    if batched:
         return _det_evaluation(mat, npoints)
     return _bareiss(mat)[2]
 
 
 def _det_evaluation(mat: PolyMat, npoints: int) -> Poly:
     """det(A) interpolated from det(A(0)), ..., det(A(npoints-1)); exact for
-    npoints > n * deg."""
+    npoints > deg det A."""
     field = mat.field
     vals = mat.eval_many(range(npoints))
     aug = np.concatenate([vals, np.zeros(vals.shape[:2] + (1,), dtype=vals.dtype)], axis=2)
@@ -205,17 +201,18 @@ def rational_solve_left(mat: PolyMat, v: list, profile=None):
     u (a RatVec) when v lies in the F(x)-row space of A, else NO_SOLUTION.
 
     Full row rank is certified cheaply through evaluations when possible (a
-    full-rank evaluation is proof), falling back to exact Bareiss
-    elimination; either way it yields m profile columns B on which A is
-    nonsingular.  A caller that has already certified full row rank passes
-    those columns as ``profile`` (the column rank profile of a rank-m
-    A(alpha), or of A itself), and the probe is skipped.  When the field is
-    big enough, the system is solved and u A = v decided together, on the
-    K points of :func:`solve_plan` (:func:`_solve_left_evaluation`);
+    full-rank evaluation is proof), falling back to the exact
+    :func:`rank_and_profile`; either way it yields m profile columns B on
+    which A is nonsingular.  A caller that has already certified full row
+    rank passes those columns as ``profile`` (the column rank profile of a
+    rank-m A(alpha), or of A itself), and the probe is skipped.  On the batched
+    route of :func:`elimination_plan`, the system is solved and u A = v
+    decided together at its points (:func:`_solve_left_evaluation`);
     otherwise u B = v_B is solved by Cramer's rule on fraction-free
     (Bareiss) determinants over F[x] and N A = det(B) v checked by
-    polynomial arithmetic.  Both routes are exact,
-    and both bring det B and N to the one lowest-terms form.
+    polynomial arithmetic.  Both routes are exact, both stop on a singular
+    B with ArithmeticError, and both bring det B and N to the one
+    lowest-terms form.
     """
     m, n = mat.m, mat.n
     if len(v) != n:
@@ -233,13 +230,15 @@ def rational_solve_left(mat: PolyMat, v: list, profile=None):
         r, profile = rank_and_profile(mat)
         if r < m:
             return LOW_RANK
-    npoints, budget = solve_plan(mat, v, profile)
-    if field.p >= npoints + budget + 2:
+    npoints, budget, batched = elimination_plan(mat, v, profile)
+    if batched:
         return _solve_left_evaluation(mat, v, profile, npoints, budget)
     # Cramer's rule on B: N_i = det(B with row i replaced by v_B), u = N / det B
     b = mat.submatrix(range(m), profile)
     v_b = [v[j] for j in profile]
     det = _bareiss(b)[2]
+    if det.is_zero():
+        raise ArithmeticError("singular matrix: the profile columns have determinant 0")
     numers = [_bareiss(PolyMat(field, b.rows[:i] + [v_b] + b.rows[i + 1:], ncols=m))[2]
               for i in range(m)]
     if not _left_residual_is_zero(mat, v, numers, det):
@@ -249,7 +248,7 @@ def rational_solve_left(mat: PolyMat, v: list, profile=None):
 
 def _solve_left_evaluation(mat: PolyMat, v: list, profile, npoints: int, budget: int):
     """u with u A = v, or NO_SOLUTION, from A and v at npoints points where
-    the profile columns B of A are nonsingular (:func:`solve_plan` gives
+    the profile columns B of A are nonsingular (:func:`elimination_plan` gives
     npoints and budget).
 
     At each point alpha, one elimination gives det B(alpha) and the unique
@@ -266,40 +265,16 @@ def _solve_left_evaluation(mat: PolyMat, v: list, profile, npoints: int, budget:
     A nonsingular B is singular at no more than budget points (the roots of
     det B), so the first npoints + budget candidates always hold npoints
     nonsingular ones; a B that leaves fewer is singular, and the search
-    stops there with ArithmeticError.  Below :data:`BATCH_CUTOFF` points each
-    point is evaluated and eliminated on its own; from there on all of them
-    at once on the batched kernel.
+    stops there with ArithmeticError.  All points are evaluated and
+    eliminated at once on the batched kernel.
     """
     field = mat.field
     p = field.p
-    m = mat.m
     profile = list(profile)
     chosen = set(profile)
     rest = [j for j in range(mat.n) if j not in chosen]
     limit = min(p, npoints + budget)
     xs = []
-    if npoints < BATCH_CUTOFF:
-        det_vals = []
-        numers = [[] for _ in range(m)]
-        cols_t = mat.transpose()
-        alpha = 0
-        while len(xs) < npoints:
-            if alpha >= limit:
-                raise ArithmeticError("singular matrix: too few nonsingular points")
-            at = cols_t.eval_at(alpha).rows
-            va = [f(alpha) for f in v]
-            f = matfield.pluq(FieldMat.of_rows(field, [at[j] for j in profile], m))
-            if f.rank == m:
-                w, det_a = matfield.pluq_solve(f, [va[j] for j in profile]), f.det()
-                if any(sum(wi * a for wi, a in zip(w, at[j])) % p != va[j] for j in rest):
-                    return NO_SOLUTION
-                xs.append(alpha)
-                det_vals.append(det_a)
-                for i in range(m):
-                    numers[i].append(w[i] * det_a % p)
-            alpha += 1
-        det_poly, *nums = interpolate_many(field, xs, [det_vals] + numers)
-        return RatVec.from_common_den(det_poly, nums)
     vrow = PolyMat(field, [v])
     cols = []
     alpha = 0
@@ -324,30 +299,51 @@ def _solve_left_evaluation(mat: PolyMat, v: list, profile, npoints: int, budget:
     return RatVec.from_common_den(det_poly, nums)
 
 
-def solve_plan(mat: PolyMat, v: list, profile):
-    """(K, budget) for u A = v on the profile columns B of a full-row-rank A.
+def elimination_plan(mat: PolyMat, v=None, profile=None):
+    """(points, budget, batched): the evaluation points an elimination of A
+    needs, the candidates it may skip, and its route.
 
-    With c_j = max(cdeg_j A, deg v_j), every polynomial that decides the
-    solve has degree below K = min(sum rdeg A + deg v,
-    sum_{j in B} c_j + max_{j not in B} c_j) + 1: det B, the Cramer
-    numerators N_i (B with row i replaced by v_B) and the determinants of B
-    bordered by a column j outside B and the row (v_B, v_j), bounded by
-    their row degrees and by their column degrees (a missing degree counts
-    as 0).  So does a polynomial solution u = N / det B.  det B has at most
-    budget = min(sum rdeg A, sum_{j in B} cdeg_j A) roots.
+    Rank, profile and determinant (no v): a nonzero r x r minor, r <= k =
+    min(m, n), has degree at most the sum of A's k largest row degrees and
+    at most that of its k largest column degrees (a missing degree counts as
+    0), so points is the smaller sum + 1 (for a square A, min(sum rdeg,
+    sum cdeg) + 1), and budget is 0.
+
+    The solve u A = v on the profile columns B of a full-row-rank A: with
+    c_j = max(cdeg_j A, deg v_j), det B, the Cramer numerators N_i (B with
+    row i replaced by v_B), the determinants of B bordered by a column j
+    outside B and the row (v_B, v_j), and a polynomial solution N / det B
+    all have degree below points = min(sum rdeg A + deg v,
+    sum_{j in B} c_j + max_{j not in B} c_j) + 1, by their row and by their
+    column degrees; det B has at most budget = min(sum rdeg A,
+    sum_{j in B} cdeg_j A) roots.
+
+    The route is fraction-free over F[x] (batched False) when the field has
+    fewer than points + budget + 2 elements, or when the eliminated block is
+    small: k * max(k, points) below 2 * :data:`BATCH_CUTOFF`, a two-row
+    block's work.  So three rows stay fraction-free below 8 points, four
+    below 6, and five or more are always batched.
     """
     # coefficient counts: a degree is one less, and a zero entry counts as 0
     lens = [[len(e.coeffs) for e in row] for row in mat.rows]
-    vlens = [len(f.coeffs) for f in v]
+    rdeg = [max(0, max(row, default=0) - 1) for row in lens]
     cdeg = [max(0, max(col) - 1) for col in zip(*lens)] if lens else [0] * mat.n
-    c = [max(d, vl - 1) for d, vl in zip(cdeg, vlens)]
-    rsum = sum(max(0, max(row, default=0) - 1) for row in lens)
-    deg_v = max(0, max(vlens, default=0) - 1)
-    chosen = set(profile)
-    inside = sum(c[j] for j in chosen)
-    outside = max([c[j] for j in range(mat.n) if j not in chosen], default=0)
-    npoints = min(rsum + deg_v, inside + outside) + 1
-    return npoints, min(rsum, sum(cdeg[j] for j in chosen))
+    k = min(mat.m, mat.n)
+    if v is None:
+        npoints = min(sum(sorted(rdeg, reverse=True)[:k]),
+                      sum(sorted(cdeg, reverse=True)[:k])) + 1
+        budget = 0
+    else:
+        vlens = [len(f.coeffs) for f in v]
+        c = [max(d, vl - 1) for d, vl in zip(cdeg, vlens)]
+        deg_v = max(0, max(vlens, default=0) - 1)
+        chosen = set(profile)
+        inside = sum(c[j] for j in chosen)
+        outside = max([c[j] for j in range(mat.n) if j not in chosen], default=0)
+        npoints = min(sum(rdeg) + deg_v, inside + outside) + 1
+        budget = min(sum(rdeg), sum(cdeg[j] for j in chosen))
+    small = k * max(k, npoints) < 2 * BATCH_CUTOFF
+    return npoints, budget, mat.field.p >= npoints + budget + 2 and not small
 
 
 def polynomial_solve_left(mat: PolyMat, v: list, profile=None):
@@ -364,7 +360,7 @@ def polynomial_solve_left(mat: PolyMat, v: list, profile=None):
     u_k x^k A is taken off r in one product on A's coefficient tensor
     (:meth:`PrimeField.matmul`, exact mod p).  That leaves r_k zero on B, and
     no later digit changes r_k, so a nonzero r_k outside B means no
-    polynomial u exists; neither does one once K digits (:func:`solve_plan`)
+    polynomial u exists; neither does one once K digits (:func:`elimination_plan`)
     leave r nonzero, since a polynomial solution has degree below K.  A zero
     r proves u A = v.  A member costs deg u + 1 steps.
     """
@@ -384,7 +380,7 @@ def polynomial_solve_left(mat: PolyMat, v: list, profile=None):
                                               for j in profile], m))
     if f.rank < m:
         return None
-    npoints, _ = solve_plan(mat, v, profile)
+    npoints, _, _ = elimination_plan(mat, v, profile)
     rest = [j for j in range(n) if j not in set(profile)]
     limbs = field.limbs(t)
     width = t.shape[0]
@@ -441,7 +437,46 @@ def _hermite(mat: PolyMat, with_transform: bool):
     """H, and U when asked for; without U every row transform is applied
     to A's rows only, about half the work for callers that need only H."""
     field = mat.field
-    m, n = mat.m, mat.n
+    targets, pivots, rest = _hermite_collapse(mat, with_transform)
+    work = targets[0]
+    for k, idx in pivots:
+        lc = work[idx][k].lc()
+        if lc != 1:
+            c = field.inv(lc)
+            for target in targets:
+                target[idx] = [f.scale(c) for f in target[idx]]
+    # degree-reduce the below-pivot entries, rightmost pivot column first so
+    # later reductions cannot disturb already-reduced columns
+    for pos_hi in range(len(pivots)):
+        k_hi, idx_hi = pivots[pos_hi]
+        for pos in range(pos_hi - 1, -1, -1):
+            k, idx = pivots[pos]
+            piv = work[idx][k]
+            q = work[idx_hi][k] // piv
+            if not q.is_zero():
+                for target in targets:
+                    target[idx_hi] = [
+                        f - q * g for f, g in zip(target[idx_hi], target[idx])
+                    ]
+    h = PolyMat(field, [work[idx] for _, idx in pivots], ncols=mat.n)
+    if not with_transform:
+        return h, None
+    trans = targets[1]
+    u_rows = [trans[idx] for _, idx in pivots] + [trans[idx] for idx in rest]
+    return h, PolyMat(field, u_rows, ncols=mat.m)
+
+
+def _hermite_collapse(mat: PolyMat, with_transform: bool):
+    """The collapse loop of the Hermite form: (targets, pivots, rest).
+
+    ``targets`` holds A's rows after the row transforms and, when asked
+    for, U's; ``pivots`` the (pivot column, row index) pairs by increasing
+    column; ``rest`` the indices of the rows that end up zero in A.  Only
+    pivot rows are left for :func:`_hermite` to make monic and reduce, so
+    the rows of U at ``rest`` are already final.
+    """
+    field = mat.field
+    m = mat.m
     work = [list(row) for row in mat.rows]
     targets = [work]
     if with_transform:
@@ -450,8 +485,8 @@ def _hermite(mat: PolyMat, with_transform: bool):
             for i in range(m)
         ])
     active = list(range(m))
-    finalized = []  # (pivot_col, work_index), discovered right-to-left
-    for j in range(n - 1, -1, -1):
+    pivots = []  # discovered right-to-left
+    for j in range(mat.n - 1, -1, -1):
         nz = [idx for idx in active if not work[idx][j].is_zero()]
         if not nz:
             continue
@@ -464,33 +499,10 @@ def _hermite(mat: PolyMat, with_transform: bool):
             qa = a.divexact(g)
             qb = b.divexact(g)
             _rows_transform(targets, acc, other, s, t, -qb, qa)
-        piv = work[acc][j]
-        if piv.lc() != 1:
-            c = field.inv(piv.lc())
-            for target in targets:
-                target[acc] = [f.scale(c) for f in target[acc]]
-        finalized.append((j, acc))
+        pivots.append((j, acc))
         active.remove(acc)
-    finalized.reverse()  # now pivot columns increase
-    # degree-reduce the below-pivot entries, rightmost pivot column first so
-    # later reductions cannot disturb already-reduced columns
-    for pos_hi in range(len(finalized)):
-        k_hi, idx_hi = finalized[pos_hi]
-        for pos in range(pos_hi - 1, -1, -1):
-            k, idx = finalized[pos]
-            piv = work[idx][k]
-            q = work[idx_hi][k] // piv
-            if not q.is_zero():
-                for target in targets:
-                    target[idx_hi] = [
-                        f - q * g for f, g in zip(target[idx_hi], target[idx])
-                    ]
-    h = PolyMat(field, [work[idx] for _, idx in finalized], ncols=n)
-    if not with_transform:
-        return h, None
-    trans = targets[1]
-    u_rows = [trans[idx] for _, idx in finalized] + [trans[idx] for idx in active]
-    return h, PolyMat(field, u_rows, ncols=m)
+    pivots.reverse()
+    return targets, pivots, active
 
 
 def _rows_transform(targets, i1, i2, a11, a12, a21, a22):
@@ -606,9 +618,12 @@ def _reduce_row_against_pivots(field, rows, pivots, i, shift):
 
 
 def kernel_basis_left(mat: PolyMat) -> PolyMat:
-    """A basis of {p : p A = 0} as the rows of U that map A to zero rows."""
-    h, u = hermite_form(mat)
-    return PolyMat(mat.field, u.rows[h.m:], ncols=mat.m)
+    """A basis of {p : p A = 0} as the rows of U that map A to zero rows.
+
+    Those rows are final once the Hermite collapse ends: making the pivots
+    monic and reducing them changes only pivot rows."""
+    targets, _, rest = _hermite_collapse(mat, with_transform=True)
+    return PolyMat(mat.field, [targets[1][i] for i in rest], ncols=mat.m)
 
 
 def saturation_basis(mat: PolyMat) -> PolyMat:

@@ -18,8 +18,8 @@ takes the vector through C and A(alpha) one after the other.
 kernel: it evaluates a matrix at k points in one vectorised Horner pass over
 its ``(deg+1, m, n)`` coefficient tensor, giving the ``(k, m, n)`` array that
 the batched eliminations in :mod:`polycert.matfield` take.  The oracles use
-it from ``oracles.BATCH_CUTOFF`` points on; :meth:`PolyMat.eval_at` stays the
-single-point path for both parties.  Products run on the same tensor
+it on the batched route of ``oracles.elimination_plan``; :meth:`PolyMat.eval_at`
+stays the single-point path for both parties.  Products run on the same tensor
 (:meth:`PolyMat.coeff_tensor`), exactly mod p in 16-bit limbs
 (:meth:`PrimeField.matmul`): :meth:`PolyMat.mul` is one batched product per
 coefficient of the left factor, and the Prover's Toeplitz compression

@@ -777,6 +777,8 @@ class Transcript:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # bad JSON or UTF-8, an integer past Python's digit limit, or
+                # nesting past the recursion limit
                 raise TranscriptError(f"not valid JSON: {exc}") from exc
         return cls.from_json_dict(doc)

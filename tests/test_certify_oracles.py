@@ -4,8 +4,8 @@
 division by the common left factor) against the kernel-of-kernel route,
 ``ToeplitzOp.apply_poly_mat`` (one product over the coefficient tensor)
 against its entrywise definition, and ``det_bareiss``
-on both sides of the point-count cutoff against fraction-free elimination;
-then the evaluation solver's stop on a singular profile and the agreement of the
+on both routes against fraction-free elimination;
+then the rational solve's stop on a singular profile and the agreement of the
 advertised #S bounds with the ones the runners record, on true and false
 statements.
 """
@@ -29,21 +29,21 @@ from polycert.experiments import (
 from polycert.ff import PrimeField
 from polycert.instances import rand_polymat, rand_singular
 from polycert.oracles import (
-    BATCH_CUTOFF,
     _bareiss,
     _det_evaluation,
     _solve_left_evaluation,
     det_bareiss,
+    elimination_plan,
     kernel_basis_left,
     popov_form,
+    rational_solve_left,
     saturation_basis,
-    solve_plan,
 )
 from polycert.polymat import PolyMat, ToeplitzOp
 from polycert.protocols import run_protocol
 from polycert.transcript import MODE_FIAT_SHAMIR, MODE_INTERACTIVE, ProtocolParams, Reason
 from polycert.upoly import Poly
-from test_kernel import FIELDS, IDS, _poly, batch_cutoff, polymats
+from test_kernel import FIELDS, IDS, _poly, polymats, route
 
 F97 = PrimeField(97)
 F31 = PrimeField(2**31 - 1)
@@ -201,31 +201,34 @@ def square_polymats(draw, field, max_dim=5, max_deg=4):
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_det_same_on_both_sides_of_cutoff(field, data):
+def test_det_same_on_both_routes(field, data):
     mat = data.draw(square_polymats(field))
     want = _bareiss(mat)[2]
-    npoints = mat.n * max(0, mat.deg) + 1
+    npoints = elimination_plan(mat)[0]
     assert _det_evaluation(mat, npoints) == want
     assert det_bareiss(mat) == want
-    with batch_cutoff(1):
+    with route(True):
         assert det_bareiss(mat) == want
-    with batch_cutoff(10**9):
+    with route(False):
         assert det_bareiss(mat) == want
 
 
 def test_det_routes_by_point_count():
-    # 4 x 4 of degree 4: 17 points, above the cutoff; F_7 and F_13 have too few
+    # 4 x 4, every entry of degree 3 but one of degree 4: 14 points from the
+    # degree sums, batched; F_7 and F_13 have too few
     rng = random.Random(8)
     for field in (PrimeField(7), PrimeField(13), F97, F31):
-        rows = [list(row) for row in rand_polymat(rng, field, 4, 4, 3).rows]
+        rows = [[Poly(field, [rng.randrange(field.p) for _ in range(3)] + [1])
+                 for _ in range(4)] for _ in range(4)]
         rows[0][0] = Poly(field, [1, 0, 0, 0, 1])
         mat = PolyMat(field, rows, ncols=4)
         sing = PolyMat(field, rows[:3] + [[f * 2 for f in rows[0]]], ncols=4)
-        assert mat.deg == sing.deg == 4 and 4 * 4 + 1 >= BATCH_CUTOFF
+        assert mat.deg == sing.deg == 4
+        assert elimination_plan(mat) == elimination_plan(sing) == (14, 0, field.p > 13)
         with mock.patch.object(oracles, "_det_evaluation", wraps=_det_evaluation) as ev:
             assert det_bareiss(mat) == _bareiss(mat)[2]
             assert det_bareiss(sing) == _bareiss(sing)[2] == Poly.zero(field)
-        assert ev.call_count == (2 if field.p >= 17 else 0)
+        assert ev.call_count == (2 if field.p > 13 else 0)
 
 
 # -- square solving on a singular matrix ----------------------------------------------------
@@ -236,18 +239,21 @@ def test_square_solve_stops_on_singular_matrix():
     row = [Poly(F31, [1, 2]), Poly(F31, [3, 1])]
     b = PolyMat(F31, [row, [f * 5 for f in row]], ncols=2)
     y = [Poly.one(F31), Poly.x(F31)]
-    # 2 x 2 of degree 1: 3 points, the per-point path
-    plan = solve_plan(b, y, (0, 1))
-    assert plan == (3, 2) and plan[0] < BATCH_CUTOFF
+    # 2 x 2 of degree 1: 3 points, fraction-free; the batched solve stops too
+    plan = elimination_plan(b, y, (0, 1))
+    assert plan == (3, 2, False)
     with time_budget(5), pytest.raises(ArithmeticError):
-        _solve_left_evaluation(b, y, (0, 1), *plan)
-    # 8 x 8 of degree 4: 33 points, the batched path
+        rational_solve_left(b, y, (0, 1))
+    with time_budget(5), pytest.raises(ArithmeticError):
+        _solve_left_evaluation(b, y, (0, 1), *plan[:2])
+    # 8 x 8 of degree 4: 33 points, batched; fraction-free stops too
     b8 = rand_singular(random.Random(4), F31, 8, 4)
     y8 = [Poly(F31, [i + 1, 7]) for i in range(8)]
-    plan8 = solve_plan(b8, y8, range(8))
-    assert plan8[0] >= BATCH_CUTOFF
+    assert elimination_plan(b8, y8, range(8))[2]
     with time_budget(5), pytest.raises(ArithmeticError):
-        _solve_left_evaluation(b8, y8, range(8), *plan8)
+        rational_solve_left(b8, y8, range(8))
+    with route(False), time_budget(5), pytest.raises(ArithmeticError):
+        rational_solve_left(b8, y8, range(8))
 
 
 # -- advertised #S bounds -------------------------------------------------------------------

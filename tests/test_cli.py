@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from polycert import PROTOCOL_IDS
 from polycert.cli import main
+from test_transcript import HOSTILE_JSON
 
 
 def test_gen_is_deterministic(tmp_path):
@@ -162,13 +163,24 @@ _MATRIX = {"kind": "poly_matrix", "m": 1, "n": 1, "entries": [["1"]]}
     {"format": "polycert-instance/v1", "p": 91, "objects": {"A": _MATRIX}},
     {"format": "polycert-instance/v1", "p": 97, "objects": {"A": {"kind": "tensor"}}},
     [{"format": "polycert-instance/v1", "p": 97}],
-], ids=["no-modulus", "composite-modulus", "unknown-payload-kind", "json-list"])
+    *HOSTILE_JSON.values(),
+], ids=["no-modulus", "composite-modulus", "unknown-payload-kind", "json-list",
+        *HOSTILE_JSON])
 def test_malformed_instance_file_is_a_usage_error(tmp_path, doc):
     inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps(doc))
+    inst.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     res = CliRunner().invoke(main, ["run", "--protocol", "rank", "--instance", str(inst)])
     assert res.exit_code == 2, res.output
     assert "instance file" in res.output
+
+
+@pytest.mark.parametrize("raw", HOSTILE_JSON.values(), ids=list(HOSTILE_JSON))
+def test_verify_refuses_hostile_bytes(tmp_path, raw):
+    path = tmp_path / "t.json"
+    path.write_bytes(raw)
+    res = CliRunner().invoke(main, ["verify", str(path)])
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
 def test_experiment_single_protocol(tmp_path):

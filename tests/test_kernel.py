@@ -2,9 +2,10 @@
 
 Batched evaluation (PolyMat.eval_many), batched elimination (matfield's
 solve_many, rank_profile_many, vecmat_many) and batched inversion
-(PrimeField.inv_array) must agree with the scalar code they replace, and
-interpolate_many with Lagrange's formula, over a small field, an int64 field
-and a field that needs Python-int (object) arrays.
+(PrimeField.inv_array) must agree with the scalar code, interpolate_many
+with Lagrange's formula, and the batched route of rank and rational solving
+with the fraction-free one, over a small field, an int64 field and a field
+that needs Python-int (object) arrays.
 """
 
 from contextlib import contextmanager
@@ -33,9 +34,9 @@ from polycert.oracles import (
     _bareiss,
     _rank_and_profile_evaluation,
     _solve_left_evaluation,
+    elimination_plan,
     rank_and_profile,
     rational_solve_left,
-    solve_plan,
 )
 from polycert.polymat import PolyMat
 from polycert.upoly import Poly, RatFunc, RatVec, interpolate_many
@@ -49,9 +50,16 @@ IDS = ["F97", "F2^31-1", "F2^61-1"]
 
 
 @contextmanager
-def batch_cutoff(value):
-    """Route every evaluation path to one side of the point-count cutoff."""
-    with mock.patch.object(oracles, "BATCH_CUTOFF", value):
+def route(batched):
+    """Send every rank, determinant and rational solve to one route: the
+    batched kernel (where the field has the points) or fraction-free."""
+    plan = oracles.elimination_plan
+
+    def forced(mat, *args):
+        npoints, budget, _ = plan(mat, *args)
+        return npoints, budget, batched and mat.field.p >= npoints + budget
+
+    with mock.patch.object(oracles, "elimination_plan", forced):
         yield
 
 
@@ -197,23 +205,27 @@ def test_vecmat_many_matches_vecmat(field, data):
 def test_evaluation_rank_matches_bareiss(field, data):
     mat = data.draw(polymats(field, max_dim=5))
     want = _bareiss(mat)[:2]
-    deg = 0 if mat.is_zero() else int(mat.deg)
-    npoints = min(mat.m, mat.n) * deg + 1
-    # the fewest exact points, and enough to take the batched route
+    npoints = elimination_plan(mat)[0]
+    # the degree-sum count, and enough points to take the batched route
     assert _rank_and_profile_evaluation(mat, npoints) == want
     assert _rank_and_profile_evaluation(mat, max(npoints, BATCH_CUTOFF)) == want
     assert rank_and_profile(mat) == want
 
 
 def test_rank_routes_by_point_count():
-    # 2 x 3 of degree 8: 17 points, above the cutoff; F_7 has too few points
+    # 2 x 3 of degree 8: 17 points, a two-row block past the cutoff; F_7 has
+    # too few points
     rng = np.random.default_rng(3)
     for field in (F97, PrimeField(7)):
         rows = [[Poly(field, [int(c) for c in rng.integers(0, field.p, 9)])
                  for _ in range(3)] for _ in range(2)]
         rows[1] = [f * 3 for f in rows[0]]  # rank 1
         mat = PolyMat(field, rows, ncols=3)
-        assert rank_and_profile(mat) == _bareiss(mat)[:2] == (1, (0,))
+        assert elimination_plan(mat)[:2] == (17, 0)
+        with mock.patch.object(oracles, "_rank_and_profile_evaluation",
+                               wraps=_rank_and_profile_evaluation) as ev:
+            assert rank_and_profile(mat) == _bareiss(mat)[:2] == (1, (0,))
+        assert ev.call_count == (field.p >= 17)
 
 
 # -- rational solving ---------------------------------------------------------------------------
@@ -235,21 +247,25 @@ def square_systems(draw, field):
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
-def test_square_solve_same_on_both_sides_of_cutoff(field, data):
+def test_square_solve_same_on_both_routes(field, data):
     b, y = data.draw(square_systems(field))
-    npoints, budget = solve_plan(b, y, range(b.m))
+    npoints, budget, _ = elimination_plan(b, y, range(b.m))
     want = RatVec(_reference_solve(b, y))
     for k in (npoints, max(npoints, BATCH_CUTOFF), npoints + BATCH_CUTOFF):
         got = _solve_left_evaluation(b, y, range(b.m), k, budget)
         assert got.common_den == want.common_den
         assert got.numer_row() == want.numer_row()
         assert got == want
+    with route(False):
+        got = rational_solve_left(b, y, range(b.m))
+    assert got.common_den == want.common_den
+    assert got.numer_row() == want.numer_row()
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
-def test_rational_solve_left_same_on_both_sides_of_cutoff(field, data):
+def test_rational_solve_left_same_on_both_routes(field, data):
     mat = data.draw(polymats(field, max_dim=4, max_deg=3))
     kind = data.draw(st.sampled_from(["member", "random"]))
     if kind == "member":
@@ -258,9 +274,9 @@ def test_rational_solve_left_same_on_both_sides_of_cutoff(field, data):
              for j in range(mat.n)]
     else:
         v = [_poly(data.draw, field, data.draw(st.integers(-1, 3))) for _ in range(mat.n)]
-    with batch_cutoff(10**9):
+    with route(False):
         scalar = rational_solve_left(mat, v)
-    with batch_cutoff(1):
+    with route(True):
         batched = rational_solve_left(mat, v)
     if scalar is LOW_RANK or scalar is NO_SOLUTION:
         assert batched is scalar
@@ -352,8 +368,8 @@ def test_rational_solve_left_matches_fraction_reference(field, data):
         # column j depends on earlier profile columns, so u A_j = v_j is
         # forced by the others and a changed v_j leaves the row space
         assert want in (LOW_RANK, NO_SOLUTION)
-    for cutoff in (1, 10**9):
-        with batch_cutoff(cutoff):
+    for batched in (True, False):
+        with route(batched):
             got = rational_solve_left(mat, v)
         if want is LOW_RANK or want is NO_SOLUTION:
             assert got is want
@@ -368,8 +384,8 @@ def test_non_member_in_a_non_profile_column_on_both_paths():
         u = Poly.of(field, 3, 1)
         member = [u * f for f in a.rows[0]]
         outside = member[:2] + [member[2] + Poly.one(field)]
-        for cutoff in (1, 10**9):
-            with batch_cutoff(cutoff):
+        for batched in (True, False):
+            with route(batched):
                 assert rational_solve_left(a, member).entries == [_of_poly(u)]
                 assert rational_solve_left(a, outside) is NO_SOLUTION
 

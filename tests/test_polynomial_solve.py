@@ -1,5 +1,5 @@
 """x-adic lifting for u A = v (oracles.polynomial_solve_left) and the point
-count K that the evaluation solve shares with it (oracles.solve_plan).
+count K that the evaluation solve shares with it (oracles.elimination_plan).
 
 The lift must return exactly the rational solve's u whenever that u is
 polynomial, NO_SOLUTION whenever it is rational or missing, and None only
@@ -22,12 +22,12 @@ from polycert.oracles import (
     LOW_RANK,
     NO_SOLUTION,
     _bareiss,
+    elimination_plan,
     hermite_form,
     polynomial_solve_left,
     popov_form,
     rank_and_profile,
     rational_solve_left,
-    solve_plan,
 )
 from polycert.polymat import PolyMat, PolyMatView, PolyVecView
 from polycert.protocols import run_protocol
@@ -135,7 +135,7 @@ def _bordered(a, v, profile, j):
 def test_plan_bounds_every_interpolated_degree(field, kind, data):
     a, v = data.draw(systems(field, kind))
     _, profile = rank_and_profile(a)
-    npoints, budget = solve_plan(a, v, profile)
+    npoints, budget, _ = elimination_plan(a, v, profile)
     b = a.submatrix(range(a.m), profile)
     v_b = [v[j] for j in profile]
     det = _bareiss(b)[2]

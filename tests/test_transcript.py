@@ -278,6 +278,14 @@ def test_transcript_digest_tamper_detected(tmp_path):
         Transcript.load(path)
 
 
+# files that json.load refuses with a Python error other than JSONDecodeError
+HOSTILE_JSON = {
+    "invalid-utf8": b'{"format": "\xff"}',
+    "deep-nesting": b"[" * 100_000,
+    "huge-integer": b'{"format": ' + b"7" * 5000 + b"}",
+}
+
+
 def test_transcript_parse_errors(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -286,6 +294,10 @@ def test_transcript_parse_errors(tmp_path):
     path.write_text(json.dumps({"format": "nope"}))
     with pytest.raises(TranscriptError):
         Transcript.load(path)
+    for raw in HOSTILE_JSON.values():
+        path.write_bytes(raw)
+        with pytest.raises(TranscriptError):
+            Transcript.load(path)
 
 
 # -- public inputs have one spelling ------------------------------------------------
