@@ -24,7 +24,7 @@ from .oracles import (
 )
 from .polymat import MatView, PolyMat, ToeplitzOp
 from .protocols import wdeg
-from .provers import HonestProver, _field_of, draw_batch
+from .provers import HonestProver, draw_batch
 from .upoly import NEG_INF, Poly, RatFunc, RatVec, poly_gcd
 
 
@@ -36,7 +36,7 @@ def _rank_maximizing_point(view: MatView, sigma: int) -> int:
     """The first point in the Verifier's useful range where the singular view
     evaluates to the largest rank.  No point can beat rank n-1, so the walk
     stops at the first point that reaches it."""
-    n = view.nrows
+    n = view.m
     best, best_rank = 0, -1
     for alpha in range(min(sigma, n * wdeg(view.deg_bound) + 2)):
         r = rank_profile(view.eval_at(alpha))[0]
@@ -55,8 +55,8 @@ class CheatNonSingularity(HonestProver):
         if not det_bareiss(a).is_zero():
             raise InstanceActuallyTrue("matrix is nonsingular")
 
-    def nonsingularity_point(self, view: MatView, sigma: int) -> int:
-        return _rank_maximizing_point(view, sigma)
+    def nonsingularity_point(self, view: MatView, sigma: int, probe=None):
+        return _rank_maximizing_point(view, sigma), None
     # the inherited solution method already solves when b is consistent
 
 
@@ -69,18 +69,19 @@ class CheatRankLowerBound(HonestProver):
             raise InstanceActuallyTrue("rank really is at least rho")
 
     def rank_lb_sets(self, view: MatView, rho: int):
-        """A's row and column profiles, each padded to rho indices: a
-        statement fact (:meth:`HonestProver.fact`), since they depend on A
-        and rho alone."""
+        """A's row and column profiles, each padded to rho indices (a
+        statement fact, :meth:`HonestProver.fact`, since they depend on A
+        and rho alone), and no probe."""
         mat = view.materialize()
-        return self.fact(("rank_lb_sets", rho), mat, lambda: (
+        rows, cols = self.fact(("rank_lb_sets", rho), mat, lambda: (
             _pad(list(rank_and_profile(mat.transpose())[1]), rho, mat.m),
             _pad(list(rank_and_profile(mat)[1]), rho, mat.n),
         ))
+        return rows, cols, None
 
-    def nonsingularity_point(self, view: MatView, sigma: int) -> int:
+    def nonsingularity_point(self, view: MatView, sigma: int, probe=None):
         # every rho x rho submatrix of A is singular: rank(A) < rho
-        return _rank_maximizing_point(view, sigma)
+        return _rank_maximizing_point(view, sigma), None
 
 
 def _pad(profile, rho, limit):
@@ -263,7 +264,7 @@ class CheatFullRankMembership(HonestProver):
         holds on as many alpha in S as the degree budget allows."""
         if not isinstance(u, Forged):
             return super().frrsm_g(view, vec, c, u)
-        field = _field_of(view)
+        field = view.field
         if u.rational is None:
             return Poly.zero(field)
         acc = _combine_over_common_den(u.rational, c)
@@ -271,7 +272,7 @@ class CheatFullRankMembership(HonestProver):
             return acc.num
         from .upoly import deg_add, deg_scale, interpolate
 
-        bound = deg_add(deg_scale(view.nrows, view.deg_bound), vec.deg_bound)
+        bound = deg_add(deg_scale(view.m, view.deg_bound), vec.deg_bound)
         if bound == NEG_INF:
             return acc.num // acc.den
         budget = int(bound) + 1
@@ -296,7 +297,7 @@ class CheatFullRankMembership(HonestProver):
         # no rational solution usable at alpha: solve the evaluated system
         ev = view.eval_at(alpha)
         w = solve_right(ev.transpose(), vec.eval_at(alpha))
-        return w if w is not None else [0] * view.nrows
+        return w if w is not None else [0] * view.m
 
 
 class CheatRowSpaceMembership(CheatFullRankMembership):

@@ -12,7 +12,8 @@ represented as lazy views that only ever evaluate C.A(alpha) = C @ A(alpha),
 so the Verifier never pays for a polynomial matrix product it did not
 receive.  Its checks go further and never form C @ A(alpha) either: they
 multiply a view by a vector at alpha (``vecmat_at``, ``matvec_at``), which
-takes the vector through C and A(alpha) one after the other.
+takes the vector through C and A(alpha) one after the other, in a live run
+and an offline re-verification alike.  A :class:`PolyMat` is itself a view.
 
 :meth:`PolyMat.eval_many` is the evaluation part of the Prover's batched
 kernel: it evaluates a matrix at k points in one vectorised Horner pass over
@@ -37,11 +38,20 @@ import numpy as np
 
 from .ff import PrimeField
 from .matfield import FieldMat
-from .upoly import NEG_INF, Poly, _trim
+from .upoly import NEG_INF, Poly, _trim, deg_add
 
 
-class PolyMat:
-    """Dense m x n matrix of polynomials over a prime field.
+class MatView:
+    """Interface: m, n, field, deg_bound, eval_at(alpha) -> FieldMat, the
+    products vecmat_at(alpha, w) and matvec_at(alpha, w) -> list, and, for
+    the Prover only, materialize() -> PolyMat."""
+
+    __slots__ = ()
+
+
+class PolyMat(MatView):
+    """Dense m x n matrix of polynomials over a prime field, and the view of
+    itself (:class:`MatView`).
 
     Treat instances as immutable after construction; the degree is cached
     lazily and everything downstream assumes entries never change.
@@ -105,6 +115,8 @@ class PolyMat:
             self._deg = longest - 1 if longest else NEG_INF
         return self._deg
 
+    deg_bound = deg  # a view's degree bound; a PolyMat knows its degree
+
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.rows for e in row)
 
@@ -126,6 +138,28 @@ class PolyMat:
         """Entrywise Horner evaluation."""
         return FieldMat.of_rows(
             self.field, [[e(alpha) for e in row] for row in self.rows], self.n)
+
+    def vecmat_at(self, alpha: int, w: list) -> list:
+        """w A(alpha), evaluating only the rows that w does not zero."""
+        if len(w) != self.m:
+            raise ValueError("dimension mismatch in vecmat")
+        out = [0] * self.n
+        for c, row in zip(w, self.rows):
+            if c:
+                out = [o + c * e(alpha) for o, e in zip(out, row)]
+        p = self.field.p
+        return [o % p for o in out]
+
+    def matvec_at(self, alpha: int, w: list) -> list:
+        """A(alpha) w, evaluating only the columns that w does not zero."""
+        if len(w) != self.n:
+            raise ValueError("dimension mismatch in matvec")
+        support = [(j, c) for j, c in enumerate(w) if c]
+        p = self.field.p
+        return [sum(row[j](alpha) * c for j, c in support) % p for row in self.rows]
+
+    def materialize(self) -> "PolyMat":
+        return self
 
     def eval_many(self, alphas) -> np.ndarray:
         """A(alpha) for every alpha: a (k, m, n) array from one Horner pass.
@@ -165,9 +199,6 @@ class PolyMat:
             [[self.rows[i][j] for j in col_idx] for i in row_idx],
             ncols=len(col_idx),
         )
-
-    def row(self, i) -> list:
-        return list(self.rows[i])
 
     def stack(self, other: "PolyMat") -> "PolyMat":
         if self.n != other.n:
@@ -350,9 +381,6 @@ class ToeplitzOp:
         self.m = m
         self.values = values
 
-    def entry(self, i: int, j: int) -> int:
-        return self.values[i - j + self.m - 1]
-
     def _rows(self) -> list:
         """The rows of C: row i is values[i : i + m] reversed."""
         rev = self.values[::-1]
@@ -414,89 +442,29 @@ class ToeplitzOp:
 # where forming (C.A)(alpha) first would cost rho*m*n.
 
 
-def _vecmat_at(mat: PolyMat, alpha: int, w: list) -> list:
-    """w A(alpha), evaluating only the rows that w does not zero."""
-    if len(w) != mat.m:
-        raise ValueError("dimension mismatch in vecmat")
-    p = mat.field.p
-    out = [0] * mat.n
-    for c, row in zip(w, mat.rows):
-        if c:
-            out = [o + c * e(alpha) for o, e in zip(out, row)]
-    return [o % p for o in out]
-
-
-def _matvec_at(mat: PolyMat, alpha: int, w: list) -> list:
-    """A(alpha) w, evaluating only the columns that w does not zero."""
-    if len(w) != mat.n:
-        raise ValueError("dimension mismatch in matvec")
-    p = mat.field.p
-    support = [(j, c) for j, c in enumerate(w) if c]
-    return [sum(row[j](alpha) * c for j, c in support) % p for row in mat.rows]
-
-
-class MatView:
-    """Interface: nrows, ncols, deg_bound, eval_at(alpha) -> FieldMat, and
-    the products vecmat_at(alpha, w) and matvec_at(alpha, w) -> list."""
-
-    __slots__ = ()
-
-
-class PolyMatView(MatView):
-    __slots__ = ("mat",)
-
-    def __init__(self, mat: PolyMat):
-        self.mat = mat
-
-    @property
-    def nrows(self):
-        return self.mat.m
-
-    @property
-    def ncols(self):
-        return self.mat.n
-
-    @property
-    def deg_bound(self):
-        return self.mat.deg
-
-    def eval_at(self, alpha: int) -> FieldMat:
-        return self.mat.eval_at(alpha)
-
-    def vecmat_at(self, alpha: int, w: list) -> list:
-        return _vecmat_at(self.mat, alpha, w)
-
-    def matvec_at(self, alpha: int, w: list) -> list:
-        return _matvec_at(self.mat, alpha, w)
-
-    def materialize(self) -> PolyMat:
-        return self.mat
-
-
 class ToeplitzProductView(MatView):
-    """The product C.A seen only through evaluations C @ A(alpha).
+    """The product C.A seen only through evaluations C @ A(alpha); the
+    vector products never form C @ A(alpha)."""
 
-    ``eval_at`` keeps the few last products C @ A(alpha) it formed (the
-    Prover's rank probes form them); the vector products use a kept one and
-    otherwise never form it.
-    """
-
-    __slots__ = ("top", "mat", "_cache")
+    __slots__ = ("top", "mat")
 
     def __init__(self, top: ToeplitzOp, mat: PolyMat):
         if top.m != mat.m:
             raise ValueError("dimension mismatch in Toeplitz product")
         self.top = top
         self.mat = mat
-        self._cache = {}
 
     @property
-    def nrows(self):
+    def m(self):
         return self.top.rho
 
     @property
-    def ncols(self):
+    def n(self):
         return self.mat.n
+
+    @property
+    def field(self):
+        return self.mat.field
 
     @property
     def deg_bound(self):
@@ -504,25 +472,13 @@ class ToeplitzProductView(MatView):
         return self.mat.deg
 
     def eval_at(self, alpha: int) -> FieldMat:
-        got = self._cache.get(alpha)
-        if got is None:
-            got = self.top.apply_field_mat(self.mat.eval_at(alpha))
-            if len(self._cache) > 8:
-                self._cache.clear()
-            self._cache[alpha] = got
-        return got
+        return self.top.apply_field_mat(self.mat.eval_at(alpha))
 
     def vecmat_at(self, alpha: int, w: list) -> list:
-        got = self._cache.get(alpha)
-        if got is not None:
-            return got.vecmat(w)
-        return _vecmat_at(self.mat, alpha, self.top.left_apply(w))
+        return self.mat.vecmat_at(alpha, self.top.left_apply(w))
 
     def matvec_at(self, alpha: int, w: list) -> list:
-        got = self._cache.get(alpha)
-        if got is not None:
-            return got.matvec(w)
-        return self.top.apply_vec(_matvec_at(self.mat, alpha, w))
+        return self.top.apply_vec(self.mat.matvec_at(alpha, w))
 
     def materialize(self) -> PolyMat:
         return self.top.apply_poly_mat(self.mat)
@@ -541,12 +497,16 @@ class SubmatrixView(MatView):
         self.col_idx = list(col_idx)
 
     @property
-    def nrows(self):
+    def m(self):
         return len(self.row_idx)
 
     @property
-    def ncols(self):
+    def n(self):
         return len(self.col_idx)
+
+    @property
+    def field(self):
+        return self.base.field
 
     @property
     def deg_bound(self):
@@ -558,7 +518,7 @@ class SubmatrixView(MatView):
     def vecmat_at(self, alpha: int, w: list) -> list:
         if len(w) != len(self.row_idx):
             raise ValueError("dimension mismatch in vecmat")
-        spread = [0] * self.base.nrows
+        spread = [0] * self.base.m
         for i, c in zip(self.row_idx, w):
             spread[i] += c
         full = self.base.vecmat_at(alpha, spread)
@@ -567,7 +527,7 @@ class SubmatrixView(MatView):
     def matvec_at(self, alpha: int, w: list) -> list:
         if len(w) != len(self.col_idx):
             raise ValueError("dimension mismatch in matvec")
-        spread = [0] * self.base.ncols
+        spread = [0] * self.base.n
         for j, c in zip(self.col_idx, w):
             spread[j] += c
         full = self.base.matvec_at(alpha, spread)
@@ -583,35 +543,15 @@ class VecView:
     __slots__ = ()
 
 
-class PolyVecView(VecView):
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: list):
-        self.entries = list(entries)
-
-    @property
-    def length(self):
-        return len(self.entries)
-
-    @property
-    def deg_bound(self):
-        return poly_row_deg(self.entries)
-
-    def eval_at(self, alpha: int) -> list:
-        return [f(alpha) for f in self.entries]
-
-    def materialize(self) -> list:
-        return self.entries
-
-
 class ScaledVecView(VecView):
-    """d * v for a public polynomial d and polynomial row vector v."""
+    """d * v for a polynomial row vector v and a polynomial d, or v itself
+    when there is no d."""
 
-    __slots__ = ("scalar", "entries")
+    __slots__ = ("entries", "scale")
 
-    def __init__(self, scalar: Poly, entries: list):
-        self.scalar = scalar
+    def __init__(self, entries: list, scale: Poly | None = None):
         self.entries = list(entries)
+        self.scale = scale
 
     @property
     def length(self):
@@ -619,14 +559,18 @@ class ScaledVecView(VecView):
 
     @property
     def deg_bound(self):
-        from .upoly import deg_add
-
-        return deg_add(self.scalar.deg, poly_row_deg(self.entries))
+        d = poly_row_deg(self.entries)
+        return d if self.scale is None else deg_add(self.scale.deg, d)
 
     def eval_at(self, alpha: int) -> list:
-        c = self.scalar(alpha)
-        p = self.scalar.field.p
-        return [c * f(alpha) % p for f in self.entries]
+        vals = [f(alpha) for f in self.entries]
+        if self.scale is None:
+            return vals
+        c = self.scale(alpha)
+        p = self.scale.field.p
+        return [c * x % p for x in vals]
 
     def materialize(self) -> list:
-        return [self.scalar * f for f in self.entries]
+        if self.scale is None:
+            return self.entries
+        return [self.scale * f for f in self.entries]

@@ -12,6 +12,13 @@ must not import :mod:`polycert.oracles`, and products like C.A exist only
 as evaluation views.  Everything the Verifier does is evaluation, matrix-
 vector work over the base field, degree bookkeeping, and shape checks.
 
+A Prover answer that several messages share, such as the row and column
+sets of ``rank_lb`` or the ``rsm`` commitment, is asked for once by the
+runner whose messages need it (:func:`once`) and lives in that runner's
+call; a sub-protocol receives the answers it needs as arguments.  The
+Session holds no Prover answer, so a live run and a replay run the same
+Verifier code.
+
 Each protocol is registered once, by the ``@protocol`` decorator on its
 runner: its id, its public-input schema and its advertised #S lower bound
 form one :class:`ProtocolSpec` in :data:`PROTOCOLS`.  Strict mode enforces
@@ -29,8 +36,6 @@ from .matfield import FieldMat, hamming_weight, is_permutation, perm_sign
 from .polymat import (
     MatView,
     PolyMat,
-    PolyMatView,
-    PolyVecView,
     ScaledVecView,
     SubmatrixView,
     ToeplitzOp,
@@ -119,7 +124,6 @@ class Session:
         self.replay = prover is None  # no Prover: replay the recorded messages
         self._cursor = 0
         self._sub_stack: list[str] = []
-        self._answers: dict = {}  # id(subject) -> (subject, Prover answer)
         self.source = ChallengeSource(self.params, transcript.domain_tag())
         if self.source.hashes:
             self.source.absorb(transcript.hash_prefix())
@@ -154,10 +158,6 @@ class Session:
 
     # -- message plumbing ----------------------------------------------------
 
-    def _append(self, message: Message):
-        self.transcript.append(message)
-        self._absorb(message)
-
     def _absorb(self, message: Message):
         """Feed a sent or replayed message to the hash chain, encoding it
         only when the challenges depend on it."""
@@ -176,17 +176,21 @@ class Session:
             )
         return msg
 
-    def _prover_payload(self, label: str, kind, produce):
+    def _prover_payload(self, label: str, kind, produce, check):
+        """The Prover's next message: recorded (live) or read (replay), then
+        its type and check(payload) are checked, and only then is it
+        absorbed, so an element or index with no canonical bytes (below 0,
+        or 2^64 and more) is a malformed message in every mode, not an
+        encoding error."""
         if self.replay:
             msg = self._next_recorded("P", label)
         else:
             msg = Message("P", label, produce())
+            self.transcript.append(msg)
         if not isinstance(msg.payload, kind):
             self.fail(Reason.MALFORMED_MESSAGE, f"{label}: wrong payload type")
-        if self.replay:
-            self._absorb(msg)
-        else:
-            self._append(msg)
+        check(msg.payload)
+        self._absorb(msg)
         return msg.payload
 
     def _check_elems(self, label: str, values):
@@ -200,83 +204,73 @@ class Session:
         if coeffs and coeffs[-1] == 0:
             self.fail(Reason.MALFORMED_MESSAGE, f"{label}: non-normalized polynomial")
 
-    def prover_answer(self, subject, produce):
-        """produce(): the one Prover call behind a group of messages, made on
-        the first message's request and kept for the others.
-
-        Keyed by the object the answer is about (a view, an evaluated
-        matrix, a list of polynomials), which every sub-protocol call
-        receives fresh; the entry holds it, so no other object can take
-        its id.
-        """
-        hit = self._answers.get(id(subject))
-        if hit is None:
-            hit = self._answers[id(subject)] = (subject, produce())
-        return hit[1]
-
     # -- typed prover messages --------------------------------------------------
 
     def prover_scalar(self, label: str, produce) -> int:
-        payload = self._prover_payload(label, FieldScalar, lambda: FieldScalar(produce()))
-        self._check_elems(label, [payload.value])
+        payload = self._prover_payload(
+            label, FieldScalar, lambda: FieldScalar(produce()),
+            lambda pl: self._check_elems(label, [pl.value]))
         return payload.value
 
     def prover_vector(self, label: str, length: int, produce) -> list:
+        def check(pl):
+            if len(pl.values) != length:
+                self.fail(Reason.MALFORMED_MESSAGE, f"{label}: wrong length")
+            self._check_elems(label, pl.values)
+
         payload = self._prover_payload(
-            label, FieldVector, lambda: FieldVector(tuple(produce()))
-        )
-        if len(payload.values) != length:
-            self.fail(Reason.MALFORMED_MESSAGE, f"{label}: wrong length")
-        self._check_elems(label, payload.values)
+            label, FieldVector, lambda: FieldVector(tuple(produce())), check)
         return list(payload.values)
 
     def prover_poly(self, label: str, produce) -> Poly:
         payload = self._prover_payload(
-            label, PolyPayload, lambda: PolyPayload.of(produce())
-        )
-        self._check_poly(label, list(payload.coeffs))
+            label, PolyPayload, lambda: PolyPayload.of(produce()),
+            lambda pl: self._check_poly(label, list(pl.coeffs)))
         return Poly(self.field, list(payload.coeffs), normalize=False)
 
     def prover_index_set(self, label: str, size: int, universe: int, produce) -> list:
+        def check(pl):
+            vals = pl.values
+            if len(vals) != size:
+                self.fail(Reason.MALFORMED_MESSAGE, f"{label}: wrong cardinality")
+            if len(set(vals)) != len(vals) or any(
+                not isinstance(v, int) or not 0 <= v < universe for v in vals
+            ):
+                self.fail(Reason.MALFORMED_MESSAGE, f"{label}: bad index set")
+
         payload = self._prover_payload(
-            label, IndexSetPayload, lambda: IndexSetPayload(tuple(produce()))
-        )
-        vals = list(payload.values)
-        if len(vals) != size:
-            self.fail(Reason.MALFORMED_MESSAGE, f"{label}: wrong cardinality")
-        if len(set(vals)) != len(vals) or any(
-            not isinstance(v, int) or not 0 <= v < universe for v in vals
-        ):
-            self.fail(Reason.MALFORMED_MESSAGE, f"{label}: bad index set")
-        return vals
+            label, IndexSetPayload, lambda: IndexSetPayload(tuple(produce())), check)
+        return list(payload.values)
 
     def prover_permutation(self, label: str, n: int, produce) -> list:
+        def check(pl):
+            if not is_permutation(list(pl.values), n):
+                self.fail(Reason.MALFORMED_MESSAGE, f"{label}: not a permutation")
+
         payload = self._prover_payload(
-            label, IndexSetPayload, lambda: IndexSetPayload(tuple(produce()))
-        )
-        vals = list(payload.values)
-        if not is_permutation(vals, n):
-            self.fail(Reason.MALFORMED_MESSAGE, f"{label}: not a permutation")
-        return vals
+            label, IndexSetPayload, lambda: IndexSetPayload(tuple(produce())), check)
+        return list(payload.values)
 
     def prover_rank_claim(self, label: str, produce) -> int:
+        def check(pl):
+            if not isinstance(pl.value, int) or pl.value < 0:
+                self.fail(Reason.MALFORMED_MESSAGE, f"{label}: bad rank claim")
+
         payload = self._prover_payload(
-            label, RankClaimPayload, lambda: RankClaimPayload(produce())
-        )
-        if not isinstance(payload.value, int) or payload.value < 0:
-            self.fail(Reason.MALFORMED_MESSAGE, f"{label}: bad rank claim")
+            label, RankClaimPayload, lambda: RankClaimPayload(produce()), check)
         return payload.value
 
     def prover_toeplitz(self, label: str, rho: int, m: int, produce) -> ToeplitzOp:
+        def check(pl):
+            if pl.rho != rho or pl.m != m:
+                self.fail(Reason.MALFORMED_MESSAGE, f"{label}: wrong Toeplitz shape")
+            if len(pl.values) != max(0, rho + m - 1):
+                self.fail(Reason.MALFORMED_MESSAGE, f"{label}: wrong Toeplitz length")
+            self._check_elems(label, pl.values)
+
         payload = self._prover_payload(
             label, ToeplitzSpecPayload,
-            lambda: ToeplitzSpecPayload(rho, m, tuple(produce())),
-        )
-        if payload.rho != rho or payload.m != m:
-            self.fail(Reason.MALFORMED_MESSAGE, f"{label}: wrong Toeplitz shape")
-        if len(payload.values) != max(0, rho + m - 1):
-            self.fail(Reason.MALFORMED_MESSAGE, f"{label}: wrong Toeplitz length")
-        self._check_elems(label, payload.values)
+            lambda: ToeplitzSpecPayload(rho, m, tuple(produce())), check)
         return ToeplitzOp(self.field, rho, m, list(payload.values))
 
     # -- verifier challenges -----------------------------------------------------
@@ -290,7 +284,9 @@ class Session:
                 self.fail(Reason.MALFORMED_MESSAGE, f"{label}: {mismatch}")
             self._absorb(recorded)
         else:
-            self._append(Message("V", label, payload))
+            message = Message("V", label, payload)
+            self.transcript.append(message)
+            self._absorb(message)
 
     def challenge_scalar(self, label: str) -> int:
         value = self.source.draw()
@@ -387,6 +383,19 @@ def _dot(field, a, b) -> int:
     return sum(x * y for x, y in zip(a, b)) % field.p
 
 
+def once(produce):
+    """A thunk for produce(): the one Prover call behind a group of
+    messages, made on the first message's request and kept for the others.
+    A replay never calls it."""
+    kept = []
+
+    def answer():
+        if not kept:
+            kept.append(produce())
+        return kept[0]
+    return answer
+
+
 # -- protocol bodies ----------------------------------------------------------------
 # Each body takes domain objects; the dims/kind sanity of public inputs is
 # re-checked here so that verification of hostile transcript files rejects
@@ -411,20 +420,22 @@ def run_singularity(sess: Session, pub):
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "v A(alpha) != 0")
 
 
-def _nonsingularity(sess: Session, view: MatView):
-    n = view.nrows
-    if n != view.ncols:
+def _nonsingularity(sess: Session, view: MatView, probe=lambda: None):
+    """``probe()`` is the caller's Prover answer for
+    :meth:`HonestProver.nonsingularity_point`, as ``rank_lb`` holds one."""
+    n = view.m
+    if n != view.n:
         sess.fail(Reason.PARAMS_INVALID, "matrix must be square")
     if n == 0:
         return  # det of the empty matrix is 1
-    alpha = sess.prover_scalar(
-        "eval_point", lambda: sess.prover.nonsingularity_point(view, sess.sigma)
-    )
+    point = once(lambda: sess.prover.nonsingularity_point(view, sess.sigma, probe()))
+    alpha = sess.prover_scalar("eval_point", lambda: point()[0])
     if alpha >= sess.sigma:
         sess.fail(Reason.MALFORMED_MESSAGE, "evaluation point outside sample set")
     b = sess.challenge_vector("rhs", n)
     w = sess.prover_vector(
-        "solution", n, lambda: sess.prover.nonsingularity_solution(view, alpha, b)
+        "solution", n,
+        lambda: sess.prover.nonsingularity_solution(view, alpha, b, point()[1]),
     )
     if view.matvec_at(alpha, w) != b:
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "A(alpha) w != b")
@@ -437,7 +448,7 @@ def run_nonsingularity(sess: Session, pub):
     if a.m != a.n or a.m == 0:
         sess.fail(Reason.PARAMS_INVALID, "matrix must be square and nonempty")
     sess.declare_bound()
-    _nonsingularity(sess, PolyMatView(a))
+    _nonsingularity(sess, a)
 
 
 def _rank_lb(sess: Session, view: MatView, rho: int):
@@ -445,23 +456,19 @@ def _rank_lb(sess: Session, view: MatView, rho: int):
         sess.fail(Reason.PARAMS_INVALID, "negative rank bound")
     if rho == 0:
         return  # vacuously true
-    m, n = view.nrows, view.ncols
-
-    def sets():
-        return sess.prover_answer(view, lambda: sess.prover.rank_lb_sets(view, rho))
-
-    rows = sess.prover_index_set("row_set", rho, m, lambda: sets()[0])
-    cols = sess.prover_index_set("col_set", rho, n, lambda: sets()[1])
+    sets = once(lambda: sess.prover.rank_lb_sets(view, rho))
+    rows = sess.prover_index_set("row_set", rho, view.m, lambda: sets()[0])
+    cols = sess.prover_index_set("col_set", rho, view.n, lambda: sets()[1])
     sub = SubmatrixView(view, rows, cols)
     with sess.subprotocol("nonsingularity"):
-        _nonsingularity(sess, sub)
+        _nonsingularity(sess, sub, lambda: sets()[2])
 
 
 @protocol("rank_lb", {"A": PolyMatrixPayload, "rho": RankClaimPayload},
           lambda pub: max(0, pub["rho"]) * _mdeg(pub, "A") + 1)
 def run_rank_lb(sess: Session, pub):
     sess.declare_bound()
-    _rank_lb(sess, PolyMatView(pub["A"]), pub["rho"])
+    _rank_lb(sess, pub["A"], pub["rho"])
 
 
 def _rank_ub(sess: Session, a: PolyMat, rho: int):
@@ -495,7 +502,7 @@ def run_rank(sess: Session, pub):
     rho: int = pub["rho"]
     sess.declare_bound()
     with sess.subprotocol("rank_lb"):
-        _rank_lb(sess, PolyMatView(a), rho)
+        _rank_lb(sess, a, rho)
     with sess.subprotocol("rank_ub"):
         _rank_ub(sess, a, rho)
 
@@ -509,9 +516,7 @@ def _field_det(sess: Session, b: FieldMat, beta: int):
             sess.fail(Reason.EVALUATION_CHECK_FAILED, "empty determinant is 1")
         return
 
-    def factors():
-        return sess.prover_answer(b, lambda: sess.prover.field_det_factors(b, beta))
-
+    factors = once(lambda: sess.prover.field_det_factors(b, beta))
     r = sess.prover_rank_claim("pluq_rank", lambda: factors()[0])
     if r > nu:
         sess.fail(Reason.MALFORMED_MESSAGE, "rank claim exceeds the dimension")
@@ -633,20 +638,17 @@ def _frrsm(sess: Session, view: MatView, vec: VecView, solution=None):
     """Full-rank membership of vec in the row space of view.
 
     The Prover's solution u of u A = v is one answer per sub-proof
-    (:meth:`Session.prover_answer`), handed to both of its messages:
-    ``solution()`` when the caller already holds it, as the ``rsm``
-    commitment does, else ``prover.frrsm_solution``.
+    (:func:`once`), handed to both of its messages: ``solution()`` when the
+    caller already holds it, as the ``rsm`` commitment does, else
+    ``prover.frrsm_solution``.
     """
-    m, n = view.nrows, view.ncols
+    m, n = view.m, view.n
     if vec.length != n:
         sess.fail(Reason.PARAMS_INVALID, "dimension mismatch")
     if m == 0:
         sess.fail(Reason.PARAMS_INVALID, "empty matrix")
 
-    def answer():
-        return sess.prover_answer(
-            view, solution or (lambda: sess.prover.frrsm_solution(view, vec)))
-
+    answer = solution or once(lambda: sess.prover.frrsm_solution(view, vec))
     c = sess.challenge_vector("combination", m)
     g = sess.prover_poly(
         "inner_product", lambda: sess.prover.frrsm_g(view, vec, c, answer())
@@ -675,7 +677,7 @@ def run_frrsm(sess: Session, pub):
     if len(v) != a.n:
         sess.fail(Reason.PARAMS_INVALID, "dimension mismatch")
     sess.declare_bound()
-    _frrsm(sess, PolyMatView(a), PolyVecView(v))
+    _frrsm(sess, a, ScaledVecView(v))
 
 
 def _coprime(sess: Session, fs: list):
@@ -683,9 +685,7 @@ def _coprime(sess: Session, fs: list):
     if t < 1:
         sess.fail(Reason.PARAMS_INVALID, "need at least one polynomial")
 
-    def witness():
-        return sess.prover_answer(fs, lambda: sess.prover.coprime_witness(fs, sess.sigma))
-
+    witness = once(lambda: sess.prover.coprime_witness(fs, sess.sigma))
     s1 = sess.prover_poly("bezout_s1", lambda: witness()[0])
     s2 = sess.prover_poly("bezout_s2", lambda: witness()[1])
     betas = sess.prover_vector(
@@ -738,10 +738,7 @@ def _rsm(sess: Session, a: PolyMat, v: list):
         sess.fail(Reason.PARAMS_INVALID, "sample set must exceed the rank claim")
     t = rsm_rounds(sess.sigma, rho, a.deg)
 
-    def commitment():
-        return sess.prover_answer(
-            v, lambda: sess.prover.rsm_commitment(a, v, rho, t, sess.sigma))
-
+    commitment = once(lambda: sess.prover.rsm_commitment(a, v, rho, t, sess.sigma))
     tops = []
     for i in range(t):
         tops.append(
@@ -768,7 +765,7 @@ def _rsm(sess: Session, a: PolyMat, v: list):
         _coprime(sess, dens)
     for i in range(t):
         with sess.subprotocol("frrsm"):
-            _frrsm(sess, ToeplitzProductView(tops[i], a), ScaledVecView(dens[i], v),
+            _frrsm(sess, ToeplitzProductView(tops[i], a), ScaledVecView(v, dens[i]),
                    solution=lambda i=i: commitment()[2][i])
 
 
@@ -814,7 +811,7 @@ def run_row_basis(sess: Session, pub):
         sess.fail(Reason.PARAMS_INVALID, "column dimensions differ")
     sess.declare_bound()
     with sess.subprotocol("rank_lb"):
-        _rank_lb(sess, PolyMatView(b), b.m)
+        _rank_lb(sess, b, b.m)
     with sess.subprotocol("rs_equality"):
         _rs_equality(sess, b, a)
 
@@ -886,7 +883,7 @@ def run_sat_basis(sess: Session, pub):
     if b.m > min(a.m, a.n):
         sess.fail(Reason.SHAPE_CHECK_FAILED, "basis has too many rows")
     with sess.subprotocol("rank_lb"):
-        _rank_lb(sess, PolyMatView(a), b.m)
+        _rank_lb(sess, a, b.m)
     with sess.subprotocol("rs_subset"):
         _rs_subset(sess, a, b)
     with sess.subprotocol("saturated"):
@@ -901,7 +898,7 @@ def run_unimod_completable(sess: Session, pub):
     if not a.m < a.n:
         sess.fail(Reason.SHAPE_CHECK_FAILED, "matrix must be wide")
     with sess.subprotocol("rank_lb"):
-        _rank_lb(sess, PolyMatView(a), a.m)
+        _rank_lb(sess, a, a.m)
     with sess.subprotocol("saturated"):
         _saturated(sess, a)
 
@@ -917,9 +914,9 @@ def run_kernel_basis(sess: Session, pub):
     if b.m > a.m:
         sess.fail(Reason.SHAPE_CHECK_FAILED, "kernel basis has too many rows")
     with sess.subprotocol("rank_lb"):
-        _rank_lb(sess, PolyMatView(b), b.m)
+        _rank_lb(sess, b, b.m)
     with sess.subprotocol("rank_lb"):
-        _rank_lb(sess, PolyMatView(a), a.m - b.m)
+        _rank_lb(sess, a, a.m - b.m)
     with sess.subprotocol("matmul"):
         _matmul(sess, b, a, PolyMat.zero(sess.field, b.m, a.n))
     with sess.subprotocol("saturated"):
@@ -989,9 +986,10 @@ def verify_transcript(transcript: Transcript) -> Verdict:
 
     Every challenge is re-derived (Fiat-Shamir hash chain or seeded PRNG)
     and compared against the recorded one, and every Verifier check is
-    re-run against the recorded prover messages.  A recorded value with no
-    canonical bytes (a word of 2^64 or more in a file loaded without its
-    digest) is met when the replay encodes it, and rejects as malformed.
+    re-run against the recorded prover messages.  A recorded value that its
+    message's check lets pass but that has no canonical bytes (a rank claim
+    of 2^64 or more in a file loaded without its digest) is met when the
+    replay encodes it, and rejects as malformed.
     """
     try:
         field = transcript.params.field()

@@ -8,20 +8,21 @@ transcript bit for bit; retry caps turn a stuck search into ProverGaveUp
 rather than a hang.
 
 A prover keeps no run state.  The answer behind a group of messages is
-kept by the run's Session (:meth:`Session.prover_answer`) and handed back
-as data: the ``rsm`` commitment carries the solution of every compressed
-system, which its ``frrsm`` sub-proofs receive, and an ``frrsm`` sub-proof
-asks for its solution once and passes it to both of its messages.  For a
-full-row-rank A the solve of u A = v serves every Toeplitz compression C
-drawn: the solution of w (C A) = v is u C^-1 (:func:`draw_compression`).
+returned as data to the Verifier runner that asks for it, which keeps it
+for the other messages and hands it on: the ``rsm`` commitment carries the
+solution of every compressed system, which its ``frrsm`` sub-proofs
+receive; an ``frrsm`` sub-proof passes its solution to both of its
+messages; ``rank_lb`` hands its probe, the point and evaluation that
+showed the rank, to its ``nonsingularity`` sub-proof; and the point found
+there comes with the PLUQ that solves A(alpha) w = b.  For a full-row-rank
+A the solve of u A = v serves every Toeplitz compression C drawn: the
+solution of w (C A) = v is u C^-1 (:func:`draw_compression`).
 
 Facts that depend only on a public matrix, such as the rank and profile
 behind the membership rank claim, are statement facts: computed on first
 use and kept per prover, keyed by the matrix object (:meth:`HonestProver.fact`),
 so that a prover run many times on one statement, as in the soundness
-experiments, computes them once.  The PLUQ that finds a nonsingular
-A(alpha) is kept with its view and point, and solves A(alpha) w = b only
-for that same view and point.
+experiments, computes them once.
 
 On a false statement an honest prover does not crash: it degrades to a
 well-formed best effort and lets the Verifier reject.
@@ -66,8 +67,6 @@ class HonestProver:
         self.rng = random.Random(seed)
         # (kind, id(matrix)) -> (matrix, fact); kept across runs
         self._facts: dict = {}
-        # (view, alpha, pluq of view(alpha)) from nonsingularity_point
-        self._nonsingular: tuple | None = None
 
     def fact(self, kind, mat, compute):
         """compute(), a fact that depends only on the matrix object mat,
@@ -95,49 +94,60 @@ class HonestProver:
             return [1] + [0] * (a.m - 1)
         return v
 
-    def nonsingularity_point(self, view: MatView, sigma: int) -> int:
-        """The first alpha with A(alpha) nonsingular; its factorization is
-        kept for :meth:`nonsingularity_solution`."""
-        n = view.nrows
-        d = wdeg(view.deg_bound)
-        for alpha in range(min(sigma, n * d + 1)):
-            f = pluq(view.eval_at(alpha))
-            if f.rank == n:
-                self._nonsingular = (view, alpha, f)
-                return alpha
-        return 0
+    def nonsingularity_point(self, view: MatView, sigma: int, probe=None):
+        """(alpha, PLUQ of A(alpha)) for the first alpha with A(alpha)
+        nonsingular; (0, None) when no point in range is.
 
-    def nonsingularity_solution(self, view: MatView, alpha: int, b: list) -> list:
-        kept = self._nonsingular
-        if kept is not None and kept[0] is view and kept[1] == alpha:
-            w = pluq_solve(kept[2], b)
-        else:
+        ``probe`` is (alpha0, A(alpha0)) when A(alpha) is known to be
+        singular at every alpha below alpha0, as :meth:`rank_lb_sets` finds
+        it: the search starts there and factors the given evaluation.
+        """
+        n = view.m
+        limit = min(sigma, n * wdeg(view.deg_bound) + 1)
+        alpha, ev = probe or (0, None)
+        while alpha < limit:
+            f = pluq(view.eval_at(alpha) if ev is None else ev)
+            if f.rank == n:
+                return alpha, f
+            alpha, ev = alpha + 1, None
+        return 0, None
+
+    def nonsingularity_solution(self, view: MatView, alpha: int, b: list, factor) -> list:
+        """w with A(alpha) w = b, by ``factor``, the PLUQ of A(alpha) that
+        :meth:`nonsingularity_point` found, or afresh when it found none."""
+        if factor is None:
             w = solve_right(view.eval_at(alpha), b)
+        else:
+            w = pluq_solve(factor, b)
         if w is None:
-            return [0] * view.ncols
+            return [0] * view.n
         return w
 
     # -- rank protocols -----------------------------------------------------
 
     def rank_lb_sets(self, view: MatView, rho: int):
-        """Row/column sets with A[I, J] nonsingular, certified via evaluation.
+        """(rows, cols, probe): row/column sets with A[rows, cols]
+        nonsingular, certified via evaluation, and the probe (alpha,
+        A[rows, cols](alpha)) for :meth:`nonsingularity_point`, or None.
 
         A full-rank evaluation proves independence over F[x]; if no probe
         point works, fall back to exact fraction-free rank profiles.
         """
         for alpha in range(EVAL_PROBE_CAP):
-            r, rows, cols = rank_profile(view.eval_at(alpha))
+            ev = view.eval_at(alpha)
+            r, rows, cols = rank_profile(ev)
             if r >= rho:
-                return sorted(rows[:rho]), cols[:rho]
+                rows, cols = sorted(rows[:rho]), cols[:rho]
+                return rows, cols, (alpha, ev.submatrix(rows, cols))
         mat = view.materialize()
         _, row_profile = rank_and_profile(mat.transpose())
         if len(row_profile) >= rho:
             rows = list(row_profile[:rho])
             _, col_profile = rank_and_profile(mat.submatrix(rows, range(mat.n)))
             if len(col_profile) >= rho:
-                return rows, list(col_profile[:rho])
+                return rows, list(col_profile[:rho]), None
         # claim is false; send something syntactically valid
-        return list(range(rho)), list(range(rho))
+        return list(range(rho)), list(range(rho)), None
 
     def rank_ub_gamma(self, a: PolyMat, rho: int, alpha: int, v: list) -> list:
         gamma = sparse_representative(a.eval_at(alpha), v, rho)
@@ -170,7 +180,7 @@ class HonestProver:
         return None if u is NO_SOLUTION else u
 
     def frrsm_g(self, view: MatView, vec: VecView, c: list, u) -> Poly:
-        acc = Poly.zero(_field_of(view))
+        acc = Poly.zero(view.field)
         if u is None:
             return acc
         for ui, ci in zip(u, c):
@@ -180,7 +190,7 @@ class HonestProver:
     def frrsm_w(self, view: MatView, vec: VecView, c: list, g: Poly,
                 alpha: int, u) -> list:
         if u is None:
-            return [0] * view.nrows
+            return [0] * view.m
         return [f(alpha) for f in u]
 
     # -- coprimality ----------------------------------------------------------------
@@ -334,9 +344,3 @@ def _rank_and_profile_probed(a: PolyMat):
         return r, tuple(cols)
     return rank_and_profile(a)
 
-
-def _field_of(view) -> object:
-    mat = getattr(view, "mat", None)
-    if mat is not None:
-        return mat.field
-    return view.materialize().field

@@ -408,10 +408,6 @@ class ShiftPayload:
         return list(self.values)
 
 
-# the former name of PolyMatrixPayload.of, which existing callers import
-polymat_to_payload = PolyMatrixPayload.of
-
-
 def _kind_of(payload) -> _Kind:
     try:
         return _KINDS[type(payload)]

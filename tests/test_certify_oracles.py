@@ -135,10 +135,15 @@ def test_saturation_basis_takes_the_shortcut_on_left_prime_input():
 # -- Toeplitz compression -------------------------------------------------------------------
 
 
+def _entry(top, i, j):
+    """C[i][j] of a Toeplitz operator C, read from its defining values."""
+    return top.values[i - j + top.m - 1]
+
+
 def _apply_entrywise(top, mat):
     z = Poly.zero(top.field)
     return PolyMat(top.field, [
-        [sum((mat.rows[k][j].scale(top.entry(i, k)) for k in range(top.m)), z)
+        [sum((mat.rows[k][j].scale(_entry(top, i, k)) for k in range(top.m)), z)
          for j in range(mat.n)]
         for i in range(top.rho)
     ], ncols=mat.n)

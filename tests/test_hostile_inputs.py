@@ -11,10 +11,13 @@ from polycert.polymat import PolyMat
 from polycert.protocols import run_protocol, verify_transcript
 from polycert.provers import HonestProver
 from polycert.transcript import (
+    MODE_FIAT_SHAMIR,
+    MODE_INTERACTIVE,
     FieldScalar,
     FieldVector,
     IndexSetPayload,
     Message,
+    PolyMatrixPayload,
     PolyPayload,
     ProtocolParams,
     RankClaimPayload,
@@ -149,22 +152,45 @@ def test_bad_index_sets_rejected():
         assert not res.accepted, bad
 
 
-def test_live_misbehaving_prover_is_rejected_not_crashed():
+# 10**9 is a field element outside the sample set; -1, p and 2**64 are no
+# field elements, and -1 and 2**64 have no canonical bytes either
+@pytest.mark.parametrize("mode", [MODE_FIAT_SHAMIR, MODE_INTERACTIVE])
+@pytest.mark.parametrize("bad", [10**9, -1, F.p, 2**64], ids=["1e9", "-1", "p", "2^64"])
+def test_live_misbehaving_prover_is_rejected_not_crashed(bad, mode):
+    params = ProtocolParams(p=F.p, sigma=1 << 16, mode=mode, strict=False, seed=3)
+    in_field = bad == 10**9
+
+    def verdict_of(pid, pub, prover):
+        verdict, _ = run_protocol(pid, pub, params, prover=prover)
+        assert not verdict.accepted
+        return verdict.reason, verdict.detail
+
     class Rogue(HonestProver):
-        def nonsingularity_point(self, view, sigma):
-            return 10**9  # far outside the sample set
+        def nonsingularity_point(self, view, sigma, probe=None):
+            return bad, None
 
     a = PolyMat.identity(F, 2)
-    verdict, _ = run_protocol("nonsingularity", {"A": a}, PARAMS, prover=Rogue())
-    assert not verdict.accepted and verdict.reason is Reason.MALFORMED_MESSAGE
+    assert verdict_of("nonsingularity", {"A": a}, Rogue()) == (
+        Reason.MALFORMED_MESSAGE,
+        "evaluation point outside sample set" if in_field
+        else "eval_point: element out of range")
+
+    class BadKernel(HonestProver):
+        def singularity_kernel_vector(self, a, alpha):
+            return [bad, 0, 0]
+
+    one, zero = Poly.one(F), Poly.zero(F)
+    singular = PolyMat(F, [[one, one, zero], [one, one, zero], [zero, zero, Poly.x(F)]])
+    assert verdict_of("singularity", {"A": singular}, BadKernel()) == (
+        (Reason.EVALUATION_CHECK_FAILED, "v A(alpha) != 0") if in_field
+        else (Reason.MALFORMED_MESSAGE, "kernel_vector: element out of range"))
 
     class WrongLength(HonestProver):
-        def nonsingularity_solution(self, view, alpha, b):
-            return [0] * (view.ncols + 1)
+        def nonsingularity_solution(self, view, alpha, b, factor):
+            return [0] * (view.n + 1)
 
-    verdict, _ = run_protocol("nonsingularity", {"A": a}, PARAMS,
-                              prover=WrongLength())
-    assert not verdict.accepted and verdict.reason is Reason.MALFORMED_MESSAGE
+    assert verdict_of("nonsingularity", {"A": a}, WrongLength()) == (
+        Reason.MALFORMED_MESSAGE, "solution: wrong length")
 
 
 def test_unknown_protocol_id():
@@ -180,9 +206,7 @@ def test_domain_separation_across_protocols():
     from polycert.transcript import ChallengeSource
 
     a = PolyMat.identity(F, 2)
-    from polycert.transcript import polymat_to_payload
-
-    pub = {"A": polymat_to_payload(a)}
+    pub = {"A": PolyMatrixPayload.of(a)}
     streams = []
     for pid in ("singularity", "nonsingularity"):
         t = Transcript(pid, PARAMS, pub)

@@ -29,7 +29,7 @@ from polycert.oracles import (
     rank_and_profile,
     rational_solve_left,
 )
-from polycert.polymat import PolyMat, PolyMatView, PolyVecView
+from polycert.polymat import PolyMat, ScaledVecView
 from polycert.protocols import run_protocol
 from polycert.provers import HonestProver
 from polycert.transcript import MODE_FIAT_SHAMIR, ProtocolParams
@@ -185,7 +185,7 @@ def test_frrsm_solution_of_a_non_member_solves_nothing_rationally():
     v = [Poly(F31, [1, 2, 3])] * 4
     with mock.patch.object(provers, "rational_solve_left",
                            wraps=provers.rational_solve_left) as solve:
-        assert HonestProver().frrsm_solution(PolyMatView(a), PolyVecView(v)) is None
+        assert HonestProver().frrsm_solution(a, ScaledVecView(v)) is None
     assert solve.call_count == 0
     assert rational_solve_left(a, v) is NO_SOLUTION
 

@@ -229,7 +229,7 @@ def test_frrsm_row_of_a_accepts():
         a = rand_polymat(rng, F, 3, 4, 2)
         if rank_and_profile(a)[0] == 3:
             break
-    assert accepts("frrsm", {"A": a, "v": a.row(1)})[0].accepted
+    assert accepts("frrsm", {"A": a, "v": list(a.rows[1])})[0].accepted
 
 
 def test_frrsm_rational_only_honest_rejects():

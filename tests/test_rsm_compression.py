@@ -2,9 +2,9 @@
 
 The Toeplitz compression of a full-row-rank A solved as u C^-1 against a
 solve of C.A itself; the one-gcd reduction to lowest terms against
-entrywise reduction; the kept factorization and rank profile never serving
-another matrix; and transcripts pinned at the certify sizes
-on both routes of the compression: full-row-rank A (rsm, rs_equality,
+entrywise reduction; the probe and factorization that one run hands down,
+and the rank fact that never serves another matrix; and transcripts pinned
+at the certify sizes on both routes of the compression: full-row-rank A (rsm, rs_equality,
 hermite, spopov and sat_basis's wide run) and rank-deficient A
 (kernel_basis, sat_basis's tall run).
 """
@@ -18,7 +18,7 @@ import pytest
 from polycert import instances as I
 from polycert import provers, upoly
 from polycert.ff import PrimeField
-from polycert.matfield import det_field
+from polycert.matfield import det_field, pluq
 from polycert.experiments import generate_true_instance
 from polycert.oracles import (
     LOW_RANK,
@@ -29,8 +29,8 @@ from polycert.oracles import (
     rational_solve_left,
     saturation_basis,
 )
-from polycert.polymat import PolyMat, PolyMatView
-from polycert.protocols import run_protocol
+from polycert.polymat import PolyMat, ToeplitzOp
+from polycert.protocols import run_protocol, verify_transcript
 from polycert.provers import HonestProver, draw_compression
 from polycert.transcript import MODE_FIAT_SHAMIR, MODE_INTERACTIVE, ProtocolParams
 from polycert.upoly import Poly, RatVec
@@ -230,15 +230,15 @@ def test_from_common_den_falls_back_when_the_weighted_sum_shares_more():
     _assert_lowest_terms_agree(den, [n1, n2])
 
 
-# -- state kept between Prover calls ---------------------------------------------------------
+# -- answers handed down within a run, facts kept across runs ------------------------------
 
 
 class _SpyProver(HonestProver):
     """Records which evaluated matrix each nonsingularity solution is for."""
 
-    def nonsingularity_solution(self, view, alpha, b):
+    def nonsingularity_solution(self, view, alpha, b, factor):
         self.current = view.eval_at(alpha)
-        return super().nonsingularity_solution(view, alpha, b)
+        return super().nonsingularity_solution(view, alpha, b, factor)
 
 
 def test_reused_prover_solves_with_its_own_factorization():
@@ -264,18 +264,43 @@ def test_reused_prover_solves_with_its_own_factorization():
     assert solved
 
 
-def test_kept_factorization_and_probe_serve_only_their_own_matrix():
+def test_nonsingularity_solution_solves_with_the_factorization_it_is_handed():
     rng = random.Random(11)
     prover = HonestProver()
-    v1 = PolyMatView(I.rand_nonsingular(rng, F101, 3, 2))
-    v2 = PolyMatView(I.rand_nonsingular(rng, F101, 3, 2))
-    alpha = prover.nonsingularity_point(v1, F101.p)
+    a = I.rand_nonsingular(rng, F101, 3, 2)
+    other = I.rand_nonsingular(rng, F101, 3, 2).eval_at(5)
+    alpha, factor = prover.nonsingularity_point(a, F101.p)
+    assert reconstruct(factor) == a.eval_at(alpha)
     b = [1, 2, 3]
-    for view, point in ((v2, alpha), (v1, alpha + 1), (v1, alpha), (v2, alpha)):
-        w = prover.nonsingularity_solution(view, point, b)
-        assert view.eval_at(point).matvec(w) == b
+    assert a.eval_at(alpha).matvec(prover.nonsingularity_solution(a, alpha, b, factor)) == b
+    # a factorization of another matrix is what the solution solves with
+    w = prover.nonsingularity_solution(a, alpha, b, pluq(other))
+    assert other.matvec(w) == b
+    # with none, A(alpha) is factored afresh
+    assert a.eval_at(alpha).matvec(prover.nonsingularity_solution(a, alpha, b, None)) == b
+
+
+def test_rank_lb_on_a_compression_evaluates_it_once():
+    """Each rank_lb probe of C.A hands its evaluation to the nested
+    nonsingularity sub-proof, so a live rsm run forms C @ A(alpha) once per
+    compression, and a replay never forms it."""
+    pub = certify_size_inputs("rsm", 0)
+    with mock.patch.object(ToeplitzOp, "apply_field_mat", autospec=True,
+                           side_effect=ToeplitzOp.apply_field_mat) as formed:
+        verdict, t = run_protocol("rsm", pub, CERTIFY_PARAMS)
+        assert verdict.accepted
+        compressions = sum(m.label.startswith("toeplitz_") for m in t.messages)
+        assert compressions >= 2 and formed.call_count == compressions
+        formed.reset_mock()
+        assert verify_transcript(t).accepted
+        assert formed.call_count == 0
+
+
+def test_rank_fact_serves_only_its_own_matrix():
     # the profile of one matrix (columns 0, 1) is not the profile of the
     # next, whose first two columns are zero, in either order of calls
+    rng = random.Random(11)
+    prover = HonestProver()
     zero, one = Poly.zero(F101), Poly.one(F101)
     r = I.rand_polymat(rng, F101, 2, 2, 2).rows
     a1 = PolyMat(F101, [[one, zero] + r[0], [zero, one] + r[1]], ncols=4)

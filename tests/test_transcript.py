@@ -406,7 +406,8 @@ def test_instance_file_with_a_second_spelling_is_a_usage_error(tmp_path):
 
 
 def test_unencodable_value_without_digest_rejects_as_malformed():
-    # without a digest the file loads unencoded; the replay meets the word
+    # without a digest the file loads unencoded.  A word of 2**64 as an
+    # element fails its message's check before the replay absorbs it
     t = _honest("rank", {"A": PolyMat.identity(FBIG, 2), "rho": 2}, _params())
 
     def huge(doc):
@@ -415,7 +416,23 @@ def test_unencodable_value_without_digest_rejects_as_malformed():
         msg["payload"]["values"][0] = str(2**64)
 
     verdict = verify_transcript(_respelled(t, huge))
+    assert not verdict.accepted and verdict.reason is tr.Reason.SUBPROTOCOL_REJECTED
+    assert verdict.detail == ("rank_lb/nonsingularity: malformed_message "
+                              "(solution: element out of range)")
+
+    # a rank claim of 2**64 passes its check, and the replay meets the word
+    # when it encodes it
+    from polycert.matfield import FieldMat
+
+    t = _honest("field_det", {"B": FieldMat(FBIG, [[2, 1], [1, 1]]), "beta": 1}, _params())
+
+    def huge_rank(doc):
+        msg = next(m for m in doc["messages"] if m["payload"]["kind"] == "rank_claim")
+        msg["payload"]["value"] = 2**64
+
+    verdict = verify_transcript(_respelled(t, huge_rank))
     assert not verdict.accepted and verdict.reason is tr.Reason.MALFORMED_MESSAGE
+    assert verdict.detail == f"{2**64} is not an unsigned 64-bit value"
 
 
 @pytest.mark.parametrize("kind", ["poly_matrix", "field_matrix"])
