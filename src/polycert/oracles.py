@@ -40,13 +40,21 @@ A's coefficient tensor, so the Prover pays deg u + 1 steps instead of K
 points.  The lift needs a nonsingular B(0); without one, and for rational
 answers, the solve above runs.
 
+The left kernel basis is the minimal one, in zero-shift Popov form, read
+off a minimal approximant basis of A: rows p with p A = 0 mod x^sigma,
+built order by order by exact linear algebra on coefficients (M-Basis),
+with no evaluation points, so in every field.  The order is sigma =
+points + deg A, for the points of :func:`elimination_plan`: every minor of
+A, and so every row of a minimal kernel basis, has degree below points,
+and a row of degree below points whose product with A vanishes mod x^sigma
+vanishes outright.
+
 The saturation basis starts from the Popov form P of A, which is already
 the answer when it is left prime (coprime maximal minors), as random wide
-matrices almost always are.  Otherwise the Hermite form of P's transpose
-gives P's common left factor, and dividing it out by back-substitution
-leaves a left prime basis of the same row space over F(x).  That Hermite
-form, like the one behind :func:`row_membership_oracle`, is computed
-without the unimodular transform, which only :func:`hermite_form` returns.
+matrices almost always are.  Otherwise it is the left kernel of P's right
+kernel, two more minimal kernel bases.  :func:`hermite_form` alone builds
+the unimodular transform; :func:`row_membership_oracle` runs the same
+Hermite collapse without it.
 
 None of this is available to Verifier code: a Verifier that called these
 routines would be recomputing the certified object, which defeats the whole
@@ -618,12 +626,84 @@ def _reduce_row_against_pivots(field, rows, pivots, i, shift):
 
 
 def kernel_basis_left(mat: PolyMat) -> PolyMat:
-    """A basis of {p : p A = 0} as the rows of U that map A to zero rows.
+    """The zero-shift Popov basis of the left kernel {p : p A = 0}.
 
-    Those rows are final once the Hermite collapse ends: making the pivots
-    monic and reducing them changes only pivot rows."""
-    targets, _, rest = _hermite_collapse(mat, with_transform=True)
-    return PolyMat(mat.field, [targets[1][i] for i in rest], ncols=mat.m)
+    A minimal kernel basis has row degrees below the plan's points (every
+    minor of A has lower degree, and so do the Cramer kernel vectors, which
+    a minimal basis never exceeds), so at order sigma = points + deg A every
+    row p of degree below points has deg(p A) < sigma: p A = 0 mod x^sigma
+    is p A = 0.  The rows of a minimal approximant basis at that order
+    (:func:`_approximant_basis`) whose degree plus deg A is below sigma are
+    therefore kernel rows, and by the predictable-degree property they
+    generate every kernel vector of degree below points, so they are a
+    minimal kernel basis; :func:`popov_form` makes it the unique one.
+    """
+    field = mat.field
+    if mat.deg == NEG_INF:
+        return PolyMat.identity(field, mat.m)
+    deg = int(mat.deg)
+    sigma = elimination_plan(mat)[0] + deg
+    basis, degs = _approximant_basis(mat, sigma)
+    keep = [i for i, d in enumerate(degs) if d + deg < sigma]
+    kernel = PolyMat.from_coeff_tensor(field, basis[:, keep, :])
+    return popov_form(kernel, [0] * mat.m)
+
+
+def _approximant_basis(mat: PolyMat, sigma: int):
+    """(coefficient tensor, row degrees) of a zero-shift minimal basis P of
+    the approximants {p : p A = 0 mod x^sigma}, by the iterative M-Basis
+    (Giorgi, Jeannerod & Villard, ISSAC 2003), exact in every field.
+
+    P starts as the identity, of row degrees 0, and each row carries its
+    residual p A beside it, in one tensor held transposed,
+    ``(sigma+1, m+n, m)``, so that a row transform is a product on the
+    right.  At order k the residuals' x^k coefficients (m x n) are
+    eliminated column by column, each pivot the row of least degree among
+    the rows not yet pivots, so no row gains degree from its pivot; the
+    pivot rows are then multiplied by x.  Each order is one constant m x m
+    transform, applied in one exact product (:meth:`PrimeField.matmul`),
+    and every row keeps its degree exactly, which keeps P reduced.  The
+    residuals' coefficients below k are zero, and the one at sigma is
+    never read.
+    """
+    field = mat.field
+    p = field.p
+    m, n = mat.m, mat.n
+    t = mat.coeff_tensor()
+    work = np.zeros((sigma + 1, m + n, m), dtype=field.dtype)
+    work[0, range(m), range(m)] = 1
+    work[: t.shape[0], m:] = t.transpose(0, 2, 1)
+    degs = [0] * m
+    for k in range(sigma):
+        delta = work[k, m:].T.tolist()
+        order = sorted(range(m), key=degs.__getitem__)
+        trans = None
+        pivots = []
+        for j in range(n):
+            piv = next((i for i in order if delta[i][j] and i not in pivots), None)
+            if piv is None:
+                continue
+            pivots.append(piv)
+            head = delta[piv][j]
+            for i in order:
+                c = delta[i][j]
+                if not c or i in pivots:
+                    continue
+                if trans is None:
+                    trans = [[int(a == b) for b in range(m)] for a in range(m)]
+                # head * row_i - c * row_piv: a nonzero constant times the
+                # reduced row, which the final Popov form scales back
+                delta[i] = [(head * a - c * b) % p for a, b in zip(delta[i], delta[piv])]
+                trans[i] = [(head * a - c * b) % p for a, b in zip(trans[i], trans[piv])]
+        if not pivots:
+            continue
+        if trans is not None:
+            work = field.matmul(work, field.limbs(np.array(trans, dtype=field.dtype).T))
+        work[1:, :, pivots] = work[:-1, :, pivots]
+        work[0, :, pivots] = 0
+        for i in pivots:
+            degs[i] += 1
+    return work[:, :m].transpose(0, 2, 1), degs
 
 
 def saturation_basis(mat: PolyMat) -> PolyMat:
@@ -640,8 +720,10 @@ def saturation_basis(mat: PolyMat) -> PolyMat:
     of all the minors, with nonzero coefficients when n < p (so a factor
     that the pivot minor shares with some other minors cannot spoil it).
     Random wide matrices almost always pass.  The test is sufficient, never
-    wrong, only conservative: when it fails, P's common left factor is
-    divided out directly.
+    wrong, only conservative: when it fails, Sat(A) is read off as the left
+    kernel of A's right kernel N (A N = 0): p N = 0 is p in the F(x)-row
+    space of A, so that kernel is the saturation, and
+    :func:`kernel_basis_left` gives it in zero-shift Popov form.
     """
     field = mat.field
     n = mat.n
@@ -657,20 +739,7 @@ def saturation_basis(mat: PolyMat) -> PolyMat:
                                    for i in range(r)] for j in range(n)], ncols=r)
     if poly_gcd(minor, det_bareiss(pm.mul(vandermonde))).is_one():
         return pm
-    # P = H^T B with H = hermite_form(P^T) (r x r, lower triangular, monic
-    # diagonal, U P^T = [H; 0]) and B^T the first r columns of U^-1, so B
-    # extends to a unimodular matrix: it is left prime and spans Sat(P).
-    # Back-substitution reads B off H^T B = P, every division exact.
-    h, _ = _hermite(pm.transpose(), with_transform=False)
-    b = [None] * r
-    for i in range(r - 1, -1, -1):
-        row = pm.rows[i]
-        for j in range(i + 1, r):
-            c = h.rows[j][i]
-            if not c.is_zero():
-                row = [f - c * g for f, g in zip(row, b[j])]
-        b[i] = [f.divexact(h.rows[i][i]) for f in row]
-    return popov_form(PolyMat(field, b, ncols=n), [0] * n)
+    return kernel_basis_left(kernel_basis_left(pm.transpose()).transpose())
 
 
 def row_membership_oracle(mat: PolyMat, v: list) -> bool:

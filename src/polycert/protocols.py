@@ -251,10 +251,16 @@ class Session:
             label, IndexSetPayload, lambda: IndexSetPayload(tuple(produce())), check)
         return list(payload.values)
 
-    def prover_rank_claim(self, label: str, produce) -> int:
+    def prover_rank_claim(self, label: str, bound: int, reason: Reason, detail: str,
+                          produce) -> int:
+        """The Prover's rank claim, which must lie in [0, bound]; a claim
+        above the bound fails with the caller's reason and detail before it
+        is absorbed, so no claim reaches the encoder that it cannot spell."""
         def check(pl):
             if not isinstance(pl.value, int) or pl.value < 0:
                 self.fail(Reason.MALFORMED_MESSAGE, f"{label}: bad rank claim")
+            if pl.value > bound:
+                self.fail(reason, detail)
 
         payload = self._prover_payload(
             label, RankClaimPayload, lambda: RankClaimPayload(produce()), check)
@@ -517,9 +523,8 @@ def _field_det(sess: Session, b: FieldMat, beta: int):
         return
 
     factors = once(lambda: sess.prover.field_det_factors(b, beta))
-    r = sess.prover_rank_claim("pluq_rank", lambda: factors()[0])
-    if r > nu:
-        sess.fail(Reason.MALFORMED_MESSAGE, "rank claim exceeds the dimension")
+    r = sess.prover_rank_claim("pluq_rank", nu, Reason.MALFORMED_MESSAGE,
+                               "rank claim exceeds the dimension", lambda: factors()[0])
     prows = sess.prover_permutation("perm_rows", nu, lambda: factors()[1])
     pcols = sess.prover_permutation("perm_cols", nu, lambda: factors()[2])
     lflat = sess.prover_vector("lower_factor", nu * r, lambda: factors()[3])
@@ -724,9 +729,9 @@ def _rsm(sess: Session, a: PolyMat, v: list):
     m, n = a.m, a.n
     if len(v) != n:
         sess.fail(Reason.PARAMS_INVALID, "dimension mismatch")
-    rho = sess.prover_rank_claim("rank_claim", lambda: sess.prover.rsm_rank(a))
-    if rho > min(m, n):
-        sess.fail(Reason.RANK_CHECK_FAILED, "rank claim exceeds the dimensions")
+    rho = sess.prover_rank_claim("rank_claim", min(m, n), Reason.RANK_CHECK_FAILED,
+                                 "rank claim exceeds the dimensions",
+                                 lambda: sess.prover.rsm_rank(a))
     if sess.spec.claimed_rank_of is not None:  # run under rsm, rs_subset or rs_equality
         sess.declare_bound(rho)
     if rho == 0:

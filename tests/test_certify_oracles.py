@@ -1,7 +1,9 @@
 """The certify Prover's oracles against their reference definitions.
 
-``saturation_basis`` (popov_form with the left-prime shortcut, else the
-division by the common left factor) against the kernel-of-kernel route,
+``kernel_basis_left`` (the minimal approximant basis route) against the
+Popov form of the Hermite transform's kernel rows, ``saturation_basis``
+(popov_form with the left-prime shortcut, else a kernel of a kernel)
+against the same kernels taken by the Hermite reference,
 ``ToeplitzOp.apply_poly_mat`` (one product over the coefficient tensor)
 against its entrywise definition, and ``det_bareiss``
 on both routes against fraction-free elimination;
@@ -34,6 +36,7 @@ from polycert.oracles import (
     _solve_left_evaluation,
     det_bareiss,
     elimination_plan,
+    hermite_form,
     kernel_basis_left,
     popov_form,
     rational_solve_left,
@@ -42,7 +45,7 @@ from polycert.oracles import (
 from polycert.polymat import PolyMat, ToeplitzOp
 from polycert.protocols import run_protocol
 from polycert.transcript import MODE_FIAT_SHAMIR, MODE_INTERACTIVE, ProtocolParams, Reason
-from polycert.upoly import Poly
+from polycert.upoly import NEG_INF, Poly
 from test_kernel import FIELDS, IDS, _poly, polymats, route
 
 F97 = PrimeField(97)
@@ -68,23 +71,80 @@ def time_budget(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+# -- kernel basis ---------------------------------------------------------------------------
+
+F7 = PrimeField(7)
+KERNEL_FIELDS = [F7] + SAT_FIELDS
+KERNEL_IDS = ["F7"] + SAT_IDS
+
+
+def _kernel_by_hermite(mat):
+    """The zero-shift Popov form of the rows of hermite_form's U after the
+    first H.m, which map A to zero: the reference the kernel oracle is
+    checked against (a module has one zero-shift Popov basis)."""
+    h, u = hermite_form(mat)
+    return popov_form(PolyMat(mat.field, u.rows[h.m:], ncols=mat.m), [0] * mat.m)
+
+
+def _check_kernel(mat):
+    got = kernel_basis_left(mat)
+    assert got == _kernel_by_hermite(mat)
+    assert (got.m, got.n) == (mat.m - oracles.rank_and_profile(mat)[0], mat.m)
+    if got.m:
+        assert got.mul(mat).is_zero()
+    if got.m and mat.deg != NEG_INF:
+        assert got.deg < elimination_plan(mat)[0]
+    return got
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_kernel_basis_matches_hermite_reference(field, data):
+    # random, zero, zero-column and planted rank-deficient, any shape
+    _check_kernel(data.draw(polymats(field, max_dim=6, max_deg=3)))
+
+
+def test_kernel_basis_of_degenerate_and_full_rank_inputs():
+    for field in (F7, F97, F31):
+        for m, n in ((3, 0), (1, 0), (0, 3), (0, 0)):
+            got = _check_kernel(PolyMat(field, [[]] * m if m else [], ncols=n))
+            assert got == PolyMat.identity(field, m)
+        assert _check_kernel(PolyMat.zero(field, 3, 2)) == PolyMat.identity(field, 3)
+        rng = random.Random(field.p)
+        wide = rand_polymat(rng, field, 3, 5, 2)
+        assert oracles.rank_and_profile(wide)[0] == 3
+        assert _check_kernel(wide).m == 0
+
+
+def test_kernel_basis_is_minimal_at_the_certify_size():
+    # the Hermite transform's kernel rows reach degree 14-27 here
+    for seed in range(3):
+        a = rand_polymat(random.Random(seed), F31, 6, 4, 3)
+        got = _check_kernel(a)
+        assert got.m == 2 and got.deg <= 6
+        assert sum(int(max(f.deg for f in row)) for row in got.rows) <= 12
+
+
 # -- saturation basis ----------------------------------------------------------------------
 
 
 def _saturation_by_kernels(mat):
-    """Sat(A) as a left kernel basis of a right kernel basis of A, in
-    zero-shift Popov form: the reference the oracle is checked against."""
-    right = kernel_basis_left(mat.transpose()).transpose()
+    """Sat(A) as a left kernel basis of a right kernel basis of A, both by
+    the Hermite reference, in zero-shift Popov form: the reference the
+    oracle is checked against."""
+    right = _kernel_by_hermite(mat.transpose()).transpose()
     if right.n == 0:
         return PolyMat.identity(mat.field, mat.n)
-    return popov_form(kernel_basis_left(right), [0] * mat.n)
+    return _kernel_by_hermite(right)
 
 
-def _saturation_and_hermite_calls(mat):
-    """saturation_basis(mat) and how often its general path ran."""
-    with mock.patch.object(oracles, "_hermite", wraps=oracles._hermite) as hermite:
+def _saturation_and_fallbacks(mat):
+    """saturation_basis(mat) and how many kernels its general path took."""
+    with mock.patch.object(oracles, "kernel_basis_left",
+                           wraps=oracles.kernel_basis_left) as kernel:
         got = saturation_basis(mat)
-    return got, hermite.call_count
+    return got, kernel.call_count
 
 
 @pytest.mark.parametrize("field", SAT_FIELDS, ids=SAT_IDS)
@@ -110,8 +170,8 @@ def test_saturation_basis_falls_back_on_planted_non_saturated(field, data):
     assume(_bareiss(g)[2].deg >= 1)
     assume(oracles.rank_and_profile(b)[0] == r)
     a = g.mul(b)
-    got, general = _saturation_and_hermite_calls(a)
-    assert general == 1
+    got, kernels = _saturation_and_fallbacks(a)
+    assert kernels == 2
     assert got == _saturation_by_kernels(a)
     assert got == saturation_basis(b)
 
@@ -127,8 +187,8 @@ def test_saturation_basis_takes_the_shortcut_on_left_prime_input():
     rows[0][5] = Poly(F31, [3, 1, 1])
     sparse = PolyMat(F31, rows, ncols=6)
     for a in (wide, sparse):
-        got, general = _saturation_and_hermite_calls(a)
-        assert general == 0
+        got, kernels = _saturation_and_fallbacks(a)
+        assert kernels == 0
         assert got == popov_form(a) == _saturation_by_kernels(a)
 
 

@@ -19,7 +19,6 @@ from polycert.experiments import make_false_instance
 from polycert.ff import PrimeField
 from polycert.instances import planted_member, rand_polymat
 from polycert.oracles import (
-    BATCH_CUTOFF,
     LOW_RANK,
     NO_SOLUTION,
     det_bareiss,
@@ -162,12 +161,19 @@ def test_soundness_rsm_compressions_go_fraction_free():
     assert all(s[3] <= 8 and not s[5] for s in compressions)
 
 
-def test_certify_compressions_go_batched():
+def test_certify_kernel_compressions_go_fraction_free():
+    # the minimal kernel basis B (6 columns, degree 5) keeps the 2 x 2
+    # compressions of its rank sub-proof at 10 points: a small block
     rng = random.Random(2)
     a = rand_polymat(rng, F31, 6, 4, 3)
     kernel = _plans(lambda: _prove("kernel_basis", {"A": a, "B": kernel_basis_left(a)}, F31))
     solves = [s for s in kernel if s[:3] == (2, 2, True)]
-    assert solves and all(s[3] >= BATCH_CUTOFF and s[5] for s in solves)
+    assert solves and all(s[3:] == (10, 9, False) for s in solves)
+
+
+def test_certify_compressions_go_batched():
+    rng = random.Random(2)
+    rand_polymat(rng, F31, 6, 4, 3)  # the kernel test's input; the sat_basis input follows it
     a = rand_polymat(rng, F31, 5, 7, 3)
     sat = _plans(lambda: _prove("sat_basis", {"A": a, "B": saturation_basis(a)}, F31))
     solves = [s for s in sat if s[:3] == (5, 5, True)]

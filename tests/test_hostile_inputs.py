@@ -193,6 +193,34 @@ def test_live_misbehaving_prover_is_rejected_not_crashed(bad, mode):
         Reason.MALFORMED_MESSAGE, "solution: wrong length")
 
 
+@pytest.mark.parametrize("mode", [MODE_FIAT_SHAMIR, MODE_INTERACTIVE])
+def test_rank_claim_beyond_any_word_is_rejected_in_both_modes(mode):
+    """A rank claim of 2**64 has no canonical bytes; it fails its bound
+    before the hash chain would encode it, with the caller's reason."""
+    import random
+
+    from polycert.instances import planted_member
+    from polycert.matfield import FieldMat
+
+    params = ProtocolParams(p=F.p, sigma=1 << 16, mode=mode, strict=False, seed=3)
+
+    class Huge(HonestProver):
+        def rsm_rank(self, a):
+            return 2**64
+
+        def field_det_factors(self, b, beta):
+            return (2**64,) + super().field_det_factors(b, beta)[1:]
+
+    a, v, _ = planted_member(random.Random(4), F, 2, 3, 2)
+    verdict, _ = run_protocol("rsm", {"A": a, "v": v}, params, prover=Huge())
+    assert (verdict.reason, verdict.detail) == (
+        Reason.RANK_CHECK_FAILED, "rank claim exceeds the dimensions")
+    b = FieldMat(F, [[2, 1], [1, 1]])
+    verdict, _ = run_protocol("field_det", {"B": b, "beta": 1}, params, prover=Huge())
+    assert (verdict.reason, verdict.detail) == (
+        Reason.MALFORMED_MESSAGE, "rank claim exceeds the dimension")
+
+
 def test_unknown_protocol_id():
     transcript = _honest_transcript()
     transcript.protocol_id = "mystery"

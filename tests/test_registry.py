@@ -15,11 +15,11 @@ from polycert.transcript import MODE_FIAT_SHAMIR, ProtocolParams
 # generate_true_instance inputs (seeds 0 and 1, mmax 4, dmax 2, #S = p,
 # permissive) in F_{2^31-1} and F_97.  It pins the generators' draw order,
 # the public-input encoding, the hash chain and every Verifier decision.
-ALL_PROTOCOL_DIGESTS = "c75140b5f03ad1743297558cb431f93157700cbd58b5a8b97b681c35d53305de"
+ALL_PROTOCOL_DIGESTS = "fb1b2295a21ac7fb08cf4390a6a4ee3b2c8e7fd9c02b21bd263ad1b18c5be316"
 # sha256 over the text Transcript.save writes for each of those runs: it pins
 # the JSON spelling of every payload kind and the recorded meta (communication
 # counts included), which the digest does not cover.
-ALL_PROTOCOL_SAVED_JSON = "b3b21543fe8de61718f0354402296c077e95386f986c105f14f7ea811c4e4dbe"
+ALL_PROTOCOL_SAVED_JSON = "b7f0575b65fed68cedcbcad35fe5ddb5f2ef1d93e1a8d24d125c0d3fe379b90a"
 
 
 def _pinned_runs(prover=None):

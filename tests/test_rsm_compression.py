@@ -56,7 +56,7 @@ CERTIFY_SIZE_DIGESTS = {
     "rs_equality": "79d4e99fdb5539b08c9b569ad7197f7cd3b5d1e24c189671fb202d9e42d41869",
     "hermite": "23328e7c23e9a3788931ef2362f6c662a20a5fd43ac6b487839bd89916656752",
     "spopov": "3da7eb29b5ebd73c18dff5a5ba5b35ef3c1ee7cc0ba5111905cb0a1774c9ea26",
-    "kernel_basis": "8cc3c8a6332b43032d90c2b84c22eb5c63f28acedc8183e5eabb7e35318c957d",
+    "kernel_basis": "f54c44b5dc6faefcfb72cdd7bc1502cc13e5882643ca5a53e69ebf58586c2e82",
     "sat_basis": "072edc444633c7dcb0974d4296a66bb4f59d24f869713aaa60ffcb15e6cfae42",
 }
 

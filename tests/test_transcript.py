@@ -420,8 +420,8 @@ def test_unencodable_value_without_digest_rejects_as_malformed():
     assert verdict.detail == ("rank_lb/nonsingularity: malformed_message "
                               "(solution: element out of range)")
 
-    # a rank claim of 2**64 passes its check, and the replay meets the word
-    # when it encodes it
+    # a rank claim of 2**64 exceeds the dimension it is checked against,
+    # before the replay would encode it
     from polycert.matfield import FieldMat
 
     t = _honest("field_det", {"B": FieldMat(FBIG, [[2, 1], [1, 1]]), "beta": 1}, _params())
@@ -432,7 +432,7 @@ def test_unencodable_value_without_digest_rejects_as_malformed():
 
     verdict = verify_transcript(_respelled(t, huge_rank))
     assert not verdict.accepted and verdict.reason is tr.Reason.MALFORMED_MESSAGE
-    assert verdict.detail == f"{2**64} is not an unsigned 64-bit value"
+    assert verdict.detail == "rank claim exceeds the dimension"
 
 
 @pytest.mark.parametrize("kind", ["poly_matrix", "field_matrix"])
