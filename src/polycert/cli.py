@@ -26,7 +26,7 @@ from .instances import (
     planted_rank,
     rand_polymat,
 )
-from .oracles import hermite_form
+from .oracles import hermite_h
 from .protocols import ProverGaveUp, run_protocol, verify_transcript, PROTOCOL_IDS
 from .transcript import (
     MODE_FIAT_SHAMIR,
@@ -122,7 +122,7 @@ def gen(kind, m, n, d, r, modulus, seed, out):
         witness = {"combination": payload_to_json(PolyVectorPayload.of(q))}
     elif kind == "planted-normal-form":
         a = rand_polymat(rng, field, m, n, d)
-        h, _ = hermite_form(a)
+        h = hermite_h(a)
         objects = {"A": PolyMatrixPayload.of(a), "H": PolyMatrixPayload.of(h)}
         witness = {"hermite_rows": h.m}
     doc = {

@@ -30,7 +30,7 @@ from .ff import PrimeField
 from .matfield import det_field
 from .oracles import (
     det_bareiss,
-    hermite_form,
+    hermite_h,
     kernel_basis_left,
     popov_form,
     rank_and_profile,
@@ -164,7 +164,7 @@ def _true_rs_equality(rng, field, m, n, d, **_):
 
 def _true_row_basis(rng, field, mmax, dmax, m, n, d, **_):
     a = instances.rand_polymat(rng, field, m, n, d)
-    h = hermite_form(a)[0]
+    h = hermite_h(a)
     if h.m == 0:
         return generate_true_instance("row_basis", rng, field, mmax, dmax)
     return {"A": a, "B": h}
@@ -389,7 +389,7 @@ def _assemble_rs_equality(objects):
 
 def _assemble_hermite(objects):
     a, h = _a(objects), objects.get("H")
-    return {"A": a, "H": h if isinstance(h, PolyMat) else hermite_form(a)[0]}
+    return {"A": a, "H": h if isinstance(h, PolyMat) else hermite_h(a)}
 
 
 def _assemble_spopov(objects):
@@ -432,7 +432,7 @@ PROVER_SPECS = {
     "rs_subset": ProverSpec(_true_rs_subset, None, _assemble_rs_subset),
     "rs_equality": ProverSpec(_true_rs_equality, None, _assemble_rs_equality),
     "row_basis": ProverSpec(_true_row_basis, None,
-                            _a_with("B", lambda a: hermite_form(a)[0])),
+                            _a_with("B", hermite_h)),
     "hermite": ProverSpec(_true_hermite, None, _assemble_hermite),
     "spopov": ProverSpec(_true_spopov, None, _assemble_spopov),
     "saturated": ProverSpec(_true_saturated, None, _assemble_a),

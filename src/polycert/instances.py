@@ -13,7 +13,7 @@ from .ff import PrimeField
 from .matfield import FieldMat
 from .oracles import (
     det_bareiss,
-    hermite_form,
+    hermite_h,
     kernel_basis_left,
     popov_form,
     rank_and_profile,
@@ -203,7 +203,7 @@ def planted_kernel_instance(rng, field, m, n, dmax):
 
 def planted_hermite_instance(rng, field, m, n, dmax):
     a = rand_polymat(rng, field, m, n, dmax)
-    h, _ = hermite_form(a)
+    h = hermite_h(a)
     if h.m == 0:
         return planted_hermite_instance(rng, field, m, n, dmax)
     return a, h

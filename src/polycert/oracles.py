@@ -53,8 +53,9 @@ The saturation basis starts from the Popov form P of A, which is already
 the answer when it is left prime (coprime maximal minors), as random wide
 matrices almost always are.  Otherwise it is the left kernel of P's right
 kernel, two more minimal kernel bases.  :func:`hermite_form` alone builds
-the unimodular transform; :func:`row_membership_oracle` runs the same
-Hermite collapse without it.
+the unimodular transform; :func:`hermite_h`, which
+:func:`row_membership_oracle` and every caller that reads only H use,
+runs the same Hermite collapse without it.
 
 None of this is available to Verifier code: a Verifier that called these
 routines would be recomputing the certified object, which defeats the whole
@@ -441,6 +442,11 @@ def hermite_form(mat: PolyMat):
     return _hermite(mat, with_transform=True)
 
 
+def hermite_h(mat: PolyMat) -> PolyMat:
+    """The Hermite form H of :func:`hermite_form` alone, without building U."""
+    return _hermite(mat, with_transform=False)[0]
+
+
 def _hermite(mat: PolyMat, with_transform: bool):
     """H, and U when asked for; without U every row transform is applied
     to A's rows only, about half the work for callers that need only H."""
@@ -746,10 +752,10 @@ def row_membership_oracle(mat: PolyMat, v: list) -> bool:
     """Is v in the F[x]-row space of A?  Deterministic Hermite reduction."""
     if len(v) != mat.n:
         raise ValueError("dimension mismatch in membership oracle")
-    h, _ = _hermite(mat, with_transform=False)
+    h = hermite_h(mat)
     ok, prof = check_hermite_shape(h) if h.m else (True, None)
     if h.m and not ok:
-        raise AssertionError("hermite_form produced an out-of-shape result")
+        raise AssertionError("hermite_h produced an out-of-shape result")
     w = list(v)
     for i in range(h.m - 1, -1, -1):
         k = prof.indices[i]

@@ -462,6 +462,8 @@ def _rank_lb(sess: Session, view: MatView, rho: int):
         sess.fail(Reason.PARAMS_INVALID, "negative rank bound")
     if rho == 0:
         return  # vacuously true
+    if rho > min(view.m, view.n):
+        sess.fail(Reason.RANK_CHECK_FAILED, "rank bound exceeds the dimensions")
     sets = once(lambda: sess.prover.rank_lb_sets(view, rho))
     rows = sess.prover_index_set("row_set", rho, view.m, lambda: sets()[0])
     cols = sess.prover_index_set("col_set", rho, view.n, lambda: sets()[1])
@@ -763,12 +765,17 @@ def _rsm(sess: Session, a: PolyMat, v: list):
             sess.fail(Reason.DEGREE_CHECK_FAILED, f"denominator {i} degree too high")
     with sess.subprotocol("rank_ub"):
         _rank_ub(sess, a, rho)
-    for i in range(t):
+    # A nonzero constant den_k is its own Bezout identity: w (C_k A) = c v
+    # gives v = (c^-1 w C_k) A, so compression k alone proves membership.
+    constant = next((i for i, den in enumerate(dens) if den.deg == 0), None)
+    checked = range(t) if constant is None else (constant,)
+    for i in checked:
         with sess.subprotocol("rank_lb"):
             _rank_lb(sess, ToeplitzProductView(tops[i], a), rho)
-    with sess.subprotocol("coprime"):
-        _coprime(sess, dens)
-    for i in range(t):
+    if constant is None:
+        with sess.subprotocol("coprime"):
+            _coprime(sess, dens)
+    for i in checked:
         with sess.subprotocol("frrsm"):
             _frrsm(sess, ToeplitzProductView(tops[i], a), ScaledVecView(v, dens[i]),
                    solution=lambda i=i: commitment()[2][i])

@@ -366,14 +366,17 @@ def test_criterion_7_communication_scaling():
                 assert verdict.accepted
                 rho = rank_and_profile(a)[0]
                 t = rsm_rounds(BIG_SIGMA, rho, a.deg)
+                # compressions the Verifier checked: one when a denominator
+                # is a nonzero constant, else all t
+                checked = sum(msg.label == "begin:frrsm" for msg in tr.messages)
                 comm = tr.comm_field_elements()
                 obj = sum(len(e.coeffs) for r in a.rows for e in r) + sum(
                     len(f.coeffs) for f in v
                 )
-                rows.append((m, n, d, comm, obj, m * d + n * t))
+                rows.append((m, n, d, comm, obj, m * d * checked + n * t))
     ratios = [comm / feat for (_, _, _, comm, _, feat) in rows]
     spread = max(ratios) / min(ratios)
-    # least squares through the origin against md + n t
+    # least squares through the origin against m d t' + n t
     num = sum(c * f for (_, _, _, c, _, f) in rows)
     den = sum(f * f for (_, _, _, _, _, f) in rows)
     slope = num / den
@@ -391,7 +394,7 @@ def test_criterion_7_communication_scaling():
     _report(
         7,
         spread <= 4 and residual_ok and sub_linear,
-        f"communication fits c*(md+nt): spread {spread:.2f} <= 4, fit slope "
+        f"communication fits c*(mdt'+nt): spread {spread:.2f} <= 4, fit slope "
         f"{slope:.2f}; largest instance sends {large[3]} elements for a "
         f"{large[4]}-coefficient object",
     )

@@ -14,6 +14,7 @@ from polycert.adversary import (
     CheatRankLowerBound,
     CheatRankUpperBound,
     CheatRowSpaceMembership,
+    Forged,
     InstanceActuallyTrue,
     _combine_over_common_den,
     _scale_ratvec,
@@ -32,6 +33,7 @@ from polycert.matfield import FieldMat, det_field
 from polycert.polymat import PolyMat
 from polycert.oracles import LOW_RANK
 from polycert.protocols import PROTOCOL_IDS, ProverGaveUp, run_protocol
+from polycert.provers import draw_batch
 from polycert.transcript import MODE_INTERACTIVE, ProtocolParams, Verdict
 from polycert.upoly import Poly, RatFunc, RatVec
 
@@ -282,3 +284,38 @@ def test_a_single_nonzero_constant_is_a_coprime_family():
     with pytest.raises(InstanceActuallyTrue):
         CheatCoprime([Poly.constant(F, 5)], sigma=32)
     CheatCoprime([Poly.x(F)], sigma=32)  # x alone has gcd x
+
+
+class _ConstantFirstDenominator(CheatRowSpaceMembership):
+    """Claims den_0 = 1, so the Verifier checks compression 0 alone, and
+    plays the interpolated-g tactic there with the rational solution of
+    w (C_0 A) = v.  A true den_0 would make v a member, so the statement
+    of that frrsm sub-proof is false."""
+
+    def rsm_commitment(self, a, v, rho, t, sigma):
+        tops, dens, sols = draw_batch(self._cheat_rng, a, v, rho, t, sigma,
+                                      self.compression_base(a, v, rho), 200 * t)
+        sols[0] = Forged(RatVec.in_lowest_terms(dens[0], sols[0]))
+        return tops, [Poly.one(a.field)] + dens[1:], sols
+
+
+@pytest.mark.parametrize("sigma", [32, 64])
+def test_a_forged_constant_denominator_stays_within_the_bound(sigma):
+    """The one-compression branch of rsm: a cheat that claims a constant
+    first denominator is accepted no more often than the advertised c/#S."""
+    rng = random.Random(sigma)
+    pub, _, bound, _ = make_false_instance("rsm", rng, F, sigma)
+    cheat = _ConstantFirstDenominator(pub["A"], pub["v"], sigma, seed=1)
+    trials = 400
+    accepts = 0
+    for _ in range(trials):
+        params = ProtocolParams(p=F.p, sigma=sigma, mode=MODE_INTERACTIVE,
+                                strict=False, seed=rng.randrange(2**62))
+        verdict, t = run_protocol("rsm", pub, params, prover=cheat)
+        labels = [m.label for m in t.messages]
+        assert "begin:coprime" not in labels
+        assert labels.count("begin:frrsm") <= 1
+        accepts += verdict.accepted
+    rate = accepts / trials
+    assert rate <= bound + 3 * (bound * (1 - bound) / trials) ** 0.5, (rate, bound)
+    assert accepts > 0  # the tactic does win at some challenges

@@ -221,6 +221,38 @@ def test_rank_claim_beyond_any_word_is_rejected_in_both_modes(mode):
         Reason.MALFORMED_MESSAGE, "rank claim exceeds the dimension")
 
 
+@pytest.mark.parametrize("pid", ["rank_lb", "rank"])
+@pytest.mark.parametrize("mode, rho", [(MODE_FIAT_SHAMIR, 10**6), (MODE_INTERACTIVE, 2**64)],
+                         ids=["fiat-shamir", "interactive"])
+def test_public_rank_bound_beyond_the_dimensions_fails_before_the_prover(pid, mode, rho):
+    """rho > min(m, n) is a false public claim, not a Prover fault: rank_lb
+    rejects it with rank_check_failed before any Prover message, so no
+    index set of rho entries is built.  2**64 has no canonical bytes, so it
+    can only be public in an interactive run, whose challenges do not hash
+    the public inputs; the Fiat-Shamir run is strict, as `polycert prove`."""
+    import random
+
+    from polycert.instances import rand_polymat
+
+    class Mute(HonestProver):
+        def rank_lb_sets(self, view, rho):
+            raise AssertionError("the Prover was asked for rank_lb sets")
+
+    fiat_shamir = mode == MODE_FIAT_SHAMIR
+    params = ProtocolParams(p=F.p, sigma=F.p, mode=mode, strict=fiat_shamir,
+                            seed=None if fiat_shamir else 3)
+    a = rand_polymat(random.Random(5), F, 3, 4, 2)
+    verdict, t = run_protocol(pid, {"A": a, "rho": rho}, params, prover=Mute())
+    inner = (Reason.RANK_CHECK_FAILED, "rank bound exceeds the dimensions")
+    if pid == "rank":
+        inner = (Reason.SUBPROTOCOL_REJECTED,
+                 "rank_lb: rank_check_failed (rank bound exceeds the dimensions)")
+    assert (verdict.reason, verdict.detail) == inner
+    assert not any(m.sender == "P" for m in t.messages)
+    replayed = verify_transcript(t)
+    assert (replayed.reason, replayed.detail) == inner
+
+
 def test_unknown_protocol_id():
     transcript = _honest_transcript()
     transcript.protocol_id = "mystery"

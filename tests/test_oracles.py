@@ -8,6 +8,7 @@ from polycert.oracles import (
     NO_SOLUTION,
     det_bareiss,
     hermite_form,
+    hermite_h,
     kernel_basis_left,
     popov_form,
     rank_and_profile,
@@ -184,6 +185,19 @@ def test_hermite_form_properties():
         if r:
             ok, _ = check_hermite_shape(h)
             assert ok
+
+
+def test_hermite_h_is_the_h_of_hermite_form():
+    """The H-only path applies the same row transforms to A's rows alone."""
+    rng = random.Random(26)
+    for field in (F7, F97, FBIG):
+        for _ in range(30):
+            m, n = rng.randrange(1, 6), rng.randrange(1, 6)
+            a = rand_polymat(rng, field, m, n, 3)
+            if rng.random() < 0.5:  # a dependent row: rank below m
+                c = rand_poly(rng, field, 1)
+                a = PolyMat(field, a.rows + [[c * f for f in a.rows[0]]], ncols=n)
+            assert hermite_h(a) == hermite_form(a)[0]
 
 
 def test_hermite_uniqueness_under_unimodular():

@@ -52,12 +52,12 @@ CERTIFY_SIZES = {
 
 # sha256 over the saved transcripts of seeds 0 and 1, per protocol
 CERTIFY_SIZE_DIGESTS = {
-    "rsm": "604864dbe94bfb34c94dd6bbded64e4fbc5fbb4ee22e38f6967d13a5abb529dc",
-    "rs_equality": "79d4e99fdb5539b08c9b569ad7197f7cd3b5d1e24c189671fb202d9e42d41869",
-    "hermite": "23328e7c23e9a3788931ef2362f6c662a20a5fd43ac6b487839bd89916656752",
-    "spopov": "3da7eb29b5ebd73c18dff5a5ba5b35ef3c1ee7cc0ba5111905cb0a1774c9ea26",
+    "rsm": "0624c9287297fc5bb9a27143d2234a56cc500d27fc2e49734d593766842b62d6",
+    "rs_equality": "e9098ce7a96f88bd7cd00e2ae7155523034818b0ab489c0eb17692cf64735996",
+    "hermite": "5f6346c752e2cfec8dcb96414ca403518e176fd5bed73d8b99ff48cf0918dd6b",
+    "spopov": "1be1617936482d29d65818fb2e3e5082659af727e3881542089c4bae0576ce8f",
     "kernel_basis": "f54c44b5dc6faefcfb72cdd7bc1502cc13e5882643ca5a53e69ebf58586c2e82",
-    "sat_basis": "072edc444633c7dcb0974d4296a66bb4f59d24f869713aaa60ffcb15e6cfae42",
+    "sat_basis": "a4dc8ff9fb3a3a7ae7839ce74c58d6192102096dd4c8e7147745713d1fb8e687",
 }
 
 
@@ -280,20 +280,57 @@ def test_nonsingularity_solution_solves_with_the_factorization_it_is_handed():
     assert a.eval_at(alpha).matvec(prover.nonsingularity_solution(a, alpha, b, None)) == b
 
 
-def test_rank_lb_on_a_compression_evaluates_it_once():
+def _tall_rsm_inputs():
+    """rsm on a rank-deficient 6 x 4 A: its denominators are not constant,
+    so the Verifier checks every compression."""
+    a, v, _ = I.planted_member(random.Random(7), F31, 6, 4, 2)
+    return {"A": a, "v": v}
+
+
+@pytest.mark.parametrize("tall", [False, True], ids=["full-row-rank", "tall"])
+def test_rank_lb_on_a_compression_evaluates_it_once(tall):
     """Each rank_lb probe of C.A hands its evaluation to the nested
     nonsingularity sub-proof, so a live rsm run forms C @ A(alpha) once per
-    compression, and a replay never forms it."""
-    pub = certify_size_inputs("rsm", 0)
+    compression the Verifier checks, and a replay never forms it.  A
+    full-row-rank A has constant denominators, so one compression is
+    checked and coprime is skipped; the tall A checks all of them."""
+    pub = _tall_rsm_inputs() if tall else certify_size_inputs("rsm", 0)
     with mock.patch.object(ToeplitzOp, "apply_field_mat", autospec=True,
                            side_effect=ToeplitzOp.apply_field_mat) as formed:
         verdict, t = run_protocol("rsm", pub, CERTIFY_PARAMS)
         assert verdict.accepted
-        compressions = sum(m.label.startswith("toeplitz_") for m in t.messages)
-        assert compressions >= 2 and formed.call_count == compressions
+        labels = [m.label for m in t.messages]
+        checked = labels.count("begin:rank_lb")
+        compressions = sum(label.startswith("toeplitz_") for label in labels)
+        assert checked == labels.count("begin:frrsm")
+        assert checked == (compressions if tall else 1) and compressions >= 2
+        assert labels.count("begin:coprime") == tall
+        assert formed.call_count == checked
         formed.reset_mock()
         assert verify_transcript(t).accepted
         assert formed.call_count == 0
+
+
+class _FirstDenominatorNotConstant(HonestProver):
+    """Moves compression 0 off the constant denominators with a false
+    answer: den_0 = x + 1 and a zero solution, which its frrsm rejects."""
+
+    def rsm_commitment(self, a, v, rho, t, sigma):
+        tops, dens, sols = super().rsm_commitment(a, v, rho, t, sigma)
+        zero = [Poly.zero(a.field)] * rho
+        return tops, [Poly(a.field, [1, 1])] + dens[1:], [zero] + sols[1:]
+
+
+def test_the_first_constant_denominator_is_the_one_compression_checked():
+    """A nonzero constant den_k is its own Bezout identity: the Verifier
+    checks rank_lb and frrsm on C_k A alone, for the first such k, and
+    skips coprime."""
+    verdict, t = run_protocol("rsm", certify_size_inputs("rsm", 0), CERTIFY_PARAMS,
+                              prover=_FirstDenominatorNotConstant())
+    labels = [m.label for m in t.messages]
+    assert verdict.accepted and verify_transcript(t).accepted
+    assert labels.count("begin:rank_lb") == labels.count("begin:frrsm") == 1
+    assert "begin:coprime" not in labels
 
 
 def test_rank_fact_serves_only_its_own_matrix():
