@@ -304,7 +304,9 @@ class CheatRowSpaceMembership(CheatFullRankMembership):
     """Membership fails: an honest-looking Toeplitz commitment with one
     forged denominator, then the interpolated-g tactic in the single
     sub-proof whose statement is false, which the commitment marks by
-    handing it a :class:`Forged` solution.
+    handing it a :class:`Forged` solution.  A claim of full row rank is
+    proved by ``frrsm`` on A itself, where the same tactic plays against
+    the rational solution of u A = v.
 
     The commitment is rebuilt per run, because composed protocols hand this
     strategy a fresh random target vector each time; whenever the particular
@@ -319,14 +321,18 @@ class CheatRowSpaceMembership(CheatFullRankMembership):
         if v is not None and row_membership_oracle(a, v):
             raise InstanceActuallyTrue("v is in the polynomial row space")
 
-    # an frrsm sub-proof outside the commitment is answered honestly
-    frrsm_solution = HonestProver.frrsm_solution
+    def frrsm_solution(self, view, vec):
+        """The polynomial u of u A = v when v is a member, else the rational
+        u as :class:`Forged`, or Forged(None) when there is none."""
+        u = rational_solve_left(view.materialize(), vec.materialize())
+        if not isinstance(u, RatVec):
+            return Forged(None)
+        return u.numer_row() if u.is_polynomial() else Forged(u)
 
     def rsm_commitment(self, a, v, rho, t, sigma):
         rng = self._cheat_rng
         field = a.field
-        batch = draw_batch(rng, a, v, rho, t, sigma, self.compression_base(a, v, rho),
-                           200 * t)
+        batch = draw_batch(rng, a, v, rho, t, sigma, 200 * t)
         if batch is None:
             # cannot even reach full compressed rank / rational solutions:
             # fall back to all-ones denominators and per-point tactics, in

@@ -78,8 +78,15 @@ def _true_rank_lb(rng, field, m, n, d, **_):
 
 
 def _true_rank_ub(rng, field, m, n, d, **_):
-    a = instances.rand_polymat(rng, field, m, n, d)
-    return {"A": a, "rho": rng.randint(rank_and_profile(a)[0], min(m, n))}
+    # rho >= min(m, n) is true of every A and sends nothing: when min(m, n)
+    # allows it, plant a rank r below it and claim rho in [r, min(m, n))
+    k = min(m, n)
+    if k < 2:
+        a = instances.rand_polymat(rng, field, m, n, d)
+        return {"A": a, "rho": rng.randint(rank_and_profile(a)[0], k)}
+    r = rng.randint(1, k - 1)
+    a = instances.planted_rank(rng, field, m, n, r, d)
+    return {"A": a, "rho": rng.randint(r, k - 1)}
 
 
 def _true_rank(rng, field, m, n, d, **_):

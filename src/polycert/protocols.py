@@ -482,6 +482,8 @@ def run_rank_lb(sess: Session, pub):
 def _rank_ub(sess: Session, a: PolyMat, rho: int):
     if rho < 0:
         sess.fail(Reason.PARAMS_INVALID, "negative rank bound")
+    if rho >= min(a.m, a.n):
+        return  # every matrix has rank at most min(m, n)
     n = a.n
     alpha = sess.challenge_scalar("alpha")
     v = sess.challenge_vector("probe", n)
@@ -743,6 +745,14 @@ def _rsm(sess: Session, a: PolyMat, v: list):
         return
     if sess.sigma <= rho:
         sess.fail(Reason.PARAMS_INVALID, "sample set must exceed the rank claim")
+    if rho == m:
+        # a full row rank claim is proved on A itself: a Toeplitz C would be
+        # square and invertible over F, and C.A would have A's row space
+        with sess.subprotocol("rank_lb"):
+            _rank_lb(sess, a, m)
+        with sess.subprotocol("frrsm"):
+            _frrsm(sess, a, ScaledVecView(v))
+        return
     t = rsm_rounds(sess.sigma, rho, a.deg)
 
     commitment = once(lambda: sess.prover.rsm_commitment(a, v, rho, t, sess.sigma))

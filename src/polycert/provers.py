@@ -14,12 +14,10 @@ solution of every compressed system, which its ``frrsm`` sub-proofs
 receive; an ``frrsm`` sub-proof passes its solution to both of its
 messages; ``rank_lb`` hands its probe, the point and evaluation that
 showed the rank, to its ``nonsingularity`` sub-proof; and the point found
-there comes with the PLUQ that solves A(alpha) w = b.  For a full-row-rank
-A the solve of u A = v serves every Toeplitz compression C drawn: the
-solution of w (C A) = v is u C^-1 (:func:`draw_compression`).
+there comes with the PLUQ that solves A(alpha) w = b.
 
-Facts that depend only on a public matrix, such as the rank and profile
-behind the membership rank claim, are statement facts: computed on first
+Facts that depend only on a public matrix, such as the rank behind the
+membership rank claim, are statement facts: computed on first
 use and kept per prover, keyed by the matrix object (:meth:`HonestProver.fact`),
 so that a prover run many times on one statement, as in the soundness
 experiments, computes them once.
@@ -51,7 +49,7 @@ from .oracles import (
 )
 from .polymat import MatView, PolyMat, ToeplitzOp, VecView
 from .protocols import ProverGaveUp, wdeg
-from .upoly import Poly, RatVec, poly_gcd
+from .upoly import Poly, poly_gcd
 
 COPRIME_RETRY_CAP = 100
 RSM_OUTER_CAP = 20
@@ -232,46 +230,23 @@ class HonestProver:
 
     # -- row space membership (Algorithm: honest prover) ---------------------------------
 
-    def _rsm_rank_fact(self, a: PolyMat):
-        return self.fact("rsm_rank", a, lambda: _rank_and_profile_probed(a))
-
     def rsm_rank(self, a: PolyMat) -> int:
-        """rank(A) over F(x), a statement fact (:meth:`fact`)."""
-        return self._rsm_rank_fact(a)[0]
-
-    def compression_base(self, a: PolyMat, v: list, rho: int):
-        """The one solution u of u A = v (a RatVec or NO_SOLUTION) when
-        rho = m and A has full row rank; None otherwise, and then every
-        compression C.A is solved on its own (:func:`draw_compression`).
-
-        A full row rank hands the profile columns of the ``rsm_rank`` fact
-        to x-adic lifting (:func:`polynomial_solve_left`), since a true
-        statement has a polynomial u.  The rational solve runs when the lift
-        finds none, which only a false statement reaches, or cannot start
-        because B(0) is singular."""
-        if rho != a.m:
-            return None
-        rank, profile = self._rsm_rank_fact(a)
-        if rank == a.m:
-            u = polynomial_solve_left(a, v, profile)
-            if u is not None and u is not NO_SOLUTION:
-                return RatVec.in_lowest_terms(Poly.one(a.field), u)
-        u = rational_solve_left(a, v, profile if rank == a.m else None)
-        return None if u is LOW_RANK else u
+        """rank(A) over F(x), a statement fact (:meth:`fact`).  A claim of
+        full row rank is proved on A itself, with :meth:`frrsm_solution`."""
+        return self.fact("rsm_rank", a, lambda: _rank_probed(a))
 
     def rsm_commitment(self, a: PolyMat, v: list, rho: int, t: int, sigma: int):
         """(tops, dens, sols): Toeplitz compressions C_i, denominators with
         coprime gcd, and the polynomial solutions of u_i (C_i A) = den_i v
-        that the ``frrsm`` sub-proofs receive.
+        that the ``frrsm`` sub-proofs receive, for a rank claim rho < m.
 
         Las Vegas: :func:`draw_batch` redraws each compression until the
         compressed system is full rank and solvable, and the whole batch is
         redrawn until the denominators are globally coprime.  Caps: 20 t
         draws per batch, 20 batches.
         """
-        base = self.compression_base(a, v, rho)
         for _ in range(RSM_OUTER_CAP):
-            batch = draw_batch(self.rng, a, v, rho, t, sigma, base, RSM_INNER_FACTOR * t)
+            batch = draw_batch(self.rng, a, v, rho, t, sigma, RSM_INNER_FACTOR * t)
             if batch is None:
                 raise ProverGaveUp("Toeplitz compression search exceeded its draw cap")
             if poly_gcd(*batch[1]).is_one():
@@ -280,7 +255,7 @@ class HonestProver:
 
 
 def draw_batch(rng: random.Random, a: PolyMat, v: list, rho: int, t: int, sigma: int,
-               base, cap: int):
+               cap: int):
     """(tops, dens, sols) for t compressions C_i whose systems w (C_i A) = v
     are full rank and solvable: the C_i, the common denominators of their
     solutions and the numerator rows.  Draws (:func:`draw_compression`)
@@ -290,7 +265,7 @@ def draw_batch(rng: random.Random, a: PolyMat, v: list, rho: int, t: int, sigma:
     dens: list = []
     sols: list = []
     for _ in range(cap):
-        top, w = draw_compression(rng, a, v, rho, sigma, base)
+        top, w = draw_compression(rng, a, v, rho, sigma)
         if w is LOW_RANK or w is NO_SOLUTION:
             continue
         tops.append(top)
@@ -301,46 +276,23 @@ def draw_batch(rng: random.Random, a: PolyMat, v: list, rho: int, t: int, sigma:
     return None
 
 
-def draw_compression(rng: random.Random, a: PolyMat, v: list, rho: int, sigma: int,
-                     base):
+def draw_compression(rng: random.Random, a: PolyMat, v: list, rho: int, sigma: int):
     """A random rho x m Toeplitz C (rho + m - 1 draws from rng) and the
-    solution of w (C A) = v, exactly as ``rational_solve_left(C.A, v)``
-    returns it: a RatVec, LOW_RANK or NO_SOLUTION.
-
-    ``base`` is :meth:`HonestProver.compression_base`.  When it is None,
-    C.A is formed and solved.  Otherwise A has full row rank m = rho, so
-    rank(C.A) = rank(C), and w (C A) = v iff w C = u for the one solution u
-    of u A = v: C.A is LOW_RANK exactly when C is singular, and otherwise
-    w = u C^-1, with u's denominator, because any common divisor of the
-    entries of N C^-1 (N = u's numerators) divides those of N C^-1 C = N.
-    """
+    solution of w (C A) = v, as ``rational_solve_left(C.A, v)`` returns it:
+    a RatVec, LOW_RANK or NO_SOLUTION."""
     top = ToeplitzOp(a.field, rho, a.m, [rng.randrange(sigma) for _ in range(rho + a.m - 1)])
-    if base is None:
-        return top, rational_solve_left(top.apply_poly_mat(a), v)
-    f = pluq(top.materialize().transpose())
-    if f.rank < rho:
-        return top, LOW_RANK
-    if base is NO_SOLUTION:
-        return top, NO_SOLUTION
-    # w C = N / den is C^T w^T = N^T, one solve per coefficient of N
-    numers = base.numer_row()
-    width = max(len(g.coeffs) for g in numers)
-    cols = [pluq_solve(f, [g.coeffs[k] if k < len(g.coeffs) else 0 for g in numers])
-            for k in range(width)]
-    return top, RatVec.in_lowest_terms(
-        base.common_den, [Poly(a.field, [col[i] for col in cols]) for i in range(rho)])
+    return top, rational_solve_left(top.apply_poly_mat(a), v)
 
 
-def _rank_and_profile_probed(a: PolyMat):
-    """rank(A) and its column profile: min(m, n) and the profile of A(0)
-    when A(0) reaches that rank, else by exact elimination.
+def _rank_probed(a: PolyMat) -> int:
+    """rank(A): min(m, n) when A(0) reaches it, else by exact elimination.
 
     One probe, not :data:`EVAL_PROBE_CAP`: a rank-deficient A, as in the
     false membership instances, fails every probe, and a random full-rank A
     passes at 0.
     """
-    r, _, cols = rank_profile(a.eval_at(0))
+    r = rank_profile(a.eval_at(0))[0]
     if r == min(a.m, a.n):
-        return r, tuple(cols)
-    return rank_and_profile(a)
+        return r
+    return rank_and_profile(a)[0]
 

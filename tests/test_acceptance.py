@@ -40,7 +40,6 @@ from polycert.oracles import (
 from polycert.polymat import PolyMat, hermite_shift
 from polycert.protocols import (
     PROTOCOL_IDS,
-    rsm_rounds,
     run_protocol,
     verify_transcript,
 )
@@ -364,19 +363,20 @@ def test_criterion_7_communication_scaling():
                 verdict, tr = run_protocol("rsm", {"A": a, "v": v}, params,
                                            prover_seed=1)
                 assert verdict.accepted
-                rho = rank_and_profile(a)[0]
-                t = rsm_rounds(BIG_SIGMA, rho, a.deg)
-                # compressions the Verifier checked: one when a denominator
-                # is a nonzero constant, else all t
-                checked = sum(msg.label == "begin:frrsm" for msg in tr.messages)
+                labels = [msg.label for msg in tr.messages]
+                # frrsm sub-proofs t': one on A itself for a claim of full
+                # row rank, one per compression checked otherwise; s
+                # compressions sent, each a Toeplitz C and a denominator
+                checked = labels.count("begin:frrsm")
+                sent = sum(label.startswith("toeplitz_") for label in labels)
                 comm = tr.comm_field_elements()
                 obj = sum(len(e.coeffs) for r in a.rows for e in r) + sum(
                     len(f.coeffs) for f in v
                 )
-                rows.append((m, n, d, comm, obj, m * d * checked + n * t))
+                rows.append((m, n, d, comm, obj, m * d * checked + (m + n) * sent + m))
     ratios = [comm / feat for (_, _, _, comm, _, feat) in rows]
     spread = max(ratios) / min(ratios)
-    # least squares through the origin against m d t' + n t
+    # least squares through the origin against m d t' + (m + n) s + m
     num = sum(c * f for (_, _, _, c, _, f) in rows)
     den = sum(f * f for (_, _, _, _, _, f) in rows)
     slope = num / den
@@ -394,7 +394,7 @@ def test_criterion_7_communication_scaling():
     _report(
         7,
         spread <= 4 and residual_ok and sub_linear,
-        f"communication fits c*(mdt'+nt): spread {spread:.2f} <= 4, fit slope "
+        f"communication fits c*(mdt'+(m+n)s+m): spread {spread:.2f} <= 4, fit slope "
         f"{slope:.2f}; largest instance sends {large[3]} elements for a "
         f"{large[4]}-coefficient object",
     )

@@ -28,7 +28,12 @@ from polycert.experiments import (
     strict_sigma,
 )
 from polycert.ff import PrimeField
-from polycert.instances import planted_member, planted_rank, rand_nonsingular
+from polycert.instances import (
+    planted_member,
+    planted_nonmember_rational,
+    planted_rank,
+    rand_nonsingular,
+)
 from polycert.matfield import FieldMat, det_field
 from polycert.polymat import PolyMat
 from polycert.oracles import LOW_RANK
@@ -266,16 +271,16 @@ def test_statement_facts_stay_bounded():
 def test_no_usable_compression_ends_in_fallback_or_give_up(monkeypatch):
     """When every Toeplitz compression is LOW_RANK, the cheat falls back to
     all-ones denominators and hostile sub-proofs, and the run still ends in
-    a Verdict; the honest Prover gives up."""
+    a Verdict; the honest Prover on a rank-deficient A gives up."""
     monkeypatch.setattr(provers, "draw_compression",
-                        lambda rng, a, v, rho, sigma, base: (None, LOW_RANK))
+                        lambda rng, a, v, rho, sigma: (None, LOW_RANK))
     pub, cheat, _, _ = make_false_instance("rsm", random.Random(0), F, 32)
     params = ProtocolParams(p=F.p, sigma=32, mode=MODE_INTERACTIVE, strict=False, seed=5)
     verdict, t = run_protocol("rsm", pub, params, prover=cheat)
     assert isinstance(verdict, Verdict)
     dens = [m.payload.coeffs for m in t.messages if m.label.startswith("denominator_")]
     assert dens and all(c == (1,) for c in dens)
-    a, v, _ = planted_member(random.Random(1), F, 2, 3, 1)
+    a, v, _ = planted_member(random.Random(1), F, 3, 2, 1)  # rank 2 < 3 rows
     with pytest.raises(ProverGaveUp):
         run_protocol("rsm", {"A": a, "v": v}, params)
 
@@ -293,8 +298,7 @@ class _ConstantFirstDenominator(CheatRowSpaceMembership):
     of that frrsm sub-proof is false."""
 
     def rsm_commitment(self, a, v, rho, t, sigma):
-        tops, dens, sols = draw_batch(self._cheat_rng, a, v, rho, t, sigma,
-                                      self.compression_base(a, v, rho), 200 * t)
+        tops, dens, sols = draw_batch(self._cheat_rng, a, v, rho, t, sigma, 200 * t)
         sols[0] = Forged(RatVec.in_lowest_terms(dens[0], sols[0]))
         return tops, [Poly.one(a.field)] + dens[1:], sols
 
@@ -315,6 +319,32 @@ def test_a_forged_constant_denominator_stays_within_the_bound(sigma):
         labels = [m.label for m in t.messages]
         assert "begin:coprime" not in labels
         assert labels.count("begin:frrsm") <= 1
+        accepts += verdict.accepted
+    rate = accepts / trials
+    assert rate <= bound + 3 * (bound * (1 - bound) / trials) ** 0.5, (rate, bound)
+    assert accepts > 0  # the tactic does win at some challenges
+
+
+@pytest.mark.parametrize("sigma", [32, 64])
+def test_a_full_row_rank_rsm_cheat_stays_within_the_bound(sigma):
+    """A claim of full row rank is proved by frrsm on A itself, with no
+    compression: the cheat plays the interpolated-g tactic of
+    CheatFullRankMembership there, and is accepted no more often than the
+    advertised rsm bound."""
+    rng = random.Random(sigma)
+    a, v = planted_nonmember_rational(rng, F, 2, 3, 1)
+    pub = {"A": a, "v": v}
+    bound = strict_sigma("rsm", pub) / sigma
+    cheat = CheatRowSpaceMembership(a, v, sigma, seed=1)
+    trials = 600
+    accepts = 0
+    for _ in range(trials):
+        params = ProtocolParams(p=F.p, sigma=sigma, mode=MODE_INTERACTIVE,
+                                strict=False, seed=rng.randrange(2**62))
+        verdict, t = run_protocol("rsm", pub, params, prover=cheat)
+        labels = [m.label for m in t.messages]
+        assert labels.count("begin:frrsm") == 1
+        assert not any(label.startswith("toeplitz_") for label in labels)
         accepts += verdict.accepted
     rate = accepts / trials
     assert rate <= bound + 3 * (bound * (1 - bound) / trials) ** 0.5, (rate, bound)

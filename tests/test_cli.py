@@ -118,6 +118,27 @@ def test_run_exit_code_on_reject(tmp_path):
     assert res.exit_code == 1, res.output
 
 
+def test_prove_exits_1_on_a_false_saturation_claim(tmp_path):
+    """[x] has full row rank but is not saturated: the honest Prover's
+    frrsm answer on A itself is rejected (exit 1), not given up on."""
+    runner = CliRunner()
+    inst, transcript = tmp_path / "inst.json", tmp_path / "t.json"
+    assert runner.invoke(main, [
+        "gen", "--kind", "random", "--m", "1", "--n", "1", "--d", "1",
+        "--seed", "7", "--out", str(inst),
+    ]).exit_code == 0
+    doc = json.loads(inst.read_text())
+    doc["objects"]["A"]["entries"] = [["0", "1"]]
+    inst.write_text(json.dumps(doc))
+    res = runner.invoke(main, [
+        "prove", "--protocol", "saturated", "--instance", str(inst),
+        "--out", str(transcript),
+    ])
+    assert res.exit_code == 1 and "REJECT" in res.output, res.output
+    res = runner.invoke(main, ["verify", str(transcript)])
+    assert res.exit_code == 1 and "frrsm: evaluation_check_failed" in res.output
+
+
 def test_usage_errors_exit_2(tmp_path):
     runner = CliRunner()
     res = runner.invoke(main, [

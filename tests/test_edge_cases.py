@@ -5,8 +5,6 @@ Zero matrices, empty normal forms and kernels, 1x1 systems, and constant
 casing by callers.
 """
 
-import pytest
-
 from polycert.ff import PrimeField
 from polycert.oracles import (
     hermite_form,
@@ -15,8 +13,8 @@ from polycert.oracles import (
     saturation_basis,
 )
 from polycert.polymat import PolyMat
-from polycert.protocols import ProverGaveUp, run_protocol, verify_transcript
-from polycert.transcript import ProtocolParams
+from polycert.protocols import run_protocol, verify_transcript
+from polycert.transcript import ProtocolParams, Reason
 from polycert.upoly import Poly
 
 F = PrimeField(2**31 - 1)
@@ -58,10 +56,12 @@ def test_one_by_one_systems():
     run_ok("coprime", {"f": [Poly.of(F, 5)]})
     run_ok("frrsm", {"A": one, "v": [Poly.of(F, 3, 1)]})
     run_ok("kernel_basis", {"A": one, "B": PolyMat(F, [], ncols=1)})
-    # [x] is full rank but not saturated: the honest Las Vegas search cannot
-    # find coprime denominators and gives up rather than rejecting
-    with pytest.raises(ProverGaveUp):
-        run_protocol("saturated", {"A": x11}, PARAMS)
+    # [x] is full rank but not saturated: 1 is not in its row space, and the
+    # rsm run on A itself rejects the honest frrsm answer
+    verdict, transcript = run_protocol("saturated", {"A": x11}, PARAMS)
+    assert verdict.reason is Reason.SUBPROTOCOL_REJECTED
+    assert verdict.detail.endswith("frrsm: evaluation_check_failed (w A(alpha) != v(alpha))")
+    assert not verify_transcript(transcript).accepted
 
 
 def test_constant_matrices_through_membership():

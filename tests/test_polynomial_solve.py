@@ -169,8 +169,8 @@ def test_full_row_rank_true_statements_never_evaluate():
     with mock.patch.object(oracles, "_solve_left_evaluation",
                            wraps=oracles._solve_left_evaluation) as ev:
         for (a, v), want in zip(cases, wants):
-            base = HonestProver().compression_base(a, v, a.m)
-            assert base == want and base.is_polynomial()
+            assert want.is_polynomial()
+            assert HonestProver().frrsm_solution(a, ScaledVecView(v)) == want.numer_row()
             for pid in ("rsm", "frrsm"):
                 verdict, _ = run_protocol(pid, {"A": a, "v": v}, PARAMS)
                 assert verdict.accepted
@@ -190,12 +190,13 @@ def test_frrsm_solution_of_a_non_member_solves_nothing_rationally():
     assert rational_solve_left(a, v) is NO_SOLUTION
 
 
-def test_compression_base_falls_back_when_the_lift_cannot_start():
+def test_frrsm_solution_falls_back_when_the_lift_cannot_start():
     # A(0) = 0: the lift cannot start, and the rational solve gives the answer
     x = Poly.x(F31)
     a = PolyMat(F31, [[x, x * x + x], [Poly.zero(F31), x]], ncols=2)
     u = [Poly(F31, [1, 1]), Poly(F31, [0, 3])]
     v = _times(u, a)
     assert polynomial_solve_left(a, v) is None
-    base = HonestProver().compression_base(a, v, 2)
-    assert base.is_polynomial() and base.numer_row() == u
+    assert HonestProver().frrsm_solution(a, ScaledVecView(v)) == u
+    verdict, _ = run_protocol("rsm", {"A": a, "v": v}, PARAMS)
+    assert verdict.accepted

@@ -20,7 +20,6 @@ from polycert.oracles import (
 from polycert.polymat import PolyMat
 from polycert.protocols import (
     PROTOCOL_IDS,
-    ProverGaveUp,
     rsm_rounds,
     run_protocol,
     verify_transcript,
@@ -107,13 +106,18 @@ def test_rank_lb_vacuous_and_rank2_demo():
     assert verdict.accepted
 
 
-def test_rank_ub_gamma_equals_probe_when_rho_large():
-    a = rand_polymat(random.Random(1), F, 3, 3, 2)
-    verdict, transcript = accepts("rank_ub", {"A": a, "rho": 3})
-    assert verdict.accepted
-    probe = transcript.messages[1].payload.values
-    gamma = transcript.messages[2].payload.values
-    assert gamma == probe
+@pytest.mark.parametrize("m, n, rho", [(3, 3, 3), (3, 5, 3), (5, 3, 3), (2, 4, 7)])
+def test_rank_ub_is_vacuous_when_rho_reaches_the_dimensions(m, n, rho):
+    """Every matrix has rank at most min(m, n): no challenge, no message."""
+    a = rand_polymat(random.Random(1), F, m, n, 2)
+    verdict, transcript = accepts("rank_ub", {"A": a, "rho": rho})
+    assert verdict.accepted and verify_transcript(transcript).accepted
+    assert not transcript.messages
+    if rho == min(m, n):
+        verdict, transcript = accepts("rank", {"A": a, "rho": rho})
+        labels = [msg.label for msg in transcript.messages]
+        assert verdict.accepted and verify_transcript(transcript).accepted
+        assert "begin:rank_ub" in labels and "sparse_combination" not in labels
 
 
 def test_rank_exact_and_wrong():
@@ -275,10 +279,13 @@ def test_rsm_zero_vector_and_zero_matrix():
     assert not verdict.accepted
 
 
-def test_rsm_honest_gives_up_on_false_statement():
+def test_rsm_rejects_the_honest_prover_on_a_false_statement():
+    """A of full row rank is proved on itself: the honest frrsm answer to a
+    non-member is well-formed, and its evaluation check rejects it."""
     zerox = [Poly.zero(F), Poly.x(F)]
-    with pytest.raises(ProverGaveUp):
-        run_protocol("rsm", {"A": same_saturation_tall(), "v": zerox}, params())
+    verdict, _ = run_protocol("rsm", {"A": same_saturation_tall(), "v": zerox}, params())
+    assert verdict.reason is Reason.SUBPROTOCOL_REJECTED
+    assert verdict.detail.startswith("frrsm: evaluation_check_failed")
 
 
 def test_rsm_rounds_formula():

@@ -15,11 +15,11 @@ from polycert.transcript import MODE_FIAT_SHAMIR, ProtocolParams
 # generate_true_instance inputs (seeds 0 and 1, mmax 4, dmax 2, #S = p,
 # permissive) in F_{2^31-1} and F_97.  It pins the generators' draw order,
 # the public-input encoding, the hash chain and every Verifier decision.
-ALL_PROTOCOL_DIGESTS = "982229c05830eeceb80aa81994d6244d28bacd8e4b22bb091dc6726f885a3ef9"
+ALL_PROTOCOL_DIGESTS = "766405c4cfc5cdfe05d8c8134d252a84df493f8fdb7d15f034cb9829eabba4bc"
 # sha256 over the text Transcript.save writes for each of those runs: it pins
 # the JSON spelling of every payload kind and the recorded meta (communication
 # counts included), which the digest does not cover.
-ALL_PROTOCOL_SAVED_JSON = "728cbad2a5cb4f4558a9e06a9cf7778b51cf4271ee5afabb27fc15316b57d6ca"
+ALL_PROTOCOL_SAVED_JSON = "78a7d56d10c48f510d6f6be30fee0ef6c7b66bd509ab8c49efa8b4f754b78217"
 
 
 def _pinned_runs(prover=None):

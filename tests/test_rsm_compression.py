@@ -1,12 +1,12 @@
-"""The rsm Prover's shared work.
+"""The rsm schedule and its Prover's shared work.
 
-The Toeplitz compression of a full-row-rank A solved as u C^-1 against a
-solve of C.A itself; the one-gcd reduction to lowest terms against
-entrywise reduction; the probe and factorization that one run hands down,
-and the rank fact that never serves another matrix; and transcripts pinned
-at the certify sizes on both routes of the compression: full-row-rank A (rsm, rs_equality,
-hermite, spopov and sat_basis's wide run) and rank-deficient A
-(kernel_basis, sat_basis's tall run).
+The one-gcd reduction to lowest terms against entrywise reduction; the
+probe and factorization that one run hands down, and the rank fact that
+never serves another matrix; the compressions a run checks; and
+transcripts pinned at the certify sizes, whose rsm runs take both routes:
+a claim of full row rank proved on A itself (rsm, rs_equality, hermite,
+spopov and sat_basis's wide run) and Toeplitz compressions of a
+rank-deficient A (kernel_basis, sat_basis's tall run).
 """
 
 import hashlib
@@ -18,20 +18,12 @@ import pytest
 from polycert import instances as I
 from polycert import provers, upoly
 from polycert.ff import PrimeField
-from polycert.matfield import det_field, pluq
+from polycert.matfield import pluq
 from polycert.experiments import generate_true_instance
-from polycert.oracles import (
-    LOW_RANK,
-    NO_SOLUTION,
-    hermite_form,
-    kernel_basis_left,
-    popov_form,
-    rational_solve_left,
-    saturation_basis,
-)
+from polycert.oracles import hermite_form, kernel_basis_left, popov_form, saturation_basis
 from polycert.polymat import PolyMat, ToeplitzOp
 from polycert.protocols import run_protocol, verify_transcript
-from polycert.provers import HonestProver, draw_compression
+from polycert.provers import HonestProver
 from polycert.transcript import MODE_FIAT_SHAMIR, MODE_INTERACTIVE, ProtocolParams
 from polycert.upoly import Poly, RatVec
 from test_matfield import reconstruct
@@ -52,12 +44,12 @@ CERTIFY_SIZES = {
 
 # sha256 over the saved transcripts of seeds 0 and 1, per protocol
 CERTIFY_SIZE_DIGESTS = {
-    "rsm": "0624c9287297fc5bb9a27143d2234a56cc500d27fc2e49734d593766842b62d6",
-    "rs_equality": "e9098ce7a96f88bd7cd00e2ae7155523034818b0ab489c0eb17692cf64735996",
-    "hermite": "5f6346c752e2cfec8dcb96414ca403518e176fd5bed73d8b99ff48cf0918dd6b",
-    "spopov": "1be1617936482d29d65818fb2e3e5082659af727e3881542089c4bae0576ce8f",
-    "kernel_basis": "f54c44b5dc6faefcfb72cdd7bc1502cc13e5882643ca5a53e69ebf58586c2e82",
-    "sat_basis": "a4dc8ff9fb3a3a7ae7839ce74c58d6192102096dd4c8e7147745713d1fb8e687",
+    "rsm": "b4158fd6dffae1899652d7b49df3c41fc3a1512d6511125faba06416e9f74caa",
+    "rs_equality": "d784f7cd6752d4e0443b41e933f7b4e7b931f702183f3a9ebc2117858a6023c9",
+    "hermite": "9f970bacd0de4345771694a1bead7a255fbeac40893407e03bc125bf9e4200c0",
+    "spopov": "2af20a8dbafe3d60572aab2ed9344742412367d01078bcabe1d3d42c6664aec8",
+    "kernel_basis": "60c5cdc6cd35b9f25004b56f9394dd45c402234f5cdc5eb77f4894121fa6633d",
+    "sat_basis": "07b98b2e3f6fc1a3d80440fec062b83cd44d338db813e6883b12a1d061a74a32",
 }
 
 
@@ -92,79 +84,6 @@ def test_certify_size_transcripts_are_pinned(pid, tmp_path):
         t.save(path)
         h.update(path.read_bytes())
     assert h.hexdigest() == CERTIFY_SIZE_DIGESTS[pid]
-
-
-# -- the compression of a full-row-rank A -------------------------------------------------
-
-
-class _Constant:
-    """An rng whose every draw is c: an all-c Toeplitz matrix, singular for m > 1."""
-
-    def __init__(self, c):
-        self.c = c
-
-    def randrange(self, sigma):
-        return self.c
-
-
-def _full_row_rank_instances(field, rng):
-    for m, n, d in ((1, 2, 2), (2, 2, 1), (2, 4, 2), (3, 4, 2), (4, 5, 1)):
-        a, v, _ = I.planted_member(rng, field, m, n, d)
-        if rational_solve_left(a, v) is not LOW_RANK:
-            yield a, v
-        yield I.planted_nonmember_rational(rng, field, m, n, d)
-
-
-@pytest.mark.parametrize("field", [F31, F101], ids=["F2^31-1", "F101"])
-def test_compressed_solution_is_u_times_c_inverse(field):
-    rng = random.Random(f"compression:{field.p}")
-    singular = 0
-    for a, v in _full_row_rank_instances(field, rng):
-        m = a.m
-        base = HonestProver().compression_base(a, v, m)
-        assert base is not None and base is not NO_SOLUTION
-        for k in range(50):
-            # small sample sets make singular C common, p makes it rare
-            sigma = 3 if k % 2 else field.p
-            seed = rng.randrange(2**32)
-            top, got = draw_compression(random.Random(seed), a, v, m, sigma, base)
-            _, want = draw_compression(random.Random(seed), a, v, m, sigma, None)
-            if det_field(top.materialize()) == 0:
-                singular += 1
-                assert got is LOW_RANK and want is LOW_RANK
-                continue
-            assert isinstance(got, RatVec) and isinstance(want, RatVec)
-            assert got.common_den == want.common_den
-            assert got.numer_row() == want.numer_row()
-        if m > 1:
-            _, got = draw_compression(_Constant(5), a, v, m, field.p, base)
-            assert got is LOW_RANK
-    assert singular > 0
-
-
-def test_compression_base_leaves_rank_deficient_a_to_the_direct_route():
-    rng = random.Random(3)
-    prover = HonestProver()
-    # tall: rho = rank 2 < m = 3, C is 2 x 3
-    a, v, _ = I.planted_member(rng, F101, 3, 2, 2)
-    assert prover.rsm_rank(a) == 2
-    assert prover.compression_base(a, v, 2) is None
-    # a claim of full row rank on a rank-deficient A falls back too
-    a = I.planted_rank(rng, F101, 3, 4, 2, 2)
-    assert prover.compression_base(a, a.rows[0], 3) is None
-
-
-def test_compression_base_on_a_non_member():
-    rng = random.Random(4)
-    a = I.rand_polymat(rng, F101, 2, 4, 2)
-    v = [Poly.one(F101)] + [Poly.zero(F101)] * 3
-    assert rational_solve_left(a, v) is NO_SOLUTION
-    base = HonestProver().compression_base(a, v, 2)
-    assert base is NO_SOLUTION
-    for seed in range(20):
-        _, got = draw_compression(random.Random(seed), a, v, 2, 3, base)
-        _, want = draw_compression(random.Random(seed), a, v, 2, 3, None)
-        assert got is want
 
 
 # -- lowest terms by one gcd ---------------------------------------------------------------
@@ -287,13 +206,25 @@ def _tall_rsm_inputs():
     return {"A": a, "v": v}
 
 
+def _redundant_row_inputs():
+    """rsm on a 5 x 6 A of rank 4, whose last row is a constant combination
+    of the others: every C.A is M B for a constant 4 x 4 M and the top four
+    rows B, so the honest denominators are constant."""
+    rng = random.Random(8)
+    b, v, _ = I.planted_member(rng, F31, 4, 6, 2)
+    lam = [rng.randrange(1, F31.p) for _ in range(4)]
+    last = [sum((b.rows[i][j].scale(lam[i]) for i in range(4)), Poly.zero(F31))
+            for j in range(6)]
+    return {"A": b.stack(PolyMat(F31, [last], ncols=6)), "v": v}
+
+
 @pytest.mark.parametrize("tall", [False, True], ids=["full-row-rank", "tall"])
 def test_rank_lb_on_a_compression_evaluates_it_once(tall):
     """Each rank_lb probe of C.A hands its evaluation to the nested
     nonsingularity sub-proof, so a live rsm run forms C @ A(alpha) once per
-    compression the Verifier checks, and a replay never forms it.  A
-    full-row-rank A has constant denominators, so one compression is
-    checked and coprime is skipped; the tall A checks all of them."""
+    compression the Verifier checks, and a replay never forms it.  A claim
+    of full row rank is proved on A itself, with no compression and no
+    coprime; the tall A checks all of its compressions."""
     pub = _tall_rsm_inputs() if tall else certify_size_inputs("rsm", 0)
     with mock.patch.object(ToeplitzOp, "apply_field_mat", autospec=True,
                            side_effect=ToeplitzOp.apply_field_mat) as formed:
@@ -303,9 +234,12 @@ def test_rank_lb_on_a_compression_evaluates_it_once(tall):
         checked = labels.count("begin:rank_lb")
         compressions = sum(label.startswith("toeplitz_") for label in labels)
         assert checked == labels.count("begin:frrsm")
-        assert checked == (compressions if tall else 1) and compressions >= 2
+        if tall:
+            assert checked == compressions >= 2
+        else:
+            assert checked == 1 and compressions == 0
         assert labels.count("begin:coprime") == tall
-        assert formed.call_count == checked
+        assert formed.call_count == compressions
         formed.reset_mock()
         assert verify_transcript(t).accepted
         assert formed.call_count == 0
@@ -325,27 +259,21 @@ def test_the_first_constant_denominator_is_the_one_compression_checked():
     """A nonzero constant den_k is its own Bezout identity: the Verifier
     checks rank_lb and frrsm on C_k A alone, for the first such k, and
     skips coprime."""
-    verdict, t = run_protocol("rsm", certify_size_inputs("rsm", 0), CERTIFY_PARAMS,
-                              prover=_FirstDenominatorNotConstant())
-    labels = [m.label for m in t.messages]
-    assert verdict.accepted and verify_transcript(t).accepted
-    assert labels.count("begin:rank_lb") == labels.count("begin:frrsm") == 1
-    assert "begin:coprime" not in labels
+    pub = _redundant_row_inputs()
+    for prover in (HonestProver(), _FirstDenominatorNotConstant()):
+        verdict, t = run_protocol("rsm", pub, CERTIFY_PARAMS, prover=prover)
+        labels = [m.label for m in t.messages]
+        assert verdict.accepted and verify_transcript(t).accepted
+        assert "toeplitz_1" in labels and "begin:coprime" not in labels
+        assert labels.count("begin:rank_lb") == labels.count("begin:frrsm") == 1
 
 
 def test_rank_fact_serves_only_its_own_matrix():
-    # the profile of one matrix (columns 0, 1) is not the profile of the
-    # next, whose first two columns are zero, in either order of calls
+    # a full-rank and a rank-1 matrix of one shape, asked for in either order
     rng = random.Random(11)
-    prover = HonestProver()
-    zero, one = Poly.zero(F101), Poly.one(F101)
-    r = I.rand_polymat(rng, F101, 2, 2, 2).rows
-    a1 = PolyMat(F101, [[one, zero] + r[0], [zero, one] + r[1]], ncols=4)
-    a2 = PolyMat(F101, [[zero, zero] + row for row in
-                        I.rand_nonsingular(rng, F101, 2, 2).rows], ncols=4)
-    for first, second in ((a1, a2), (a2, a1)):
-        assert prover.rsm_rank(first) == 2
-        for a in (second, first):
-            v = [f + g for f, g in zip(a.rows[0], a.rows[1])]
-            base = prover.compression_base(a, v, 2)
-            assert base.common_den.is_one() and base.numer_row() == [one] * 2
+    full = I.planted_rank(rng, F101, 2, 4, 2, 2)
+    low = I.planted_rank(rng, F101, 2, 4, 1, 2)
+    for first, second in ((full, low), (low, full)):
+        prover = HonestProver()
+        for a in (first, second, first):
+            assert prover.rsm_rank(a) == (2 if a is full else 1)
