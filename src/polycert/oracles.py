@@ -355,13 +355,13 @@ def elimination_plan(mat: PolyMat, v=None, profile=None):
     return npoints, budget, mat.field.p >= npoints + budget + 2 and not small
 
 
-def polynomial_solve_left(mat: PolyMat, v: list, profile=None):
+def polynomial_solve_left(mat: PolyMat, v: list, profile):
     """The polynomial u with u A = v for a full-row-rank A, by x-adic lifting.
 
     Returns u as a list of Poly; NO_SOLUTION when no polynomial u exists;
     None when the lift cannot start, because B(0) is singular for the
-    profile columns B of A (``profile``, or when None the column rank
-    profile of A(0), which must then have rank m).
+    profile columns B of A (``profile``, such as the column rank profile
+    of A(0), which holds m columns exactly when A(0) has rank m).
 
     With B(0) factored once (PLUQ), the digits u_0, u_1, ... of u are found
     one at a time: u_k solves u_k B(0) = r_k on B, for r_k the coefficient
@@ -380,10 +380,6 @@ def polynomial_solve_left(mat: PolyMat, v: list, profile=None):
         raise ValueError("dimension mismatch in polynomial solve")
     t = mat.coeff_tensor()
     at0 = t[0].tolist()
-    if profile is None:
-        r, _, profile = matfield.rank_profile(FieldMat.of_rows(field, at0, n))
-        if r < m:
-            return None
     profile = list(profile)
     f = matfield.pluq(FieldMat.of_rows(field, [[at0[i][j] for i in range(m)]
                                               for j in profile], m))

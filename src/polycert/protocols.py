@@ -45,7 +45,6 @@ from .polymat import (
     check_popov_shape,
 )
 from .transcript import (
-    BoolPayload,
     ChallengeSource,
     FieldMatrixPayload,
     FieldScalar,
@@ -63,6 +62,7 @@ from .transcript import (
     Transcript,
     TranscriptError,
     Verdict,
+    marker_bytes,
 )
 from .upoly import NEG_INF, Poly, deg_add, deg_le, deg_scale
 
@@ -110,7 +110,8 @@ def rsm_rounds(sigma: int, rho: int, deg_a) -> int:
 
 
 class Session:
-    """Single protocol run: message recording/replay plus challenge derivation."""
+    """Single protocol run: message recording/replay plus challenge
+    derivation; sub-protocol markers are absorbed, not recorded."""
 
     def __init__(self, spec: "ProtocolSpec", pub: dict, transcript: Transcript,
                  prover=None):
@@ -281,18 +282,17 @@ class Session:
 
     # -- verifier challenges -----------------------------------------------------
 
-    def _verifier_message(self, label: str, payload, mismatch: str = "challenge mismatch"):
-        """Send a message whose payload the Verifier knows, a challenge or a
-        sub-protocol marker; in replay, check it against the recording."""
+    def _verifier_message(self, label: str, payload):
+        """Send a challenge, whose payload the Verifier knows; in replay,
+        check it against the recording."""
         if self.replay:
-            recorded = self._next_recorded("V", label)
-            if recorded.payload != payload:
-                self.fail(Reason.MALFORMED_MESSAGE, f"{label}: {mismatch}")
-            self._absorb(recorded)
+            message = self._next_recorded("V", label)
+            if message.payload != payload:
+                self.fail(Reason.MALFORMED_MESSAGE, f"{label}: challenge mismatch")
         else:
             message = Message("V", label, payload)
             self.transcript.append(message)
-            self._absorb(message)
+        self._absorb(message)
 
     def challenge_scalar(self, label: str) -> int:
         value = self.source.draw()
@@ -312,15 +312,13 @@ class Session:
             self.proto_id = proto_id
 
         def __enter__(self):
-            self.sess._verifier_message(f"begin:{self.proto_id}", BoolPayload(True),
-                                       "bad marker")
+            self.sess.source.absorb(marker_bytes(f"begin:{self.proto_id}"))
             self.sess._sub_stack.append(self.proto_id)
 
         def __exit__(self, exc_type, exc, tb):
             self.sess._sub_stack.pop()
             if exc_type is None:
-                self.sess._verifier_message(f"end:{self.proto_id}", BoolPayload(True),
-                                           "bad marker")
+                self.sess.source.absorb(marker_bytes(f"end:{self.proto_id}"))
             return False
 
     def subprotocol(self, proto_id: str) -> "_Sub":
@@ -1008,7 +1006,9 @@ def verify_transcript(transcript: Transcript) -> Verdict:
 
     Every challenge is re-derived (Fiat-Shamir hash chain or seeded PRNG)
     and compared against the recorded one, and every Verifier check is
-    re-run against the recorded prover messages.  A recorded value that its
+    re-run against the recorded prover messages.  Markers, which the file
+    does not hold, are absorbed where the live run absorbed them; the order
+    of the recorded labels carries the schedule.  A recorded value that its
     message's check lets pass but that has no canonical bytes (a rank claim
     of 2^64 or more in a file loaded without its digest) is met when the
     replay encodes it, and rejects as malformed.

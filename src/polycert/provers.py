@@ -83,6 +83,11 @@ class HonestProver:
             hit = self._facts[key] = (mat, compute())
         return hit[1]
 
+    def profile_at_zero(self, a: PolyMat):
+        """(A(0), its rank profile), a statement fact: the rank claim, the
+        first ``rank_lb`` probe and the x-adic lift of ``rsm`` share it."""
+        return self.fact("profile_at_zero", a, lambda: _profiled(a.eval_at(0)))
+
     # -- singularity / nonsingularity ------------------------------------
 
     def singularity_kernel_vector(self, a: PolyMat, alpha: int) -> list:
@@ -129,11 +134,13 @@ class HonestProver:
         A[rows, cols](alpha)) for :meth:`nonsingularity_point`, or None.
 
         A full-rank evaluation proves independence over F[x]; if no probe
-        point works, fall back to exact fraction-free rank profiles.
-        """
+        point works, fall back to exact fraction-free rank profiles.  The
+        probe at 0 of a matrix, not of a view a run builds, is a fact."""
         for alpha in range(EVAL_PROBE_CAP):
-            ev = view.eval_at(alpha)
-            r, rows, cols = rank_profile(ev)
+            if alpha == 0 and isinstance(view, PolyMat):
+                ev, (r, rows, cols) = self.profile_at_zero(view)
+            else:
+                ev, (r, rows, cols) = _profiled(view.eval_at(alpha))
             if r >= rho:
                 rows, cols = sorted(rows[:rho]), cols[:rho]
                 return rows, cols, (alpha, ev.submatrix(rows, cols))
@@ -169,7 +176,7 @@ class HonestProver:
         By x-adic lifting (:func:`polynomial_solve_left`) when A(0) has full
         row rank, else by the rational solve."""
         a, v = view.materialize(), vec.materialize()
-        u = polynomial_solve_left(a, v)
+        u = polynomial_solve_left(a, v, self.profile_at_zero(a)[1][2])
         if u is None:
             u = rational_solve_left(a, v)
             if u is LOW_RANK or u is NO_SOLUTION or not u.is_polynomial():
@@ -231,9 +238,13 @@ class HonestProver:
     # -- row space membership (Algorithm: honest prover) ---------------------------------
 
     def rsm_rank(self, a: PolyMat) -> int:
-        """rank(A) over F(x), a statement fact (:meth:`fact`).  A claim of
-        full row rank is proved on A itself, with :meth:`frrsm_solution`."""
-        return self.fact("rsm_rank", a, lambda: _rank_probed(a))
+        """rank(A) over F(x), a statement fact (:meth:`fact`): min(m, n) when
+        A(0) reaches it, as a random full-rank A does, else by elimination.
+        A claim of full row rank is proved on A itself."""
+        def rank():
+            r = self.profile_at_zero(a)[1][0]
+            return r if r == min(a.m, a.n) else rank_and_profile(a)[0]
+        return self.fact("rsm_rank", a, rank)
 
     def rsm_commitment(self, a: PolyMat, v: list, rho: int, t: int, sigma: int):
         """(tops, dens, sols): Toeplitz compressions C_i, denominators with
@@ -284,15 +295,5 @@ def draw_compression(rng: random.Random, a: PolyMat, v: list, rho: int, sigma: i
     return top, rational_solve_left(top.apply_poly_mat(a), v)
 
 
-def _rank_probed(a: PolyMat) -> int:
-    """rank(A): min(m, n) when A(0) reaches it, else by exact elimination.
-
-    One probe, not :data:`EVAL_PROBE_CAP`: a rank-deficient A, as in the
-    false membership instances, fails every probe, and a random full-rank A
-    passes at 0.
-    """
-    r = rank_profile(a.eval_at(0))[0]
-    if r == min(a.m, a.n):
-        return r
-    return rank_and_profile(a)[0]
-
+def _profiled(ev):
+    return ev, rank_profile(ev)

@@ -1,6 +1,6 @@
 """Typed protocol messages, transcripts, and the two challenge modes.
 
-Every value that crosses the Prover/Verifier channel is one of 11 payload
+Every value that crosses the Prover/Verifier channel is one of 10 payload
 kinds with a deterministic, injective byte encoding: tag string
 (length-prefixed), then 8-byte little-endian integers; polynomials are a
 coefficient count followed by coefficients low-to-high, matrices carry
@@ -8,11 +8,12 @@ their dimensions first.  Each kind is declared once (``@payload_kind``), and
 its bytes, JSON form and communication count follow from that declaration.
 
 Challenges come from a ChallengeSource: a seeded PRNG in interactive mode,
-or a SHA-256 chain over (domain tag || public inputs || prior messages ||
-counter) in Fiat-Shamir mode, with 8-byte big-endian words rejection-sampled
-to be uniform on [0, sigma).  One global hash state spans a whole run,
-including nested sub-protocols, so sibling sub-protocols can never see the
-same challenge stream.
+or a SHA-256 chain over (domain tag || public inputs || prior messages and
+markers || counter) in Fiat-Shamir mode, with 8-byte big-endian words
+rejection-sampled to be uniform on [0, sigma).  One global hash state spans
+a whole run, including nested sub-protocols, so sibling sub-protocols can
+never see the same challenge stream.  A sub-protocol marker is absorbed
+(:func:`marker_bytes`) but not stored.
 
 The digest covers the canonical byte encoding, not the JSON text.
 :meth:`Transcript.save` writes the JSON on one line, without spaces, keys
@@ -41,7 +42,7 @@ from .polymat import PolyMat
 from .matfield import FieldMat
 from .upoly import Poly
 
-FORMAT_NAME = "polycert-transcript/v1"
+FORMAT_NAME = "polycert-transcript/v2"
 DOMAIN_PREFIX = "polycert/v1/"
 # the largest dimension a loaded matrix or Toeplitz operator may declare.  A
 # matrix lists its m*n entries, but an empty one lists none, so without a cap
@@ -223,7 +224,6 @@ def _elem_lists(v) -> tuple:
 DIM = Wire(_u64, int, _json_dim, lambda v: 0)
 UINT = Wire(_u64, int, _json_uint, lambda v: 1)
 ELEM = Wire(_u64, str, _json_elem, lambda v: 1)
-BOOL = Wire(_byte, bool, _json_bool, lambda v: 0)
 ELEMS = Wire(_counted, _strs, _elems, len)
 INDICES = Wire(_counted, _ints, lambda v: tuple(map(_json_uint, _json_list(v))), len)
 SIGNED = Wire(lambda c: _pack(f"<Q{len(c)}q", len(c), *c), _ints,
@@ -391,11 +391,6 @@ class RankClaimPayload(_PlainValue):
     value: int
 
 
-@payload_kind("bool", value=BOOL)
-class BoolPayload:
-    value: bool
-
-
 @payload_kind("shift", values=SIGNED)
 class ShiftPayload:
     values: tuple  # signed integers
@@ -467,6 +462,14 @@ class Message(NamedTuple):
 def _message_head(sender: str, label: str) -> bytes:
     """The bytes every message from sender under label starts with."""
     return _tag("message") + sender.encode("ascii") + _tag(label)
+
+
+@lru_cache(maxsize=256)
+def marker_bytes(label: str) -> bytes:
+    """The bytes the chain absorbs for the marker ``begin:<id>`` or
+    ``end:<id>``: a Verifier message holding a true flag, as format v1
+    stored it, so every challenge stays the same."""
+    return _message_head("V", label) + _tag("bool") + _byte(True)
 
 
 def encode_public(public: dict) -> bytes:
@@ -726,7 +729,7 @@ class Transcript:
     def from_json_dict(cls, doc: dict) -> "Transcript":
         try:
             if doc["format"] != FORMAT_NAME:
-                raise TranscriptError(f"unknown format {doc.get('format')!r}")
+                raise TranscriptError(f"unknown format {doc['format']!r}")
             pr = doc["params"]
             seed = pr.get("seed")
             params = ProtocolParams(

@@ -365,9 +365,10 @@ def test_criterion_7_communication_scaling():
                 assert verdict.accepted
                 labels = [msg.label for msg in tr.messages]
                 # frrsm sub-proofs t': one on A itself for a claim of full
-                # row rank, one per compression checked otherwise; s
-                # compressions sent, each a Toeplitz C and a denominator
-                checked = labels.count("begin:frrsm")
+                # row rank, one per compression checked otherwise, each
+                # sending one inner_product; s compressions sent, each a
+                # Toeplitz C and a denominator
+                checked = labels.count("inner_product")
                 sent = sum(label.startswith("toeplitz_") for label in labels)
                 comm = tr.comm_field_elements()
                 obj = sum(len(e.coeffs) for r in a.rows for e in r) + sum(

@@ -49,7 +49,7 @@ F = PrimeField(2**31 - 1)
 # at #S 32 and 64 and instance seeds 0 and 1.  It pins what a cheating
 # Prover sends from one trial to the next, so state kept across trials
 # (the Prover's per-matrix facts) cannot change an exchange.
-CHEATING_EXCHANGE_DIGESTS = "d6b12ec475c12c14d16186c6f312cb7b9c827b9816b8576ec9049d90fc82496e"
+CHEATING_EXCHANGE_DIGESTS = "04df0aa40275060eb1ffc5eb59d48a2b10e923535d14973fddf1fb586da84dd0"
 
 
 def test_cheats_refuse_true_instances():
@@ -317,8 +317,8 @@ def test_a_forged_constant_denominator_stays_within_the_bound(sigma):
                                 strict=False, seed=rng.randrange(2**62))
         verdict, t = run_protocol("rsm", pub, params, prover=cheat)
         labels = [m.label for m in t.messages]
-        assert "begin:coprime" not in labels
-        assert labels.count("begin:frrsm") <= 1
+        assert "bezout_s1" not in labels  # no coprime sub-proof
+        assert labels.count("inner_product") <= 1  # at most one frrsm
         accepts += verdict.accepted
     rate = accepts / trials
     assert rate <= bound + 3 * (bound * (1 - bound) / trials) ** 0.5, (rate, bound)
@@ -343,7 +343,7 @@ def test_a_full_row_rank_rsm_cheat_stays_within_the_bound(sigma):
                                 strict=False, seed=rng.randrange(2**62))
         verdict, t = run_protocol("rsm", pub, params, prover=cheat)
         labels = [m.label for m in t.messages]
-        assert labels.count("begin:frrsm") == 1
+        assert labels.count("inner_product") == 1  # one frrsm
         assert not any(label.startswith("toeplitz_") for label in labels)
         accepts += verdict.accepted
     rate = accepts / trials

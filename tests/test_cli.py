@@ -71,6 +71,27 @@ def test_prove_verify_roundtrip_and_tamper(tmp_path):
     assert res.exit_code == 1, res.output
 
 
+def test_verify_refuses_a_v1_certificate(tmp_path):
+    """A certificate in the format before markers left the file is a file
+    error (exit 2) that names its format, not a rejection."""
+    runner = CliRunner()
+    inst, cert = tmp_path / "inst.json", tmp_path / "t.json"
+    assert runner.invoke(main, [
+        "gen", "--kind", "planted-membership", "--m", "3", "--n", "4",
+        "--d", "2", "--seed", "5", "--out", str(inst),
+    ]).exit_code == 0
+    assert runner.invoke(main, [
+        "prove", "--protocol", "rsm", "--instance", str(inst), "--out", str(cert),
+    ]).exit_code == 0
+    doc = json.loads(cert.read_text())
+    doc["format"] = "polycert-transcript/v1"
+    cert.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["verify", str(cert)])
+    assert res.exit_code == 2, res.output
+    assert "polycert-transcript/v1" in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
 def test_prove_hermite_from_oracle(tmp_path):
     runner = CliRunner()
     inst = tmp_path / "inst.json"

@@ -11,6 +11,7 @@ from polycert.polymat import PolyMat
 from polycert.protocols import run_protocol, verify_transcript
 from polycert.provers import HonestProver
 from polycert.transcript import (
+    FORMAT_NAME,
     MODE_FIAT_SHAMIR,
     MODE_INTERACTIVE,
     FieldScalar,
@@ -48,7 +49,7 @@ def test_unknown_payload_kind():
 
 def test_bad_sender_in_file():
     doc = {
-        "format": "polycert-transcript/v1",
+        "format": FORMAT_NAME,
         "protocol": "matmul",
         "params": {"p": str(F.p), "sigma": 16, "mode": "fiat-shamir",
                    "strict": False, "seed": None},
@@ -58,7 +59,7 @@ def test_bad_sender_in_file():
         "verdict": None,
         "meta": {},
     }
-    with pytest.raises(TranscriptError):
+    with pytest.raises(TranscriptError, match="bad sender"):
         Transcript.from_json_dict(doc)
 
 
@@ -296,13 +297,25 @@ def _rank_certificate() -> dict:
     return transcript.to_json_dict()
 
 
-def test_string_bool_marker_rejected():
-    """"false" is not a JSON boolean; it must not decode to True."""
+def test_bool_payload_kind_refused():
+    """Sub-protocol markers are absorbed, not stored: a stored marker, a
+    payload of the kind "bool", is an unknown kind."""
     doc = _rank_certificate()
-    marker = next(m for m in doc["messages"] if m["label"] == "begin:rank_lb")
-    marker["payload"]["value"] = "false"
-    with pytest.raises(TranscriptError):
+    del doc["digest"]  # the loader itself must refuse, not the digest check
+    doc["messages"].insert(0, {"sender": "V", "label": "begin:rank_lb",
+                               "payload": {"kind": "bool", "value": True}})
+    with pytest.raises(TranscriptError, match="unknown payload kind 'bool'"):
         Transcript.from_json_dict(doc)
+
+
+def test_a_v1_certificate_is_refused_as_an_unknown_format():
+    """polycert-transcript/v1 stored the sub-protocol markers; there is no
+    reader for it, and its digest is never compared."""
+    doc = _rank_certificate()
+    doc["format"] = "polycert-transcript/v1"
+    with pytest.raises(TranscriptError, match="polycert-transcript/v1") as caught:
+        Transcript.from_json_dict(doc)
+    assert type(caught.value) is TranscriptError
 
 
 @pytest.mark.parametrize("section, key", [("params", "strict"), ("verdict", "accepted")])

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from polycert import oracles, provers
 from polycert.experiments import generate_true_instance
 from polycert.ff import PrimeField
-from polycert.matfield import pluq
+from polycert.matfield import pluq, rank_profile
 from polycert.oracles import (
     LOW_RANK,
     NO_SOLUTION,
@@ -108,12 +108,15 @@ def test_lift_agrees_with_the_rational_solve(field, kind, data):
         # every planted u is polynomial but the planted rational one
         assert polynomial == (kind != "rational")
     _, exact_profile = rank_and_profile(a)
-    probe_rank = pluq(a.eval_at(0)).rank
+    probe_rank, _, probe_profile = rank_profile(a.eval_at(0))
     if kind == "x_times":
         assert probe_rank == 0
-    for profile in (exact_profile, None):
+    # the column rank profile of A(0), as the Prover passes it, is short of m
+    # columns exactly when A(0) is rank deficient, and B(0) is then singular
+    assert _b0_singular(a, probe_profile) == (probe_rank < a.m)
+    for profile in (exact_profile, probe_profile):
         got = polynomial_solve_left(a, v, profile)
-        if (probe_rank < a.m if profile is None else _b0_singular(a, profile)):
+        if _b0_singular(a, profile):
             assert got is None
         elif polynomial:
             assert got == want.numer_row()
@@ -196,7 +199,7 @@ def test_frrsm_solution_falls_back_when_the_lift_cannot_start():
     a = PolyMat(F31, [[x, x * x + x], [Poly.zero(F31), x]], ncols=2)
     u = [Poly(F31, [1, 1]), Poly(F31, [0, 3])]
     v = _times(u, a)
-    assert polynomial_solve_left(a, v) is None
+    assert polynomial_solve_left(a, v, rank_profile(a.eval_at(0))[2]) is None
     assert HonestProver().frrsm_solution(a, ScaledVecView(v)) == u
     verdict, _ = run_protocol("rsm", {"A": a, "v": v}, PARAMS)
     assert verdict.accepted

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from polycert import protocols
 from polycert.adversary import CheatRowSpaceMembership
 from polycert.ff import PrimeField
 from polycert.instances import (
@@ -107,17 +108,27 @@ def test_rank_lb_vacuous_and_rank2_demo():
 
 
 @pytest.mark.parametrize("m, n, rho", [(3, 3, 3), (3, 5, 3), (5, 3, 3), (2, 4, 7)])
-def test_rank_ub_is_vacuous_when_rho_reaches_the_dimensions(m, n, rho):
+def test_rank_ub_is_vacuous_when_rho_reaches_the_dimensions(m, n, rho, monkeypatch):
     """Every matrix has rank at most min(m, n): no challenge, no message."""
     a = rand_polymat(random.Random(1), F, m, n, 2)
     verdict, transcript = accepts("rank_ub", {"A": a, "rho": rho})
     assert verdict.accepted and verify_transcript(transcript).accepted
     assert not transcript.messages
     if rho == min(m, n):
+        # rank runs rank_ub, which leaves no trace in the transcript
+        rank_ub = protocols._rank_ub
+        sent = []
+
+        def spy(sess, mat, claim):
+            before = len(sess.transcript.messages)
+            rank_ub(sess, mat, claim)
+            sent.append(len(sess.transcript.messages) - before)
+
+        monkeypatch.setattr(protocols, "_rank_ub", spy)
         verdict, transcript = accepts("rank", {"A": a, "rho": rho})
-        labels = [msg.label for msg in transcript.messages]
         assert verdict.accepted and verify_transcript(transcript).accepted
-        assert "begin:rank_ub" in labels and "sparse_combination" not in labels
+        assert sent == [0, 0]  # the live run, then the replay
+        assert "row_set" in [msg.label for msg in transcript.messages]
 
 
 def test_rank_exact_and_wrong():

@@ -15,11 +15,11 @@ from polycert.transcript import MODE_FIAT_SHAMIR, ProtocolParams
 # generate_true_instance inputs (seeds 0 and 1, mmax 4, dmax 2, #S = p,
 # permissive) in F_{2^31-1} and F_97.  It pins the generators' draw order,
 # the public-input encoding, the hash chain and every Verifier decision.
-ALL_PROTOCOL_DIGESTS = "766405c4cfc5cdfe05d8c8134d252a84df493f8fdb7d15f034cb9829eabba4bc"
+ALL_PROTOCOL_DIGESTS = "4199af42ae3e0d66aa71eb9ca0d58b8ba606034e70435f2fbaad503d0765ce44"
 # sha256 over the text Transcript.save writes for each of those runs: it pins
 # the JSON spelling of every payload kind and the recorded meta (communication
 # counts included), which the digest does not cover.
-ALL_PROTOCOL_SAVED_JSON = "78a7d56d10c48f510d6f6be30fee0ef6c7b66bd509ab8c49efa8b4f754b78217"
+ALL_PROTOCOL_SAVED_JSON = "a382d36d3759101479d80299138ca3af79874de9def967632aae53d7c469a578"
 
 
 def _pinned_runs(prover=None):

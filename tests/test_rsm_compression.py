@@ -44,12 +44,12 @@ CERTIFY_SIZES = {
 
 # sha256 over the saved transcripts of seeds 0 and 1, per protocol
 CERTIFY_SIZE_DIGESTS = {
-    "rsm": "b4158fd6dffae1899652d7b49df3c41fc3a1512d6511125faba06416e9f74caa",
-    "rs_equality": "d784f7cd6752d4e0443b41e933f7b4e7b931f702183f3a9ebc2117858a6023c9",
-    "hermite": "9f970bacd0de4345771694a1bead7a255fbeac40893407e03bc125bf9e4200c0",
-    "spopov": "2af20a8dbafe3d60572aab2ed9344742412367d01078bcabe1d3d42c6664aec8",
-    "kernel_basis": "60c5cdc6cd35b9f25004b56f9394dd45c402234f5cdc5eb77f4894121fa6633d",
-    "sat_basis": "07b98b2e3f6fc1a3d80440fec062b83cd44d338db813e6883b12a1d061a74a32",
+    "rsm": "a0ecaa5b03250b3de05d41b36c28d428b394f73ecf1cc8987e3e37aa18216ba0",
+    "rs_equality": "654147108166b895b92aa6d51f134ba02f5789e67d90ba078fcba382dc33702b",
+    "hermite": "453db26d1faa3e790b150e3b6d4ccad7ace1ff04a82146b102bcfc3d6a0d5600",
+    "spopov": "779c28c75a59a206eb7457f8ba1e9a06fa9f41049d4da35c88a53069d6dbf9ba",
+    "kernel_basis": "cf8089c6aeea7b35a478613ca0c01af9dd14bf72c631f5c6e070cf417a8a9d84",
+    "sat_basis": "ee824630a76b198979f4d077bb12c3aad356708c82c42201680c53a07ea85dd1",
 }
 
 
@@ -224,21 +224,23 @@ def test_rank_lb_on_a_compression_evaluates_it_once(tall):
     nonsingularity sub-proof, so a live rsm run forms C @ A(alpha) once per
     compression the Verifier checks, and a replay never forms it.  A claim
     of full row rank is proved on A itself, with no compression and no
-    coprime; the tall A checks all of its compressions."""
+    coprime; the tall A checks all of its compressions.  Sub-protocols are
+    counted by a Prover message each sends once: row_set for rank_lb,
+    inner_product for frrsm, bezout_s1 for coprime."""
     pub = _tall_rsm_inputs() if tall else certify_size_inputs("rsm", 0)
     with mock.patch.object(ToeplitzOp, "apply_field_mat", autospec=True,
                            side_effect=ToeplitzOp.apply_field_mat) as formed:
         verdict, t = run_protocol("rsm", pub, CERTIFY_PARAMS)
         assert verdict.accepted
         labels = [m.label for m in t.messages]
-        checked = labels.count("begin:rank_lb")
+        checked = labels.count("row_set")
         compressions = sum(label.startswith("toeplitz_") for label in labels)
-        assert checked == labels.count("begin:frrsm")
+        assert checked == labels.count("inner_product")
         if tall:
             assert checked == compressions >= 2
         else:
             assert checked == 1 and compressions == 0
-        assert labels.count("begin:coprime") == tall
+        assert labels.count("bezout_s1") == tall
         assert formed.call_count == compressions
         formed.reset_mock()
         assert verify_transcript(t).accepted
@@ -264,8 +266,8 @@ def test_the_first_constant_denominator_is_the_one_compression_checked():
         verdict, t = run_protocol("rsm", pub, CERTIFY_PARAMS, prover=prover)
         labels = [m.label for m in t.messages]
         assert verdict.accepted and verify_transcript(t).accepted
-        assert "toeplitz_1" in labels and "begin:coprime" not in labels
-        assert labels.count("begin:rank_lb") == labels.count("begin:frrsm") == 1
+        assert "toeplitz_1" in labels and "bezout_s1" not in labels
+        assert labels.count("row_set") == labels.count("inner_product") == 1
 
 
 def test_rank_fact_serves_only_its_own_matrix():

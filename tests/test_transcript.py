@@ -12,7 +12,6 @@ from polycert.protocols import run_protocol, verify_transcript
 from polycert.transcript import (
     MODE_FIAT_SHAMIR,
     MODE_INTERACTIVE,
-    BoolPayload,
     ChallengeSource,
     DigestMismatchError,
     FieldScalar,
@@ -41,7 +40,7 @@ FBIG = PrimeField(2**31 - 1)
 
 def rand_payload(rng):
     p = 2**31 - 1
-    kind = rng.randrange(11)
+    kind = rng.randrange(10)
     if kind == 0:
         return FieldScalar(rng.randrange(p))
     if kind == 1:
@@ -67,8 +66,6 @@ def rand_payload(rng):
     if kind == 7:
         return RankClaimPayload(rng.randrange(10))
     if kind == 8:
-        return BoolPayload(bool(rng.randrange(2)))
-    if kind == 9:
         return ShiftPayload(tuple(rng.randrange(-2**63, 2**63) for _ in range(rng.randrange(4))))
     m, n = rng.randrange(1, 4), rng.randrange(1, 4)
     return FieldMatrixPayload(m, n, tuple(rng.randrange(p) for _ in range(m * n)))
@@ -108,7 +105,7 @@ def test_canonical_encoding_injective_on_samples():
 
 
 def test_comm_element_counts():
-    """Field elements and integers count; dimensions and booleans do not."""
+    """Field elements and integers count; dimensions do not."""
     assert comm_elements(FieldScalar(3)) == 1
     assert comm_elements(FieldVector((1, 2, 3))) == 3
     assert comm_elements(PolyPayload((1, 0, 2))) == 3
@@ -119,7 +116,6 @@ def test_comm_element_counts():
     assert comm_elements(IndexSetPayload((0, 2))) == 2
     assert comm_elements(ToeplitzSpecPayload(2, 3, (1, 2, 3, 4))) == 4
     assert comm_elements(RankClaimPayload(5)) == 1
-    assert comm_elements(BoolPayload(True)) == 0
     assert comm_elements(ShiftPayload((-1, 0, 4))) == 3
 
 
