@@ -25,7 +25,7 @@ from .oracles import (
 from .polymat import MatView, PolyMat, ToeplitzOp
 from .protocols import wdeg
 from .provers import HonestProver, draw_batch
-from .upoly import NEG_INF, Poly, RatFunc, RatVec, poly_gcd
+from .upoly import NEG_INF, Poly, RatFunc, RatVec, lin_comb, poly_gcd
 
 
 class InstanceActuallyTrue(Exception):
@@ -185,9 +185,7 @@ class CheatCoprime(HonestProver):
         t = len(fs)
         rng = random.Random(seed ^ 0x5EED)
         self._betas = [rng.randrange(sigma) for _ in range(max(0, t - 2))]
-        h = fs[1] if t >= 2 else Poly.zero(field)
-        for b, f in zip(self._betas, fs[2:]):
-            h = h + f.scale(b)
+        h = lin_comb(field, [1, *self._betas], fs[1:])
         bound1 = max(1, max(wdeg(f.deg) for f in fs[1:])) if t >= 2 else wdeg(fs[0].deg)
         bound2 = wdeg(fs[0].deg)
         gh = poly_gcd(fs[0], h) if not (fs[0].is_zero() and h.is_zero()) else None
@@ -267,7 +265,7 @@ class CheatFullRankMembership(HonestProver):
         field = view.field
         if u.rational is None:
             return Poly.zero(field)
-        acc = _combine_over_common_den(u.rational, c)
+        acc = RatFunc(lin_comb(field, c, u.rational.numer_row()), u.rational.common_den)
         if acc.is_polynomial():
             return acc.num
         from .upoly import deg_add, deg_scale, interpolate
@@ -357,19 +355,6 @@ class CheatRowSpaceMembership(CheatFullRankMembership):
         last = RatVec.in_lowest_terms(dens[-1], sols[-1])
         sols[-1] = Forged(_scale_ratvec(forged, last))
         return tops, dens[:-1] + [forged], sols
-
-
-def _combine_over_common_den(u: RatVec, c: list) -> RatFunc:
-    """u c = (sum_i c_i N_i) / den over u's common denominator, reduced by
-    one gcd; the reduced form is unique, so it equals the sum of the
-    reduced terms c_i u_i."""
-    numers = u.numer_row()
-    acc = [0] * max(len(f.coeffs) for f in numers)
-    for f, ci in zip(numers, c):
-        if ci:
-            for k, x in enumerate(f.coeffs):
-                acc[k] += ci * x
-    return RatFunc(Poly(u.field, acc), u.common_den)
 
 
 def _scale_ratvec(scalar: Poly, vec: RatVec) -> RatVec:

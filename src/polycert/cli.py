@@ -14,6 +14,7 @@ import sys
 import click
 
 from .experiments import (
+    PROVER_SPECS,
     SOUNDNESS_PROTOCOLS,
     AssemblyError,
     assemble_public_inputs,
@@ -42,16 +43,6 @@ from .transcript import (
 )
 
 INSTANCE_FORMAT = "polycert-instance/v1"
-
-
-def _env_int(name, default):
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise click.UsageError(f"environment variable {name} must be an integer")
 
 
 @click.group()
@@ -89,13 +80,12 @@ def _load_instance(path):
 @click.option("--n", "n", type=int, default=4, show_default=True)
 @click.option("--d", "d", type=int, default=2, show_default=True)
 @click.option("--r", "r", type=int, default=None, help="planted rank")
-@click.option("--modulus", type=int, default=None, help="prime field modulus")
-@click.option("--seed", type=int, default=None)
+@click.option("--modulus", "p", type=int, default=DEFAULT_MODULUS, show_default=True,
+              help="prime field modulus")
+@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-def gen(kind, m, n, d, r, modulus, seed, out):
+def gen(kind, m, n, d, r, p, seed, out):
     """Generate a seeded instance file with its ground-truth witness."""
-    p = modulus if modulus is not None else _env_int("POLYCERT_MODULUS", DEFAULT_MODULUS)
-    seed = seed if seed is not None else _env_int("POLYCERT_SEED", 0)
     try:
         field = PrimeField(p)
     except ValueError as exc:
@@ -212,7 +202,8 @@ def verify(transcript_file):
 @click.option("--mode", type=click.Choice([MODE_INTERACTIVE, MODE_FIAT_SHAMIR]),
               default=MODE_INTERACTIVE, show_default=True)
 @click.option("--sigma", type=int, default=None)
-@click.option("--seed", type=int, default=None, help="verifier randomness seed")
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="verifier randomness seed")
 @click.option("--strict/--permissive", default=True, show_default=True)
 @click.option("--prover-seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -221,7 +212,6 @@ def run(protocol, instance, mode, sigma, seed, strict, prover_seed, out):
     """Run both parties in process and print the verdict and communication."""
     field, _, objects = _load_instance(instance)
     pub = _publics_for(protocol, objects)
-    seed = seed if seed is not None else _env_int("POLYCERT_SEED", 0)
     params = _common_params(field, sigma, strict, mode, seed)
     try:
         verdict, transcript = run_protocol(protocol, pub, params,
@@ -253,11 +243,11 @@ def run(protocol, instance, mode, sigma, seed, strict, prover_seed, out):
 @click.option("--sigma", type=int, default=None,
               help="sample set size of a single-protocol experiment (default: 64)")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--modulus", type=int, default=None)
+@click.option("--modulus", "p", type=int, default=DEFAULT_MODULUS, show_default=True,
+              help="prime field modulus")
 @click.option("--out-dir", type=click.Path(file_okay=False), default=None)
-def experiment(suite, protocol, trials, sigma, seed, modulus, out_dir):
+def experiment(suite, protocol, trials, sigma, seed, p, out_dir):
     """Run completeness / soundness experiment suites and report pass/fail."""
-    p = modulus if modulus is not None else _env_int("POLYCERT_MODULUS", DEFAULT_MODULUS)
     # --suite acceptance runs both lists
     completeness = PROTOCOL_IDS
     soundness = [(pid, sg) for pid in SOUNDNESS_PROTOCOLS for sg in (32, 64)]
@@ -271,10 +261,11 @@ def experiment(suite, protocol, trials, sigma, seed, modulus, out_dir):
     elif suite is None:
         if protocol is None:
             raise click.UsageError("give --suite or --protocol")
-        if protocol not in SOUNDNESS_PROTOCOLS:
+        cheatable = [pid for pid, spec in PROVER_SPECS.items()
+                     if spec.false_instance is not None]
+        if protocol not in cheatable:
             raise click.UsageError(
-                f"soundness experiments exist for: {', '.join(SOUNDNESS_PROTOCOLS)}"
-            )
+                f"soundness experiments exist for: {', '.join(cheatable)}")
         completeness, soundness = [], [(protocol, 64 if sigma is None else sigma)]
     # parameter errors are usage errors, found before any experiment runs
     least = 100 if soundness else 1  # run_soundness_experiment's minimum

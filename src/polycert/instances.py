@@ -100,11 +100,7 @@ def rand_singular(rng, field, n, dmax) -> PolyMat:
     while True:
         a = rand_polymat(rng, field, n - 1, n, dmax)
         qs = [rand_poly(rng, field, 0) for _ in range(n - 1)]
-        extra = [
-            sum((qs[i] * a.rows[i][j] for i in range(n - 1)), Poly.zero(field))
-            for j in range(n)
-        ]
-        mat = PolyMat(field, a.rows + [extra], ncols=n)
+        mat = PolyMat(field, a.rows + [a.vecmat(qs)], ncols=n)
         rows = list(mat.rows)
         rng.shuffle(rows)
         mat = PolyMat(field, rows, ncols=n)
@@ -132,11 +128,7 @@ def planted_member(rng, field, m, n, dmax, qdeg=2):
     """(A, v, q) with v = q A, so v is in the F[x]-row space of A."""
     a = rand_polymat(rng, field, m, n, dmax)
     q = [rand_poly(rng, field, qdeg) for _ in range(m)]
-    v = [
-        sum((q[i] * a.rows[i][j] for i in range(m)), Poly.zero(field))
-        for j in range(n)
-    ]
-    return a, v, q
+    return a, a.vecmat(q), q
 
 
 def planted_nonmember_rational(rng, field, m, n, dmax):

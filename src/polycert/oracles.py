@@ -70,7 +70,7 @@ import numpy as np
 from . import matfield
 from .matfield import FieldMat
 from .polymat import PolyMat, check_hermite_shape, shifted_pivot
-from .upoly import NEG_INF, Poly, RatVec, interpolate_many, poly_gcd, xgcd
+from .upoly import NEG_INF, Poly, RatVec, interpolate_many, lin_comb, poly_gcd, xgcd
 
 # points below which a two-row block is eliminated fraction-free, not by a
 # numpy batch with its fixed cost of some hundred microseconds; the route
@@ -219,9 +219,9 @@ def rational_solve_left(mat: PolyMat, v: list, profile=None):
     decided together at its points (:func:`_solve_left_evaluation`);
     otherwise u B = v_B is solved by Cramer's rule on fraction-free
     (Bareiss) determinants over F[x] and N A = det(B) v checked by
-    polynomial arithmetic.  Both routes are exact, both stop on a singular
-    B with ArithmeticError, and both bring det B and N to the one
-    lowest-terms form.
+    polynomial arithmetic (:meth:`PolyMat.vecmat`).  Both routes are exact,
+    both stop on a singular B with ArithmeticError, and both bring det B and
+    N to the one lowest-terms form.
     """
     m, n = mat.m, mat.n
     if len(v) != n:
@@ -250,7 +250,7 @@ def rational_solve_left(mat: PolyMat, v: list, profile=None):
         raise ArithmeticError("singular matrix: the profile columns have determinant 0")
     numers = [_bareiss(PolyMat(field, b.rows[:i] + [v_b] + b.rows[i + 1:], ncols=m))[2]
               for i in range(m)]
-    if not _left_residual_is_zero(mat, v, numers, det):
+    if mat.vecmat(numers) != [det * f for f in v]:
         return NO_SOLUTION
     return RatVec.from_common_den(det, numers)
 
@@ -409,21 +409,6 @@ def polynomial_solve_left(mat: PolyMat, v: list, profile):
     return [Poly(field, [d[i] for d in digits]) for i in range(m)]
 
 
-def _left_residual_is_zero(mat: PolyMat, v: list, cleared: list, common: Poly) -> bool:
-    """Is (common_den * u) A == common_den * v, i.e. u A == v, exactly?
-
-    Polynomial arithmetic, for fields too small for the evaluation route.
-    """
-    z = Poly.zero(mat.field)
-    for j in range(mat.n):
-        acc = z
-        for i in range(mat.m):
-            acc = acc + cleared[i] * mat.rows[i][j]
-        if acc != common * v[j]:
-            return False
-    return True
-
-
 # -- Hermite form with transformation ------------------------------------------
 
 
@@ -518,12 +503,11 @@ def _hermite_collapse(mat: PolyMat, with_transform: bool):
 def _rows_transform(targets, i1, i2, a11, a12, a21, a22):
     """(row_i1, row_i2) <- (a11 row_i1 + a12 row_i2, a21 row_i1 + a22 row_i2)
     in every matrix of ``targets``."""
+    field = a22.field
     for target in targets:
-        r1, r2 = target[i1], target[i2]
-        new1 = [a11 * x + a12 * y for x, y in zip(r1, r2)]
-        new2 = [a21 * x + a22 * y for x, y in zip(r1, r2)]
-        target[i1] = new1
-        target[i2] = new2
+        pairs = list(zip(target[i1], target[i2]))
+        target[i1] = [lin_comb(field, (a11, a12), xy) for xy in pairs]
+        target[i2] = [lin_comb(field, (a21, a22), xy) for xy in pairs]
 
 
 # -- shifted Popov form ---------------------------------------------------------

@@ -1,7 +1,7 @@
 """Polynomial matrices and the cheap operations both parties may use.
 
-Everything here is "verifier-safe": evaluation at a point, products, scalar
-row combinations, transposes, normal-form shape checks, and Toeplitz
+Everything here is "verifier-safe": evaluation at a point, products, row
+combinations, transposes, normal-form shape checks, and Toeplitz
 compression operators.  The expensive module-level computations (normal
 forms, rank over F[x], rational solving) live in :mod:`polycert.oracles`
 and are reserved for Provers and test oracles; verifier code must not
@@ -27,6 +27,11 @@ coefficient of the left factor, and the Prover's Toeplitz compression
 :meth:`ToeplitzOp.apply_poly_mat` is one array product.  A product keeps its
 tensor (:meth:`PolyMat.from_coeff_tensor`), so evaluating it, as the rational
 solve on C.A does, never rebuilds the tensor from its entries.
+
+A row vector q times A, with q over F (the Verifier's random combination
+lambda A) or over F[x] (a planted member q A, a residual N A), is
+:meth:`PolyMat.vecmat`: one :func:`polycert.upoly.lin_comb` per column,
+summed unreduced and reduced once, with no tensor and no numpy call.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import numpy as np
 
 from .ff import PrimeField
 from .matfield import FieldMat
-from .upoly import NEG_INF, Poly, _trim, deg_add
+from .upoly import NEG_INF, Poly, _trim, deg_add, lin_comb
 
 
 class MatView:
@@ -233,39 +238,14 @@ class PolyMat(MatView):
             ncols=self.n,
         )
 
-    def sub(self, other: "PolyMat") -> "PolyMat":
-        if self.m != other.m or self.n != other.n:
-            raise ValueError("dimension mismatch in sub")
-        return PolyMat(
-            self.field,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            ncols=self.n,
-        )
-
-    def scalar_row_combination(self, lam: list) -> list:
-        """lam @ A for a field-element row vector lam: a list of Poly, each
-        summed over the rows as one coefficient list and reduced once."""
-        if len(lam) != self.m:
-            raise ValueError("dimension mismatch in row combination")
-        terms = [(c, row) for c, row in zip(lam, self.rows) if c]
-        out = []
-        for j in range(self.n):
-            acc = []
-            for c, row in terms:
-                coeffs = row[j].coeffs
-                if len(coeffs) > len(acc):
-                    acc += [0] * (len(coeffs) - len(acc))
-                acc[: len(coeffs)] = [x + c * a for x, a in zip(acc, coeffs)]
-            out.append(Poly(self.field, acc))
-        return out
-
-
-def poly_row_deg(row: list):
-    d = NEG_INF
-    for f in row:
-        if f.deg != NEG_INF and (d == NEG_INF or f.deg > d):
-            d = f.deg
-    return d
+    def vecmat(self, q: list) -> list:
+        """q A for a row vector q over F (ints) or F[x] (Polys): one
+        :func:`~polycert.upoly.lin_comb` per column."""
+        if len(q) != self.m:
+            raise ValueError("dimension mismatch in vecmat")
+        field = self.field
+        out = [lin_comb(field, q, col) for col in zip(*self.rows)]
+        return out or [Poly.zero(field)] * self.n
 
 
 # -- normal form shape checks (cheap, deterministic, O(l n) degree reads) ---
@@ -559,7 +539,7 @@ class ScaledVecView(VecView):
 
     @property
     def deg_bound(self):
-        d = poly_row_deg(self.entries)
+        d = max((f.deg for f in self.entries), default=NEG_INF)
         return d if self.scale is None else deg_add(self.scale.deg, d)
 
     def eval_at(self, alpha: int) -> list:

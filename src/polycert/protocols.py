@@ -799,7 +799,7 @@ def _rs_subset(sess: Session, a: PolyMat, b: PolyMat):
     if a.n != b.n:
         sess.fail(Reason.PARAMS_INVALID, "column dimensions differ")
     lam = sess.challenge_vector("combination", a.m)
-    v = a.scalar_row_combination(lam)
+    v = a.vecmat(lam)
     with sess.subprotocol("rsm"):
         _rsm(sess, b, v)
 

@@ -49,7 +49,7 @@ from .oracles import (
 )
 from .polymat import MatView, PolyMat, ToeplitzOp, VecView
 from .protocols import ProverGaveUp, wdeg
-from .upoly import Poly, poly_gcd
+from .upoly import Poly, lin_comb, poly_gcd
 
 COPRIME_RETRY_CAP = 100
 RSM_OUTER_CAP = 20
@@ -185,12 +185,7 @@ class HonestProver:
         return None if u is NO_SOLUTION else u
 
     def frrsm_g(self, view: MatView, vec: VecView, c: list, u) -> Poly:
-        acc = Poly.zero(view.field)
-        if u is None:
-            return acc
-        for ui, ci in zip(u, c):
-            acc = acc + ui.scale(ci)
-        return acc
+        return lin_comb(view.field, c, u or [])
 
     def frrsm_w(self, view: MatView, vec: VecView, c: list, g: Poly,
                 alpha: int, u) -> list:
@@ -215,9 +210,7 @@ class HonestProver:
             return Poly.zero(field), Poly.zero(field), [0] * (t - 2)
         for _ in range(COPRIME_RETRY_CAP):
             betas = [self.rng.randrange(sigma) for _ in range(t - 2)]
-            h = fs[1]
-            for b, f in zip(betas, fs[2:]):
-                h = h + f.scale(b)
+            h = lin_comb(field, [1, *betas], fs[1:])
             if fs[0].is_zero():
                 if h.is_constant() and not h.is_zero():
                     return Poly.zero(field), Poly.constant(field, field.inv(h.lc())), betas

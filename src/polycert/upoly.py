@@ -9,6 +9,11 @@ Multiplication is schoolbook on Python ints: the Prover's operands stay
 short (under 33 coefficients in every benchmark workload), below the sizes
 where a sub-quadratic product starts to pay.
 
+Every linear combination sum_i c_i f_i, with coefficients c_i in F or in
+F[x], is formed by :func:`lin_comb`: the terms are summed on unreduced
+coefficient lists and reduced mod p once.  A row vector times a polynomial
+matrix (:meth:`polycert.polymat.PolyMat.vecmat`) is one such sum per column.
+
 Interpolation is batched: :func:`interpolate_many` fits one polynomial per
 ordinate list over a shared set of abscissae by one matrix product, the
 ordinates times the interpolation operator of the abscissae (row i holds the
@@ -26,6 +31,7 @@ product is exact in ``int64``; larger moduli use Python ints.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 
 import numpy as np
 
@@ -298,6 +304,29 @@ def poly_lcm(f: Poly, g: Poly) -> Poly:
     return (f * g).divexact(poly_gcd(f, g)).monic()
 
 
+def lin_comb(field: PrimeField, cs, fs) -> Poly:
+    """sum_i c_i f_i over the pairs of ``zip(cs, fs)``, each c_i in F (an
+    int) or in F[x] (a Poly).
+
+    Every term is a list of shifted scalar multiples of a coefficient list
+    (c f = sum_k c_k x^k f, over the shorter factor), the lists are summed
+    unreduced, coefficient by coefficient, and the sum is reduced mod p once.
+    """
+    parts = []
+    for c, f in zip(cs, fs):
+        a = f.coeffs
+        if not a or not c:
+            continue
+        if isinstance(c, Poly):
+            b = c.coeffs
+            if len(b) > len(a):
+                a, b = b, a
+            parts += [[0] * k + [ck * x for x in a] for k, ck in enumerate(b) if ck]
+        else:
+            parts.append([c * x for x in a])
+    return Poly(field, list(map(sum, zip_longest(*parts, fillvalue=0))))
+
+
 def interpolate(field: PrimeField, points) -> Poly:
     """Unique polynomial of degree < len(points) through the given points.
 
@@ -511,11 +540,7 @@ class RatVec:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in rational vector")
         field = den.field
-        weighted = [0] * max(len(f.coeffs) for f in numers)
-        for k, f in enumerate(numers, 1):
-            for i, c in enumerate(f.coeffs):
-                weighted[i] += k * c
-        g = poly_gcd(den, Poly(field, weighted))
+        g = poly_gcd(den, lin_comb(field, range(1, len(numers) + 1), numers))
         if not g.is_one():
             split = [divmod(f, g) for f in numers]
             if all(r.is_zero() for _, r in split):

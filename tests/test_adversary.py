@@ -16,7 +16,6 @@ from polycert.adversary import (
     CheatRowSpaceMembership,
     Forged,
     InstanceActuallyTrue,
-    _combine_over_common_den,
     _scale_ratvec,
 )
 from polycert.experiments import (
@@ -40,7 +39,7 @@ from polycert.oracles import LOW_RANK
 from polycert.protocols import PROTOCOL_IDS, ProverGaveUp, run_protocol
 from polycert.provers import draw_batch
 from polycert.transcript import MODE_INTERACTIVE, ProtocolParams, Verdict
-from polycert.upoly import Poly, RatFunc, RatVec
+from polycert.upoly import Poly, RatFunc, RatVec, lin_comb
 
 F = PrimeField(2**31 - 1)
 
@@ -235,7 +234,7 @@ def test_one_denominator_sums_match_per_term_sums(field, seed):
     per_term = RatFunc.zero(field)
     for ui, ci in zip(u.entries, c):
         per_term = per_term + ui * Poly.constant(field, ci)
-    assert _combine_over_common_den(u, c) == per_term
+    assert RatFunc(lin_comb(field, c, u.numer_row()), u.common_den) == per_term
     d = Poly(field, [rng.randrange(field.p) for _ in range(3)] + [1])
     scaled = _scale_ratvec(d, u)
     by_entries = RatVec([e * d for e in u.entries])

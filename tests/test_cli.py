@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from polycert import PROTOCOL_IDS
 from polycert.cli import main
+from polycert.ff import DEFAULT_MODULUS
 from test_transcript import HOSTILE_JSON
 
 
@@ -18,6 +19,21 @@ def test_gen_is_deterministic(tmp_path):
         ])
         assert res.exit_code == 0, res.output
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gen_reads_no_environment_defaults(tmp_path):
+    """--seed and --modulus default to 0 and DEFAULT_MODULUS whatever the
+    environment holds, and --help shows both defaults."""
+    runner = CliRunner()
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for out, env in ((a, {}), (b, {"POLYCERT_SEED": "5", "POLYCERT_MODULUS": "97"})):
+        res = runner.invoke(main, ["gen", "--out", str(out)], env=env)
+        assert res.exit_code == 0, res.output
+    assert a.read_bytes() == b.read_bytes()
+    doc = json.loads(a.read_text())
+    assert (doc["seed"], doc["p"]) == (0, str(DEFAULT_MODULUS))
+    res = runner.invoke(main, ["gen", "--help"])
+    assert f"[default: {DEFAULT_MODULUS}]" in res.output and "[default: 0]" in res.output
 
 
 def test_gen_planted_kinds(tmp_path):
@@ -237,6 +253,20 @@ def test_experiment_single_protocol(tmp_path):
     assert files
     doc = json.loads(files[0].read_text())
     assert doc["passed"] is True
+
+
+def test_experiment_runs_every_protocol_with_a_false_instance():
+    """field_det has a false instance and a cheat, so it has a single-protocol
+    experiment; a protocol without one is a usage error naming those that do."""
+    runner = CliRunner()
+    res = runner.invoke(main, [
+        "experiment", "--protocol", "field_det", "--trials", "200", "--sigma", "32",
+    ])
+    assert res.exit_code == 0, res.output
+    assert "[pass] soundness field_det (sigma=32)" in res.output
+    res = runner.invoke(main, ["experiment", "--protocol", "rank", "--trials", "200"])
+    assert res.exit_code == 2, res.output
+    assert "field_det" in res.output and "rank," not in res.output
 
 
 def test_run_interactive_transcript_saves_and_verifies(tmp_path):

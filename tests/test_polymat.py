@@ -149,12 +149,19 @@ def test_degree_bound_of_product():
 
 
 def test_row_combination_matches_mul():
+    """q A by vecmat equals the 1 x m matrix product, for q over F and over
+    F[x]; a 0-row matrix gives the zero row."""
     rng = random.Random(53)
     a = rand_pm(rng, F97, 4, 3, 2)
     lam = [rng.randrange(97) for _ in range(4)]
-    combo = a.scalar_row_combination(lam)
     row = PolyMat(F97, [[Poly.constant(F97, c) for c in lam]], ncols=4)
-    assert combo == row.mul(a).rows[0]
+    assert a.vecmat(lam) == row.mul(a).rows[0]
+    q = [rand_poly(rng, F97, 3) for _ in range(4)] + [Poly.zero(F97)]
+    a = a.stack(rand_pm(rng, F97, 1, 3, 2))
+    assert a.vecmat(q) == PolyMat(F97, [q], ncols=5).mul(a).rows[0]
+    assert PolyMat(F97, [], ncols=3).vecmat([]) == [Poly.zero(F97)] * 3
+    with pytest.raises(ValueError):
+        a.vecmat(lam)
 
 
 def test_toeplitz_layout_and_apply():

@@ -13,6 +13,7 @@ from polycert.upoly import (
     deg_add,
     interpolate,
     interpolate_many,
+    lin_comb,
     poly_gcd,
     poly_lcm,
     xgcd,
@@ -285,3 +286,36 @@ def test_gcd_of_a_family_is_the_pairwise_chain(field):
         assert got == chain, fs
         assert got.is_zero() == all(f.is_zero() for f in fs)
         assert got.is_zero() or got.lc() == 1
+
+
+def _naive_sum(field, cs, fs):
+    """sum c_i f_i by Poly products and sums, an int c_i as a constant."""
+    acc = Poly.zero(field)
+    for c, f in zip(cs, fs):
+        acc = acc + (c if isinstance(c, Poly) else Poly.constant(field, c)) * f
+    return acc
+
+
+@pytest.mark.parametrize("field", [PrimeField(p) for p in (2, 13, 2**31 - 1, 2**61 - 1)],
+                         ids=["F2", "F13", "F2^31-1", "F2^61-1"])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_lin_comb_matches_naive_sums(field, seed):
+    """sum c_i f_i with c_i in F, in F[x] or both, zero coefficients and zero
+    polynomials among them, and unreduced ints, equals the sum of Poly
+    products; so does a sum that cancels to zero."""
+    rng = random.Random(seed)
+    p = field.p
+    k = rng.randrange(0, 6)
+    fs = [rand_poly(rng, field, rng.randrange(-1, 5)) for _ in range(k)]
+    scalars = [rng.choice([0, 1, rng.randrange(p), rng.randrange(-p, 3 * p)])
+               for _ in range(k)]
+    polys = [rand_poly(rng, field, rng.randrange(-1, 4)) for _ in range(k)]
+    mixed = [rng.choice(pair) for pair in zip(scalars, polys)]
+    for cs in (scalars, polys, mixed):
+        want = _naive_sum(field, cs, fs)
+        assert lin_comb(field, cs, fs) == want
+        assert lin_comb(field, cs + [1], fs + [-want]).is_zero()
+        g = rand_poly(rng, field, rng.randrange(0, 3))
+        assert lin_comb(field, cs + [g], fs + [-want * g]) == want - want * g * g
+    assert lin_comb(field, [], []) == Poly.zero(field)
