@@ -24,7 +24,7 @@ from .oracles import (
 )
 from .polymat import MatView, PolyMat, ToeplitzOp
 from .protocols import wdeg
-from .provers import HonestProver, draw_batch
+from .provers import HonestProver, draw_batch, packed_pluq
 from .upoly import NEG_INF, Poly, RatFunc, RatVec, lin_comb, poly_gcd
 
 
@@ -129,48 +129,29 @@ class CheatFieldDeterminant(HonestProver):
     def field_det_factors(self, b: FieldMat, beta: int):
         field = b.field
         nu = b.m
+        ident = list(range(nu))
         if beta == 0:
             # claim singularity with a plausible low-rank factorization
             r = nu - 1
-            lower = [[1 if i == j else 0 for j in range(r)] for i in range(nu)]
-            upper = [
-                [b.rows[i][j] if j >= i else 0 for j in range(nu)] for i in range(r)
-            ]
+            lower = [[0] * r] * nu  # L = identity: nothing below its diagonal
+            upper = [[b.rows[i][j] if j >= i else 0 for j in range(nu)] for i in range(r)]
             for i in range(r):
                 if upper[i][i] == 0:
                     upper[i][i] = 1
-            return (
-                r,
-                list(range(nu)),
-                list(range(nu)),
-                [c for row in lower for c in row],
-                [c for row in upper for c in row],
-            )
+            return packed_pluq(r, ident, ident, lower, upper)
         if self._true_det != 0:
             f = pluq(b)
             scale = field.mul(beta, field.inv(self._true_det))
             upper = [list(r) for r in f.upper.rows]
             for j in range(nu):
                 upper[nu - 1][j] = field.mul(upper[nu - 1][j], scale)
-            return (
-                f.rank,
-                f.perm_rows,
-                f.perm_cols,
-                [c for row in f.lower.rows for c in row],
-                [c for row in upper for c in row],
-            )
-        lower = [[1 if i == j else 0 for j in range(nu)] for i in range(nu)]
+            return packed_pluq(f.rank, f.perm_rows, f.perm_cols, f.lower.rows, upper)
+        # L = identity and U = diag(beta, 1, ..., 1)
         upper = [[0] * nu for _ in range(nu)]
         for i in range(nu):
             upper[i][i] = 1
         upper[0][0] = beta
-        return (
-            nu,
-            list(range(nu)),
-            list(range(nu)),
-            [c for row in lower for c in row],
-            [c for row in upper for c in row],
-        )
+        return packed_pluq(nu, ident, ident, [[0] * nu] * nu, upper)
 
 
 class CheatCoprime(HonestProver):

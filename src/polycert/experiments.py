@@ -608,8 +608,8 @@ def run_soundness_experiment(
 # criteria and the benchmark's soundness workload).  A single-protocol
 # experiment runs any protocol whose ProverSpec has a false instance;
 # field_det has one but stays out of this list, because the benchmark's
-# soundness workload derives from it and field_det's 45-element exchanges
-# would raise that workload's communication by about 18 %.
+# soundness workload derives from it and field_det's 28-element exchanges
+# would raise that workload's communication by about 10 %.
 SOUNDNESS_PROTOCOLS = (
     "singularity",
     "nonsingularity",

@@ -19,6 +19,11 @@ call; a sub-protocol receives the answers it needs as arguments.  The
 Session holds no Prover answer, so a live run and a replay run the same
 Verifier code.
 
+The Prover sends no value that a check would fix, and the Verifier fills
+it in: a ``rank_lb`` index set of all rows or all columns, the unit
+diagonal and the zeros of ``field_det``'s L and U, its rank when the
+claimed determinant is nonzero, and ``coprime``'s mixers for t <= 2.
+
 Each protocol is registered once, by the ``@protocol`` decorator on its
 runner: its id, its public-input schema and its advertised #S lower bound
 form one :class:`ProtocolSpec` in :data:`PROTOCOLS`.  Strict mode enforces
@@ -455,6 +460,15 @@ def run_nonsingularity(sess: Session, pub):
     _nonsingularity(sess, a)
 
 
+def _index_set(sess: Session, label: str, size: int, universe: int, produce) -> list:
+    """A Prover index set, or all of range(universe) unsent when size is
+    universe: a set of that size could only reorder it, and reordering the
+    rows or columns of a submatrix keeps it nonsingular or singular."""
+    if size == universe:
+        return list(range(size))
+    return sess.prover_index_set(label, size, universe, produce)
+
+
 def _rank_lb(sess: Session, view: MatView, rho: int):
     if rho < 0:
         sess.fail(Reason.PARAMS_INVALID, "negative rank bound")
@@ -463,8 +477,8 @@ def _rank_lb(sess: Session, view: MatView, rho: int):
     if rho > min(view.m, view.n):
         sess.fail(Reason.RANK_CHECK_FAILED, "rank bound exceeds the dimensions")
     sets = once(lambda: sess.prover.rank_lb_sets(view, rho))
-    rows = sess.prover_index_set("row_set", rho, view.m, lambda: sets()[0])
-    cols = sess.prover_index_set("col_set", rho, view.n, lambda: sets()[1])
+    rows = _index_set(sess, "row_set", rho, view.m, lambda: sets()[0])
+    cols = _index_set(sess, "col_set", rho, view.n, lambda: sets()[1])
     sub = SubmatrixView(view, rows, cols)
     with sess.subprotocol("nonsingularity"):
         _nonsingularity(sess, sub, lambda: sets()[2])
@@ -515,7 +529,21 @@ def run_rank(sess: Session, pub):
         _rank_ub(sess, a, rho)
 
 
+def _runs(flat: list, lengths) -> list:
+    """flat cut into consecutive runs of the given lengths."""
+    out, at = [], 0
+    for k in lengths:
+        out.append(flat[at : at + k])
+        at += k
+    return out
+
+
 def _field_det(sess: Session, b: FieldMat, beta: int):
+    """det B = beta from B = P L U Q, with L unit lower nu x r and U upper
+    r x nu.  Only what no check fixes is sent: row i of L below its
+    diagonal, L[i][:min(i, r)], and row i of U from its diagonal on,
+    U[i][i:].  The rank r is sent only when beta = 0: any r < nu claims
+    det B = 0, so beta != 0 leaves r = nu as the one claim that can pass."""
     nu = b.m
     if b.m != b.n:
         sess.fail(Reason.PARAMS_INVALID, "matrix must be square")
@@ -525,44 +553,41 @@ def _field_det(sess: Session, b: FieldMat, beta: int):
         return
 
     factors = once(lambda: sess.prover.field_det_factors(b, beta))
-    r = sess.prover_rank_claim("pluq_rank", nu, Reason.MALFORMED_MESSAGE,
-                               "rank claim exceeds the dimension", lambda: factors()[0])
+    if beta == 0:
+        r = sess.prover_rank_claim("pluq_rank", nu, Reason.MALFORMED_MESSAGE,
+                                   "rank claim exceeds the dimension",
+                                   lambda: factors()[0])
+    else:
+        r = nu
     prows = sess.prover_permutation("perm_rows", nu, lambda: factors()[1])
     pcols = sess.prover_permutation("perm_cols", nu, lambda: factors()[2])
-    lflat = sess.prover_vector("lower_factor", nu * r, lambda: factors()[3])
-    uflat = sess.prover_vector("upper_factor", r * nu, lambda: factors()[4])
-    lower = [lflat[i * r : (i + 1) * r] for i in range(nu)]
-    upper = [uflat[i * nu : (i + 1) * nu] for i in range(r)]
-    for i in range(nu):
-        for j in range(r):
-            if j > i and lower[i][j] != 0:
-                sess.fail(Reason.SHAPE_CHECK_FAILED, "L not lower triangular")
-            if j == i and lower[i][j] != 1:
-                sess.fail(Reason.SHAPE_CHECK_FAILED, "L diagonal not unit")
-    for i in range(r):
-        for j in range(i):
-            if upper[i][j] != 0:
-                sess.fail(Reason.SHAPE_CHECK_FAILED, "U not upper triangular")
-        if upper[i][i] == 0:
-            sess.fail(Reason.SHAPE_CHECK_FAILED, "U diagonal vanishes")
-    p = sess.field.p
+    lower_lengths = [min(i, r) for i in range(nu)]
+    upper_lengths = [nu - i for i in range(r)]
+    lower = _runs(sess.prover_vector("lower_factor", sum(lower_lengths),
+                                     lambda: factors()[3]), lower_lengths)
+    upper = _runs(sess.prover_vector("upper_factor", sum(upper_lengths),
+                                     lambda: factors()[4]), upper_lengths)
+    field = sess.field
+    p = field.p
     if r < nu:
         claimed = 0
     else:
         claimed = 1
-        for i in range(nu):
-            claimed = claimed * upper[i][i] % p
+        for row in upper:
+            claimed = claimed * row[0] % p
         if perm_sign(prows) * perm_sign(pcols) < 0:
             claimed = (p - claimed) % p
     if claimed != beta:
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "determinant value mismatch")
+    # after the value check: for beta != 0 a zero pivot claims det B = 0
+    if any(row[0] == 0 for row in upper):
+        sess.fail(Reason.SHAPE_CHECK_FAILED, "U diagonal vanishes")
     v = sess.challenge_vector("probe", nu)
-    qv = [v[pcols[j]] for j in range(nu)]
-    uqv = [sum(upper[i][j] * qv[j] for j in range(nu)) % p for i in range(r)]
-    luqv = [sum(lower[i][k] * uqv[k] for k in range(r)) % p for i in range(nu)]
+    qv = [v[j] for j in pcols]
+    uqv = [_dot(field, row, qv[i:]) for i, row in enumerate(upper)]
     pluqv = [0] * nu
-    for i in range(nu):
-        pluqv[prows[i]] = luqv[i]
+    for i, row in enumerate(lower):
+        pluqv[prows[i]] = (_dot(field, row, uqv) + (uqv[i] if i < r else 0)) % p
     if pluqv != b.matvec(v):
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "Freivalds check failed")
 
@@ -695,9 +720,8 @@ def _coprime(sess: Session, fs: list):
     witness = once(lambda: sess.prover.coprime_witness(fs, sess.sigma))
     s1 = sess.prover_poly("bezout_s1", lambda: witness()[0])
     s2 = sess.prover_poly("bezout_s2", lambda: witness()[1])
-    betas = sess.prover_vector(
-        "mixers", max(0, t - 2), lambda: witness()[2]
-    )
+    # h mixes f_3, ..., f_t into f_2; with t <= 2 there is nothing to mix
+    betas = [] if t <= 2 else sess.prover_vector("mixers", t - 2, lambda: witness()[2])
     if t >= 2:
         bound1 = max(1, max(wdeg(f.deg) for f in fs[1:]))
     else:

@@ -129,9 +129,12 @@ class HonestProver:
     # -- rank protocols -----------------------------------------------------
 
     def rank_lb_sets(self, view: MatView, rho: int):
-        """(rows, cols, probe): row/column sets with A[rows, cols]
+        """(rows, cols, probe): increasing row/column sets with A[rows, cols]
         nonsingular, certified via evaluation, and the probe (alpha,
         A[rows, cols](alpha)) for :meth:`nonsingularity_point`, or None.
+        A set as large as its universe is not sent, and the Verifier reads
+        it as range(m) or range(n), so both sets are sorted: column
+        profiles come out increasing, and the rows are sorted here.
 
         A full-rank evaluation proves independence over F[x]; if no probe
         point works, fall back to exact fraction-free rank profiles.  The
@@ -163,10 +166,14 @@ class HonestProver:
     # -- determinant ----------------------------------------------------------
 
     def field_det_factors(self, b: FieldMat, beta: int):
+        """The PLUQ of B, :func:`packed_pluq`.  For beta != 0 the Verifier
+        expects the full-rank shape, so a singular B (a false statement)
+        gets zero rows of U, whose zero pivots claim det B = 0."""
         f = pluq(b)
-        lflat = [c for row in f.lower.rows for c in row]
-        uflat = [c for row in f.upper.rows for c in row]
-        return f.rank, f.perm_rows, f.perm_cols, lflat, uflat
+        pad = 0 if beta == 0 else b.m - f.rank
+        return packed_pluq(f.rank + pad, f.perm_rows, f.perm_cols,
+                           [row + [0] * pad for row in f.lower.rows],
+                           f.upper.rows + [[0] * b.n] * pad)
 
     # -- full-rank row space membership ------------------------------------------
 
@@ -256,6 +263,16 @@ class HonestProver:
             if poly_gcd(*batch[1]).is_one():
                 return batch
         raise ProverGaveUp("coprime denominators not found within the batch cap")
+
+
+def packed_pluq(rank: int, perm_rows, perm_cols, lower, upper):
+    """The ``field_det`` answer for B = P L U Q, L unit lower m x rank and
+    U upper rank x n given by their rows: (rank, perm_rows, perm_cols, L
+    below its diagonal, U from its diagonal on), each factor row by row.
+    The unit diagonal of L and the zeros of both are not sent."""
+    return (rank, list(perm_rows), list(perm_cols),
+            [c for i, row in enumerate(lower) for c in row[:i]],
+            [c for i, row in enumerate(upper) for c in row[i:]])
 
 
 def draw_batch(rng: random.Random, a: PolyMat, v: list, rho: int, t: int, sigma: int,

@@ -364,20 +364,27 @@ def test_criterion_7_communication_scaling():
                                            prover_seed=1)
                 assert verdict.accepted
                 labels = [msg.label for msg in tr.messages]
-                # frrsm sub-proofs t': one on A itself for a claim of full
-                # row rank, one per compression checked otherwise, each
-                # sending one inner_product; s compressions sent, each a
-                # Toeplitz C and a denominator
+                # the schedule at rank claim r: t' sub-proofs
+                # checked (one on A itself for a claim of full row rank, one
+                # per compression otherwise), each sending four r-vectors
+                # (rhs, solution, combination, solution_eval); s compressions
+                # sent, each a Toeplitz C of m + r - 1 entries and a
+                # denominator, a Bezout cofactor and an inner product of
+                # degree about r d; and the column set of a full-row-rank
+                # claim, r entries when r < n
                 checked = labels.count("inner_product")
                 sent = sum(label.startswith("toeplitz_") for label in labels)
                 comm = tr.comm_field_elements()
                 obj = sum(len(e.coeffs) for r in a.rows for e in r) + sum(
                     len(f.coeffs) for f in v
                 )
-                rows.append((m, n, d, comm, obj, m * d * checked + (m + n) * sent + m))
+                r = next(msg.payload.value for msg in tr.messages
+                         if msg.label == "rank_claim")
+                feat = 4 * r * checked + (m + r + 3 * r * d) * sent + r * (r < n)
+                rows.append((m, n, d, comm, obj, feat))
     ratios = [comm / feat for (_, _, _, comm, _, feat) in rows]
     spread = max(ratios) / min(ratios)
-    # least squares through the origin against m d t' + (m + n) s + m
+    # least squares through the origin against 4 r t' + (m + r + 3 r d) s + r [r < n]
     num = sum(c * f for (_, _, _, c, _, f) in rows)
     den = sum(f * f for (_, _, _, _, _, f) in rows)
     slope = num / den
@@ -395,7 +402,7 @@ def test_criterion_7_communication_scaling():
     _report(
         7,
         spread <= 4 and residual_ok and sub_linear,
-        f"communication fits c*(mdt'+(m+n)s+m): spread {spread:.2f} <= 4, fit slope "
+        f"communication fits c*(4rt'+(m+r+3rd)s+r[r<n]): spread {spread:.2f} <= 4, fit slope "
         f"{slope:.2f}; largest instance sends {large[3]} elements for a "
         f"{large[4]}-coefficient object",
     )

@@ -48,7 +48,11 @@ F = PrimeField(2**31 - 1)
 # at #S 32 and 64 and instance seeds 0 and 1.  It pins what a cheating
 # Prover sends from one trial to the next, so state kept across trials
 # (the Prover's per-matrix facts) cannot change an exchange.
-CHEATING_EXCHANGE_DIGESTS = "04df0aa40275060eb1ffc5eb59d48a2b10e923535d14973fddf1fb586da84dd0"
+CHEATING_EXCHANGE_DIGESTS = "c962e7d4da9e2fa96251cbd88d5169df1aaca76119aa4fc725029161e1ed5912"
+# sha256 over the verdict (reason and detail) and the Verifier's messages of
+# every run in _interactive_runs.  It pins what the Verifier decides and
+# draws, not what the Prover sends.
+VERDICT_CHALLENGE_DIGEST = "0e9e4dc65c80b2a100432912c18b01aba62e141313db34be56ac08f5384a1cc5"
 
 
 def test_cheats_refuse_true_instances():
@@ -195,6 +199,57 @@ def test_cheating_exchanges_are_pinned():
                             f"{verdict.reason.value} {verdict.detail}")
                     h.update(line.encode() + b"\n")
     assert h.hexdigest() == CHEATING_EXCHANGE_DIGESTS
+
+
+def _verdict_and_challenges(line, t):
+    """line, then the verdict and the encoded Verifier messages of run t."""
+    out = [f"{line} {t.verdict.reason.value} {t.verdict.detail}".encode()]
+    out += [t.message_bytes(m) for m in t.messages if m.sender == "V"]
+    return b"\n".join(out) + b"\n"
+
+
+def _interactive_runs():
+    """Every run behind VERDICT_CHALLENGE_DIGEST: the cheating exchanges of
+    test_cheating_exchanges_are_pinned plus field_det's, then interactive
+    true runs of every protocol (seeds 0 to 15, mmax 4, dmax 2, #S = p) in
+    F_{2^31-1} and F_97."""
+    for pid in (*SOUNDNESS_PROTOCOLS, "field_det"):
+        for sigma in (32, 64):
+            for seed in (0, 1):
+                rng = random.Random(seed)
+                pub, prover, _, _ = make_false_instance(pid, rng, F, sigma)
+                for trial in range(3):
+                    params = ProtocolParams(p=F.p, sigma=sigma, mode=MODE_INTERACTIVE,
+                                            strict=False, seed=rng.randrange(2**62))
+                    _, t = run_protocol(pid, pub, params, prover=prover)
+                    yield f"{pid} {sigma} {seed} {trial}", t
+    for p in (2**31 - 1, 97):
+        field = PrimeField(p)
+        for pid in PROTOCOL_IDS:
+            for seed in range(16):
+                pub = generate_true_instance(pid, random.Random(seed), field,
+                                             mmax=4, dmax=2)
+                params = ProtocolParams(p=p, sigma=p, mode=MODE_INTERACTIVE,
+                                        strict=False, seed=seed)
+                try:
+                    _, t = run_protocol(pid, pub, params)
+                except ProverGaveUp:
+                    yield f"{pid} {p} {seed} gave-up", None
+                    continue
+                yield f"{pid} {p} {seed}", t
+
+
+def test_verdicts_and_challenges_are_pinned():
+    """In interactive mode the challenges come from the seeded PRNG alone,
+    so what the Prover sends cannot move them: this pin holds across any
+    change to the Prover's messages that keeps every verdict."""
+    h = hashlib.sha256()
+    runs = 0
+    for line, t in _interactive_runs():
+        h.update(line.encode() + b"\n" if t is None else _verdict_and_challenges(line, t))
+        runs += 1
+    assert runs == 836
+    assert h.hexdigest() == VERDICT_CHALLENGE_DIGEST
 
 
 def _rand_ratvec(rng, field):

@@ -216,8 +216,9 @@ def test_rank_claim_beyond_any_word_is_rejected_in_both_modes(mode):
     verdict, _ = run_protocol("rsm", {"A": a, "v": v}, params, prover=Huge())
     assert (verdict.reason, verdict.detail) == (
         Reason.RANK_CHECK_FAILED, "rank claim exceeds the dimensions")
-    b = FieldMat(F, [[2, 1], [1, 1]])
-    verdict, _ = run_protocol("field_det", {"B": b, "beta": 1}, params, prover=Huge())
+    # only a claim of det B = 0 sends a rank
+    b = FieldMat(F, [[2, 1], [2, 1]])
+    verdict, _ = run_protocol("field_det", {"B": b, "beta": 0}, params, prover=Huge())
     assert (verdict.reason, verdict.detail) == (
         Reason.MALFORMED_MESSAGE, "rank claim exceeds the dimension")
 

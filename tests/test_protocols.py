@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -107,6 +108,74 @@ def test_rank_lb_vacuous_and_rank2_demo():
     assert verdict.accepted
 
 
+def _saved_and_loaded(transcript, edit=lambda messages: None):
+    """transcript through its saved JSON, the messages edited by edit, and
+    loaded back under the digest of the edited document."""
+    doc = json.loads(json.dumps(transcript.to_json_dict()))
+    edit(doc["messages"])
+    del doc["digest"]
+    doc["digest"] = Transcript.from_json_dict(doc).digest()
+    return Transcript.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("m, n, rho, sent", [
+    (3, 5, 3, ["col_set"]), (5, 3, 3, ["row_set"]), (3, 3, 3, []),
+    (4, 5, 2, ["row_set", "col_set"]),
+])
+def test_rank_lb_sends_no_index_set_that_is_its_whole_range(m, n, rho, sent):
+    """A set of rho out of rho rows (or columns) can only be all of them:
+    it is not sent, live or in a replay of the saved certificate."""
+    from polycert.instances import planted_rank
+
+    a = planted_rank(random.Random(m * n), F, m, n, rho, 2)
+    for pid in ("rank_lb", "rank"):
+        verdict, t = accepts(pid, {"A": a, "rho": rho})
+        assert verdict.accepted
+        labels = [msg.label for msg in t.messages]
+        assert [x for x in labels if x.endswith("_set")] == sent
+        assert labels.count("eval_point") == 1
+        assert verify_transcript(_saved_and_loaded(t)).accepted
+
+
+def test_rank_lb_sets_are_increasing_on_every_path(monkeypatch):
+    """Both sets come sorted, so a set the Verifier reads as range(m) is the
+    one the Prover's probe was taken on: by evaluation, by exact profiles
+    when no probe point works, and on a false claim."""
+    from polycert import provers
+    from polycert.instances import planted_rank
+
+    a = planted_rank(random.Random(5), F, 5, 4, 3, 2)
+    wide = rand_polymat(random.Random(6), F, 3, 5, 2)
+    prover = provers.HonestProver()
+    for cap in (provers.EVAL_PROBE_CAP, 0):
+        monkeypatch.setattr(provers, "EVAL_PROBE_CAP", cap)
+        for rho in (2, 3, 4):  # rank 3: rho = 4 is a false claim
+            rows, cols, _ = prover.rank_lb_sets(a, rho)
+            assert rows == sorted(rows) and cols == sorted(cols), (cap, rho)
+        verdict, t = accepts("rank_lb", {"A": wide, "rho": 3})
+        assert verdict.accepted and "row_set" not in [msg.label for msg in t.messages]
+
+
+@pytest.mark.parametrize("pid, pub, old, at", [
+    ("rank_lb", {"A": rand_polymat(random.Random(7), F, 3, 5, 2), "rho": 3},
+     {"label": "row_set", "payload": {"kind": "index_set", "values": [0, 1, 2]}}, 0),
+    ("field_det", {"B": FieldMat(F, [[2, 1], [1, 1]]), "beta": 1},
+     {"label": "pluq_rank", "payload": {"kind": "rank_claim", "value": 2}}, 0),
+    ("coprime", {"f": [Poly.x(F), Poly.x(F) + Poly.one(F)]},
+     {"label": "mixers", "payload": {"kind": "field_vector", "values": []}}, 2),
+], ids=["row_set", "pluq_rank", "mixers"])
+def test_a_certificate_with_a_forced_message_rejects_as_malformed(pid, pub, old, at):
+    """Certificates saved before these messages were dropped carry them
+    where the schedule now has the next message: the replay rejects as
+    malformed, and raises nothing."""
+    verdict, t = accepts(pid, pub)
+    assert verdict.accepted and verify_transcript(_saved_and_loaded(t)).accepted
+    stale = _saved_and_loaded(t, lambda msgs: msgs.insert(at, {"sender": "P", **old}))
+    verdict = verify_transcript(stale)
+    assert not verdict.accepted and verdict.reason is Reason.MALFORMED_MESSAGE
+    assert f"found P:{old['label']}" in verdict.detail
+
+
 @pytest.mark.parametrize("m, n, rho", [(3, 3, 3), (3, 5, 3), (5, 3, 3), (2, 4, 7)])
 def test_rank_ub_is_vacuous_when_rho_reaches_the_dimensions(m, n, rho, monkeypatch):
     """Every matrix has rank at most min(m, n): no challenge, no message."""
@@ -128,7 +197,7 @@ def test_rank_ub_is_vacuous_when_rho_reaches_the_dimensions(m, n, rho, monkeypat
         verdict, transcript = accepts("rank", {"A": a, "rho": rho})
         assert verdict.accepted and verify_transcript(transcript).accepted
         assert sent == [0, 0]  # the live run, then the replay
-        assert "row_set" in [msg.label for msg in transcript.messages]
+        assert "eval_point" in [msg.label for msg in transcript.messages]
 
 
 def test_rank_exact_and_wrong():
@@ -178,6 +247,59 @@ def test_field_det_examples():
     assert accepts("field_det", {"B": singular, "beta": 0})[0].accepted
     verdict, _ = accepts("field_det", {"B": i3, "beta": 5})
     assert not verdict.accepted
+
+
+def _singular(nu, rng):
+    """A nu x nu matrix of rank nu - 1: a random one with its last row a
+    combination of the others."""
+    rows = [[rng.randrange(F.p) for _ in range(nu)] for _ in range(nu - 1)]
+    lam = [rng.randrange(F.p) for _ in range(nu - 1)]
+    last = [sum(c * row[j] for c, row in zip(lam, rows)) % F.p for j in range(nu)]
+    return FieldMat(F, rows + [last], ncols=nu)
+
+
+@pytest.mark.parametrize("nu", [0, 1, 5])
+@pytest.mark.parametrize("singular", [False, True], ids=["full-rank", "beta-0"])
+def test_field_det_sends_no_forced_entry(nu, singular):
+    """L below its diagonal and U from its diagonal on, and a rank claim
+    only for beta = 0: n^2 + 3n elements at full rank, against the
+    2n^2 + 3n + 1 of all of L and U and the rank."""
+    rng = random.Random(nu)
+    if singular:
+        b = _singular(nu, rng) if nu else FieldMat(F, [], ncols=0)
+        beta, r = 0, nu - 1
+    else:
+        b = FieldMat(F, [[rng.randrange(F.p) for _ in range(nu)] for _ in range(nu)],
+                     ncols=nu)
+        beta, r = det_field(b), nu
+    assert (beta == 0) == singular
+    verdict, t = accepts("field_det", {"B": b, "beta": beta})
+    if nu == 0:  # det of the empty matrix is 1, and nothing is sent
+        assert verdict.accepted is not singular and not t.messages
+        return
+    assert verdict.accepted and verify_transcript(t).accepted
+    want = {"P:perm_rows": nu, "P:perm_cols": nu,
+            "P:lower_factor": sum(min(i, r) for i in range(nu)),
+            "P:upper_factor": sum(nu - i for i in range(r)), "V:probe": nu}
+    if singular:
+        want = {"P:pluq_rank": 1, **want}
+    assert t.comm_breakdown() == want
+    if not singular:
+        assert t.comm_field_elements() == nu * nu + 3 * nu
+
+
+@pytest.mark.parametrize("nu, rank", [(3, 2), (3, 0), (1, 0)])
+def test_honest_field_det_on_a_singular_b_fails_the_value_check(nu, rank):
+    """beta != 0 fixes the full-rank shape, so the honest Prover pads U
+    with zero rows: the claimed determinant is 0, not a wrong length."""
+    b = _singular(nu, random.Random(9)) if rank else FieldMat(F, [[0] * nu] * nu)
+    verdict, t = accepts("field_det", {"B": b, "beta": 5})
+    assert (verdict.reason, verdict.detail) == (
+        Reason.EVALUATION_CHECK_FAILED, "determinant value mismatch")
+    assert [m.label for m in t.messages] == [
+        "perm_rows", "perm_cols", "lower_factor", "upper_factor"]
+    assert len(t.messages[3].payload.values) == nu * (nu + 1) // 2
+    assert verify_transcript(t) == verdict
 
 
 # -- evaluation-only protocols ----------------------------------------------------------
@@ -252,6 +374,15 @@ def test_frrsm_rational_only_honest_rejects():
     v = [Poly.one(F), Poly.x(F)]
     verdict, _ = accepts("frrsm", {"A": a, "v": v})
     assert not verdict.accepted
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_coprime_sends_mixers_only_for_three_or_more(t):
+    fs = [Poly.of(F, 1, i) for i in range(t)]  # 1, 1 + x, 1 + 2x, ...
+    verdict, tr = accepts("coprime", {"f": fs})
+    assert verdict.accepted and verify_transcript(tr).accepted
+    mixers = [m.payload.values for m in tr.messages if m.label == "mixers"]
+    assert [len(v) for v in mixers] == ([t - 2] if t > 2 else [])
 
 
 def test_coprime_examples():

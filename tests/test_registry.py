@@ -15,11 +15,11 @@ from polycert.transcript import MODE_FIAT_SHAMIR, ProtocolParams
 # generate_true_instance inputs (seeds 0 and 1, mmax 4, dmax 2, #S = p,
 # permissive) in F_{2^31-1} and F_97.  It pins the generators' draw order,
 # the public-input encoding, the hash chain and every Verifier decision.
-ALL_PROTOCOL_DIGESTS = "4199af42ae3e0d66aa71eb9ca0d58b8ba606034e70435f2fbaad503d0765ce44"
+ALL_PROTOCOL_DIGESTS = "ac644f3a165794ffe15954846b000325ba69c8943b02ab37c198aacb6fdb8372"
 # sha256 over the text Transcript.save writes for each of those runs: it pins
 # the JSON spelling of every payload kind and the recorded meta (communication
 # counts included), which the digest does not cover.
-ALL_PROTOCOL_SAVED_JSON = "a382d36d3759101479d80299138ca3af79874de9def967632aae53d7c469a578"
+ALL_PROTOCOL_SAVED_JSON = "ac1eded19b933ec8b63bcbed9da63a0e17e136d77bd8c0d261888766bb249c31"
 
 
 def _pinned_runs(prover=None):

@@ -44,12 +44,12 @@ CERTIFY_SIZES = {
 
 # sha256 over the saved transcripts of seeds 0 and 1, per protocol
 CERTIFY_SIZE_DIGESTS = {
-    "rsm": "a0ecaa5b03250b3de05d41b36c28d428b394f73ecf1cc8987e3e37aa18216ba0",
-    "rs_equality": "654147108166b895b92aa6d51f134ba02f5789e67d90ba078fcba382dc33702b",
-    "hermite": "453db26d1faa3e790b150e3b6d4ccad7ace1ff04a82146b102bcfc3d6a0d5600",
-    "spopov": "779c28c75a59a206eb7457f8ba1e9a06fa9f41049d4da35c88a53069d6dbf9ba",
-    "kernel_basis": "cf8089c6aeea7b35a478613ca0c01af9dd14bf72c631f5c6e070cf417a8a9d84",
-    "sat_basis": "ee824630a76b198979f4d077bb12c3aad356708c82c42201680c53a07ea85dd1",
+    "rsm": "bcdbdce98c6a78bcb57b8459d873e2885a78a0a5b6488de200696eabdf126c67",
+    "rs_equality": "2555406a30be06a80594296bfd9f5a71e81a09b10450e440389373495ae038f2",
+    "hermite": "a182f48a1ca8fc153c0dcc3a84ce14185bd8c82343c3987f769acbba1cacf3d8",
+    "spopov": "c6cf3c26078936be61df13fcb06a38c96eb67380539a4c06a4bc38f9fa11e00a",
+    "kernel_basis": "b78939dc07974c4cd279dd1f5909394affdf7f0ca7e589ad9819f23622d1a473",
+    "sat_basis": "49921b5a29d9b9d77e8b343277a08362895ac3967447648fe86ea88aae8c12eb",
 }
 
 
@@ -225,15 +225,16 @@ def test_rank_lb_on_a_compression_evaluates_it_once(tall):
     compression the Verifier checks, and a replay never forms it.  A claim
     of full row rank is proved on A itself, with no compression and no
     coprime; the tall A checks all of its compressions.  Sub-protocols are
-    counted by a Prover message each sends once: row_set for rank_lb,
-    inner_product for frrsm, bezout_s1 for coprime."""
+    counted by a Prover message each sends once: eval_point for rank_lb
+    (its nonsingularity sub-proof's point; a rank_lb of rho rows sends no
+    row set), inner_product for frrsm, bezout_s1 for coprime."""
     pub = _tall_rsm_inputs() if tall else certify_size_inputs("rsm", 0)
     with mock.patch.object(ToeplitzOp, "apply_field_mat", autospec=True,
                            side_effect=ToeplitzOp.apply_field_mat) as formed:
         verdict, t = run_protocol("rsm", pub, CERTIFY_PARAMS)
         assert verdict.accepted
         labels = [m.label for m in t.messages]
-        checked = labels.count("row_set")
+        checked = labels.count("eval_point")
         compressions = sum(label.startswith("toeplitz_") for label in labels)
         assert checked == labels.count("inner_product")
         if tall:
@@ -267,7 +268,7 @@ def test_the_first_constant_denominator_is_the_one_compression_checked():
         labels = [m.label for m in t.messages]
         assert verdict.accepted and verify_transcript(t).accepted
         assert "toeplitz_1" in labels and "bezout_s1" not in labels
-        assert labels.count("row_set") == labels.count("inner_product") == 1
+        assert labels.count("eval_point") == labels.count("inner_product") == 1
 
 
 def test_rank_fact_serves_only_its_own_matrix():

@@ -417,10 +417,10 @@ def test_unencodable_value_without_digest_rejects_as_malformed():
                               "(solution: element out of range)")
 
     # a rank claim of 2**64 exceeds the dimension it is checked against,
-    # before the replay would encode it
+    # before the replay would encode it; only a claim of det B = 0 sends one
     from polycert.matfield import FieldMat
 
-    t = _honest("field_det", {"B": FieldMat(FBIG, [[2, 1], [1, 1]]), "beta": 1}, _params())
+    t = _honest("field_det", {"B": FieldMat(FBIG, [[2, 1], [2, 1]]), "beta": 0}, _params())
 
     def huge_rank(doc):
         msg = next(m for m in doc["messages"] if m["payload"]["kind"] == "rank_claim")
