@@ -9,7 +9,7 @@ transcript that can be stored and re-verified offline.
 """
 
 from .ff import PrimeField
-from .upoly import NEG_INF, Poly, RatFunc, RatVec
+from .upoly import NEG_INF, Poly, RatVec
 from .matfield import FieldMat
 from .polymat import PolyMat
 from .transcript import ProtocolParams, Reason, Transcript, Verdict
@@ -18,7 +18,6 @@ from .protocols import PROTOCOL_IDS, ProverGaveUp, run_protocol, verify_transcri
 __all__ = [
     "PrimeField",
     "Poly",
-    "RatFunc",
     "RatVec",
     "NEG_INF",
     "FieldMat",

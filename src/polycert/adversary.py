@@ -25,7 +25,7 @@ from .oracles import (
 from .polymat import MatView, PolyMat, ToeplitzOp
 from .protocols import wdeg
 from .provers import HonestProver, draw_batch, packed_pluq
-from .upoly import NEG_INF, Poly, RatFunc, RatVec, lin_comb, poly_gcd
+from .upoly import NEG_INF, Poly, RatVec, lin_comb, poly_gcd
 
 
 class InstanceActuallyTrue(Exception):
@@ -246,23 +246,26 @@ class CheatFullRankMembership(HonestProver):
         field = view.field
         if u.rational is None:
             return Poly.zero(field)
-        acc = RatFunc(lin_comb(field, c, u.rational.numer_row()), u.rational.common_den)
+        # u c = (N c) / den in lowest terms, a one-entry vector
+        acc = RatVec.from_common_den(u.rational.common_den,
+                                     [lin_comb(field, c, u.rational.numer_row())])
+        num, den = acc.numer_row()[0], acc.common_den
         if acc.is_polynomial():
-            return acc.num
+            return num
         from .upoly import deg_add, deg_scale, interpolate
 
         bound = deg_add(deg_scale(view.m, view.deg_bound), vec.deg_bound)
         if bound == NEG_INF:
-            return acc.num // acc.den
+            return num // den
         budget = int(bound) + 1
         points = []
         tau = 0
         while len(points) < budget and tau < self._sigma:
-            if acc.den(tau) != 0:
-                points.append((tau, acc.eval(tau)))
+            if den(tau) != 0:
+                points.append((tau, acc.eval(tau)[0]))
             tau += 1
         if not points:
-            return acc.num // acc.den
+            return num // den
         return interpolate(field, points)
 
     def frrsm_w(self, view, vec, c, g, alpha, u) -> list:

@@ -173,13 +173,20 @@ def _true_row_basis(rng, field, mmax, dmax, m, n, d, **_):
 
 
 def _true_hermite(rng, field, m, n, d, **_):
-    a, h = instances.planted_hermite_instance(rng, field, m, n, d)
-    return {"A": a, "H": h}
+    while True:
+        a = instances.rand_polymat(rng, field, m, n, d)
+        h = hermite_h(a)
+        if h.m:
+            return {"A": a, "H": h}
 
 
 def _true_spopov(rng, field, m, n, d, **_):
-    a, shift, pm = instances.planted_popov_instance(rng, field, m, n, d)
-    return {"A": a, "shift": shift, "P": pm}
+    shift = [rng.randrange(-2, 3) for _ in range(n)]
+    while True:
+        a = instances.rand_polymat(rng, field, m, n, d)
+        pm = popov_form(a, shift)
+        if pm.m:
+            return {"A": a, "shift": shift, "P": pm}
 
 
 def _true_saturated(rng, field, mmax, d, **_):
@@ -193,8 +200,11 @@ def _true_saturated(rng, field, mmax, d, **_):
 
 
 def _true_sat_basis(rng, field, m, n, d, **_):
-    a, b = instances.planted_sat_basis_instance(rng, field, m, n, d)
-    return {"A": a, "B": b}
+    while True:
+        a = instances.rand_polymat(rng, field, m, n, d)
+        b = saturation_basis(a)
+        if b.m:
+            return {"A": a, "B": b}
 
 
 def _true_unimod_completable(rng, field, mmax, **_):
@@ -206,8 +216,9 @@ def _true_unimod_completable(rng, field, mmax, **_):
 def _true_kernel_basis(rng, field, mmax, d, **_):
     mm = rng.randrange(1, mmax + 1)
     nn = rng.randrange(1, mmax + 1)
-    a, b = instances.planted_kernel_instance(rng, field, mm, nn, d)
-    return {"A": a, "B": b}
+    r = rng.randrange(1, min(mm, nn) + 1)
+    a = instances.planted_rank(rng, field, mm, nn, r, d)
+    return {"A": a, "B": kernel_basis_left(a)}
 
 
 # -- false instances and their cheats ----------------------------------------------------

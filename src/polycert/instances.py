@@ -11,15 +11,7 @@ import random
 
 from .ff import PrimeField
 from .matfield import FieldMat
-from .oracles import (
-    det_bareiss,
-    hermite_h,
-    kernel_basis_left,
-    popov_form,
-    rank_and_profile,
-    row_membership_oracle,
-    saturation_basis,
-)
+from .oracles import det_bareiss, rank_and_profile, row_membership_oracle, saturation_basis
 from .polymat import PolyMat
 from .upoly import Poly, poly_gcd
 
@@ -184,39 +176,6 @@ def planted_unimodular_completable(rng, field, m, n, dmax):
         raise ValueError("needs m < n")
     u = rand_unimodular(rng, field, n, dmax=max(0, dmax - 1))
     return PolyMat(field, u.rows[:m], ncols=n)
-
-
-def planted_kernel_instance(rng, field, m, n, dmax):
-    """(A, B) with B a left kernel basis of A (oracle-computed)."""
-    r = rng.randrange(1, min(m, n) + 1)
-    a = planted_rank(rng, field, m, n, r, dmax)
-    return a, kernel_basis_left(a)
-
-
-def planted_hermite_instance(rng, field, m, n, dmax):
-    a = rand_polymat(rng, field, m, n, dmax)
-    h = hermite_h(a)
-    if h.m == 0:
-        return planted_hermite_instance(rng, field, m, n, dmax)
-    return a, h
-
-
-def planted_popov_instance(rng, field, m, n, dmax, shift=None):
-    if shift is None:
-        shift = [rng.randrange(-2, 3) for _ in range(n)]
-    a = rand_polymat(rng, field, m, n, dmax)
-    pm = popov_form(a, shift)
-    if pm.m == 0:
-        return planted_popov_instance(rng, field, m, n, dmax, shift)
-    return a, shift, pm
-
-
-def planted_sat_basis_instance(rng, field, m, n, dmax):
-    while True:
-        a = rand_polymat(rng, field, m, n, dmax)
-        b = saturation_basis(a)
-        if b.m:
-            return a, b
 
 
 def rand_coprime_family(rng, field, t, dmax):

@@ -115,17 +115,6 @@ class FieldMat:
                     out[j] += vi * a
         return [c % p for c in out]
 
-    def matmul(self, other: "FieldMat") -> "FieldMat":
-        if self.n != other.m:
-            raise ValueError("dimension mismatch in matmul")
-        p = self.field.p
-        bt = other.transpose().rows
-        out = [
-            [sum(a * b for a, b in zip(row, col)) % p for col in bt]
-            for row in self.rows
-        ]
-        return FieldMat.of_rows(self.field, out, other.n)
-
 
 @dataclass
 class PluqFactorization:

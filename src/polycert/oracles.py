@@ -28,9 +28,9 @@ points, all with det B(alpha) != 0, checking the solution of
 u B(alpha) = v_B(alpha) against the other columns decides u A = v exactly,
 and a non-member is rejected before anything is interpolated.  The
 interpolated det B and N are brought to lowest terms by one gcd
-(:meth:`RatVec.from_common_den`).  A caller that has already found A's
-profile columns hands them to the solve, which then skips its own
-full-rank probe.
+(:meth:`RatVec.from_common_den`).  The solve finds B itself, from a
+full-rank evaluation of A or else from :func:`rank_and_profile`, so B is
+always nonsingular.
 
 A statement that asserts a polynomial answer (an ``frrsm`` solution, the
 one solve behind full-rank ``rsm`` compressions) is solved by x-adic
@@ -203,7 +203,7 @@ def _det_evaluation(mat: PolyMat, npoints: int) -> Poly:
 # -- Algorithm: rational linear solving with full row rank --------------------
 
 
-def rational_solve_left(mat: PolyMat, v: list, profile=None):
+def rational_solve_left(mat: PolyMat, v: list):
     """Solve u A = v over F(x) for a full-row-rank A.
 
     Returns LOW_RANK iff rank(A) < m; otherwise the unique rational solution
@@ -212,16 +212,13 @@ def rational_solve_left(mat: PolyMat, v: list, profile=None):
     Full row rank is certified cheaply through evaluations when possible (a
     full-rank evaluation is proof), falling back to the exact
     :func:`rank_and_profile`; either way it yields m profile columns B on
-    which A is nonsingular.  A caller that has already certified full row
-    rank passes those columns as ``profile`` (the column rank profile of a
-    rank-m A(alpha), or of A itself), and the probe is skipped.  On the batched
-    route of :func:`elimination_plan`, the system is solved and u A = v
-    decided together at its points (:func:`_solve_left_evaluation`);
-    otherwise u B = v_B is solved by Cramer's rule on fraction-free
-    (Bareiss) determinants over F[x] and N A = det(B) v checked by
-    polynomial arithmetic (:meth:`PolyMat.vecmat`).  Both routes are exact,
-    both stop on a singular B with ArithmeticError, and both bring det B and
-    N to the one lowest-terms form.
+    which A is nonsingular.  On the batched route of
+    :func:`elimination_plan`, the system is solved and u A = v decided
+    together at its points (:func:`_solve_left_evaluation`); otherwise
+    u B = v_B is solved by Cramer's rule on fraction-free (Bareiss)
+    determinants over F[x] and N A = det(B) v checked by polynomial
+    arithmetic (:meth:`PolyMat.vecmat`).  Both routes are exact, and both
+    bring det B and N to the one lowest-terms form.
     """
     m, n = mat.m, mat.n
     if len(v) != n:
@@ -229,13 +226,11 @@ def rational_solve_left(mat: PolyMat, v: list, profile=None):
     if m == 0:
         raise ValueError("rational solve needs at least one row")
     field = mat.field
-    if profile is None:
-        for alpha in range(min(EVAL_PROBE_CAP, field.p)):
-            r, _, cols = matfield.rank_profile(mat.eval_at(alpha))
-            if r == m:
-                profile = cols
-                break
-    if profile is None:
+    for alpha in range(min(EVAL_PROBE_CAP, field.p)):
+        r, _, profile = matfield.rank_profile(mat.eval_at(alpha))
+        if r == m:
+            break
+    else:
         r, profile = rank_and_profile(mat)
         if r < m:
             return LOW_RANK
@@ -246,8 +241,6 @@ def rational_solve_left(mat: PolyMat, v: list, profile=None):
     b = mat.submatrix(range(m), profile)
     v_b = [v[j] for j in profile]
     det = _bareiss(b)[2]
-    if det.is_zero():
-        raise ArithmeticError("singular matrix: the profile columns have determinant 0")
     numers = [_bareiss(PolyMat(field, b.rows[:i] + [v_b] + b.rows[i + 1:], ncols=m))[2]
               for i in range(m)]
     if mat.vecmat(numers) != [det * f for f in v]:

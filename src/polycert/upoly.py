@@ -1,4 +1,4 @@
-"""Dense univariate polynomials and rational functions over a prime field.
+"""Dense univariate polynomials and rational vectors over a prime field.
 
 Polynomials are coefficient lists, low-to-high, normalized so that the last
 coefficient is nonzero; the empty list is the zero polynomial and its degree
@@ -298,12 +298,6 @@ def poly_gcd(f: Poly, *others: Poly) -> Poly:
     return f.monic()
 
 
-def poly_lcm(f: Poly, g: Poly) -> Poly:
-    if f.is_zero() or g.is_zero():
-        return Poly.zero(f.field)
-    return (f * g).divexact(poly_gcd(f, g)).monic()
-
-
 def lin_comb(field: PrimeField, cs, fs) -> Poly:
     """sum_i c_i f_i over the pairs of ``zip(cs, fs)``, each c_i in F (an
     int) or in F[x] (a Poly).
@@ -410,116 +404,14 @@ CACHED_OPERATOR_POINTS = 128
 _cached_interpolation_operator = lru_cache(maxsize=32)(_interpolation_operator)
 
 
-class RatFunc:
-    """Reduced rational function: monic nonzero denominator, gcd(num, den) = 1."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly | None = None, reduce: bool = True):
-        field = num.field
-        if den is None:
-            den = Poly.one(field)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if reduce:
-            if num.is_zero():
-                den = Poly.one(field)
-            else:
-                g = poly_gcd(num, den)
-                if not g.is_one():
-                    num = num.divexact(g)
-                    den = den.divexact(g)
-                c = field.inv(den.lc())
-                if c != 1:
-                    num = num.scale(c)
-                    den = den.scale(c)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def zero(cls, field) -> "RatFunc":
-        return cls(Poly.zero(field), None, reduce=False)
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatFunc)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __repr__(self):
-        if self.is_polynomial():
-            return f"RatFunc({self.num!r})"
-        return f"RatFunc({self.num!r} / {self.den!r})"
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den, reduce=False)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            other = RatFunc(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def eval(self, alpha: int) -> int:
-        d = self.den(alpha)
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at {alpha}")
-        field = self.num.field
-        return field.mul(self.num(alpha), field.inv(d))
-
-
 class RatVec:
     """Row vector of rational functions, held in common-denominator form
     ``numer_row / common_den``: ``common_den`` monic, with no factor shared
-    by every numerator.  That form is unique; the reduced entries are
-    derived from it when read.
+    by every numerator.  That form is unique, so two vectors are equal
+    exactly when their denominators and numerator rows are.
     """
 
     __slots__ = ("field", "common_den", "_numer_row")
-
-    def __init__(self, entries):
-        """The vector of the given RatFunc entries: common_den is the lcm
-        of their denominators."""
-        entries = list(entries)
-        if not entries:
-            raise ValueError("empty rational vector")
-        d = Poly.one(entries[0].num.field)
-        for e in entries:
-            d = poly_lcm(d, e.den)
-        self.field = d.field
-        self.common_den = d
-        self._numer_row = [e.num * d.divexact(e.den) for e in entries]
-
-    @classmethod
-    def normalize(cls, field, raw_pairs) -> "RatVec":
-        """Build from (num, den) Poly pairs, reducing each entry."""
-        entries = []
-        for num, den in raw_pairs:
-            if den.is_zero():
-                raise ZeroDivisionError("zero denominator in rational vector")
-            entries.append(RatFunc(num, den))
-        return cls(entries)
 
     @classmethod
     def from_common_den(cls, den: Poly, numers) -> "RatVec":
@@ -567,29 +459,18 @@ class RatVec:
         out._numer_row = numers
         return out
 
-    @property
-    def entries(self) -> list:
-        """The reduced entries, one gcd each."""
-        return [RatFunc(f, self.common_den) for f in self._numer_row]
-
-    def __len__(self):
-        return len(self._numer_row)
-
-    def __getitem__(self, i):
-        return RatFunc(self._numer_row[i], self.common_den)
-
     def __eq__(self, other):
         return (isinstance(other, RatVec) and self.common_den == other.common_den
                 and self._numer_row == other._numer_row)
 
     def __repr__(self):
-        return f"RatVec({self.entries!r})"
+        return f"RatVec({self._numer_row!r} / {self.common_den!r})"
 
     def is_polynomial(self) -> bool:
         return self.common_den.is_one()
 
     def numer_row(self) -> list:
-        """common_den * entries, a polynomial row vector."""
+        """common_den times the vector, a polynomial row vector."""
         return list(self._numer_row)
 
     def eval(self, alpha: int) -> list:

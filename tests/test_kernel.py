@@ -39,7 +39,8 @@ from polycert.oracles import (
     rational_solve_left,
 )
 from polycert.polymat import PolyMat
-from polycert.upoly import Poly, RatFunc, RatVec, interpolate_many
+from polycert.upoly import Poly, interpolate_many
+from reference import RatFunc, entries, ratvec_of_entries
 from test_matfield import col_rank_profile
 
 F97 = PrimeField(97)
@@ -250,14 +251,14 @@ def square_systems(draw, field):
 def test_square_solve_same_on_both_routes(field, data):
     b, y = data.draw(square_systems(field))
     npoints, budget, _ = elimination_plan(b, y, range(b.m))
-    want = RatVec(_reference_solve(b, y))
+    want = ratvec_of_entries(_reference_solve(b, y))
     for k in (npoints, max(npoints, BATCH_CUTOFF), npoints + BATCH_CUTOFF):
         got = _solve_left_evaluation(b, y, range(b.m), k, budget)
         assert got.common_den == want.common_den
         assert got.numer_row() == want.numer_row()
         assert got == want
     with route(False):
-        got = rational_solve_left(b, y, range(b.m))
+        got = rational_solve_left(b, y)
     assert got.common_den == want.common_den
     assert got.numer_row() == want.numer_row()
 
@@ -283,7 +284,7 @@ def test_rational_solve_left_same_on_both_routes(field, data):
         return
     assert batched.common_den == scalar.common_den
     assert batched.numer_row() == scalar.numer_row()
-    assert batched.entries == scalar.entries
+    assert batched == scalar
 
 
 # -- the rational solve against F(x) elimination --------------------------------------------------
@@ -374,7 +375,7 @@ def test_rational_solve_left_matches_fraction_reference(field, data):
         if want is LOW_RANK or want is NO_SOLUTION:
             assert got is want
         else:
-            assert got.entries == want
+            assert entries(got) == want
 
 
 def test_non_member_in_a_non_profile_column_on_both_paths():
@@ -386,7 +387,7 @@ def test_non_member_in_a_non_profile_column_on_both_paths():
         outside = member[:2] + [member[2] + Poly.one(field)]
         for batched in (True, False):
             with route(batched):
-                assert rational_solve_left(a, member).entries == [_of_poly(u)]
+                assert entries(rational_solve_left(a, member)) == [_of_poly(u)]
                 assert rational_solve_left(a, outside) is NO_SOLUTION
 
 

@@ -16,6 +16,7 @@ from polycert.polymat import (
     hermite_shift,
 )
 from polycert.upoly import NEG_INF, Poly
+from reference import matmul
 
 F7 = PrimeField(7)
 F97 = PrimeField(97)
@@ -49,7 +50,7 @@ def test_eval_is_multiplicative():
         a = rand_pm(rng, F97, 4, 4, 3)
         b = rand_pm(rng, F97, 4, 4, 3)
         alpha = rng.randrange(97)
-        assert a.mul(b).eval_at(alpha) == a.eval_at(alpha).matmul(b.eval_at(alpha))
+        assert a.mul(b).eval_at(alpha) == matmul(a.eval_at(alpha), b.eval_at(alpha))
 
 
 def test_mul_examples_and_convolution_oracle():
@@ -174,7 +175,7 @@ def test_toeplitz_layout_and_apply():
         ToeplitzOp(F7, 2, 3, [1, 2, 3])
     rng = random.Random(54)
     a = FieldMat(F7, [[rng.randrange(7) for _ in range(4)] for _ in range(3)])
-    assert top.apply_field_mat(a) == mat.matmul(a)
+    assert top.apply_field_mat(a) == matmul(mat, a)
     x = [rng.randrange(7) for _ in range(2)]
     assert top.left_apply(x) == mat.transpose().matvec(x)
     y = [rng.randrange(7) for _ in range(3)]

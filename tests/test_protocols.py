@@ -1,13 +1,19 @@
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import polycert
 from polycert import protocols
 from polycert.adversary import CheatRowSpaceMembership
+from polycert.experiments import generate_true_instance
 from polycert.ff import PrimeField
 from polycert.instances import (
-    planted_kernel_instance,
+    planted_rank,
     rand_nonsingular,
     rand_polymat,
     rand_unimodular,
@@ -16,12 +22,14 @@ from polycert.matfield import FieldMat, det_field
 from polycert.oracles import (
     det_bareiss,
     hermite_form,
+    kernel_basis_left,
     popov_form,
     rank_and_profile,
 )
 from polycert.polymat import PolyMat
 from polycert.protocols import (
     PROTOCOL_IDS,
+    ProverGaveUp,
     rsm_rounds,
     run_protocol,
     verify_transcript,
@@ -534,7 +542,8 @@ def test_unimod_completable_examples():
 
 def test_kernel_basis_protocol():
     rng = random.Random(18)
-    a, b = planted_kernel_instance(rng, F, 4, 3, 2)
+    a = planted_rank(rng, F, 4, 3, rng.randrange(1, 4), 2)
+    b = kernel_basis_left(a)
     assert accepts("kernel_basis", {"A": a, "B": b})[0].accepted
     # empty kernel of a nonsingular matrix
     ns = rand_nonsingular(rng, F, 3, 1)
@@ -615,15 +624,16 @@ def test_replay_rejects_trailing_messages():
 def test_verifier_blindness_static():
     """The verifier module must not touch the heavy oracles."""
     import ast
-    import pathlib
 
-    src = pathlib.Path("src/polycert/protocols.py").read_text()
+    src = pathlib.Path(protocols.__file__).read_text()
     tree = ast.parse(src)
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             assert node.module not in ("polycert.oracles", "oracles"), (
                 "verifier layer imports the oracle module"
             )
+            # from . import oracles
+            assert all(alias.name != "oracles" for alias in node.names)
         if isinstance(node, ast.Import):
             for alias in node.names:
                 assert "oracles" not in alias.name
@@ -632,6 +642,51 @@ def test_verifier_blindness_static():
     for name in ("hermite_form", "popov_form", "rank_and_profile",
                  "rational_solve_left", "det_bareiss"):
         assert name not in src, f"verifier layer references {name}"
+
+
+def test_offline_verification_loads_no_prover_module(tmp_path):
+    """A fresh interpreter that loads and verifies a saved certificate of
+    every protocol imports no Prover-side module, not even through another
+    module, which the static check above cannot see."""
+    field = PrimeField(97)
+    prm = ProtocolParams(p=field.p, sigma=field.p, mode=MODE_FIAT_SHAMIR, strict=False)
+    paths = []
+    for pid in PROTOCOL_IDS:
+        for seed in range(5):
+            pub = generate_true_instance(pid, random.Random(seed), field, mmax=4, dmax=2)
+            try:
+                verdict, t = run_protocol(pid, pub, prm)
+            except ProverGaveUp:
+                continue
+            assert verdict.accepted, pid
+            paths.append(str(tmp_path / f"{pid}.json"))
+            t.save(paths[-1])
+            break
+    assert len(paths) == len(PROTOCOL_IDS)
+    script = (
+        "import json, sys\n"
+        "from polycert import Transcript, verify_transcript\n"
+        "for path in sys.argv[1:]:\n"
+        "    assert verify_transcript(Transcript.load(path)).accepted, path\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    src = str(pathlib.Path(polycert.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", script, *paths], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    loaded = set(json.loads(out))
+    assert "polycert.protocols" in loaded
+    for name in ("oracles", "provers", "adversary", "instances", "experiments"):
+        assert f"polycert.{name}" not in loaded, name
+
+
+def test_star_import_resolves_every_exported_name():
+    namespace = {}
+    exec("from polycert import *", namespace)
+    for name in polycert.__all__:
+        assert namespace[name] is getattr(polycert, name), name
+    assert "RatFunc" not in polycert.__all__ and not hasattr(polycert, "RatFunc")
 
 
 def test_communication_is_sublinear_for_rsm():
