@@ -23,9 +23,9 @@ from .oracles import (
     row_membership_oracle,
 )
 from .polymat import MatView, PolyMat, ToeplitzOp
-from .protocols import wdeg
+from .protocols import bezout_bounds, frrsm_g_bound, wdeg
 from .provers import HonestProver, draw_batch, packed_pluq
-from .upoly import NEG_INF, Poly, RatVec, lin_comb, poly_gcd
+from .upoly import NEG_INF, Poly, RatVec, interpolate, lin_comb, poly_gcd
 
 
 class InstanceActuallyTrue(Exception):
@@ -167,8 +167,7 @@ class CheatCoprime(HonestProver):
         rng = random.Random(seed ^ 0x5EED)
         self._betas = [rng.randrange(sigma) for _ in range(max(0, t - 2))]
         h = lin_comb(field, [1, *self._betas], fs[1:])
-        bound1 = max(1, max(wdeg(f.deg) for f in fs[1:])) if t >= 2 else wdeg(fs[0].deg)
-        bound2 = wdeg(fs[0].deg)
+        bound1, bound2 = bezout_bounds(fs)
         gh = poly_gcd(fs[0], h) if not (fs[0].is_zero() and h.is_zero()) else None
         # the identity cannot hold at a common root of f1 and h
         blocked = set()
@@ -252,9 +251,7 @@ class CheatFullRankMembership(HonestProver):
         num, den = acc.numer_row()[0], acc.common_den
         if acc.is_polynomial():
             return num
-        from .upoly import deg_add, deg_scale, interpolate
-
-        bound = deg_add(deg_scale(view.m, view.deg_bound), vec.deg_bound)
+        bound = frrsm_g_bound(view, vec)
         if bound == NEG_INF:
             return num // den
         budget = int(bound) + 1

@@ -3,9 +3,11 @@
 Every protocol is a function that drives one Session: it requests prover
 messages, derives Verifier challenges, performs exactly the checks the
 protocol prescribes, and raises ProtocolReject on the first failure
-(remaining scheduled messages are never consumed).  Sub-protocols are
-invoked inline between begin/end markers and share the session's single
-challenge source, so a Fiat-Shamir run has one global hash chain.
+(remaining scheduled messages are never consumed).  A composite runs a
+child by its registry id, ``sess.sub("rank_lb", view, rho)``: the Session
+absorbs the child's begin and end markers around it, and every child shares
+the session's single challenge source, so a Fiat-Shamir run has one global
+hash chain.
 
 The Verifier never recomputes certified objects.  Concretely: this module
 must not import :mod:`polycert.oracles`, and products like C.A exist only
@@ -24,12 +26,15 @@ it in: a ``rank_lb`` index set of all rows or all columns, the unit
 diagonal and the zeros of ``field_det``'s L and U, its rank when the
 claimed determinant is nonzero, and ``coprime``'s mixers for t <= 2.
 
-Each protocol is registered once, by the ``@protocol`` decorator on its
-runner: its id, its public-input schema and its advertised #S lower bound
-form one :class:`ProtocolSpec` in :data:`PROTOCOLS`.  Strict mode enforces
-the bound of the protocol actually being run (the top-level one); bounds of
-nested sub-protocols are not enforced separately, since the top-level bound
-is the one that guarantees completeness and 1/2-soundness for the composite.
+Each protocol is one function, registered by the ``@protocol`` decorator:
+its id, its public-input schema and its advertised #S lower bound form one
+:class:`ProtocolSpec` in :data:`PROTOCOLS`, and the function, whose
+parameters are the schema names, is both the top-level runner and the
+child.  :meth:`Session.play` declares the bound of the protocol actually
+being run (the top-level one) and strict mode enforces it; bounds of nested
+sub-protocols are not enforced separately, since the top-level bound is the
+one that guarantees completeness and 1/2-soundness for the composite.  Only
+``rsm``'s bound waits for the Prover's rank claim, and ``rsm`` declares it.
 """
 
 from __future__ import annotations
@@ -147,14 +152,11 @@ class Session:
 
     # -- strict-mode bound -----------------------------------------------------
 
-    def declare_bound(self, rank_claim: int | None = None):
+    def declare_bound(self, *rank_claim: int):
         """Record the run's advertised #S lower bound, the top-level spec's
         formula, and enforce it in strict mode.  A spec whose bound takes the
         Prover's rank claim is declared once the claim arrives."""
-        if rank_claim is None:
-            bound = self.spec.bound(self.pub)
-        else:
-            bound = self.spec.bound(self.pub, rank_claim)
+        bound = self.spec.bound(self.pub, *rank_claim)
         self.transcript.meta.setdefault("sigma_lower_bound", bound)
         if self.params.strict and self.sigma < bound:
             self.fail(
@@ -309,29 +311,29 @@ class Session:
         self._verifier_message(label, FieldVector(values))
         return list(values)
 
-    # -- sub-protocol nesting -------------------------------------------------------
+    # -- playing protocols ---------------------------------------------------------
 
-    class _Sub:
-        def __init__(self, sess: "Session", proto_id: str):
-            self.sess = sess
-            self.proto_id = proto_id
-
-        def __enter__(self):
-            self.sess.source.absorb(marker_bytes(f"begin:{self.proto_id}"))
-            self.sess._sub_stack.append(self.proto_id)
-
-        def __exit__(self, exc_type, exc, tb):
-            self.sess._sub_stack.pop()
-            if exc_type is None:
-                self.sess.source.absorb(marker_bytes(f"end:{self.proto_id}"))
-            return False
-
-    def subprotocol(self, proto_id: str) -> "_Sub":
-        return Session._Sub(self, proto_id)
-
-    def finish_replay(self):
+    def play(self):
+        """Run the top-level protocol: declare its #S bound, unless the bound
+        takes a rank the Prover claims mid-run, then its runner on the public
+        inputs; a replay must use up the recorded messages."""
+        spec = self.spec
+        if spec.claimed_rank_of is None:
+            self.declare_bound()
+        spec.runner(self, **self.pub)
         if self.replay and self._cursor != len(self.transcript.messages):
             self.fail(Reason.MALFORMED_MESSAGE, "trailing messages in transcript")
+
+    def sub(self, protocol_id: str, *args):
+        """Run the registered protocol_id as a sub-protocol on args, between
+        its begin and end markers.  A rejection ends the whole run, so no
+        marker or stack pop follows it."""
+        source = self.source
+        source.absorb(marker_bytes(f"begin:{protocol_id}"))
+        self._sub_stack.append(protocol_id)
+        PROTOCOLS[protocol_id].runner(self, *args)
+        self._sub_stack.pop()
+        source.absorb(marker_bytes(f"end:{protocol_id}"))
 
 
 # -- the registry -------------------------------------------------------------------
@@ -340,12 +342,15 @@ class Session:
 class ProtocolSpec(NamedTuple):
     """Everything the Verifier side knows about one protocol.
 
-    ``bound`` gives the advertised #S lower bound from the public inputs.  In
-    the rsm family the bound grows with the rank the Prover claims mid-run for
-    the public matrix ``claimed_rank_of``; there it is ``bound(pub, claim)``.
+    ``runner(sess, **pub)`` plays the protocol on its public inputs, named
+    as in ``schema``; a composite calls it as a child through
+    :meth:`Session.sub`, with positional arguments.  ``bound`` gives the
+    advertised #S lower bound from the public inputs.  In the rsm family the
+    bound grows with the rank the Prover claims mid-run for the public
+    matrix ``claimed_rank_of``; there it is ``bound(pub, claim)``.
     """
 
-    runner: Callable          # (Session, public inputs); raises ProtocolReject
+    runner: Callable          # raises ProtocolReject
     schema: dict              # public input name -> payload class, in encoding order
     bound: Callable
     claimed_rank_of: str | None = None
@@ -406,58 +411,54 @@ def once(produce):
 
 
 # -- protocol bodies ----------------------------------------------------------------
-# Each body takes domain objects; the dims/kind sanity of public inputs is
-# re-checked here so that verification of hostile transcript files rejects
-# rather than crashes.
+# Each body is the runner of its protocol, at the top level and as a child;
+# its parameters after the session are its schema names.  The dims/kind sanity
+# of public inputs is re-checked here so that verification of hostile
+# transcript files rejects rather than crashes.
+
+
+def _square_nonempty(sess: Session, a: PolyMat):
+    if a.m != a.n or a.m == 0:
+        sess.fail(Reason.PARAMS_INVALID, "matrix must be square and nonempty")
 
 
 @protocol("singularity", {"A": PolyMatrixPayload},
           lambda pub: 2 * pub["A"].n * _mdeg(pub, "A"))
-def run_singularity(sess: Session, pub):
-    a: PolyMat = pub["A"]
-    if a.m != a.n or a.m == 0:
-        sess.fail(Reason.PARAMS_INVALID, "matrix must be square and nonempty")
-    n = a.n
-    sess.declare_bound()
+def singularity(sess: Session, A: PolyMat):
+    _square_nonempty(sess, A)
     alpha = sess.challenge_scalar("alpha")
     v = sess.prover_vector(
-        "kernel_vector", n, lambda: sess.prover.singularity_kernel_vector(a, alpha)
+        "kernel_vector", A.n, lambda: sess.prover.singularity_kernel_vector(A, alpha)
     )
     if not any(v):
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "kernel vector is zero")
-    if any(a.eval_at(alpha).vecmat(v)):
+    if any(A.eval_at(alpha).vecmat(v)):
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "v A(alpha) != 0")
 
 
-def _nonsingularity(sess: Session, view: MatView, probe=lambda: None):
+@protocol("nonsingularity", {"A": PolyMatrixPayload},
+          lambda pub: pub["A"].n * _mdeg(pub, "A") + 1)
+def nonsingularity(sess: Session, A: MatView, probe=None):
     """``probe()`` is the caller's Prover answer for
-    :meth:`HonestProver.nonsingularity_point`, as ``rank_lb`` holds one."""
-    n = view.m
-    if n != view.n:
-        sess.fail(Reason.PARAMS_INVALID, "matrix must be square")
+    :meth:`HonestProver.nonsingularity_point`, as ``rank_lb`` holds one; a
+    child handed one may be the empty matrix, whose determinant is 1."""
+    if probe is None:
+        _square_nonempty(sess, A)
+    n = A.m
     if n == 0:
-        return  # det of the empty matrix is 1
-    point = once(lambda: sess.prover.nonsingularity_point(view, sess.sigma, probe()))
+        return
+    point = once(lambda: sess.prover.nonsingularity_point(
+        A, sess.sigma, probe and probe()))
     alpha = sess.prover_scalar("eval_point", lambda: point()[0])
     if alpha >= sess.sigma:
         sess.fail(Reason.MALFORMED_MESSAGE, "evaluation point outside sample set")
     b = sess.challenge_vector("rhs", n)
     w = sess.prover_vector(
         "solution", n,
-        lambda: sess.prover.nonsingularity_solution(view, alpha, b, point()[1]),
+        lambda: sess.prover.nonsingularity_solution(A, alpha, b, point()[1]),
     )
-    if view.matvec_at(alpha, w) != b:
+    if A.matvec_at(alpha, w) != b:
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "A(alpha) w != b")
-
-
-@protocol("nonsingularity", {"A": PolyMatrixPayload},
-          lambda pub: pub["A"].n * _mdeg(pub, "A") + 1)
-def run_nonsingularity(sess: Session, pub):
-    a: PolyMat = pub["A"]
-    if a.m != a.n or a.m == 0:
-        sess.fail(Reason.PARAMS_INVALID, "matrix must be square and nonempty")
-    sess.declare_bound()
-    _nonsingularity(sess, a)
 
 
 def _index_set(sess: Session, label: str, size: int, universe: int, produce) -> list:
@@ -469,64 +470,47 @@ def _index_set(sess: Session, label: str, size: int, universe: int, produce) -> 
     return sess.prover_index_set(label, size, universe, produce)
 
 
-def _rank_lb(sess: Session, view: MatView, rho: int):
+@protocol("rank_lb", {"A": PolyMatrixPayload, "rho": RankClaimPayload},
+          lambda pub: max(0, pub["rho"]) * _mdeg(pub, "A") + 1)
+def rank_lb(sess: Session, A: MatView, rho: int):
     if rho < 0:
         sess.fail(Reason.PARAMS_INVALID, "negative rank bound")
     if rho == 0:
         return  # vacuously true
-    if rho > min(view.m, view.n):
+    if rho > min(A.m, A.n):
         sess.fail(Reason.RANK_CHECK_FAILED, "rank bound exceeds the dimensions")
-    sets = once(lambda: sess.prover.rank_lb_sets(view, rho))
-    rows = _index_set(sess, "row_set", rho, view.m, lambda: sets()[0])
-    cols = _index_set(sess, "col_set", rho, view.n, lambda: sets()[1])
-    sub = SubmatrixView(view, rows, cols)
-    with sess.subprotocol("nonsingularity"):
-        _nonsingularity(sess, sub, lambda: sets()[2])
-
-
-@protocol("rank_lb", {"A": PolyMatrixPayload, "rho": RankClaimPayload},
-          lambda pub: max(0, pub["rho"]) * _mdeg(pub, "A") + 1)
-def run_rank_lb(sess: Session, pub):
-    sess.declare_bound()
-    _rank_lb(sess, pub["A"], pub["rho"])
-
-
-def _rank_ub(sess: Session, a: PolyMat, rho: int):
-    if rho < 0:
-        sess.fail(Reason.PARAMS_INVALID, "negative rank bound")
-    if rho >= min(a.m, a.n):
-        return  # every matrix has rank at most min(m, n)
-    n = a.n
-    alpha = sess.challenge_scalar("alpha")
-    v = sess.challenge_vector("probe", n)
-    gamma = sess.prover_vector(
-        "sparse_combination", n,
-        lambda: sess.prover.rank_ub_gamma(a, rho, alpha, v),
-    )
-    if hamming_weight(gamma) > rho:
-        sess.fail(Reason.RANK_CHECK_FAILED, "Hamming weight exceeds the bound")
-    ev = a.eval_at(alpha)
-    if ev.matvec(gamma) != ev.matvec(v):
-        sess.fail(Reason.EVALUATION_CHECK_FAILED, "A(alpha) gamma != A(alpha) v")
+    sets = once(lambda: sess.prover.rank_lb_sets(A, rho))
+    rows = _index_set(sess, "row_set", rho, A.m, lambda: sets()[0])
+    cols = _index_set(sess, "col_set", rho, A.n, lambda: sets()[1])
+    sess.sub("nonsingularity", SubmatrixView(A, rows, cols), lambda: sets()[2])
 
 
 @protocol("rank_ub", {"A": PolyMatrixPayload, "rho": RankClaimPayload},
           lambda pub: 2 * max(0, pub["rho"]) * _mdeg(pub, "A") + 2)
-def run_rank_ub(sess: Session, pub):
-    sess.declare_bound()
-    _rank_ub(sess, pub["A"], pub["rho"])
+def rank_ub(sess: Session, A: PolyMat, rho: int):
+    if rho < 0:
+        sess.fail(Reason.PARAMS_INVALID, "negative rank bound")
+    if rho >= min(A.m, A.n):
+        return  # every matrix has rank at most min(m, n)
+    n = A.n
+    alpha = sess.challenge_scalar("alpha")
+    v = sess.challenge_vector("probe", n)
+    gamma = sess.prover_vector(
+        "sparse_combination", n,
+        lambda: sess.prover.rank_ub_gamma(A, rho, alpha, v),
+    )
+    if hamming_weight(gamma) > rho:
+        sess.fail(Reason.RANK_CHECK_FAILED, "Hamming weight exceeds the bound")
+    ev = A.eval_at(alpha)
+    if ev.matvec(gamma) != ev.matvec(v):
+        sess.fail(Reason.EVALUATION_CHECK_FAILED, "A(alpha) gamma != A(alpha) v")
 
 
 @protocol("rank", {"A": PolyMatrixPayload, "rho": RankClaimPayload},
           lambda pub: 2 * max(0, pub["rho"]) * _mdeg(pub, "A") + 2)
-def run_rank(sess: Session, pub):
-    a: PolyMat = pub["A"]
-    rho: int = pub["rho"]
-    sess.declare_bound()
-    with sess.subprotocol("rank_lb"):
-        _rank_lb(sess, a, rho)
-    with sess.subprotocol("rank_ub"):
-        _rank_ub(sess, a, rho)
+def rank(sess: Session, A: PolyMat, rho: int):
+    sess.sub("rank_lb", A, rho)
+    sess.sub("rank_ub", A, rho)
 
 
 def _runs(flat: list, lengths) -> list:
@@ -538,21 +522,32 @@ def _runs(flat: list, lengths) -> list:
     return out
 
 
-def _field_det(sess: Session, b: FieldMat, beta: int):
+@protocol("determinant", {"A": PolyMatrixPayload, "delta": PolyPayload},
+          lambda pub: 2 * pub["A"].n * _mdeg(pub, "A") + 2)
+def determinant(sess: Session, A: PolyMat, delta: Poly):
+    _square_nonempty(sess, A)
+    if not deg_le(delta.deg, A.n * wdeg(A.deg)):
+        sess.fail(Reason.DEGREE_CHECK_FAILED, "claimed determinant degree too high")
+    alpha = sess.challenge_scalar("alpha")
+    sess.sub("field_det", A.eval_at(alpha), delta(alpha))
+
+
+@protocol("field_det", {"B": FieldMatrixPayload, "beta": FieldScalar}, lambda pub: 2)
+def field_det(sess: Session, B: FieldMat, beta: int):
     """det B = beta from B = P L U Q, with L unit lower nu x r and U upper
     r x nu.  Only what no check fixes is sent: row i of L below its
     diagonal, L[i][:min(i, r)], and row i of U from its diagonal on,
     U[i][i:].  The rank r is sent only when beta = 0: any r < nu claims
     det B = 0, so beta != 0 leaves r = nu as the one claim that can pass."""
-    nu = b.m
-    if b.m != b.n:
+    nu = B.m
+    if B.m != B.n:
         sess.fail(Reason.PARAMS_INVALID, "matrix must be square")
     if nu == 0:
         if beta != 1 % sess.field.p:
             sess.fail(Reason.EVALUATION_CHECK_FAILED, "empty determinant is 1")
         return
 
-    factors = once(lambda: sess.prover.field_det_factors(b, beta))
+    factors = once(lambda: sess.prover.field_det_factors(B, beta))
     if beta == 0:
         r = sess.prover_rank_claim("pluq_rank", nu, Reason.MALFORMED_MESSAGE,
                                    "rank claim exceeds the dimension",
@@ -588,145 +583,112 @@ def _field_det(sess: Session, b: FieldMat, beta: int):
     pluqv = [0] * nu
     for i, row in enumerate(lower):
         pluqv[prows[i]] = (_dot(field, row, uqv) + (uqv[i] if i < r else 0)) % p
-    if pluqv != b.matvec(v):
+    if pluqv != B.matvec(v):
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "Freivalds check failed")
-
-
-@protocol("determinant", {"A": PolyMatrixPayload, "delta": PolyPayload},
-          lambda pub: 2 * pub["A"].n * _mdeg(pub, "A") + 2)
-def run_determinant(sess: Session, pub):
-    a: PolyMat = pub["A"]
-    delta: Poly = pub["delta"]
-    if a.m != a.n or a.m == 0:
-        sess.fail(Reason.PARAMS_INVALID, "matrix must be square and nonempty")
-    sess.declare_bound()
-    if not deg_le(delta.deg, a.n * wdeg(a.deg)):
-        sess.fail(Reason.DEGREE_CHECK_FAILED, "claimed determinant degree too high")
-    alpha = sess.challenge_scalar("alpha")
-    beta = delta(alpha)
-    with sess.subprotocol("field_det"):
-        _field_det(sess, a.eval_at(alpha), beta)
-
-
-@protocol("field_det", {"B": FieldMatrixPayload, "beta": FieldScalar}, lambda pub: 2)
-def run_field_det(sess: Session, pub):
-    sess.declare_bound()
-    _field_det(sess, pub["B"], pub["beta"])
 
 
 @protocol("system_solve", {"A": PolyMatrixPayload, "b": PolyVectorPayload,
                            "v": PolyVectorPayload, "delta": PolyPayload},
           lambda pub: 4 * max(_mdeg(pub, "A"), row_wdeg(pub["b"]), row_wdeg(pub["v"]),
                               wdeg(pub["delta"].deg)))
-def run_system_solve(sess: Session, pub):
-    a: PolyMat = pub["A"]
-    b: list = pub["b"]
-    v: list = pub["v"]
-    delta: Poly = pub["delta"]
-    if len(b) != a.m or len(v) != a.n:
+def system_solve(sess: Session, A: PolyMat, b: list, v: list, delta: Poly):
+    if len(b) != A.m or len(v) != A.n:
         sess.fail(Reason.PARAMS_INVALID, "dimension mismatch")
-    sess.declare_bound()
     alpha = sess.challenge_scalar("alpha")
     p = sess.field.p
-    lhs = a.eval_at(alpha).matvec([f(alpha) for f in v])
+    lhs = A.eval_at(alpha).matvec([f(alpha) for f in v])
     da = delta(alpha)
     rhs = [da * f(alpha) % p for f in b]
     if lhs != rhs:
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "A(a)v(a) != delta(a) b(a)")
 
 
-def _matmul(sess: Session, a: PolyMat, b: PolyMat, c: PolyMat):
-    if a.n != b.m or c.m != a.m or c.n != b.n:
+@protocol("matmul", {"A": PolyMatrixPayload, "B": PolyMatrixPayload, "C": PolyMatrixPayload},
+          lambda pub: 4 * _mdeg(pub, "A", "B", "C") + 2)
+def matmul(sess: Session, A: PolyMat, B: PolyMat, C: PolyMat):
+    if A.n != B.m or C.m != A.m or C.n != B.n:
         sess.fail(Reason.PARAMS_INVALID, "dimension mismatch")
-    if not deg_le(c.deg, deg_add(a.deg, b.deg)):
+    if not deg_le(C.deg, deg_add(A.deg, B.deg)):
         sess.fail(Reason.DEGREE_CHECK_FAILED, "product degree too high")
     alpha = sess.challenge_scalar("alpha")
-    v = sess.challenge_vector("probe", b.n)
-    bv = b.eval_at(alpha).matvec(v)
-    lhs = a.eval_at(alpha).matvec(bv)
-    rhs = c.eval_at(alpha).matvec(v)
+    v = sess.challenge_vector("probe", B.n)
+    bv = B.eval_at(alpha).matvec(v)
+    lhs = A.eval_at(alpha).matvec(bv)
+    rhs = C.eval_at(alpha).matvec(v)
     if lhs != rhs:
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "A(a)(B(a)v) != C(a)v")
 
 
-@protocol("matmul", {"A": PolyMatrixPayload, "B": PolyMatrixPayload, "C": PolyMatrixPayload},
-          lambda pub: 4 * _mdeg(pub, "A", "B", "C") + 2)
-def run_matmul(sess: Session, pub):
-    sess.declare_bound()
-    _matmul(sess, pub["A"], pub["B"], pub["C"])
-
-
 @protocol("inverse", {"A": PolyMatrixPayload, "B": PolyMatrixPayload},
           lambda pub: 4 * _mdeg(pub, "A", "B") + 2)
-def run_inverse(sess: Session, pub):
-    a, b = pub["A"], pub["B"]
-    if a.m != a.n or b.m != b.n or a.n != b.m:
+def inverse(sess: Session, A: PolyMat, B: PolyMat):
+    if A.m != A.n or B.m != B.n or A.n != B.m:
         sess.fail(Reason.PARAMS_INVALID, "inverse needs square matrices")
-    sess.declare_bound()
-    _matmul(sess, a, b, PolyMat.identity(sess.field, a.n))
+    # matmul's checks inline: sub-protocol markers would move every challenge
+    matmul(sess, A, B, PolyMat.identity(sess.field, A.n))
 
 
-def _frrsm(sess: Session, view: MatView, vec: VecView, solution=None):
-    """Full-rank membership of vec in the row space of view.
+def frrsm_g_bound(view: MatView, vec: VecView):
+    """The bound on deg g, the inner product u.c that ``frrsm`` receives."""
+    return deg_add(deg_scale(view.m, view.deg_bound), vec.deg_bound)
 
-    The Prover's solution u of u A = v is one answer per sub-proof
+
+@protocol("frrsm", {"A": PolyMatrixPayload, "v": PolyVectorPayload},
+          lambda pub: (6 * pub["A"].m + 2) * _vdeg(pub) + 2)
+def frrsm(sess: Session, A: MatView, v: list, den: Poly | None = None, solution=None):
+    """Full-rank membership of den * v in the row space of A.
+
+    The Prover's solution u of u A = den * v is one answer per sub-proof
     (:func:`once`), handed to both of its messages: ``solution()`` when the
     caller already holds it, as the ``rsm`` commitment does, else
     ``prover.frrsm_solution``.
     """
-    m, n = view.m, view.n
-    if vec.length != n:
+    vec = ScaledVecView(v, den)
+    m = A.m
+    if vec.length != A.n:
         sess.fail(Reason.PARAMS_INVALID, "dimension mismatch")
     if m == 0:
         sess.fail(Reason.PARAMS_INVALID, "empty matrix")
 
-    answer = solution or once(lambda: sess.prover.frrsm_solution(view, vec))
+    answer = solution or once(lambda: sess.prover.frrsm_solution(A, vec))
     c = sess.challenge_vector("combination", m)
     g = sess.prover_poly(
-        "inner_product", lambda: sess.prover.frrsm_g(view, vec, c, answer())
+        "inner_product", lambda: sess.prover.frrsm_g(A, vec, c, answer())
     )
-    bound = deg_add(deg_scale(m, view.deg_bound), vec.deg_bound)
     # deg(v) = -inf alone must not force g = 0 when A is nonzero: the honest
     # u can be nonzero only when v is nonzero, so the absorbing rule is right
     # for soundness and never hurts completeness (v = 0 has g = 0).
-    if not deg_le(g.deg, bound):
+    if not deg_le(g.deg, frrsm_g_bound(A, vec)):
         sess.fail(Reason.DEGREE_CHECK_FAILED, "inner product degree too high")
     alpha = sess.challenge_scalar("alpha")
     w = sess.prover_vector(
-        "solution_eval", m, lambda: sess.prover.frrsm_w(view, vec, c, g, alpha, answer())
+        "solution_eval", m, lambda: sess.prover.frrsm_w(A, vec, c, g, alpha, answer())
     )
-    if view.vecmat_at(alpha, w) != vec.eval_at(alpha):
+    if A.vecmat_at(alpha, w) != vec.eval_at(alpha):
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "w A(alpha) != v(alpha)")
     if _dot(sess.field, w, c) != g(alpha):
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "w c != g(alpha)")
 
 
-@protocol("frrsm", {"A": PolyMatrixPayload, "v": PolyVectorPayload},
-          lambda pub: (6 * pub["A"].m + 2) * _vdeg(pub) + 2)
-def run_frrsm(sess: Session, pub):
-    a: PolyMat = pub["A"]
-    v: list = pub["v"]
-    if len(v) != a.n:
-        sess.fail(Reason.PARAMS_INVALID, "dimension mismatch")
-    sess.declare_bound()
-    _frrsm(sess, a, ScaledVecView(v))
+def bezout_bounds(fs: list) -> tuple:
+    """The strict degree bounds on ``coprime``'s Bezout pair (s1, s2), with
+    s1 f_1 + s2 h = 1 and h mixing f_2, ..., f_t."""
+    bound2 = wdeg(fs[0].deg)
+    return (row_wdeg(fs[1:]) if len(fs) >= 2 else bound2), bound2
 
 
-def _coprime(sess: Session, fs: list):
-    t = len(fs)
+@protocol("coprime", {"f": PolyVectorPayload}, lambda pub: 2 * row_wdeg(pub["f"]))
+def coprime(sess: Session, f: list):
+    t = len(f)
     if t < 1:
         sess.fail(Reason.PARAMS_INVALID, "need at least one polynomial")
 
-    witness = once(lambda: sess.prover.coprime_witness(fs, sess.sigma))
+    witness = once(lambda: sess.prover.coprime_witness(f, sess.sigma))
     s1 = sess.prover_poly("bezout_s1", lambda: witness()[0])
     s2 = sess.prover_poly("bezout_s2", lambda: witness()[1])
     # h mixes f_3, ..., f_t into f_2; with t <= 2 there is nothing to mix
     betas = [] if t <= 2 else sess.prover_vector("mixers", t - 2, lambda: witness()[2])
-    if t >= 2:
-        bound1 = max(1, max(wdeg(f.deg) for f in fs[1:]))
-    else:
-        bound1 = wdeg(fs[0].deg)
-    bound2 = wdeg(fs[0].deg)
+    bound1, bound2 = bezout_bounds(f)
     if not deg_lt(s1.deg, bound1):
         sess.fail(Reason.DEGREE_CHECK_FAILED, "s1 degree too high")
     if not deg_lt(s2.deg, bound2):
@@ -734,30 +696,24 @@ def _coprime(sess: Session, fs: list):
     alpha = sess.challenge_scalar("alpha")
     p = sess.field.p
     if t >= 2:
-        h = fs[1](alpha)
+        h = f[1](alpha)
         for i in range(2, t):
-            h = (h + betas[i - 2] * fs[i](alpha)) % p
+            h = (h + betas[i - 2] * f[i](alpha)) % p
     else:
         h = 0
-    if (fs[0](alpha) * s1(alpha) + h * s2(alpha)) % p != 1:
+    if (f[0](alpha) * s1(alpha) + h * s2(alpha)) % p != 1:
         sess.fail(Reason.EVALUATION_CHECK_FAILED, "Bezout identity fails")
 
 
-@protocol("coprime", {"f": PolyVectorPayload}, lambda pub: 2 * row_wdeg(pub["f"]))
-def run_coprime(sess: Session, pub):
-    fs: list = pub["f"]
-    if fs:
-        sess.declare_bound()
-    _coprime(sess, fs)
-
-
-def _rsm(sess: Session, a: PolyMat, v: list):
-    m, n = a.m, a.n
+@protocol("rsm", {"A": PolyMatrixPayload, "v": PolyVectorPayload},
+          lambda pub, rho: (8 * rho + 2) * _vdeg(pub) + 2, claimed_rank_of="A")
+def rsm(sess: Session, A: PolyMat, v: list):
+    m, n = A.m, A.n
     if len(v) != n:
         sess.fail(Reason.PARAMS_INVALID, "dimension mismatch")
     rho = sess.prover_rank_claim("rank_claim", min(m, n), Reason.RANK_CHECK_FAILED,
                                  "rank claim exceeds the dimensions",
-                                 lambda: sess.prover.rsm_rank(a))
+                                 lambda: sess.prover.rsm_rank(A))
     if sess.spec.claimed_rank_of is not None:  # run under rsm, rs_subset or rs_equality
         sess.declare_bound(rho)
     if rho == 0:
@@ -770,201 +726,130 @@ def _rsm(sess: Session, a: PolyMat, v: list):
     if rho == m:
         # a full row rank claim is proved on A itself: a Toeplitz C would be
         # square and invertible over F, and C.A would have A's row space
-        with sess.subprotocol("rank_lb"):
-            _rank_lb(sess, a, m)
-        with sess.subprotocol("frrsm"):
-            _frrsm(sess, a, ScaledVecView(v))
+        sess.sub("rank_lb", A, m)
+        sess.sub("frrsm", A, v)
         return
-    t = rsm_rounds(sess.sigma, rho, a.deg)
+    t = rsm_rounds(sess.sigma, rho, A.deg)
 
-    commitment = once(lambda: sess.prover.rsm_commitment(a, v, rho, t, sess.sigma))
-    tops = []
-    for i in range(t):
-        tops.append(
-            sess.prover_toeplitz(
-                f"toeplitz_{i}", rho, m,
-                (lambda i=i: commitment()[0][i].values),
-            )
-        )
-    dens = []
-    for i in range(t):
-        dens.append(
-            sess.prover_poly(f"denominator_{i}", (lambda i=i: commitment()[1][i]))
-        )
-    dbound = deg_scale(rho, a.deg)
+    commitment = once(lambda: sess.prover.rsm_commitment(A, v, rho, t, sess.sigma))
+    tops = [sess.prover_toeplitz(f"toeplitz_{i}", rho, m,
+                                 lambda i=i: commitment()[0][i].values)
+            for i in range(t)]
+    dens = [sess.prover_poly(f"denominator_{i}", lambda i=i: commitment()[1][i])
+            for i in range(t)]
+    dbound = deg_scale(rho, A.deg)
     for i, den in enumerate(dens):
         if not deg_le(den.deg, dbound):
             sess.fail(Reason.DEGREE_CHECK_FAILED, f"denominator {i} degree too high")
-    with sess.subprotocol("rank_ub"):
-        _rank_ub(sess, a, rho)
+    sess.sub("rank_ub", A, rho)
     # A nonzero constant den_k is its own Bezout identity: w (C_k A) = c v
     # gives v = (c^-1 w C_k) A, so compression k alone proves membership.
     constant = next((i for i, den in enumerate(dens) if den.deg == 0), None)
     checked = range(t) if constant is None else (constant,)
     for i in checked:
-        with sess.subprotocol("rank_lb"):
-            _rank_lb(sess, ToeplitzProductView(tops[i], a), rho)
+        sess.sub("rank_lb", ToeplitzProductView(tops[i], A), rho)
     if constant is None:
-        with sess.subprotocol("coprime"):
-            _coprime(sess, dens)
+        sess.sub("coprime", dens)
     for i in checked:
-        with sess.subprotocol("frrsm"):
-            _frrsm(sess, ToeplitzProductView(tops[i], a), ScaledVecView(v, dens[i]),
-                   solution=lambda i=i: commitment()[2][i])
-
-
-@protocol("rsm", {"A": PolyMatrixPayload, "v": PolyVectorPayload},
-          lambda pub, rho: (8 * rho + 2) * _vdeg(pub) + 2, claimed_rank_of="A")
-def run_rsm(sess: Session, pub):
-    _rsm(sess, pub["A"], pub["v"])
-
-
-def _rs_subset(sess: Session, a: PolyMat, b: PolyMat):
-    if a.n != b.n:
-        sess.fail(Reason.PARAMS_INVALID, "column dimensions differ")
-    lam = sess.challenge_vector("combination", a.m)
-    v = a.vecmat(lam)
-    with sess.subprotocol("rsm"):
-        _rsm(sess, b, v)
+        sess.sub("frrsm", ToeplitzProductView(tops[i], A), v, dens[i],
+                 lambda i=i: commitment()[2][i])
 
 
 @protocol("rs_subset", {"A": PolyMatrixPayload, "B": PolyMatrixPayload},
           lambda pub, rho: (8 * rho + 2) * _mdeg(pub, "A", "B") + 4, claimed_rank_of="B")
-def run_rs_subset(sess: Session, pub):
-    _rs_subset(sess, pub["A"], pub["B"])
-
-
-def _rs_equality(sess: Session, a: PolyMat, b: PolyMat):
-    with sess.subprotocol("rs_subset"):
-        _rs_subset(sess, a, b)
-    with sess.subprotocol("rs_subset"):
-        _rs_subset(sess, b, a)
+def rs_subset(sess: Session, A: PolyMat, B: PolyMat):
+    if A.n != B.n:
+        sess.fail(Reason.PARAMS_INVALID, "column dimensions differ")
+    lam = sess.challenge_vector("combination", A.m)
+    sess.sub("rsm", B, A.vecmat(lam))
 
 
 @protocol("rs_equality", {"A": PolyMatrixPayload, "B": PolyMatrixPayload},
           lambda pub, rho: (8 * rho + 2) * _mdeg(pub, "A", "B") + 4, claimed_rank_of="B")
-def run_rs_equality(sess: Session, pub):
-    _rs_equality(sess, pub["A"], pub["B"])
+def rs_equality(sess: Session, A: PolyMat, B: PolyMat):
+    sess.sub("rs_subset", A, B)
+    sess.sub("rs_subset", B, A)
 
 
 @protocol("row_basis", {"A": PolyMatrixPayload, "B": PolyMatrixPayload},
           lambda pub: (8 * pub["B"].m + 2) * _mdeg(pub, "A", "B") + 6)
-def run_row_basis(sess: Session, pub):
-    a, b = pub["A"], pub["B"]
-    if a.n != b.n:
+def row_basis(sess: Session, A: PolyMat, B: PolyMat):
+    if A.n != B.n:
         sess.fail(Reason.PARAMS_INVALID, "column dimensions differ")
-    sess.declare_bound()
-    with sess.subprotocol("rank_lb"):
-        _rank_lb(sess, b, b.m)
-    with sess.subprotocol("rs_equality"):
-        _rs_equality(sess, b, a)
+    sess.sub("rank_lb", B, B.m)
+    sess.sub("rs_equality", B, A)
 
 
 @protocol("hermite", {"A": PolyMatrixPayload, "H": PolyMatrixPayload},
           lambda pub: (8 * pub["H"].m + 2) * _mdeg(pub, "A", "H") + 4)
-def run_hermite(sess: Session, pub):
-    a: PolyMat = pub["A"]
-    h: PolyMat = pub["H"]
-    if a.n != h.n:
+def hermite(sess: Session, A: PolyMat, H: PolyMat):
+    if A.n != H.n:
         sess.fail(Reason.PARAMS_INVALID, "column dimensions differ")
-    sess.declare_bound()
-    if h.m > a.m:
+    if H.m > A.m:
         sess.fail(Reason.SHAPE_CHECK_FAILED, "more rows than the input matrix")
-    ok, _ = check_hermite_shape(h)
+    ok, _ = check_hermite_shape(H)
     if not ok:
         sess.fail(Reason.SHAPE_CHECK_FAILED, "not in Hermite form")
-    with sess.subprotocol("rs_equality"):
-        _rs_equality(sess, a, h)
+    sess.sub("rs_equality", A, H)
 
 
 @protocol("spopov",
           {"A": PolyMatrixPayload, "shift": ShiftPayload, "P": PolyMatrixPayload},
           lambda pub: (8 * pub["P"].m + 2) * _mdeg(pub, "A", "P") + 4)
-def run_spopov(sess: Session, pub):
-    a: PolyMat = pub["A"]
-    shift: list = pub["shift"]
-    pm: PolyMat = pub["P"]
-    if a.n != pm.n or len(shift) != a.n:
+def spopov(sess: Session, A: PolyMat, shift: list, P: PolyMat):
+    if A.n != P.n or len(shift) != A.n:
         sess.fail(Reason.PARAMS_INVALID, "column dimensions differ")
-    sess.declare_bound()
-    if pm.m > a.m:
+    if P.m > A.m:
         sess.fail(Reason.SHAPE_CHECK_FAILED, "more rows than the input matrix")
-    ok, _ = check_popov_shape(pm, shift)
+    ok, _ = check_popov_shape(P, shift)
     if not ok:
         sess.fail(Reason.SHAPE_CHECK_FAILED, "not in shifted Popov form")
-    with sess.subprotocol("rs_equality"):
-        _rs_equality(sess, a, pm)
-
-
-def _saturated(sess: Session, b: PolyMat):
-    if b.m == 0 or b.n == 0:
-        return  # trivially saturated
-    if b.m <= b.n:
-        ident = PolyMat.identity(sess.field, b.m)
-        with sess.subprotocol("rs_subset"):
-            _rs_subset(sess, ident, b.transpose())
-    else:
-        ident = PolyMat.identity(sess.field, b.n)
-        with sess.subprotocol("rs_subset"):
-            _rs_subset(sess, ident, b)
+    sess.sub("rs_equality", A, P)
 
 
 @protocol("saturated", {"A": PolyMatrixPayload},
           lambda pub: 8 * min(pub["A"].m, pub["A"].n) * _mdeg(pub, "A") + 4)
-def run_saturated(sess: Session, pub):
-    sess.declare_bound()
-    _saturated(sess, pub["A"])
+def saturated(sess: Session, A: PolyMat):
+    if A.m == 0 or A.n == 0:
+        return  # trivially saturated
+    if A.m <= A.n:
+        sess.sub("rs_subset", PolyMat.identity(sess.field, A.m), A.transpose())
+    else:
+        sess.sub("rs_subset", PolyMat.identity(sess.field, A.n), A)
 
 
 @protocol("sat_basis", {"A": PolyMatrixPayload, "B": PolyMatrixPayload},
           lambda pub: (8 * pub["A"].n + 2) * _mdeg(pub, "A", "B") + 4)
-def run_sat_basis(sess: Session, pub):
-    a: PolyMat = pub["A"]
-    b: PolyMat = pub["B"]
-    if a.n != b.n:
+def sat_basis(sess: Session, A: PolyMat, B: PolyMat):
+    if A.n != B.n:
         sess.fail(Reason.PARAMS_INVALID, "column dimensions differ")
-    sess.declare_bound()
-    if b.m > min(a.m, a.n):
+    if B.m > min(A.m, A.n):
         sess.fail(Reason.SHAPE_CHECK_FAILED, "basis has too many rows")
-    with sess.subprotocol("rank_lb"):
-        _rank_lb(sess, a, b.m)
-    with sess.subprotocol("rs_subset"):
-        _rs_subset(sess, a, b)
-    with sess.subprotocol("saturated"):
-        _saturated(sess, b)
+    sess.sub("rank_lb", A, B.m)
+    sess.sub("rs_subset", A, B)
+    sess.sub("saturated", B)
 
 
 @protocol("unimod_completable", {"A": PolyMatrixPayload},
           lambda pub: 8 * pub["A"].m * _mdeg(pub, "A") + 4)
-def run_unimod_completable(sess: Session, pub):
-    a: PolyMat = pub["A"]
-    sess.declare_bound()
-    if not a.m < a.n:
+def unimod_completable(sess: Session, A: PolyMat):
+    if not A.m < A.n:
         sess.fail(Reason.SHAPE_CHECK_FAILED, "matrix must be wide")
-    with sess.subprotocol("rank_lb"):
-        _rank_lb(sess, a, a.m)
-    with sess.subprotocol("saturated"):
-        _saturated(sess, a)
+    sess.sub("rank_lb", A, A.m)
+    sess.sub("saturated", A)
 
 
 @protocol("kernel_basis", {"A": PolyMatrixPayload, "B": PolyMatrixPayload},
           lambda pub: 8 * pub["A"].m * _mdeg(pub, "A", "B") + 4)
-def run_kernel_basis(sess: Session, pub):
-    a: PolyMat = pub["A"]
-    b: PolyMat = pub["B"]
-    if b.n != a.m:
+def kernel_basis(sess: Session, A: PolyMat, B: PolyMat):
+    if B.n != A.m:
         sess.fail(Reason.PARAMS_INVALID, "kernel basis has wrong column count")
-    sess.declare_bound()
-    if b.m > a.m:
+    if B.m > A.m:
         sess.fail(Reason.SHAPE_CHECK_FAILED, "kernel basis has too many rows")
-    with sess.subprotocol("rank_lb"):
-        _rank_lb(sess, b, b.m)
-    with sess.subprotocol("rank_lb"):
-        _rank_lb(sess, a, a.m - b.m)
-    with sess.subprotocol("matmul"):
-        _matmul(sess, b, a, PolyMat.zero(sess.field, b.m, a.n))
-    with sess.subprotocol("saturated"):
-        _saturated(sess, b)
+    sess.sub("rank_lb", B, B.m)
+    sess.sub("rank_lb", A, A.m - B.m)
+    sess.sub("matmul", B, A, PolyMat.zero(sess.field, B.m, A.n))
+    sess.sub("saturated", B)
 
 
 PROTOCOL_IDS = tuple(PROTOCOLS)  # in registration order
@@ -1014,9 +899,8 @@ def run_protocol(protocol_id: str, pub: dict, params: ProtocolParams,
         from .provers import HonestProver  # prover side may use the heavy oracles
 
         prover = HonestProver(seed=prover_seed)
-    sess = Session(spec, pub, transcript, prover=prover)
     try:
-        spec.runner(sess, pub)
+        Session(spec, pub, transcript, prover=prover).play()
         verdict = Verdict.accept()
     except ProtocolReject as rej:
         verdict = Verdict.reject(rej.reason, rej.detail)
@@ -1042,11 +926,8 @@ def verify_transcript(transcript: Transcript) -> Verdict:
         pub = decode_public_inputs(transcript.protocol_id, field, transcript.public)
     except (TranscriptError, ValueError) as exc:
         return Verdict.reject(Reason.MALFORMED_MESSAGE, str(exc))
-    spec = PROTOCOLS[transcript.protocol_id]
     try:
-        sess = Session(spec, pub, transcript)
-        spec.runner(sess, pub)
-        sess.finish_replay()
+        Session(PROTOCOLS[transcript.protocol_id], pub, transcript).play()
         return Verdict.accept()
     except ProtocolReject as rej:
         return Verdict.reject(rej.reason, rej.detail)

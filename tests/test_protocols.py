@@ -10,7 +10,7 @@ import pytest
 import polycert
 from polycert import protocols
 from polycert.adversary import CheatRowSpaceMembership
-from polycert.experiments import generate_true_instance
+from polycert.experiments import generate_true_instance, strict_sigma
 from polycert.ff import PrimeField
 from polycert.instances import (
     planted_rank,
@@ -193,15 +193,15 @@ def test_rank_ub_is_vacuous_when_rho_reaches_the_dimensions(m, n, rho, monkeypat
     assert not transcript.messages
     if rho == min(m, n):
         # rank runs rank_ub, which leaves no trace in the transcript
-        rank_ub = protocols._rank_ub
+        spec = protocols.PROTOCOLS["rank_ub"]
         sent = []
 
         def spy(sess, mat, claim):
             before = len(sess.transcript.messages)
-            rank_ub(sess, mat, claim)
+            spec.runner(sess, mat, claim)
             sent.append(len(sess.transcript.messages) - before)
 
-        monkeypatch.setattr(protocols, "_rank_ub", spy)
+        monkeypatch.setitem(protocols.PROTOCOLS, "rank_ub", spec._replace(runner=spy))
         verdict, transcript = accepts("rank", {"A": a, "rho": rho})
         assert verdict.accepted and verify_transcript(transcript).accepted
         assert sent == [0, 0]  # the live run, then the replay
@@ -584,6 +584,31 @@ def test_strict_mode_rejects_small_sigma():
     assert transcript.meta["sigma_lower_bound"] == 4 * 1 + 1
 
 
+# what a run sends before it reaches its bound: rsm's bound takes its rank
+# claim, and rs_subset draws its combination before it runs rsm
+SENT_BEFORE_BOUND = {"rsm": ["rank_claim"], "rs_subset": ["combination", "rank_claim"],
+                     "rs_equality": ["combination", "rank_claim"]}
+
+
+@pytest.mark.parametrize("pid", PROTOCOL_IDS)
+def test_advertised_bound_is_the_one_strict_mode_enforces(pid):
+    """strict_sigma, the recorded bound and strict mode agree: the honest run
+    accepts at #S = bound, and at bound - 1 it rejects as params_invalid
+    before it sends anything the bound does not wait for."""
+    for seed in range(4):
+        pub = generate_true_instance(pid, random.Random(seed), F, mmax=4, dmax=2)
+        bound = strict_sigma(pid, pub)
+        if bound == 1:
+            continue  # no sample set is smaller
+        verdict, transcript = run_protocol(pid, pub, params(sigma=bound, strict=True))
+        assert verdict.accepted, (pid, seed)
+        assert transcript.meta["sigma_lower_bound"] == bound, (pid, seed)
+        verdict, transcript = run_protocol(pid, pub, params(sigma=bound - 1, strict=True))
+        assert verdict.reason is Reason.PARAMS_INVALID, (pid, seed)
+        assert f"sigma >= {bound}" in verdict.detail, (pid, seed)
+        assert [msg.label for msg in transcript.messages] == SENT_BEFORE_BOUND.get(pid, [])
+
+
 def test_interactive_mode_reproducible():
     rng = random.Random(21)
     a = rand_polymat(rng, F, 3, 3, 2)
@@ -637,6 +662,15 @@ def test_verifier_blindness_static():
         if isinstance(node, ast.Import):
             for alias in node.names:
                 assert "oracles" not in alias.name
+    # a sub-protocol id is a registry key written in the code, so a
+    # certificate file cannot choose which protocol runs
+    subs = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "sub"]
+    assert subs
+    for call in subs:
+        first = call.args[0] if call.args else None
+        assert isinstance(first, ast.Constant) and first.value in protocols.PROTOCOLS, (
+            f"line {call.lineno}: sub-protocol id is not a registered literal")
     # evaluation views are never materialized by the verifier
     assert ".materialize(" not in src
     for name in ("hermite_form", "popov_form", "rank_and_profile",
