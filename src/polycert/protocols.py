@@ -440,13 +440,9 @@ def singularity(sess: Session, A: PolyMat):
           lambda pub: pub["A"].n * _mdeg(pub, "A") + 1)
 def nonsingularity(sess: Session, A: MatView, probe=None):
     """``probe()`` is the caller's Prover answer for
-    :meth:`HonestProver.nonsingularity_point`, as ``rank_lb`` holds one; a
-    child handed one may be the empty matrix, whose determinant is 1."""
-    if probe is None:
-        _square_nonempty(sess, A)
+    :meth:`HonestProver.nonsingularity_point`, as ``rank_lb`` holds one."""
+    _square_nonempty(sess, A)
     n = A.m
-    if n == 0:
-        return
     point = once(lambda: sess.prover.nonsingularity_point(
         A, sess.sigma, probe and probe()))
     alpha = sess.prover_scalar("eval_point", lambda: point()[0])
