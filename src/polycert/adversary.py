@@ -7,11 +7,20 @@ polynomial part of a rational witness, interpolating Bezout pairs that
 vanish on a chosen subset of the sample set, or forging one denominator in
 an otherwise honest row-membership commitment.  All messages stay
 well-formed; cheating is semantic, never syntactic.
+
+A cheat fixes every answer that does not depend on a challenge once per
+statement: the Bezout pair of ``coprime`` when it is built, and the padded
+profiles of ``rank_lb``, the rank-maximizing points and the ``rsm``
+commitment as statement facts (:meth:`HonestProver.fact`).  So an exchange
+depends only on the statement and the challenges, not on the trials played
+before it; the advertised bounds hold against every fixed commitment, so
+the soundness experiments still test them.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 from .matfield import FieldMat, det_field, pluq, rank_profile, solve_right
 from .oracles import (
@@ -32,19 +41,22 @@ class InstanceActuallyTrue(Exception):
     """A cheat strategy was pointed at a statement that is in fact true."""
 
 
-def _rank_maximizing_point(view: MatView, sigma: int) -> int:
-    """The first point in the Verifier's useful range where the singular view
-    evaluates to the largest rank.  No point can beat rank n-1, so the walk
-    stops at the first point that reaches it."""
-    n = view.m
-    best, best_rank = 0, -1
-    for alpha in range(min(sigma, n * wdeg(view.deg_bound) + 2)):
-        r = rank_profile(view.eval_at(alpha))[0]
-        if r > best_rank:
-            best, best_rank = alpha, r
-        if r == n - 1:
-            break
-    return best
+def _rank_maximizing_point(prover: HonestProver, view: MatView, sigma: int):
+    """(alpha, None) for the first point in the Verifier's useful range
+    where the singular view evaluates to the largest rank, a fact of prover
+    on the view and sigma.  No point can beat rank n-1, so the walk stops at
+    the first point that reaches it."""
+    def walk():
+        n = view.m
+        best, best_rank = 0, -1
+        for alpha in range(min(sigma, n * wdeg(view.deg_bound) + 2)):
+            r = rank_profile(view.eval_at(alpha))[0]
+            if r > best_rank:
+                best, best_rank = alpha, r
+            if r == n - 1:
+                break
+        return best, None
+    return prover.fact(("nonsingularity_point", sigma), view, walk)
 
 
 class CheatNonSingularity(HonestProver):
@@ -56,7 +68,7 @@ class CheatNonSingularity(HonestProver):
             raise InstanceActuallyTrue("matrix is nonsingular")
 
     def nonsingularity_point(self, view: MatView, sigma: int, probe=None):
-        return _rank_maximizing_point(view, sigma), None
+        return _rank_maximizing_point(self, view, sigma)
     # the inherited solution method already solves when b is consistent
 
 
@@ -72,16 +84,16 @@ class CheatRankLowerBound(HonestProver):
         """A's row and column profiles, each padded to rho indices (a
         statement fact, :meth:`HonestProver.fact`, since they depend on A
         and rho alone), and no probe."""
-        mat = view.materialize()
-        rows, cols = self.fact(("rank_lb_sets", rho), mat, lambda: (
-            _pad(list(rank_and_profile(mat.transpose())[1]), rho, mat.m),
-            _pad(list(rank_and_profile(mat)[1]), rho, mat.n),
-        ))
+        def padded():
+            mat = view.materialize()
+            return (_pad(list(rank_and_profile(mat.transpose())[1]), rho, mat.m),
+                    _pad(list(rank_and_profile(mat)[1]), rho, mat.n))
+        rows, cols = self.fact(("rank_lb_sets", rho), view, padded)
         return rows, cols, None
 
     def nonsingularity_point(self, view: MatView, sigma: int, probe=None):
         # every rho x rho submatrix of A is singular: rank(A) < rho
-        return _rank_maximizing_point(view, sigma), None
+        return _rank_maximizing_point(self, view, sigma)
 
 
 def _pad(profile, rho, limit):
@@ -169,14 +181,13 @@ class CheatCoprime(HonestProver):
         h = lin_comb(field, [1, *self._betas], fs[1:])
         bound1, bound2 = bezout_bounds(fs)
         gh = poly_gcd(fs[0], h) if not (fs[0].is_zero() and h.is_zero()) else None
-        # the identity cannot hold at a common root of f1 and h
-        blocked = set()
+        # the identity cannot hold at a common root of f1 and h; the degree
+        # budget takes the first bound1 + bound2 other points
+        usable = range(sigma)
         if gh is not None and not gh.is_one():
-            for tau in range(sigma):
-                if gh(tau) == 0:
-                    blocked.add(tau)
-        pool = [tau for tau in range(sigma) if tau not in blocked]
-        size = min(len(pool), bound1 + bound2)
+            usable = (tau for tau in usable if gh(tau) != 0)
+        pool = list(islice(usable, bound1 + bound2))
+        size = len(pool)
         s1 = s2 = None
         while size >= 0:
             taus = pool[:size]
@@ -287,10 +298,11 @@ class CheatRowSpaceMembership(CheatFullRankMembership):
     proved by ``frrsm`` on A itself, where the same tactic plays against
     the rational solution of u A = v.
 
-    The commitment is rebuilt per run, because composed protocols hand this
-    strategy a fresh random target vector each time; whenever the particular
-    target does lie in the row space, the strategy degrades gracefully to
-    fully honest behavior.
+    The commitment is a statement fact, drawn on the first run and kept,
+    keyed by A, rho, t, #S and the target v: composed protocols hand this
+    strategy a fresh random target each time, which gets its own
+    commitment.  Whenever the particular target does lie in the row space,
+    the strategy degrades gracefully to fully honest behavior.
     """
 
     def __init__(self, a: PolyMat, v: list | None, sigma: int, seed: int = 0):
@@ -309,6 +321,10 @@ class CheatRowSpaceMembership(CheatFullRankMembership):
         return u.numer_row() if u.is_polynomial() else Forged(u)
 
     def rsm_commitment(self, a, v, rho, t, sigma):
+        key = ("rsm_commitment", rho, t, sigma, tuple(tuple(f.coeffs) for f in v))
+        return self.fact(key, a, lambda: self._forge_commitment(a, v, rho, t, sigma))
+
+    def _forge_commitment(self, a, v, rho, t, sigma):
         rng = self._cheat_rng
         field = a.field
         batch = draw_batch(rng, a, v, rho, t, sigma, 200 * t)

@@ -16,11 +16,16 @@ messages; ``rank_lb`` hands its probe, the point and evaluation that
 showed the rank, to its ``nonsingularity`` sub-proof; and the point found
 there comes with the PLUQ that solves A(alpha) w = b.
 
-Facts that depend only on a public matrix, such as the rank behind the
-membership rank claim, are statement facts: computed on first
-use and kept per prover, keyed by the matrix object (:meth:`HonestProver.fact`),
-so that a prover run many times on one statement, as in the soundness
-experiments, computes them once.
+Answers that depend only on the statement, and on no challenge, are
+statement facts: computed on first use and kept per prover
+(:meth:`HonestProver.fact`), so that a prover run many times on one
+statement, as in the soundness experiments, computes them once.  A fact is
+keyed by what its matrix or view is: a public matrix by its object, as for
+the rank behind the membership rank claim; a view the Verifier builds
+afresh each run, C.A or a submatrix, by the matrix under it plus its
+Toeplitz values or index sets.  The ``rank_lb`` sets and the
+``nonsingularity`` point are facts on any view, and a cheat's ``rsm``
+commitment is a fact too.
 
 On a false statement an honest prover does not crash: it degrades to a
 well-formed best effort and lets the Verifier reject.
@@ -47,9 +52,16 @@ from .oracles import (
     rank_and_profile,
     rational_solve_left,
 )
-from .polymat import MatView, PolyMat, ToeplitzOp, VecView
+from .polymat import (
+    MatView,
+    PolyMat,
+    SubmatrixView,
+    ToeplitzOp,
+    ToeplitzProductView,
+    VecView,
+)
 from .protocols import ProverGaveUp, wdeg
-from .upoly import Poly, lin_comb, poly_gcd
+from .upoly import Poly, lin_comb, poly_gcd, xgcd
 
 COPRIME_RETRY_CAP = 100
 RSM_OUTER_CAP = 20
@@ -63,30 +75,34 @@ class HonestProver:
 
     def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
-        # (kind, id(matrix)) -> (matrix, fact); kept across runs
+        # (kind, view key) -> (matrix under the view, fact); kept across runs
         self._facts: dict = {}
 
-    def fact(self, kind, mat, compute):
-        """compute(), a fact that depends only on the matrix object mat,
-        computed on its first use and kept for later runs.
+    def fact(self, kind, view, compute):
+        """compute(), a fact that depends only on what the matrix or view
+        is, computed on its first use and kept for later runs.
 
-        The entry holds mat, so no other object can take its id, as
-        ``Transcript._encoded`` holds its messages.  Matrices built afresh
-        each run would only pile up, so past :data:`FACT_CAP` entries the
-        memo starts afresh.
+        The key is :func:`_view_key`: the identity of the PolyMat under the
+        view, which the entry holds so that no other object can take its
+        id, as ``Transcript._encoded`` holds its messages, plus the view's
+        Toeplitz values or index sets.  Views built afresh each run over
+        one matrix share an entry; matrices built afresh each run would
+        only pile up, so past :data:`FACT_CAP` entries the memo starts
+        afresh.
         """
-        key = (kind, id(mat))
+        base, ident = _view_key(view)
+        key = (kind, ident)
         hit = self._facts.get(key)
         if hit is None:
             if len(self._facts) >= FACT_CAP:
                 self._facts.clear()
-            hit = self._facts[key] = (mat, compute())
+            hit = self._facts[key] = (base, compute())
         return hit[1]
 
-    def profile_at_zero(self, a: PolyMat):
+    def profile_at_zero(self, view: MatView):
         """(A(0), its rank profile), a statement fact: the rank claim, the
         first ``rank_lb`` probe and the x-adic lift of ``rsm`` share it."""
-        return self.fact("profile_at_zero", a, lambda: _profiled(a.eval_at(0)))
+        return self.fact("profile_at_zero", view, lambda: _profiled(view.eval_at(0)))
 
     # -- singularity / nonsingularity ------------------------------------
 
@@ -99,21 +115,24 @@ class HonestProver:
 
     def nonsingularity_point(self, view: MatView, sigma: int, probe=None):
         """(alpha, PLUQ of A(alpha)) for the first alpha with A(alpha)
-        nonsingular; (0, None) when no point in range is.
+        nonsingular; (0, None) when no point in range is.  A fact
+        (:meth:`fact`) on the view and sigma.
 
         ``probe`` is (alpha0, A(alpha0)) when A(alpha) is known to be
         singular at every alpha below alpha0, as :meth:`rank_lb_sets` finds
         it: the search starts there and factors the given evaluation.
         """
-        n = view.m
-        limit = min(sigma, n * wdeg(view.deg_bound) + 1)
-        alpha, ev = probe or (0, None)
-        while alpha < limit:
-            f = pluq(view.eval_at(alpha) if ev is None else ev)
-            if f.rank == n:
-                return alpha, f
-            alpha, ev = alpha + 1, None
-        return 0, None
+        def search():
+            n = view.m
+            limit = min(sigma, n * wdeg(view.deg_bound) + 1)
+            alpha, ev = probe or (0, None)
+            while alpha < limit:
+                f = pluq(view.eval_at(alpha) if ev is None else ev)
+                if f.rank == n:
+                    return alpha, f
+                alpha, ev = alpha + 1, None
+            return 0, None
+        return self.fact(("nonsingularity_point", sigma), view, search)
 
     def nonsingularity_solution(self, view: MatView, alpha: int, b: list, factor) -> list:
         """w with A(alpha) w = b, by ``factor``, the PLUQ of A(alpha) that
@@ -137,10 +156,13 @@ class HonestProver:
         profiles come out increasing, and the rows are sorted here.
 
         A full-rank evaluation proves independence over F[x]; if no probe
-        point works, fall back to exact fraction-free rank profiles.  The
-        probe at 0 of a matrix, not of a view a run builds, is a fact."""
+        point works, fall back to exact fraction-free rank profiles.  A
+        fact (:meth:`fact`) on the view and rho."""
+        return self.fact(("rank_lb_sets", rho), view, lambda: self._rank_lb_sets(view, rho))
+
+    def _rank_lb_sets(self, view: MatView, rho: int):
         for alpha in range(EVAL_PROBE_CAP):
-            if alpha == 0 and isinstance(view, PolyMat):
+            if alpha == 0:
                 ev, (r, rows, cols) = self.profile_at_zero(view)
             else:
                 ev, (r, rows, cols) = _profiled(view.eval_at(alpha))
@@ -183,7 +205,7 @@ class HonestProver:
         By x-adic lifting (:func:`polynomial_solve_left`) when A(0) has full
         row rank, else by the rational solve."""
         a, v = view.materialize(), vec.materialize()
-        u = polynomial_solve_left(a, v, self.profile_at_zero(a)[1][2])
+        u = polynomial_solve_left(a, v, self.profile_at_zero(view)[1][2])
         if u is None:
             u = rational_solve_left(a, v)
             if u is LOW_RANK or u is NO_SOLUTION or not u.is_polynomial():
@@ -203,8 +225,6 @@ class HonestProver:
     # -- coprimality ----------------------------------------------------------------
 
     def coprime_witness(self, fs: list, sigma: int):
-        from .upoly import xgcd
-
         field = fs[0].field
         t = len(fs)
         if t == 1:
@@ -303,6 +323,18 @@ def draw_compression(rng: random.Random, a: PolyMat, v: list, rho: int, sigma: i
     a RatVec, LOW_RANK or NO_SOLUTION."""
     top = ToeplitzOp(a.field, rho, a.m, [rng.randrange(sigma) for _ in range(rho + a.m - 1)])
     return top, rational_solve_left(top.apply_poly_mat(a), v)
+
+
+def _view_key(view):
+    """(the PolyMat under view, a key for what view is): the PolyMat's id,
+    with the Toeplitz values of a product C.A and the index sets of a
+    submatrix around it.  Any other matrix is keyed by its own id."""
+    if isinstance(view, SubmatrixView):
+        base, key = _view_key(view.base)
+        return base, (key, tuple(view.row_idx), tuple(view.col_idx))
+    if isinstance(view, ToeplitzProductView):
+        return view.mat, (id(view.mat), tuple(view.top.values))
+    return view, id(view)
 
 
 def _profiled(ev):

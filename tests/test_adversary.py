@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from polycert.adversary import (
     _scale_ratvec,
 )
 from polycert.experiments import (
+    PROVER_SPECS,
     SOUNDNESS_PROTOCOLS,
     generate_true_instance,
     make_false_instance,
@@ -32,9 +34,11 @@ from polycert.instances import (
     planted_nonmember_rational,
     planted_rank,
     rand_nonsingular,
+    rand_polymat,
+    rand_singular,
 )
 from polycert.matfield import FieldMat, det_field
-from polycert.polymat import PolyMat
+from polycert.polymat import PolyMat, SubmatrixView, ToeplitzOp, ToeplitzProductView
 from polycert.oracles import LOW_RANK
 from polycert.protocols import PROTOCOL_IDS, ProverGaveUp, run_protocol
 from polycert.provers import draw_batch
@@ -44,12 +48,24 @@ from reference import RatFunc, entries, ratvec_of_entries, ratvec_of_pairs
 
 F = PrimeField(2**31 - 1)
 
-# sha256 over the digest and verdict of three interactive trials on one
-# prover object, for the false instance of every SOUNDNESS_PROTOCOLS entry
-# at #S 32 and 64 and instance seeds 0 and 1.  It pins what a cheating
-# Prover sends from one trial to the next, so state kept across trials
-# (the Prover's per-matrix facts) cannot change an exchange.
-CHEATING_EXCHANGE_DIGESTS = "c962e7d4da9e2fa96251cbd88d5169df1aaca76119aa4fc725029161e1ed5912"
+# Per SOUNDNESS_PROTOCOLS entry, sha256 over the digest and verdict of three
+# interactive trials on one prover object, for its false instance at #S 32
+# and 64 and instance seeds 0 and 1.  It pins what a cheating Prover sends
+# from one trial to the next: the statement facts it keeps across trials,
+# among them the rsm commitment and the answers on views, are drawn on the
+# first trial and must not change an exchange after it.
+CHEATING_EXCHANGE_DIGESTS = {
+    "singularity": "222aa96a76a3fe25b68c9d84da9f50812f03ef634d6dc201b4c82594c1e38bb3",
+    "nonsingularity": "0d87a8b35c1bb303d694b69b5afd33f01ffb17f0cb842a6c90127c1bf4fd079a",
+    "rank_lb": "ca5b3719f7dd2047a42ecdcbca8632dcda31c80d16e28ccb426a5c38c8c664b1",
+    "rank_ub": "44862333931a6e63ec1451113ede68c821f39479688d537223809128c82be397",
+    "determinant": "31742973a18ec56a4d1765d38fe3c59072a7d5323106673a1f33a591444432f5",
+    "system_solve": "63e99397c3c84ad9e2fa6fafe9ec9190897a0e1b9b22fa735d2d18fa0e1f3a14",
+    "matmul": "13eb78064fc441b436c09714cc4cb8d008a34671033d08359f32270597514daa",
+    "frrsm": "431152d080bfe80b5fdc9789b11833858e99b3dd3c596a25ca794f71e0e9ef7c",
+    "coprime": "aa0c95a084dc527b537af2fd4240cbed761658617ee3b5c67977035233ba01a3",
+    "rsm": "102bef8ab3518a12396de8a1ae34aff95e0bdd2a516dcd1a88d00c6709533fc4",
+}
 # sha256 over the verdict (reason and detail) and the Verifier's messages of
 # every run in _interactive_runs.  It pins what the Verifier decides and
 # draws, not what the Prover sends.
@@ -155,7 +171,7 @@ def test_rank_ub_bound_near_tightness_demo():
     term of the (rd+1)/#S bound real: the cheater wins close to deg/sigma."""
     import random as _random
 
-    from polycert.polymat import PolyMat
+    from polycert.polymat import PolyMat, SubmatrixView, ToeplitzOp, ToeplitzProductView
     from polycert.protocols import run_protocol
     from polycert.transcript import ProtocolParams
     from polycert.upoly import Poly
@@ -186,8 +202,9 @@ def test_rank_ub_bound_near_tightness_demo():
 
 
 def test_cheating_exchanges_are_pinned():
-    h = hashlib.sha256()
+    digests = {}
     for pid in SOUNDNESS_PROTOCOLS:
+        h = hashlib.sha256()
         for sigma in (32, 64):
             for seed in (0, 1):
                 rng = random.Random(seed)
@@ -199,7 +216,24 @@ def test_cheating_exchanges_are_pinned():
                     line = (f"{pid} {sigma} {seed} {trial} {t.digest()} "
                             f"{verdict.reason.value} {verdict.detail}")
                     h.update(line.encode() + b"\n")
-    assert h.hexdigest() == CHEATING_EXCHANGE_DIGESTS
+        digests[pid] = h.hexdigest()
+    assert digests == CHEATING_EXCHANGE_DIGESTS
+
+
+@pytest.mark.parametrize("pid", [p for p, s in PROVER_SPECS.items() if s.false_instance])
+def test_a_cheating_exchange_depends_only_on_the_statement_and_challenges(pid):
+    """One prover object replays an interactive seed after two others and
+    sends the same messages: nothing it keeps across trials moves an
+    exchange, whatever ran before it."""
+    for sigma in (32, 64):
+        for seed in range(4):
+            pub, prover, _, _ = make_false_instance(pid, random.Random(seed), F, sigma)
+            digests = []
+            for challenges in (11, 12, 13, 11):
+                params = ProtocolParams(p=F.p, sigma=sigma, mode=MODE_INTERACTIVE,
+                                        strict=False, seed=challenges)
+                digests.append(run_protocol(pid, pub, params, prover=prover)[1].digest())
+            assert digests[0] == digests[3], (sigma, seed)
 
 
 def _verdict_and_challenges(line, t):
@@ -321,6 +355,55 @@ def test_statement_facts_stay_bounded():
     for i in range(3 * provers.FACT_CAP):
         assert prover.fact("k", PolyMat.identity(F, 2), lambda: i) == i
     assert len(prover._facts) <= provers.FACT_CAP
+
+
+def test_view_facts_are_keyed_by_what_the_view_is():
+    """Views built apart over one matrix, with equal Toeplitz values and
+    index sets, share a fact entry; views over another matrix object with
+    equal entries do not.  The kept answers are a fresh prover's, and views
+    over matrices built afresh stay within FACT_CAP."""
+    rng = random.Random(40)
+    a = rand_polymat(rng, F, 4, 3, 2)
+    twin = PolyMat(F, [list(row) for row in a.rows], ncols=a.n)
+    values = [rng.randrange(F.p) for _ in range(2 + a.m - 1)]
+
+    def product(mat):
+        return ToeplitzProductView(ToeplitzOp(F, 2, a.m, values), mat)
+
+    prover = provers.HonestProver()
+    sets = prover.rank_lb_sets(product(a), 2)
+    rows, cols, probe = sets
+    point = prover.nonsingularity_point(SubmatrixView(product(a), rows, cols), 32, probe)
+    entries = len(prover._facts)
+    assert prover.rank_lb_sets(product(a), 2) is sets
+    assert prover.nonsingularity_point(SubmatrixView(product(a), rows, cols), 32) is point
+    assert len(prover._facts) == entries
+    assert prover.rank_lb_sets(product(twin), 2) is not sets
+    assert prover.nonsingularity_point(SubmatrixView(product(twin), rows, cols), 32) \
+        is not point
+    fresh = provers.HonestProver()
+    assert fresh.rank_lb_sets(product(a), 2) == sets
+    assert fresh.nonsingularity_point(SubmatrixView(product(a), rows, cols), 32) == point
+    # a cheat's rank-maximizing point is a fact on the view too
+    singular = rand_singular(rng, F, 3, 2)
+    cheat = CheatNonSingularity(singular)
+    point = cheat.nonsingularity_point(SubmatrixView(singular, [0, 1, 2], [0, 1, 2]), 32)
+    assert cheat.nonsingularity_point(SubmatrixView(singular, [0, 1, 2], [0, 1, 2]), 32) \
+        is point
+    for _ in range(3 * provers.FACT_CAP):
+        mat = PolyMat(F, [list(row) for row in a.rows], ncols=a.n)
+        prover.nonsingularity_point(SubmatrixView(product(mat), rows, cols), 32)
+    assert len(prover._facts) <= provers.FACT_CAP
+
+
+def test_the_coprime_cheat_sets_up_in_its_degree_budget_at_any_sigma():
+    """The cheat interpolates on the first bound1 + bound2 usable points, so
+    building it costs the same at #S = p as at #S = 32."""
+    start = time.perf_counter()
+    pub, cheat, _, _ = make_false_instance("coprime", random.Random(0), F, F.p)
+    assert time.perf_counter() - start < 1.0
+    s1, s2, betas = cheat.coprime_witness(pub["f"], F.p)
+    assert len(betas) == len(pub["f"]) - 2
 
 
 def test_no_usable_compression_ends_in_fallback_or_give_up(monkeypatch):
