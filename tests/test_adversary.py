@@ -171,7 +171,7 @@ def test_rank_ub_bound_near_tightness_demo():
     term of the (rd+1)/#S bound real: the cheater wins close to deg/sigma."""
     import random as _random
 
-    from polycert.polymat import PolyMat, SubmatrixView, ToeplitzOp, ToeplitzProductView
+    from polycert.polymat import PolyMat
     from polycert.protocols import run_protocol
     from polycert.transcript import ProtocolParams
     from polycert.upoly import Poly
