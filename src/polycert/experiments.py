@@ -8,10 +8,11 @@ Completeness: for each protocol, run honest provers on seeded random true
 instances with the sample set sized exactly at the advertised lower bound
 (which guarantees perfect completeness), and demand zero rejections.
 
-Soundness: fix one oracle-verified false instance, run a best-effort
-cheating prover against fresh verifier randomness for thousands of trials,
-and compare the empirical acceptance rate against the theoretical bound
-plus three binomial standard errors.
+Soundness: fix one false instance, run a best-effort cheating prover,
+``adversary.Cheat``, against fresh verifier randomness for thousands of
+trials, and compare the empirical acceptance rate against the theoretical
+bound plus three binomial standard errors.  The tests check with the exact
+oracles that every false instance is false.
 
 Trials are embarrassingly parallel but run serially here for deterministic
 reports; callers wanting fan-out can shard the seed range across workers
@@ -223,7 +224,8 @@ def _true_kernel_basis(rng, field, mmax, d, **_):
 
 # -- false instances and their cheats ----------------------------------------------------
 # Each takes (rng, field, sigma) and returns (public inputs, prover, theoretical
-# acceptance bound c/#S, description).
+# acceptance bound c/#S, description).  The prover is adversary.Cheat(sigma)
+# where the protocol has a tactic, else the HonestProver.
 
 
 def _false_singularity(rng, field, sigma):
@@ -234,21 +236,19 @@ def _false_singularity(rng, field, sigma):
 
 def _false_nonsingularity(rng, field, sigma):
     a = instances.rand_singular(rng, field, 3, 2)
-    cheat = adversary.CheatNonSingularity(a, seed=1)
-    return {"A": a}, cheat, 1.0 / sigma, "singular 3x3 deg 2"
+    return {"A": a}, adversary.Cheat(sigma, seed=1), 1.0 / sigma, "singular 3x3 deg 2"
 
 
 def _false_rank_lb(rng, field, sigma):
     a = instances.planted_rank(rng, field, 4, 4, 2, 2)
-    cheat = adversary.CheatRankLowerBound(a, 3, seed=1)
-    return {"A": a, "rho": 3}, cheat, 1.0 / sigma, "rank-2 4x4, claimed 3"
+    return ({"A": a, "rho": 3}, adversary.Cheat(sigma, seed=1), 1.0 / sigma,
+            "rank-2 4x4, claimed 3")
 
 
 def _false_rank_ub(rng, field, sigma):
     a = instances.planted_rank(rng, field, 4, 4, 3, 2)
     bound = (rank_and_profile(a)[0] * wdeg(a.deg) + 1) / sigma
-    cheat = adversary.CheatRankUpperBound(a, 2, seed=1)
-    return {"A": a, "rho": 2}, cheat, bound, "rank-3 4x4, claimed 2"
+    return {"A": a, "rho": 2}, adversary.Cheat(sigma, seed=1), bound, "rank-3 4x4, claimed 2"
 
 
 def _false_determinant(rng, field, sigma):
@@ -307,23 +307,22 @@ def _false_field_det(rng, field, sigma):
     beta = (det_field(b) + 1 + rng.randrange(p - 1)) % p
     if beta == det_field(b):
         beta = (beta + 1) % p
-    cheat = adversary.CheatFieldDeterminant(b, beta, seed=1)
-    return {"B": b, "beta": beta}, cheat, 1.0 / sigma, "wrong field determinant"
+    return ({"B": b, "beta": beta}, adversary.Cheat(sigma, seed=1), 1.0 / sigma,
+            "wrong field determinant")
 
 
 def _false_frrsm(rng, field, sigma):
     a, v = instances.planted_nonmember_rational(rng, field, 3, 4, 2)
     bound = (3 * a.m * wdeg(a.deg) + row_wdeg(v) + 1) / sigma
-    cheat = adversary.CheatFullRankMembership(a, v, sigma=sigma, seed=1)
-    return {"A": a, "v": v}, cheat, bound, "rational non-polynomial solution"
+    return ({"A": a, "v": v}, adversary.Cheat(sigma, seed=1), bound,
+            "rational non-polynomial solution")
 
 
 def _false_coprime(rng, field, sigma):
     x = Poly.x(field)
     fs = [x, x * x, x * x * x]
     bound = (2 * row_wdeg(fs) - 1) / sigma
-    cheat = adversary.CheatCoprime(fs, sigma, seed=1)
-    return {"f": fs}, cheat, bound, "(x, x^2, x^3): gcd x"
+    return {"f": fs}, adversary.Cheat(sigma, seed=1), bound, "(x, x^2, x^3): gcd x"
 
 
 def _false_rsm(rng, field, sigma):
@@ -332,8 +331,8 @@ def _false_rsm(rng, field, sigma):
     a = a.stack(PolyMat(field, [a.vecmat(q)], ncols=a.n))
     r = rank_and_profile(a)[0]
     bound = (4 * r * wdeg(a.deg) + row_wdeg(v) + 1) / sigma
-    cheat = adversary.CheatRowSpaceMembership(a, v, sigma, seed=1)
-    return {"A": a, "v": v}, cheat, bound, "rank-deficient, rational-only membership"
+    return ({"A": a, "v": v}, adversary.Cheat(sigma, seed=1), bound,
+            "rank-deficient, rational-only membership")
 
 
 # -- public inputs from an instance file, for the CLI ------------------------------------

@@ -204,7 +204,7 @@ class Session:
     def _check_elems(self, label: str, values):
         p = self.field.p
         for v in values:
-            if not isinstance(v, int) or not 0 <= v < p:
+            if type(v) is not int or not 0 <= v < p:  # a bool is no element
                 self.fail(Reason.MALFORMED_MESSAGE, f"{label}: element out of range")
 
     def _check_poly(self, label: str, coeffs):

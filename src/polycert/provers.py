@@ -24,11 +24,13 @@ keyed by what its matrix or view is: a public matrix by its object, as for
 the rank behind the membership rank claim; a view the Verifier builds
 afresh each run, C.A or a submatrix, by the matrix under it plus its
 Toeplitz values or index sets.  The ``rank_lb`` sets and the
-``nonsingularity`` point are facts on any view, and a cheat's ``rsm``
-commitment is a fact too.
+``nonsingularity`` point are facts on any view.
 
 On a false statement an honest prover does not crash: it degrades to a
-well-formed best effort and lets the Verifier reject.
+well-formed best effort and lets the Verifier reject.  Where that branch
+is taken inside a fact, it is a method of its own, :meth:`singular_point`
+and :meth:`deficient_sets`, which ``adversary.Cheat`` overrides with its
+tactic.
 """
 
 from __future__ import annotations
@@ -85,10 +87,11 @@ class HonestProver:
         The key is :func:`_view_key`: the identity of the PolyMat under the
         view, which the entry holds so that no other object can take its
         id, as ``Transcript._encoded`` holds its messages, plus the view's
-        Toeplitz values or index sets.  Views built afresh each run over
-        one matrix share an entry; matrices built afresh each run would
-        only pile up, so past :data:`FACT_CAP` entries the memo starts
-        afresh.
+        Toeplitz values or index sets; or the values of a list of
+        polynomials.  Views built afresh each run over one matrix share an
+        entry, and so do lists of equal polynomials; matrices built afresh
+        each run would only pile up, so past :data:`FACT_CAP` entries the
+        memo starts afresh.
         """
         base, ident = _view_key(view)
         key = (kind, ident)
@@ -131,8 +134,13 @@ class HonestProver:
                 if f.rank == n:
                     return alpha, f
                 alpha, ev = alpha + 1, None
-            return 0, None
+            return self.singular_point(view, sigma)
         return self.fact(("nonsingularity_point", sigma), view, search)
+
+    def singular_point(self, view: MatView, sigma: int):
+        """:meth:`nonsingularity_point` when no point in range shows A
+        nonsingular: (0, None), a point with no factorization."""
+        return 0, None
 
     def nonsingularity_solution(self, view: MatView, alpha: int, b: list, factor) -> list:
         """w with A(alpha) w = b, by ``factor``, the PLUQ of A(alpha) that
@@ -176,7 +184,11 @@ class HonestProver:
             _, col_profile = rank_and_profile(mat.submatrix(rows, range(mat.n)))
             if len(col_profile) >= rho:
                 return rows, list(col_profile[:rho]), None
-        # claim is false; send something syntactically valid
+        return self.deficient_sets(view, rho)
+
+    def deficient_sets(self, view: MatView, rho: int):
+        """:meth:`rank_lb_sets` when rank(A) < rho: the first rho rows and
+        columns, syntactically valid, and no probe."""
         return list(range(rho)), list(range(rho)), None
 
     def rank_ub_gamma(self, a: PolyMat, rho: int, alpha: int, v: list) -> list:
@@ -328,13 +340,22 @@ def draw_compression(rng: random.Random, a: PolyMat, v: list, rho: int, sigma: i
 def _view_key(view):
     """(the PolyMat under view, a key for what view is): the PolyMat's id,
     with the Toeplitz values of a product C.A and the index sets of a
-    submatrix around it.  Any other matrix is keyed by its own id."""
+    submatrix around it.  A list of polynomials is keyed by its values,
+    :func:`coeffs_key`, and holds nothing.  Any other matrix is keyed by
+    its own id."""
     if isinstance(view, SubmatrixView):
         base, key = _view_key(view.base)
         return base, (key, tuple(view.row_idx), tuple(view.col_idx))
     if isinstance(view, ToeplitzProductView):
         return view.mat, (id(view.mat), tuple(view.top.values))
+    if isinstance(view, list):
+        return None, coeffs_key(view)
     return view, id(view)
+
+
+def coeffs_key(polys) -> tuple:
+    """A key for a list of polynomials: each one's modulus and coefficients."""
+    return tuple([(f.field.p, *f.coeffs) for f in polys])
 
 
 def _profiled(ev):

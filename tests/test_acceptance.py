@@ -11,7 +11,7 @@ import zlib
 
 import pytest
 
-from polycert.adversary import CheatRowSpaceMembership
+from polycert.adversary import Cheat
 from polycert.experiments import (
     SOUNDNESS_PROTOCOLS,
     run_completeness_experiment,
@@ -140,7 +140,7 @@ def test_criterion_3_equal_saturation_worked_example():
     # in every one of 20 fresh runs at large sigma
     rejects = 0
     for trial in range(20):
-        cheat = CheatRowSpaceMembership(m2, zerox, sigma=BIG_SIGMA, seed=trial)
+        cheat = Cheat(BIG_SIGMA, seed=trial)
         iparams = ProtocolParams(p=P, sigma=BIG_SIGMA, mode="interactive",
                                  strict=False, seed=trial)
         v, _ = run_protocol("rsm", {"A": m2, "v": zerox}, iparams, prover=cheat)
@@ -150,7 +150,7 @@ def test_criterion_3_equal_saturation_worked_example():
     # M2 is full rank but not saturated: rejected in every fresh run
     rejects = 0
     for trial in range(20):
-        cheat = CheatRowSpaceMembership(m2, None, sigma=BIG_SIGMA, seed=trial)
+        cheat = Cheat(BIG_SIGMA, seed=trial)
         iparams = ProtocolParams(p=P, sigma=BIG_SIGMA, mode="interactive",
                                  strict=False, seed=100 + trial)
         v, _ = run_protocol("saturated", {"A": m2}, iparams, prover=cheat)

@@ -7,18 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycert import adversary, provers
-from polycert.adversary import (
-    CheatCoprime,
-    CheatFieldDeterminant,
-    CheatFullRankMembership,
-    CheatNonSingularity,
-    CheatRankLowerBound,
-    CheatRankUpperBound,
-    CheatRowSpaceMembership,
-    Forged,
-    InstanceActuallyTrue,
-    _scale_ratvec,
-)
+from polycert.adversary import Cheat, Forged, _scale_ratvec
 from polycert.experiments import (
     PROVER_SPECS,
     SOUNDNESS_PROTOCOLS,
@@ -32,18 +21,16 @@ from polycert.ff import PrimeField
 from polycert.instances import (
     planted_member,
     planted_nonmember_rational,
-    planted_rank,
-    rand_nonsingular,
     rand_polymat,
     rand_singular,
 )
-from polycert.matfield import FieldMat, det_field
+from polycert.matfield import det_field
 from polycert.polymat import PolyMat, SubmatrixView, ToeplitzOp, ToeplitzProductView
-from polycert.oracles import LOW_RANK
+from polycert.oracles import LOW_RANK, det_bareiss, rank_and_profile, row_membership_oracle
 from polycert.protocols import PROTOCOL_IDS, ProverGaveUp, run_protocol
-from polycert.provers import draw_batch
+from polycert.provers import HonestProver, draw_batch
 from polycert.transcript import MODE_INTERACTIVE, ProtocolParams, Verdict
-from polycert.upoly import Poly, RatVec, lin_comb
+from polycert.upoly import Poly, RatVec, lin_comb, poly_gcd
 from reference import RatFunc, entries, ratvec_of_entries, ratvec_of_pairs
 
 F = PrimeField(2**31 - 1)
@@ -72,41 +59,38 @@ CHEATING_EXCHANGE_DIGESTS = {
 VERDICT_CHALLENGE_DIGEST = "0e9e4dc65c80b2a100432912c18b01aba62e141313db34be56ac08f5384a1cc5"
 
 
-def test_cheats_refuse_true_instances():
-    rng = random.Random(30)
-    a = rand_nonsingular(rng, F, 3, 1)
-    with pytest.raises(InstanceActuallyTrue):
-        CheatNonSingularity(PolyMat.identity(F, 2))
-    with pytest.raises(InstanceActuallyTrue):
-        CheatRankLowerBound(a, 3)  # rank really is 3
-    with pytest.raises(InstanceActuallyTrue):
-        CheatRankUpperBound(a, 3)
-    b = FieldMat.identity(F, 2)
-    with pytest.raises(InstanceActuallyTrue):
-        CheatFieldDeterminant(b, det_field(b))
-    x = Poly.x(F)
-    with pytest.raises(InstanceActuallyTrue):
-        CheatCoprime([Poly.one(F), x], sigma=32)
-    am, v, _ = planted_member(rng, F, 2, 3, 1)
-    with pytest.raises(InstanceActuallyTrue):
-        CheatRowSpaceMembership(am, v, sigma=32)
-    while True:
-        full = planted_rank(rng, F, 2, 3, 2, 1)
-        if True:
-            break
-    _, vv, _ = planted_member(rng, F, 2, 3, 1)
-    with pytest.raises(InstanceActuallyTrue):
-        CheatFullRankMembership(full, [
-            sum((full.rows[i][j].scale(1) for i in range(2)), Poly.zero(F))
-            for j in range(3)
-        ], sigma=32)
+def _column(field, entries):
+    return PolyMat(field, [[f] for f in entries], ncols=1)
+
+
+# Per protocol with a false instance, whether a statement holds, decided by
+# the exact oracles
+STATEMENT_HOLDS = {
+    "singularity": lambda pub: det_bareiss(pub["A"]).is_zero(),
+    "nonsingularity": lambda pub: not det_bareiss(pub["A"]).is_zero(),
+    "rank_lb": lambda pub: rank_and_profile(pub["A"])[0] >= pub["rho"],
+    "rank_ub": lambda pub: rank_and_profile(pub["A"])[0] <= pub["rho"],
+    "determinant": lambda pub: det_bareiss(pub["A"]) == pub["delta"],
+    "field_det": lambda pub: det_field(pub["B"]) == pub["beta"],
+    "system_solve": lambda pub: pub["A"].mul(_column(F, pub["v"]))
+    == _column(F, [pub["delta"] * f for f in pub["b"]]),
+    "matmul": lambda pub: pub["A"].mul(pub["B"]) == pub["C"],
+    "frrsm": lambda pub: row_membership_oracle(pub["A"], pub["v"]),
+    "coprime": lambda pub: poly_gcd(*pub["f"]).is_one(),
+    "rsm": lambda pub: row_membership_oracle(pub["A"], pub["v"]),
+}
 
 
 def test_false_instances_are_verified_false():
-    rng = random.Random(31)
-    for pid in SOUNDNESS_PROTOCOLS:
-        pub, prover, bound, desc = make_false_instance(pid, rng, F, sigma=32)
-        assert bound > 0, pid
+    """Every false instance, at instance seeds 0 to 7 and #S 32 and 64, is
+    false by the exact oracles, and its bound is positive."""
+    assert set(STATEMENT_HOLDS) == {p for p, s in PROVER_SPECS.items() if s.false_instance}
+    for pid, holds in STATEMENT_HOLDS.items():
+        for sigma in (32, 64):
+            for seed in range(8):
+                pub, _, bound, _ = make_false_instance(pid, random.Random(seed), F, sigma)
+                assert not holds(pub), (pid, sigma, seed)
+                assert bound > 0, pid
 
 
 def test_false_system_solve_instances_are_false():
@@ -184,7 +168,7 @@ def test_rank_ub_bound_near_tightness_demo():
         f = f * Poly(F, [(F.p - i) % F.p, 1])
     one, zero = Poly.one(F), Poly.zero(F)
     a = PolyMat(F, [[f, zero, zero], [zero, one, zero], [zero, zero, one]])
-    cheat = CheatRankUpperBound(a, 2, seed=2)
+    cheat = Cheat(sigma, seed=2)
     accepts = 0
     trials = 1500
     for trial in range(trials):
@@ -236,6 +220,26 @@ def test_a_cheating_exchange_depends_only_on_the_statement_and_challenges(pid):
             assert digests[0] == digests[3], (sigma, seed)
 
 
+def test_a_cheat_is_honest_on_true_statements():
+    """On every true run of the pinned corpus, a cheat sends what an honest
+    prover with its seed sends, byte for byte."""
+    honest = _true_runs(lambda p, seed: HonestProver(seed))
+    cheat = _true_runs(lambda p, seed: Cheat(p, seed))
+    runs = 0
+    for (line, t), (_, u) in zip(honest, cheat, strict=True):
+        assert (t and t.digest()) == (u and u.digest()), line
+        runs += 1
+    assert runs == 704
+    # det A = x^2 (x - 1) vanishes on all of S = {0, 1}, so no point shows A
+    # nonsingular, and the cheat's rank-maximizing walk would pick alpha = 1
+    x, one, zero = Poly.x(F), Poly.one(F), Poly.zero(F)
+    a = PolyMat(F, [[x, zero, zero], [zero, x * (x - one), zero], [zero, zero, one]])
+    params = ProtocolParams(p=F.p, sigma=2, mode=MODE_INTERACTIVE, strict=False, seed=1)
+    digests = [run_protocol("nonsingularity", {"A": a}, params, prover=prover)[1].digest()
+               for prover in (HonestProver(), Cheat(2))]
+    assert digests[0] == digests[1]
+
+
 def _verdict_and_challenges(line, t):
     """line, then the verdict and the encoded Verifier messages of run t."""
     out = [f"{line} {t.verdict.reason.value} {t.verdict.detail}".encode()]
@@ -258,6 +262,12 @@ def _interactive_runs():
                                             strict=False, seed=rng.randrange(2**62))
                     _, t = run_protocol(pid, pub, params, prover=prover)
                     yield f"{pid} {sigma} {seed} {trial}", t
+    yield from _true_runs(lambda p, seed: HonestProver())
+
+
+def _true_runs(prover):
+    """Interactive true runs of every protocol (seeds 0 to 15, mmax 4, dmax
+    2, #S = p) in F_{2^31-1} and F_97, each against prover(p, seed)."""
     for p in (2**31 - 1, 97):
         field = PrimeField(p)
         for pid in PROTOCOL_IDS:
@@ -267,7 +277,7 @@ def _interactive_runs():
                 params = ProtocolParams(p=p, sigma=p, mode=MODE_INTERACTIVE,
                                         strict=False, seed=seed)
                 try:
-                    _, t = run_protocol(pid, pub, params)
+                    _, t = run_protocol(pid, pub, params, prover=prover(p, seed))
                 except ProverGaveUp:
                     yield f"{pid} {p} {seed} gave-up", None
                     continue
@@ -333,21 +343,35 @@ def test_one_denominator_sums_match_per_term_sums(field, seed):
     assert scaled.numer_row() == by_entries.numer_row()
 
 
-@pytest.mark.parametrize("pid, module", [("rank_lb", adversary), ("rsm", provers)])
-def test_statement_facts_are_computed_once_per_prover(pid, module, monkeypatch):
-    """Exact rank profiles of the public matrix are kept across runs of one
-    prover."""
-    pub, prover, _, _ = make_false_instance(pid, random.Random(0), F, 32)
-    ranked = []
-    real = module.rank_and_profile
-    monkeypatch.setattr(module, "rank_and_profile", lambda a: ranked.append(a) or real(a))
+def _full_row_rank_rsm(rng, field, sigma):
+    """A false rsm statement whose A has full row rank: frrsm on A itself."""
+    a, v = planted_nonmember_rational(rng, field, 2, 3, 1)
+    return {"A": a, "v": v}, Cheat(sigma, seed=1), None, None
+
+
+@pytest.mark.parametrize("pid, make, module, name", [
+    ("rank_lb", None, adversary, "rank_and_profile"),
+    ("rsm", None, provers, "rank_and_profile"),
+    ("rsm", _full_row_rank_rsm, adversary, "rational_solve_left"),
+], ids=["rank_lb-polycert.adversary", "rsm-polycert.provers", "rsm-full-row-rank"])
+def test_statement_facts_are_computed_once_per_prover(pid, make, module, name,
+                                                      monkeypatch):
+    """Exact rank profiles of the public matrix, and the cheat's rational
+    solution of u A = v, are kept across runs of one prover."""
+    if make is None:
+        pub, prover, _, _ = make_false_instance(pid, random.Random(0), F, 32)
+    else:
+        pub, prover, _, _ = make(random.Random(0), F, 32)
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
     counts = []
-    for seed in range(3):
+    for seed in range(5):
         params = ProtocolParams(p=F.p, sigma=32, mode=MODE_INTERACTIVE, strict=False,
                                 seed=seed)
         run_protocol(pid, pub, params, prover=prover)
-        counts.append(len(ranked))
-    assert counts[0] > 0 and counts == [counts[0]] * 3
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts == [counts[0]] * 5
 
 
 def test_statement_facts_stay_bounded():
@@ -386,7 +410,7 @@ def test_view_facts_are_keyed_by_what_the_view_is():
     assert fresh.nonsingularity_point(SubmatrixView(product(a), rows, cols), 32) == point
     # a cheat's rank-maximizing point is a fact on the view too
     singular = rand_singular(rng, F, 3, 2)
-    cheat = CheatNonSingularity(singular)
+    cheat = Cheat(32)
     point = cheat.nonsingularity_point(SubmatrixView(singular, [0, 1, 2], [0, 1, 2]), 32)
     assert cheat.nonsingularity_point(SubmatrixView(singular, [0, 1, 2], [0, 1, 2]), 32) \
         is point
@@ -398,11 +422,12 @@ def test_view_facts_are_keyed_by_what_the_view_is():
 
 def test_the_coprime_cheat_sets_up_in_its_degree_budget_at_any_sigma():
     """The cheat interpolates on the first bound1 + bound2 usable points, so
-    building it costs the same at #S = p as at #S = 32."""
+    its Bezout pair, forged on the first call, costs the same at #S = p as
+    at #S = 32."""
     start = time.perf_counter()
     pub, cheat, _, _ = make_false_instance("coprime", random.Random(0), F, F.p)
-    assert time.perf_counter() - start < 1.0
     s1, s2, betas = cheat.coprime_witness(pub["f"], F.p)
+    assert time.perf_counter() - start < 1.0
     assert len(betas) == len(pub["f"]) - 2
 
 
@@ -424,12 +449,23 @@ def test_no_usable_compression_ends_in_fallback_or_give_up(monkeypatch):
 
 
 def test_a_single_nonzero_constant_is_a_coprime_family():
-    with pytest.raises(InstanceActuallyTrue):
-        CheatCoprime([Poly.constant(F, 5)], sigma=32)
-    CheatCoprime([Poly.x(F)], sigma=32)  # x alone has gcd x
+    """coprime([5]) is true: the cheat is accepted with the honest
+    transcript.  x alone has gcd x: the cheat plays its forged pair."""
+    params = ProtocolParams(p=F.p, sigma=32, mode=MODE_INTERACTIVE, strict=False, seed=3)
+    five = {"f": [Poly.constant(F, 5)]}
+    verdict, t = run_protocol("coprime", five, params, prover=Cheat(32))
+    assert verdict.accepted
+    assert t.digest() == run_protocol("coprime", five, params, prover=HonestProver())[1].digest()
+    x = [Poly.x(F)]
+    cheat = Cheat(32)
+    _, t = run_protocol("coprime", {"f": x}, params, prover=cheat)
+    forged = cheat._forge_bezout(x, 32)
+    sent = [m.payload.coeffs for m in t.messages if m.label.startswith("bezout_")]
+    assert sent == [tuple(forged[0].coeffs), tuple(forged[1].coeffs)]
+    assert forged != HonestProver().coprime_witness(x, 32)
 
 
-class _ConstantFirstDenominator(CheatRowSpaceMembership):
+class _ConstantFirstDenominator(Cheat):
     """Claims den_0 = 1, so the Verifier checks compression 0 alone, and
     plays the interpolated-g tactic there with the rational solution of
     w (C_0 A) = v.  A true den_0 would make v a member, so the statement
@@ -447,7 +483,7 @@ def test_a_forged_constant_denominator_stays_within_the_bound(sigma):
     first denominator is accepted no more often than the advertised c/#S."""
     rng = random.Random(sigma)
     pub, _, bound, _ = make_false_instance("rsm", rng, F, sigma)
-    cheat = _ConstantFirstDenominator(pub["A"], pub["v"], sigma, seed=1)
+    cheat = _ConstantFirstDenominator(sigma, seed=1)
     trials = 400
     accepts = 0
     for _ in range(trials):
@@ -466,14 +502,13 @@ def test_a_forged_constant_denominator_stays_within_the_bound(sigma):
 @pytest.mark.parametrize("sigma", [32, 64])
 def test_a_full_row_rank_rsm_cheat_stays_within_the_bound(sigma):
     """A claim of full row rank is proved by frrsm on A itself, with no
-    compression: the cheat plays the interpolated-g tactic of
-    CheatFullRankMembership there, and is accepted no more often than the
-    advertised rsm bound."""
+    compression: the cheat plays its frrsm tactic there, interpolating g,
+    and is accepted no more often than the advertised rsm bound."""
     rng = random.Random(sigma)
     a, v = planted_nonmember_rational(rng, F, 2, 3, 1)
     pub = {"A": a, "v": v}
     bound = strict_sigma("rsm", pub) / sigma
-    cheat = CheatRowSpaceMembership(a, v, sigma, seed=1)
+    cheat = Cheat(sigma, seed=1)
     trials = 600
     accepts = 0
     for _ in range(trials):

@@ -195,6 +195,24 @@ def test_live_misbehaving_prover_is_rejected_not_crashed(bad, mode):
 
 
 @pytest.mark.parametrize("mode", [MODE_FIAT_SHAMIR, MODE_INTERACTIVE])
+def test_a_bool_field_element_is_a_malformed_message(mode):
+    """True equals 1 but is spelled "True" in a saved file, which no loader
+    reads back: the live Verifier rejects it as it would reject the file."""
+    from polycert.matfield import FieldMat
+
+    class Truthy(HonestProver):
+        def field_det_factors(self, b, beta):
+            *head, upper = super().field_det_factors(b, beta)
+            return (*head, [True if u == 1 else u for u in upper])
+
+    params = ProtocolParams(p=F.p, sigma=1 << 16, mode=mode, strict=False, seed=3)
+    verdict, _ = run_protocol("field_det", {"B": FieldMat.identity(F, 3), "beta": 1},
+                              params, prover=Truthy())
+    assert (verdict.reason, verdict.detail) == (
+        Reason.MALFORMED_MESSAGE, "upper_factor: element out of range")
+
+
+@pytest.mark.parametrize("mode", [MODE_FIAT_SHAMIR, MODE_INTERACTIVE])
 def test_rank_claim_beyond_any_word_is_rejected_in_both_modes(mode):
     """A rank claim of 2**64 has no canonical bytes; it fails its bound
     before the hash chain would encode it, with the caller's reason."""

@@ -9,7 +9,7 @@ import pytest
 
 import polycert
 from polycert import protocols
-from polycert.adversary import CheatRowSpaceMembership
+from polycert.adversary import Cheat
 from polycert.experiments import generate_true_instance, strict_sigma
 from polycert.ff import PrimeField
 from polycert.instances import (
@@ -401,10 +401,8 @@ def test_coprime_examples():
     # constants only: both Bezout polynomials are constant
     assert accepts("coprime", {"f": [Poly.of(F, 2), Poly.of(F, 3)]})[0].accepted
     # false family under a best-effort cheater: rejected at big sigma
-    from polycert.adversary import CheatCoprime
-
     fs = [x, x * x, x * x * x]
-    cheat = CheatCoprime(fs, sigma=BIG_SIGMA, seed=7)
+    cheat = Cheat(BIG_SIGMA, seed=7)
     verdict, _ = run_protocol("coprime", {"f": fs}, params(), prover=cheat)
     assert not verdict.accepted
 
@@ -412,7 +410,7 @@ def test_coprime_examples():
 def test_rsm_distinguishes_equal_saturation_pair():
     zerox = [Poly.zero(F), Poly.x(F)]
     assert accepts("rsm", {"A": same_saturation_wide(), "v": zerox})[0].accepted
-    cheat = CheatRowSpaceMembership(same_saturation_tall(), zerox, sigma=BIG_SIGMA, seed=8)
+    cheat = Cheat(BIG_SIGMA, seed=8)
     verdict, _ = run_protocol("rsm", {"A": same_saturation_tall(), "v": zerox}, params(),
                               prover=cheat)
     assert not verdict.accepted
@@ -460,7 +458,7 @@ def test_rs_subset_self_and_equality():
 
 def test_rs_equality_counterexample_rejects():
     i2 = PolyMat.identity(F, 2)
-    cheat = CheatRowSpaceMembership(same_saturation_wide(), None, sigma=BIG_SIGMA, seed=11)
+    cheat = Cheat(BIG_SIGMA, seed=11)
     verdict, _ = run_protocol(
         "rs_equality", {"A": same_saturation_wide(), "B": i2}, params(), prover=cheat
     )
@@ -511,7 +509,7 @@ def test_saturated_examples():
     # [1, x] completes to a unimodular matrix, hence saturated
     a = PolyMat.from_coeff_lists(F, [[[1], [0, 1]]])
     assert accepts("saturated", {"A": a})[0].accepted
-    cheat = CheatRowSpaceMembership(same_saturation_tall(), None, sigma=BIG_SIGMA, seed=15)
+    cheat = Cheat(BIG_SIGMA, seed=15)
     verdict, _ = run_protocol("saturated", {"A": same_saturation_tall()}, params(), prover=cheat)
     assert not verdict.accepted
 
@@ -519,7 +517,7 @@ def test_saturated_examples():
 def test_sat_basis_examples():
     i2 = PolyMat.identity(F, 2)
     assert accepts("sat_basis", {"A": same_saturation_wide(), "B": i2})[0].accepted
-    cheat = CheatRowSpaceMembership(same_saturation_wide(), None, sigma=BIG_SIGMA, seed=16)
+    cheat = Cheat(BIG_SIGMA, seed=16)
     verdict, _ = run_protocol(
         "sat_basis", {"A": same_saturation_wide(), "B": same_saturation_tall()}, params(), prover=cheat
     )
@@ -532,7 +530,7 @@ def test_unimod_completable_examples():
     # [x, x^2] has entry gcd x, not completable: honest prover gives up in
     # the saturation sub-proof, a cheat is rejected
     b = PolyMat.from_coeff_lists(F, [[[0, 1], [0, 0, 1]]])
-    cheat = CheatRowSpaceMembership(b, None, sigma=BIG_SIGMA, seed=17)
+    cheat = Cheat(BIG_SIGMA, seed=17)
     verdict, _ = run_protocol("unimod_completable", {"A": b}, params(), prover=cheat)
     assert not verdict.accepted
     square = PolyMat.identity(F, 2)
@@ -552,7 +550,7 @@ def test_kernel_basis_protocol():
     # x * K spans a strict submodule: not saturated, rejected
     if b.m:
         xk = PolyMat(F, [[Poly.x(F) * e for e in row] for row in b.rows], ncols=b.n)
-        cheat = CheatRowSpaceMembership(xk, None, sigma=BIG_SIGMA, seed=19)
+        cheat = Cheat(BIG_SIGMA, seed=19)
         verdict, _ = run_protocol(
             "kernel_basis", {"A": a, "B": xk}, params(), prover=cheat
         )
